@@ -290,8 +290,8 @@ def _cmd_scan(args, out: _Output) -> int:
 
 
 def _cmd_suite(args, out: _Output) -> int:
-    probe = build_group(args.group, args.cap)
-    rank = probe.matrix.rank
+    group = build_group(args.group, args.cap)
+    rank = group.matrix.rank
     if args.parabolic:
         subsets = [_subset_parse(p, rank) for p in args.parabolic]
         if frozenset() not in subsets:
@@ -299,7 +299,7 @@ def _cmd_suite(args, out: _Output) -> int:
     else:
         subsets = [frozenset()] + [frozenset({t}) for t in range(rank)]
     report = verify.run_identity_suite(args.group, subsets, args.cap,
-                                       threads=args.threads)
+                                       threads=args.threads, group=group)
     if out.fmt == "json":
         out.emit(_json_dump(report.to_json_obj()))
     elif out.fmt == "csv":

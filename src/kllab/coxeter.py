@@ -24,8 +24,6 @@ import os
 import re
 from typing import Iterable, Sequence
 
-import numpy as np
-
 #: sentinel for an infinite bond order m_st; chosen so it never collides
 #: with a legal order (legal orders are 1 on the diagonal, >= 2 off it)
 INFINITY = 0
@@ -78,19 +76,66 @@ class CoxeterMatrix:
         return self.m[s][t]
 
     def is_finite(self) -> bool:
-        """Whether the Coxeter group is finite.
+        """Whether the Coxeter group is finite, decided exactly.
 
-        Uses the classical criterion: W is finite iff the cosine matrix
-        B_st = -cos(pi / m_st) is positive definite.  Affine groups are
-        positive semidefinite with an exact zero eigenvalue, so a small
-        tolerance separates the two cases at desk scale.
+        W is finite iff every connected component of its Coxeter graph
+        (edges where m_st != 2) is one of A_n, B_n, D_n, E6-8, F4, H3, H4
+        or I2(m) with m finite (Bjorner-Brenti, Appendix A1).
         """
-        b = np.empty((self.rank, self.rank))
-        for i in range(self.rank):
-            for j in range(self.rank):
-                mij = self.m[i][j]
-                b[i, j] = -1.0 if mij == INFINITY else -np.cos(np.pi / mij)
-        return bool(np.linalg.eigvalsh(b).min() > 1e-8)
+        seen: set[int] = set()
+        for start in range(self.rank):
+            if start in seen:
+                continue
+            component = [start]
+            seen.add(start)
+            for u in component:
+                for w in range(self.rank):
+                    if w != u and self.m[u][w] != 2 and w not in seen:
+                        seen.add(w)
+                        component.append(w)
+            if not self._finite_component(component):
+                return False
+        return True
+
+    def _finite_component(self, nodes: list[int]) -> bool:
+        """Whether one connected component of the Coxeter graph is of
+        finite type."""
+        adj = {u: [w for w in nodes if w != u and self.m[u][w] != 2]
+               for u in nodes}
+        bonds = {(u, w): self.m[u][w] for u in nodes for w in adj[u] if u < w}
+        if INFINITY in bonds.values():
+            return False
+        if len(nodes) <= 2:
+            return True                         # A1, or I2(m) with m finite
+        if len(bonds) != len(nodes) - 1:
+            return False                        # the graph has a cycle
+        heavy = [(u, w) for (u, w), m in bonds.items() if m > 3]
+        branches = [u for u in nodes if len(adj[u]) > 2]
+        if heavy:
+            if branches or len(heavy) > 1:
+                return False
+            u, w = heavy[0]
+            at_end = len(adj[u]) == 1 or len(adj[w]) == 1
+            if bonds[u, w] == 4:                # B_n, or F4 with 4 inside
+                return at_end or len(nodes) == 4
+            return bonds[u, w] == 5 and at_end and len(nodes) <= 4  # H3, H4
+        if not branches:
+            return True                         # A_n
+        centre = branches[0]
+        if len(branches) > 1 or len(adj[centre]) > 3:
+            return False
+
+        def arm(first: int) -> int:
+            prev, cur, size = centre, first, 1
+            while len(adj[cur]) == 2:
+                prev, cur = cur, sum(adj[cur]) - prev
+                size += 1
+            return size
+
+        # a star with arms of a, b, c nodes: D_n and E6-8 are exactly the
+        # stars with 1/(a+1) + 1/(b+1) + 1/(c+1) > 1
+        p, q, r = (arm(w) + 1 for w in adj[centre])
+        return q * r + p * r + p * q > p * q * r
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CoxeterMatrix) and self.m == other.m
@@ -518,23 +563,30 @@ class GroupTable:
     def bruhat_leq(self, x: Element, y: Element) -> bool:
         """x <= y in Bruhat order, by the descent recursion, memoized.
 
-        For any right descent s of y: x <= y iff min(x, xs) <= ys.
+        For any right descent s of y: x <= y iff min(x, xs) <= ys.  The
+        recursion is a single chain, walked as a loop; every pair on the
+        chain is memoized with the answer.
         """
-        if x.length > y.length:
-            return False
-        if x.length == y.length:
-            return x.word == y.word
-        key = (x.index, y.index)
-        cached = self._bruhat.get(key)
-        if cached is not None:
-            return cached
-        s = min(self._right_desc[y.index])
-        ys = self.mult_gen(y, s, RIGHT)
-        if s in self._right_desc[x.index]:
-            out = self.bruhat_leq(self.mult_gen(x, s, RIGHT), ys)
-        else:
-            out = self.bruhat_leq(x, ys)
-        self._bruhat[key] = out
+        chain = []
+        while True:
+            if x.length > y.length:
+                out = False
+                break
+            if x.length == y.length:
+                out = x.word == y.word
+                break
+            key = (x.index, y.index)
+            cached = self._bruhat.get(key)
+            if cached is not None:
+                out = cached
+                break
+            chain.append(key)
+            s = min(self._right_desc[y.index])
+            if s in self._right_desc[x.index]:
+                x = self.mult_gen(x, s, RIGHT)
+            y = self.mult_gen(y, s, RIGHT)
+        for key in chain:
+            self._bruhat[key] = out
         return out
 
     def downset(self, x: Element) -> tuple[Element, ...]:

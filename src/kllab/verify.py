@@ -29,6 +29,8 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .coxeter import (
     CoxeterMatrix, Element, GroupTable, parse_coxeter_spec, render_word,
 )
@@ -110,7 +112,9 @@ def scan_monotonicity_inverse(table: KLTable,
     """All triples violating the inverse-polynomial monotonicity.
 
     Returns (triples_checked, violations); the theorem predicts an empty
-    list for every Coxeter system.
+    list for every Coxeter system.  Each (x, y) pair is compared as one
+    block over z in downset(y); only a pair that fails it is walked
+    triple by triple to report its violations.
     """
     table.build_all()
     group = table.group
@@ -122,6 +126,9 @@ def scan_monotonicity_inverse(table: KLTable,
         for y in group.downset(x):
             coly = table.inverse_column(y)
             gap = x.length - y.length
+            if _inverse_pair_holds(colx, coly, gap):
+                count += len(coly.rows)
+                continue
             for z in group.downset(y):
                 count += 1
                 _check_triple(z, y, x,
@@ -132,17 +139,39 @@ def scan_monotonicity_inverse(table: KLTable,
     return _merge(_parallel_over(list(group), worker, threads))
 
 
+def _inverse_pair_holds(colx, coly, gap: int) -> bool:
+    """v^gap h^{z,y} <= h^{z,x} for every z <= y, on whole blocks.
+
+    The rows of column y are downset(y), a subset of column x's rows
+    downset(x); column x spans exponents [0, l(x)], column y [0, l(y)].
+    """
+    rhs = colx.coeffs[np.searchsorted(colx.rows, coly.rows)]
+    return bool((rhs[:, gap:] >= coly.coeffs).all()
+                and (rhs[:, :gap] >= 0).all())
+
+
 def scan_monotonicity_classical(table: KLTable,
                                 threads: int = 1) -> tuple[int, list[Violation]]:
-    """All triples violating classical monotonicity of h_{y,x}."""
+    """All triples violating classical monotonicity of h_{y,x}.
+
+    Compares whole blocks per (x, y) pair like the inverse scan.
+    """
     table.build_all()
     group = table.group
+    lengths = np.array([el.length for el in group], dtype=np.intp)
 
     def worker(x):
         bx = table.kl_basis_element(x)
+        block = table.b_block(x)
+        coeffs = block.dense(x.length + 1)
         found: list[Violation] = []
         count = 0
         for y in group.downset(x):
+            below = table.downset_ids(y)
+            if _classical_pair_holds(block.rows, coeffs, y, below,
+                                     lengths[below]):
+                count += len(below)
+                continue
             hy = bx.coefficient(y)
             for z in group.downset(y):
                 count += 1
@@ -152,6 +181,26 @@ def scan_monotonicity_classical(table: KLTable,
         return count, found
 
     return _merge(_parallel_over(list(group), worker, threads))
+
+
+def _classical_pair_holds(rows, coeffs, y: Element, below,
+                          below_lengths) -> bool:
+    """v^{l(y)-l(z)} h_{y,x} <= h_{z,x} for every z <= y, on b_x as the
+    dense block ``coeffs`` over the sorted ids ``rows``.
+
+    ``below`` holds the ids of downset(y), y last; a z missing from the
+    rows of b_x fails the block test and is left to the exact walk.
+    """
+    pos = np.searchsorted(rows, below)
+    if (rows.take(pos, mode="clip") != below).any():
+        return False
+    width = coeffs.shape[1]
+    padded = np.concatenate((np.zeros(width, coeffs.dtype), coeffs[pos[-1]]))
+    # row z of lhs is h_{y,x} shifted up by l(y) - l(z): entry k reads
+    # padded[width + k - (l(y) - l(z))], which is 0 below exponent 0
+    lhs = padded[(width - y.length) + below_lengths[:, None]
+                 + np.arange(width)]
+    return bool((coeffs[pos] >= lhs).all())
 
 
 def _scan_parabolic(ptable: ParabolicKLTable, flavor: str, threads: int):
@@ -427,14 +476,17 @@ def _comparable_pairs(group: GroupTable):
 
 def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
                        threads: int = 1,
-                       max_elements: int | None = None) -> SuiteReport:
+                       max_elements: int | None = None,
+                       group: GroupTable | None = None) -> SuiteReport:
     """Run every identity check and every scan over one group.
 
     ``subsets`` lists the generator subsets (0-based) for the parabolic
-    checks; the non-parabolic checks always run.  Any internal error is
-    captured as a failed check rather than propagating.
+    checks; the non-parabolic checks always run.  ``group``, when given,
+    is the already enumerated table of ``spec`` under ``cap``.  Any
+    internal error is captured as a failed check rather than propagating.
     """
-    group = build_group(spec, cap, max_elements)
+    if group is None:
+        group = build_group(spec, cap, max_elements)
     table = KLTable(group)
     table.build_all()
     report = SuiteReport(group=spec, cap=cap)

@@ -3,6 +3,8 @@
 The oracles deliberately avoid the library's own canonical-word machinery:
 symmetric groups are modelled by explicit permutation composition, Bruhat
 order by the subword property, and reduced-word sets by brute enumeration.
+The sparse references at the end are the dict-of-``LaurentPoly`` inverse
+solve and per-triple scans that the block kernel replaced.
 """
 
 from __future__ import annotations
@@ -10,9 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 
-from kllab.coxeter import GroupTable, parse_coxeter_spec
+from kllab.coxeter import Element, GroupTable, parse_coxeter_spec
 from kllab.hecke import KLTable
 from kllab.laurent import LaurentPoly
+from kllab.verify import Violation
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,3 +98,66 @@ def subword_elements(table: GroupTable, word: tuple[int, ...]) -> set:
 def bruhat_leq_oracle(table: GroupTable, x, y) -> bool:
     """x <= y iff some subword of a reduced word of y represents x."""
     return x.word in subword_elements(table, y.word)
+
+
+# ----------------------------------------------------------------------
+# sparse references for the block kernel
+# ----------------------------------------------------------------------
+
+def reference_inverse_column(table: KLTable, x) -> dict:
+    """All h^{y,x}, by the descending solve over sparse dicts."""
+    remainder = {x: LaurentPoly.one()}
+    col = {}
+    while remainder:
+        z = max(remainder, key=Element.sort_key)
+        c = remainder[z]
+        col[z] = c if (x.length - z.length) % 2 == 0 else -c
+        for y, p in table.kl_basis_element(z).terms.items():
+            s = remainder.get(y, LaurentPoly.zero()) - c * p
+            if s:
+                remainder[y] = s
+            else:
+                remainder.pop(y, None)
+    return col
+
+
+def _reference_violation(z, y, x, lhs, rhs):
+    bad = [e for e in set(lhs.exponents()) | set(rhs.exponents())
+           if rhs.coefficient(e) - lhs.coefficient(e) < 0]
+    return Violation(z, y, x, lhs, rhs, min(bad)) if bad else None
+
+
+def reference_scan_inverse(table: KLTable):
+    """(triples, violations) of the inverse scan, one triple at a time."""
+    group = table.group
+    zero = LaurentPoly.zero()
+    count, found = 0, []
+    for x in group:
+        colx = table.inverse_column(x)
+        for y in group.downset(x):
+            coly = table.inverse_column(y)
+            for z in group.downset(y):
+                count += 1
+                v = _reference_violation(
+                    z, y, x, coly.get(z, zero).shift(x.length - y.length),
+                    colx.get(z, zero))
+                if v:
+                    found.append(v)
+    return count, found
+
+
+def reference_scan_classical(table: KLTable):
+    """(triples, violations) of the classical scan, one triple at a time."""
+    group = table.group
+    count, found = 0, []
+    for x in group:
+        bx = table.kl_basis_element(x)
+        for y in group.downset(x):
+            for z in group.downset(y):
+                count += 1
+                v = _reference_violation(
+                    z, y, x, bx.coefficient(y).shift(y.length - z.length),
+                    bx.coefficient(z))
+                if v:
+                    found.append(v)
+    return count, found

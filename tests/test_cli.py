@@ -223,6 +223,28 @@ class TestSuiteCommand:
                                "--cap", "5")
         assert code == 0
 
+    def test_suite_enumerates_once(self, capsys, monkeypatch):
+        from kllab.coxeter import GroupTable
+        calls = []
+        enumerate_table = GroupTable._enumerate
+
+        def counted(table):
+            calls.append(table.matrix)
+            enumerate_table(table)
+
+        monkeypatch.setattr(GroupTable, "_enumerate", counted)
+        code, _, _ = run_cli(capsys, "suite", "--group", "A2")
+        assert code == 0 and len(calls) == 1
+
+    @pytest.mark.parametrize("argv,error", [
+        (("--group", "Aff-A2", "--parabolic", "9"), "CapRequiredError"),
+        (("--group", "A2", "--parabolic", "9"), "CoxeterSpecError"),
+    ])
+    def test_suite_cap_check_comes_first(self, capsys, argv, error):
+        code, out, err = run_cli(capsys, "suite", *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == error
+
 
 class TestErrorsAndIO:
     def test_unknown_group_exits_2(self, capsys):

@@ -76,11 +76,49 @@ class TestParseSpec:
         with pytest.raises(CoxeterSpecError):
             CoxeterMatrix([[2]])  # bad diagonal
 
-    def test_finiteness(self):
-        for spec in ["A3", "B3", "D4", "F4", "G2", "H3", "H4", "I2(7)"]:
+    def test_finiteness(self, tmp_path):
+        a2_x_b2 = tmp_path / "a2xb2.txt"
+        a2_x_b2.write_text("rank 4\n1 2 3\n3 4 4\n")
+        hyperbolic = tmp_path / "hyperbolic.txt"
+        hyperbolic.write_text("rank 3\n1 2 7\n2 3 3\n")
+        for spec in ["A3", "B3", "D4", "F4", "G2", "H3", "H4", "I2(7)",
+                     "A1", "B5", "D5", "E6", "E7", "E8", "I2(30000)",
+                     f"file:{a2_x_b2}"]:
             assert parse_coxeter_spec(spec).is_finite(), spec
-        for spec in ["I2(inf)", "Aff-A1", "Aff-A2"]:
+        for spec in ["I2(inf)", "Aff-A1", "Aff-A2", f"file:{hyperbolic}"]:
             assert not parse_coxeter_spec(spec).is_finite(), spec
+
+    @pytest.mark.parametrize("bonds", [
+        {(0, 1): 3, (1, 2): 4, (2, 3): 3, (3, 4): 3},       # affine F4
+        {(0, 1): 4, (1, 2): 4},                             # affine C2
+        {(0, 1): 3, (1, 2): 5, (2, 3): 3},                  # 5 inside
+        {(0, 1): 5, (1, 2): 3, (2, 3): 3, (3, 4): 3},       # H5
+        {(0, 1): 3, (1, 2): 3, (1, 3): 3, (1, 4): 3},       # affine D4
+        {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3,
+         (2, 5): 3, (5, 6): 3},                             # affine E6
+        {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3,
+         (5, 6): 3, (6, 7): 3, (2, 8): 3},                  # affine E8
+    ])
+    def test_infinite_near_misses(self, bonds):
+        rank = 1 + max(max(pair) for pair in bonds)
+        m = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+        for (i, j), order in bonds.items():
+            m[i][j] = m[j][i] = order
+        assert not CoxeterMatrix(m).is_finite()
+
+    def test_finiteness_agrees_with_enumeration_in_rank_3(self):
+        # a finite rank-3 group has at most 120 elements and length <= 15,
+        # so the enumeration closes below cap 16 exactly when W is finite
+        for orders in itertools.product([2, 3, 4, 5, 6, INFINITY], repeat=3):
+            m = [[1, orders[0], orders[1]],
+                 [orders[0], 1, orders[2]],
+                 [orders[1], orders[2], 1]]
+            matrix = CoxeterMatrix(m)
+            try:
+                closed = GroupTable(matrix, 16, max_elements=130).is_complete()
+            except ResourceLimitError:
+                closed = False
+            assert matrix.is_finite() == closed, orders
 
 
 class TestCanonicalForm:
