@@ -116,14 +116,21 @@ def _cmd_info(args, out: _Output) -> int:
     return 0
 
 
+def _words(group) -> list[str]:
+    """The rendered word of every element, by id: a table row names two
+    elements, and a long cap repeats each in many rows."""
+    return [render_word(el.word) for el in group]
+
+
 def _table_entries(group, pairs_with_polys):
     """Shared rendering for all polynomial-table commands."""
     rows = []
     entries = {}
+    words = _words(group)
     for y, x, p in pairs_with_polys:
-        rows.append([render_word(y.word), render_word(x.word),
-                     str(y.length), str(x.length), poly_csv(p)])
-        entries[f"{render_word(y.word)}|{render_word(x.word)}"] = p.to_json_dict()
+        yw, xw = words[y.index], words[x.index]
+        rows.append([yw, xw, str(y.length), str(x.length), poly_csv(p)])
+        entries[f"{yw}|{xw}"] = p.to_json_dict()
     return rows, entries
 
 
@@ -177,12 +184,13 @@ def _cmd_mu(args, out: _Output, table: KLTable) -> int:
     group = table.group
     rows = []
     entries = {}
+    words = _words(group)
     for x in group:
         for y in group.downset(x):
             m = table.mu(y, x)
-            rows.append([render_word(y.word), render_word(x.word),
-                         str(y.length), str(x.length), str(m)])
-            entries[f"{render_word(y.word)}|{render_word(x.word)}"] = m
+            yw, xw = words[y.index], words[x.index]
+            rows.append([yw, xw, str(y.length), str(x.length), str(m)])
+            entries[f"{yw}|{xw}"] = m
     if out.fmt == "json":
         out.emit(_json_dump({"command": "mu", "group": args.group,
                              "cap": args.cap, "entries": entries}))
@@ -343,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--flavor", required=True,
                            choices=[SPHERICAL, ANTISPHERICAL])
         if threads:
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=int, default=1,
+                           help="accepted and ignored: scans run in one "
+                                "thread")
 
     common(sub.add_parser("info", help="group order and longest length"))
     p = sub.add_parser("kl", help="table of the polynomials h_{y,x}")

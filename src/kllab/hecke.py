@@ -19,40 +19,36 @@ h^{y,x} with alternating signs:
 
 ``KLTable`` computes b_x two independent ways: the production route is the
 length recursion b_{x's} = b_{x'} b_s - sum mu(y,x') b_y over y with ys < y,
-and the oracle route solves for the unique bar-invariant unitriangular
-element degree by degree.  Inverse polynomials come from a descending
-triangular solve, one column per x.  Everything is memoized and all tables
-are built in increasing length order, so dependencies always exist.
+and the oracle route is the bar-invariance pass of the block kernel over
+the blocks of bar(delta_z), which never touches mu.  Inverse polynomials
+come from the kernel's descending solve, one column per x.  Everything is
+memoized and all tables are built in increasing length order, so
+dependencies always exist.
 
-The inverse solve runs on integer arrays keyed by ``Element.index``.
-Each b_x is kept once as its nonzero terms (``Block``); each inverse column
-is a dense block over the sorted ids of downset(x), row i, column e holding
-the coefficient of v^e, for e in [0, l(x)] (``InverseColumn``).
-Arithmetic is int64 under a running bound on coefficient size; a column
-whose bound would reach 2^62 is redone with exact Python ints
-(``dtype=object``), so no result ever depends on wrapping.
+Each b_x is kept once as its nonzero terms (``Block``), each bar(delta_x)
+as a block over downset(x) memoized on the group table, and each inverse
+column as a dense block over the sorted ids of downset(x)
+(``InverseColumn``); see ``kernel`` for the passes and their overflow
+guard.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import NamedTuple
-
 import numpy as np
 
 from .coxeter import Element, GroupTable, LEFT, RIGHT
+from .kernel import (
+    INT64_LIMIT, Block, InverseColumn, InvariantError, add_scaled,
+    bar_invariant_block, block_terms, dense_block, kronecker_failures,
+    row_poly, row_positions, solve_inverse_column, terms_block,
+)
 from .laurent import LaurentPoly
 
 _V = LaurentPoly.v()
 _VINV = LaurentPoly.v(-1)
-_V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
 _VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
-
-
-class InvariantError(RuntimeError):
-    """A mathematically guaranteed internal invariant failed to hold."""
 
 
 class HeckeElt:
@@ -164,35 +160,82 @@ def _accum(store: dict[Element, LaurentPoly], x: Element, p: LaurentPoly):
         del store[x]
 
 
-def bar_delta(table: GroupTable, x: Element) -> HeckeElt:
-    """bar(delta_x), memoized on the group table.
+def downset_ids(group: GroupTable, x: Element) -> np.ndarray:
+    """The ids of downset(x), ascending; memoized on the group table."""
+    memo = vars(group).setdefault("_hecke_downset_ids", {})
+    got = memo.get(x.index)
+    if got is None:
+        got = memo[x.index] = np.array([y.index for y in group.downset(x)],
+                                       dtype=np.intp)
+    return got
 
-    Since delta_s is invertible with delta_s^{-1} = delta_s + v - v^{-1}
-    and bar is multiplicative, bar(delta_x) for a reduced word x = x's is
-    bar(delta_{x'}) * (delta_s + v - v^{-1}), built along canonical-word
-    prefixes (which are themselves canonical words), shortest first.
+
+def bar_block(group: GroupTable, x: Element) -> Block:
+    """bar(delta_x) as a block over downset(x); memoized on the group table.
+
+    bar(delta_s) = delta_s + v - v^{-1} and bar is multiplicative, so along
+    the canonical word x = x's, by the quadratic relation,
+
+        bar(delta_x) = bar(delta_{x'}) (delta_s + v - v^{-1})
+                     = sum_y p_y (delta_{ys} + [ys > y] (v - v^{-1}) delta_y)
+
+    over the terms p_y delta_y of bar(delta_{x'}).  Missing prefixes (which
+    are canonical words too) are built shortest first, without recursion.
     """
-    memo: dict[int, HeckeElt] = getattr(table, "_hecke_bar_delta", None)
-    if memo is None:
-        memo = table._hecke_bar_delta = {}
+    memo = vars(group).setdefault("_hecke_bar_blocks", {})
     got = memo.get(x.index)
     if got is not None:
         return got
     missing = [x]
     while missing[-1].word:
-        prefix = table.element(missing[-1].word[:-1])
+        prefix = group.mult_gen(missing[-1], missing[-1].word[-1])
         if prefix.index in memo:
             break
         missing.append(prefix)
     for el in reversed(missing):
-        if not el.word:
-            out = HeckeElt.delta(table, el)
-        else:
-            prev = memo[table.element(el.word[:-1]).index]
-            out = (mult_delta_gen(prev, el.word[-1], RIGHT)
-                   + prev.scaled(_V_MINUS_VINV))
-        memo[el.index] = out
+        memo[el.index] = _bar_step(group, el, memo)
     return memo[x.index]
+
+
+def _bar_step(group: GroupTable, x: Element, memo: dict) -> Block:
+    ids = downset_ids(group, x)
+    if not x.word:
+        return Block(ids, np.zeros(1, np.intp), np.zeros(1, np.intp),
+                     np.ones(1, np.int8), 1)
+    s = x.word[-1]
+    prev = memo[group.mult_gen(x, s).index]
+    elements = group.elements
+    src = prev.rows
+    dst = np.array([group.mult_gen(elements[y], s).index
+                    for y in src.tolist()], dtype=np.intp)
+    where = row_positions(ids, x)
+    pos_src = where.take(src, mode="clip")
+    pos_dst = where.take(dst, mode="clip")
+    if min(pos_src.min(), pos_dst.min()) < 0:
+        raise InvariantError(f"bar(delta) at {x!r} leaves downset({x!r})")
+    # each entry receives at most three terms of the previous block
+    dtype = np.int64 if 3 * prev.row_norm < INT64_LIMIT else object
+    top = x.length
+    dense = np.zeros((len(ids), 2 * top + 1), dtype=dtype)
+    cols = prev.exps + top
+    values = prev.values.astype(dtype)
+    dense[pos_dst[prev.at], cols] += values
+    up = (dst > src)[prev.at]
+    rows = pos_src[prev.at][up]
+    dense[rows, cols[up] + 1] += values[up]
+    dense[rows, cols[up] - 1] -= values[up]
+    return dense_block(ids, dense, top)
+
+
+def bar_delta(table: GroupTable, x: Element) -> HeckeElt:
+    """bar(delta_x), decoded from ``bar_block``; memoized on the group
+    table."""
+    memo = vars(table).setdefault("_hecke_bar_delta", {})
+    got = memo.get(x.index)
+    if got is None:
+        got = memo[x.index] = HeckeElt(table,
+                                       block_terms(table, bar_block(table, x)))
+    return got
 
 
 def bar_element(h: HeckeElt) -> HeckeElt:
@@ -203,113 +246,13 @@ def bar_element(h: HeckeElt) -> HeckeElt:
     return out
 
 
-class Block(NamedTuple):
-    """The nonzero coefficients of b_x, keyed by element id.
-
-    Term k is ``values[k]`` v^``exps[k]`` in the row of element
-    ``rows[at[k]]``; ``rows`` is sorted.  Only nonzero terms are kept: on
-    a long affine cap almost every row of b_x is a single monomial, and a
-    dense block would grow with the cube of the cap.  ``row_norm`` is the
-    largest sum of absolute values over one row, as an exact int.
-    """
-
-    rows: np.ndarray
-    at: np.ndarray
-    exps: np.ndarray
-    values: np.ndarray
-    row_norm: int
-
-    def dense(self, width: int) -> np.ndarray:
-        """The coefficients as a len(rows) x width array."""
-        out = np.zeros((len(self.rows), width), dtype=self.values.dtype)
-        out[self.at, self.exps] = self.values
-        return out
-
-
-#: the int64 solve gives a column up when its coefficient bound reaches this
-_INT64_LIMIT = 1 << 62
-
-
-class _Overflow(Exception):
-    """An int64 solve could have produced a coefficient of _INT64_LIMIT."""
-
-
-def _exact_array(values: list[int]) -> np.ndarray:
-    """The values in the narrowest integer dtype holding them all, or in
-    dtype=object (exact Python ints) when they reach _INT64_LIMIT."""
-    if values and max(-min(values), max(values)) >= _INT64_LIMIT:
-        return np.array(values, dtype=object)
-    return _narrow(np.array(values, dtype=np.int64))
-
-
-def _narrow(block: np.ndarray) -> np.ndarray:
-    """An int64 array in the narrowest dtype that holds its range exactly."""
-    lo, hi = (int(block.min()), int(block.max())) if block.size else (0, 0)
-    for dtype in (np.int8, np.int16, np.int32):
-        info = np.iinfo(dtype)
-        if info.min <= lo and hi <= info.max:
-            return block.astype(dtype)
-    return block
-
-
-def _row_poly(row: np.ndarray) -> LaurentPoly:
-    return LaurentPoly({e: c for e, c in enumerate(row.tolist()) if c})
-
-
-class InverseColumn(Mapping):
-    """Read-only mapping y -> h^{y,x} over one stored inverse column.
-
-    Rows are the ids of downset(x); only nonzero rows are keys.  Values
-    are decoded from the block on first access and cached, so a caller
-    that reads every entry pays for the ``LaurentPoly`` values once and a
-    block-level reader (the scans) never pays for them.
-    """
-
-    __slots__ = ("group", "rows", "coeffs", "_cache")
-
-    def __init__(self, group: GroupTable, rows: np.ndarray,
-                 coeffs: np.ndarray):
-        self.group = group
-        self.rows = rows
-        self.coeffs = coeffs
-        self._cache: dict[int, LaurentPoly] = {}
-
-    def get(self, y: Element, default=None):
-        got = self._cache.get(y.index)
-        if got is None:
-            pos = int(np.searchsorted(self.rows, y.index))
-            if pos < len(self.rows) and self.rows[pos] == y.index:
-                got = _row_poly(self.coeffs[pos])
-            else:
-                got = _ZERO
-            self._cache[y.index] = got
-        return got if got else default
-
-    def __getitem__(self, y: Element) -> LaurentPoly:
-        got = self.get(y)
-        if got is None:
-            raise KeyError(y)
-        return got
-
-    def _nonzero_positions(self) -> list[int]:
-        return np.flatnonzero(self.coeffs.any(axis=1)).tolist()
-
-    def __iter__(self):
-        elements = self.group.elements
-        for pos in self._nonzero_positions():
-            yield elements[int(self.rows[pos])]
-
-    def __len__(self) -> int:
-        return len(self._nonzero_positions())
-
-
 class KLTable:
     """Kazhdan-Lusztig data over one enumerated group table.
 
     Memoizes the canonical basis elements b_x (two independent routes),
-    their coefficient blocks and the inverse polynomial columns.  All
-    queries are safe after ``build_all``; lazy use is also fine
-    single-threaded.
+    their coefficient blocks, the inverse polynomial columns and the
+    inversion-identity sums.  All queries are safe after ``build_all``;
+    lazy use is also fine single-threaded.
     """
 
     def __init__(self, group: GroupTable):
@@ -317,8 +260,8 @@ class KLTable:
         self._b: dict[int, HeckeElt] = {}
         self._b_solve: dict[int, HeckeElt] = {}
         self._b_blocks: dict[int, Block] = {}
-        self._down_ids: dict[int, np.ndarray] = {}
         self._inv_cols: dict[int, InverseColumn] = {}
+        self._kronecker: dict[int, frozenset[int]] = {}
 
     # -- canonical basis, production route --------------------------------
 
@@ -374,22 +317,13 @@ class KLTable:
         if got is None:
             terms = sorted(self.kl_basis_element(x).terms.items(),
                            key=lambda kv: kv[0].index)
-            at, exps, values = [], [], []
-            for i, (y, p) in enumerate(terms):
-                for e, c in p.items():
-                    if not 0 <= e <= x.length:
-                        raise InvariantError(
-                            f"coefficient of {y!r} in b at {x!r} has a term "
-                            f"v^{e} outside the window [0, {x.length}]")
-                    at.append(i)
-                    exps.append(e)
-                    values.append(c)
-            got = Block(np.array([y.index for y, _ in terms], dtype=np.intp),
-                        np.array(at, dtype=np.intp),
-                        np.array(exps, dtype=np.intp),
-                        _exact_array(values),
-                        max(sum(abs(c) for _, c in p.items())
-                            for _, p in terms))
+            for y, p in terms:
+                exps = p.exponents()
+                if exps[0] < 0 or exps[-1] > x.length:
+                    raise InvariantError(
+                        f"coefficient of {y!r} in b at {x!r} has a term "
+                        f"outside the window [0, {x.length}]: {p}")
+            got = terms_block((y.index, p) for y, p in terms)
             self._b_blocks[x.index] = got
         return got
 
@@ -398,30 +332,20 @@ class KLTable:
     def kl_basis_element_bar_solve(self, x: Element) -> HeckeElt:
         """b_x as the unique bar-invariant unitriangular element above x.
 
-        Starts from delta_x and repeatedly cancels the top term of
-        bar(B) - B with a correction gamma * b_y, gamma the positive part
-        of the (antisymmetric) top coefficient.  Entirely independent of
-        the mu-recursion route: it never touches mult_b_gen or mu.
+        The kernel's bar-invariance pass over the blocks of bar(delta_z)
+        for z in downset(x), decoded; the regular module is the quotient
+        with I empty.  Entirely independent of the mu-recursion route: it
+        never touches mult_b_gen or mu, and no column needs another.
         """
         got = self._b_solve.get(x.index)
-        if got is not None:
-            return got
-        b = HeckeElt.delta(self.group, x)
-        diff = bar_element(b) - b
-        while diff:
-            y, a = diff.top_term()
-            if y.length >= x.length or not a.is_antisymmetric():
-                raise InvariantError(
-                    f"bar-invariance solve failed at {x!r}: stray term {y!r}")
-            gamma = a.positive_part()
-            by = self.kl_basis_element_bar_solve(y)
-            b = b + by.scaled(gamma)
-            diff = diff - by.scaled(a)
-        if bar_element(b) != b:
-            raise InvariantError(f"solve produced non-self-dual b at {x!r}")
-        self._validate_triangular(b, x)
-        self._b_solve[x.index] = b
-        return b
+        if got is None:
+            group = self.group
+            block = bar_invariant_block(group, x, downset_ids(group, x),
+                                        lambda z: bar_block(group, z))
+            got = HeckeElt(group, block_terms(group, block))
+            self._validate_triangular(got, x)
+            self._b_solve[x.index] = got
+        return got
 
     def _validate_triangular(self, b: HeckeElt, x: Element) -> None:
         for y, p in b.terms.items():
@@ -431,6 +355,33 @@ class KLTable:
             elif not (p.in_v_times_polys() and p.is_nonnegative()):
                 raise InvariantError(
                     f"coefficient of {y!r} in b at {x!r} outside vZ>=0[v]: {p}")
+
+    def is_bar_invariant(self, x: Element) -> bool:
+        """bar(b_x) == b_x, applying the blocks of bar(delta_z) to b_x as a
+        whole: bar(b_x) = sum_z bar(h_{z,x}) bar(delta_z)."""
+        group = self.group
+        block = self.b_block(x)
+        ids = downset_ids(group, x)
+        where = row_positions(ids, x)
+        top = x.length
+        rows = [group.elements[z] for z in block.rows.tolist()]
+        bars = [bar_block(group, z) for z in rows]
+        slices = block.row_slices()
+        values = block.values.tolist()
+        bound = sum(sum(abs(c) for c in values[sl]) * r.row_norm
+                    for sl, r in zip(slices, bars))
+        dtype = np.int64 if bound < INT64_LIMIT else object
+        acc = np.zeros((len(ids), 2 * top + 1), dtype=dtype)
+        for z, sl, r in zip(rows, slices, bars):
+            add_scaled(acc, where, x, z, r, (top - block.exps[sl]).tolist(),
+                       block.values[sl].astype(dtype))
+        pos = where.take(block.rows, mode="clip")
+        if pos.min() < 0:
+            raise InvariantError(
+                f"b at {x!r} has a term outside downset({x!r})")
+        own = np.zeros_like(acc)
+        own[pos[block.at], block.exps + top] = block.values
+        return bool((acc == own).all())
 
     # -- polynomials --------------------------------------------------------
 
@@ -445,93 +396,23 @@ class KLTable:
             raise InvariantError(f"negative mu({y!r},{x!r}) = {m}")
         return m
 
-    def downset_ids(self, x: Element) -> np.ndarray:
-        """The ids of downset(x), ascending; memoized."""
-        got = self._down_ids.get(x.index)
-        if got is None:
-            got = np.array([y.index for y in self.group.downset(x)],
-                           dtype=np.intp)
-            self._down_ids[x.index] = got
-        return got
-
     def inverse_column(self, x: Element) -> InverseColumn:
-        """All h^{y,x} for y <= x, by one descending triangular solve.
-
-        Peels the expansion of delta_x over the b-basis from the top:
-        the id-largest remaining term delta_z has coefficient exactly
-        (-1)^{l(x)-l(z)} h^{z,x} because every longer b has already been
-        subtracted.  Runs in int64 and redoes the column with exact ints
-        if the int64 bound would be reached.
-        """
+        """All h^{y,x} for y <= x, by the kernel's descending solve over
+        the blocks of b_z; every h^{y,x} must be nonnegative."""
         got = self._inv_cols.get(x.index)
         if got is not None:
             return got
-        try:
-            coeffs = _narrow(self._solve_column(x, np.int64,
-                                                _INT64_LIMIT))
-        except _Overflow:
-            coeffs = self._solve_column(x, object, None)
-        coeffs.flags.writeable = False
-        col = InverseColumn(self.group, self.downset_ids(x), coeffs)
+        col = solve_inverse_column(self.group, x,
+                                   downset_ids(self.group, x), self.b_block)
+        negative = np.flatnonzero((col.coeffs < 0).any(axis=1))
+        if len(negative):
+            pos = negative[-1]
+            raise InvariantError(
+                f"negative inverse polynomial at "
+                f"({self.group.elements[col.rows[pos]]!r},{x!r}): "
+                f"{row_poly(col.coeffs[pos])}")
         self._inv_cols[x.index] = col
         return col
-
-    def _solve_column(self, x: Element, dtype, limit: int | None):
-        """The block of column x over downset(x), computed in ``dtype``.
-
-        With a ``limit``, ``bound`` stays >= every |coefficient| of the
-        remainder: subtracting c * b_z adds at most max|c| * row_norm(b_z)
-        to any entry, and _Overflow is raised before that could reach the
-        limit.
-        """
-        down = self.group.downset(x)
-        ids = self.downset_ids(x)
-        where = np.full(x.index + 1, -1, dtype=np.intp)
-        where[ids] = np.arange(len(ids))
-        width = x.length + 1
-        remainder = np.zeros((len(ids), width), dtype=dtype)
-        remainder[-1, 0] = 1
-        out = np.zeros_like(remainder)
-        bound = 1
-        for i in range(len(ids) - 1, -1, -1):
-            c = remainder[i]
-            nonzero = c.nonzero()[0]
-            if not len(nonzero):
-                continue
-            z = down[i]
-            exps = nonzero.tolist()
-            coef = c[nonzero]
-            values = coef.tolist()
-            lo, hi = min(values), max(values)
-            if (x.length - z.length) % 2:
-                lo, hi = -hi, -lo
-                np.negative(c, out=out[i])
-            else:
-                out[i] = c
-            if lo < 0:
-                raise InvariantError(
-                    f"negative inverse polynomial at ({z!r},{x!r}): "
-                    f"{_row_poly(out[i])}")
-            b = self._b_blocks.get(z.index) or self.b_block(z)
-            if exps[-1] + z.length > x.length:
-                raise InvariantError(
-                    f"h^ at ({z!r},{x!r}) has a term outside the window "
-                    f"[0, {x.length - z.length}]: {_row_poly(out[i])}")
-            if limit is not None:
-                bound += hi * b.row_norm
-                if bound >= limit:
-                    raise _Overflow
-            pos = where.take(b.rows, mode="clip")
-            if b.rows[-1] > x.index or pos.min() < 0:
-                raise InvariantError(
-                    f"b at {z!r} has a term outside the downset of {x!r}")
-            # one exponent of c at a time, so no entry is hit twice by one
-            # subtraction; coef[k:k + 1] (not coef[k]) keeps the product in
-            # the dtype of the remainder
-            pos = pos[b.at]
-            for k, e in enumerate(exps):
-                remainder[pos, b.exps + e] -= b.values * coef[k:k + 1]
-        return out
 
     def inverse_kl_poly(self, y: Element, x: Element) -> LaurentPoly:
         """h^{y,x}; zero unless y <= x."""
@@ -552,16 +433,15 @@ class KLTable:
         """The Kronecker sum over z in [y, x] of the two families.
 
         sum_z (-1)^{l(z)-l(y)} h^{y,z} h_{z,x} equals 1 when y = x and 0
-        otherwise.
+        otherwise.  The sums of a whole column are computed once, on its
+        first query, and kept as the set of rows where they fail.
         """
-        total = LaurentPoly.zero()
-        for z in self.group.downset(x):
-            if z.length < y.length or not self.group.bruhat_leq(y, z):
-                continue
-            term = self.inverse_kl_poly(y, z) * self.kl_poly(z, x)
-            total = total + (term if (z.length - y.length) % 2 == 0 else -term)
-        expected = _ONE if y == x else LaurentPoly.zero()
-        return total == expected
+        failures = self._kronecker.get(x.index)
+        if failures is None:
+            failures = self._kronecker[x.index] = kronecker_failures(
+                self.group, x, downset_ids(self.group, x), self.b_block(x),
+                self.inverse_column)
+        return y.index not in failures
 
     # -- bulk construction ------------------------------------------------------
 
@@ -571,7 +451,7 @@ class KLTable:
         Walks in increasing id order (= increasing length), so every
         dependency is ready before first use; the column of x builds the
         blocks of every z <= x, x included.  Afterwards every query this
-        class serves is a pure read and thus thread-safe.
+        class serves is a pure read.
         """
         for x in self.group:
             self.kl_basis_element(x)

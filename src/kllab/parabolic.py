@@ -11,8 +11,9 @@ delta_w to scalar^{l(u)} delta_x.
 The bar involution descends to both modules, and each carries a canonical
 basis (c_x spherical, d_x antispherical) uniquely pinned by bar-invariance
 plus a unitriangular expansion with off-diagonal coefficients in vZ[v].
-Here the canonical bases are produced directly by the triangular
-bar-invariance solve; no mu-style recursion is used.  The four coefficient
+Here the canonical bases are produced directly by the kernel's
+bar-invariance pass over the projected blocks of bar(delta_x); no
+mu-style recursion and no projection of b_x is used.  The four coefficient
 families mirror the non-parabolic ones:
 
     c_x = sum_y m_{y,x} delta_y    delta_x = sum_y (-1)^{l(x)-l(y)} m^{y,x} c_y
@@ -22,18 +23,30 @@ For the antispherical flavor the inverse family coincides with the
 restriction of the inverse Kazhdan-Lusztig table, n^{z,x} = h^{z,x}; this
 package never assumes that identity, it recomputes both sides and compares
 (``check_soergel_identification``).
+
+Tables are keyed by ``Element.index``: the rows of the column of x are the
+sorted ids of the representatives below x, and canonical elements are
+stored as blocks, decoded to ``ParabolicElt`` only when a caller asks.
 """
 
 from __future__ import annotations
 
-from .coxeter import Element, GroupTable, LEFT, RIGHT
-from .hecke import HeckeElt, InvariantError, KLTable, bar_delta
+import numpy as np
+
+from .coxeter import Element, GroupTable, LEFT
+from .hecke import HeckeElt, KLTable, bar_block, downset_ids
+from .kernel import (
+    INT64_LIMIT, Block, InverseColumn, InvariantError, bar_invariant_block,
+    block_row, block_terms, dense_block, kronecker_failures, row_positions,
+    solve_inverse_column,
+)
 from .laurent import LaurentPoly
 
 SPHERICAL = "spherical"
 ANTISPHERICAL = "antispherical"
 
 _ONE = LaurentPoly.one()
+_ZERO = LaurentPoly.zero()
 
 
 class FlavorMismatchError(ValueError):
@@ -51,15 +64,18 @@ class ParabolicContext:
         self.subset = frozenset(subset)
         self.flavor = flavor
         self.reps = group.min_coset_reps(self.subset)
-        self._rep_ids = frozenset(r.index for r in self.reps)
+        self._rep_mask = np.zeros(len(group), dtype=bool)
+        self._rep_mask[[r.index for r in self.reps]] = True
         # scalar by which delta_t (t in I) acts on the rank-1 module
         self.scalar = (LaurentPoly.v(-1) if flavor == SPHERICAL
                        else LaurentPoly.v(1, -1))
         self._coset: dict[int, tuple[Element, int]] = {}
-        self._bar_rep: dict[int, ParabolicElt] = {}
+        self._cosets: tuple[np.ndarray, np.ndarray] | None = None
+        self._down_ids: dict[int, np.ndarray] = {}
+        self._bar_rep: dict[int, Block] = {}
 
     def is_rep(self, x: Element) -> bool:
-        return x.index in self._rep_ids
+        return bool(self._rep_mask[x.index])
 
     def coset_decomposition(self, w: Element) -> tuple[Element, int]:
         """The representative x and l(u) from the splitting w = u * x."""
@@ -79,16 +95,86 @@ class ParabolicContext:
     def subset_1based(self) -> list[int]:
         return sorted(t + 1 for t in self.subset)
 
+    def downset_ids(self, x: Element) -> np.ndarray:
+        """The ids of the representatives y <= x, ascending; memoized."""
+        got = self._down_ids.get(x.index)
+        if got is None:
+            ids = downset_ids(self.group, x)
+            got = self._down_ids[x.index] = ids[self._rep_mask[ids]]
+        return got
+
+    def bar_block(self, x: Element) -> Block:
+        """bar(m_x) = 1 (x) bar(delta_x) as a block over the representatives
+        below x, exponents in [-l(x), l(x)]; memoized.
+
+        Each term p delta_w of bar(delta_x), with w = u y split as in
+        ``coset_decomposition``, goes to p scalar^{l(u)} m_y.
+        """
+        got = self._bar_rep.get(x.index)
+        if got is not None:
+            return got
+        full = bar_block(self.group, x)
+        if not self.subset:
+            self._bar_rep[x.index] = full
+            return full
+        if self._cosets is None:
+            split = [self.coset_decomposition(w) for w in self.group]
+            self._cosets = (np.array([y.index for y, _ in split], np.intp),
+                            np.array([k for _, k in split], np.intp))
+        reps, u_lengths = self._cosets
+        w = full.rows[full.at]
+        k = u_lengths[w]
+        # an entry sums at most every term of bar(delta_x)
+        dtype = (np.int64 if len(full.values) * full.row_norm < INT64_LIMIT
+                 else object)
+        values = full.values.astype(dtype)
+        if self.flavor == SPHERICAL:
+            exps = full.exps - k
+        else:
+            exps = full.exps + k
+            odd = k % 2 == 1
+            values[odd] = -values[odd]
+        top = x.length
+        ids = self.downset_ids(x)
+        pos = row_positions(ids, x).take(reps[w], mode="clip")
+        if len(exps) and (exps.min() < -top or exps.max() > top
+                          or pos.min() < 0):
+            raise InvariantError(
+                f"projected bar(delta) at {x!r} leaves its window")
+        dense = np.zeros((len(ids), 2 * top + 1), dtype=dtype)
+        np.add.at(dense, (pos, exps + top), values)
+        got = self._bar_rep[x.index] = dense_block(ids, dense, top)
+        return got
+
 
 class ParabolicElt:
-    """A sparse standard-basis vector of the induced module."""
+    """A sparse standard-basis vector of the induced module.
 
-    __slots__ = ("context", "terms")
+    One made by ``from_block`` decodes its terms on first use.
+    """
+
+    __slots__ = ("context", "_terms", "_block")
 
     def __init__(self, context: ParabolicContext,
                  terms: dict[Element, LaurentPoly]):
         self.context = context
-        self.terms = {x: p for x, p in terms.items() if p}
+        self._terms = {x: p for x, p in terms.items() if p}
+        self._block = None
+
+    @staticmethod
+    def from_block(context: ParabolicContext, block: Block) -> "ParabolicElt":
+        out = ParabolicElt.__new__(ParabolicElt)
+        out.context = context
+        out._terms = None
+        out._block = block
+        return out
+
+    @property
+    def terms(self) -> dict[Element, LaurentPoly]:
+        if self._terms is None:
+            self._terms = block_terms(self.context.group, self._block)
+            self._block = None
+        return self._terms
 
     @staticmethod
     def zero(context: ParabolicContext) -> "ParabolicElt":
@@ -205,106 +291,84 @@ def _has_left_descent_in(table: GroupTable, word: tuple[int, ...],
 
 
 def bar_parabolic(m: ParabolicElt) -> ParabolicElt:
-    """The induced bar involution: project bar(delta_x) termwise."""
+    """The induced bar involution: bar(m_x) from the context's block."""
     ctx = m.context
     out = ParabolicElt.zero(ctx)
     for x, p in m.terms.items():
-        out = out + _bar_standard(ctx, x).scaled(p.bar())
+        bar_x = ParabolicElt.from_block(ctx, ctx.bar_block(x))
+        out = out + bar_x.scaled(p.bar())
     return out
 
 
-def _bar_standard(ctx: ParabolicContext, x: Element) -> ParabolicElt:
-    got = ctx._bar_rep.get(x.index)
-    if got is None:
-        got = project(bar_delta(ctx.group, x), ctx)
-        ctx._bar_rep[x.index] = got
-    return got
-
-
 class ParabolicKLTable:
-    """Canonical-basis data for one parabolic context."""
+    """Canonical-basis data for one parabolic context.
+
+    Canonical elements are stored as blocks and inverse columns as dense
+    blocks, both over ``context.downset_ids(x)``.
+    """
 
     def __init__(self, context: ParabolicContext):
         self.context = context
-        self._canonical: dict[int, ParabolicElt] = {}
-        self._inv_cols: dict[int, dict[Element, LaurentPoly]] = {}
+        self._canonical: dict[int, Block] = {}
+        self._inv_cols: dict[int, InverseColumn] = {}
+        self._kronecker: dict[int, frozenset[int]] = {}
+
+    def _require_rep(self, x: Element) -> None:
+        if not self.context.is_rep(x):
+            raise ValueError(f"{x!r} is not a minimal coset representative")
 
     def canonical_basis_element(self, x: Element) -> ParabolicElt:
-        """c_x (spherical) or d_x (antispherical) by the bar-invariance solve.
+        """c_x (spherical) or d_x (antispherical) by the bar-invariance pass.
 
-        Cancels the top term of bar(B) - B with corrections by already
-        solved canonical elements; uniqueness of the basis makes the
-        result independent of every choice made here.
+        One descending pass over the representatives below x, from the
+        blocks of bar(m_z) alone; uniqueness of the basis makes the result
+        independent of every choice made there.  The block is stored and
+        the element decoded lazily.
         """
         got = self._canonical.get(x.index)
-        if got is not None:
-            return got
-        ctx = self.context
-        b = ParabolicElt.standard(ctx, x)
-        diff = bar_parabolic(b) - b
-        while diff:
-            y, a = diff.top_term()
-            if y.length >= x.length or not a.is_antisymmetric():
-                raise InvariantError(
-                    f"parabolic solve failed at {x!r}: stray term {y!r}")
-            gamma = a.positive_part()
-            dy = self.canonical_basis_element(y)
-            b = b + dy.scaled(gamma)
-            diff = diff - dy.scaled(a)
-        if bar_parabolic(b) != b:
-            raise InvariantError(f"solve produced non-self-dual element at {x!r}")
-        for y, p in b.terms.items():
-            if y == x:
-                if p != _ONE:
-                    raise InvariantError(f"canonical element at {x!r} not unitriangular")
-            elif not p.in_v_times_polys():
-                raise InvariantError(
-                    f"coefficient of {y!r} in canonical element at {x!r} "
-                    f"outside vZ[v]: {p}")
-        self._canonical[x.index] = b
-        return b
+        if got is None:
+            self._require_rep(x)
+            ctx = self.context
+            got = self._canonical[x.index] = bar_invariant_block(
+                ctx.group, x, ctx.downset_ids(x), ctx.bar_block)
+        return ParabolicElt.from_block(self.context, got)
+
+    def canonical_block(self, x: Element) -> Block:
+        """The block of c_x or d_x; solved by ``canonical_basis_element``."""
+        got = self._canonical.get(x.index)
+        if got is None:
+            self.canonical_basis_element(x)
+            got = self._canonical[x.index]
+        return got
 
     def kl_poly(self, y: Element, x: Element) -> LaurentPoly:
         """m_{y,x} or n_{y,x} according to flavor."""
-        return self.canonical_basis_element(x).coefficient(y)
+        return block_row(self.canonical_block(x), y.index)
 
-    def inverse_column(self, x: Element) -> dict[Element, LaurentPoly]:
-        """All m^{y,x} / n^{y,x}, by the descending triangular solve."""
+    def inverse_column(self, x: Element) -> InverseColumn:
+        """All m^{y,x} / n^{y,x}, by the kernel's descending solve."""
         got = self._inv_cols.get(x.index)
-        if got is not None:
-            return got
-        remainder = dict(ParabolicElt.standard(self.context, x).terms)
-        col: dict[Element, LaurentPoly] = {}
-        while remainder:
-            z = max(remainder, key=Element.sort_key)
-            c = remainder[z]
-            col[z] = c if (x.length - z.length) % 2 == 0 else -c
-            for y, p in self.canonical_basis_element(z).terms.items():
-                q = remainder.get(y)
-                s = -(c * p) if q is None else q - c * p
-                if s:
-                    remainder[y] = s
-                elif y in remainder:
-                    del remainder[y]
-        self._inv_cols[x.index] = col
-        return col
+        if got is None:
+            self._require_rep(x)
+            ctx = self.context
+            got = self._inv_cols[x.index] = solve_inverse_column(
+                ctx.group, x, ctx.downset_ids(x), self.canonical_block)
+        return got
 
     def inverse_kl_poly(self, y: Element, x: Element) -> LaurentPoly:
-        return self.inverse_column(x).get(y, LaurentPoly.zero())
+        return self.inverse_column(x).get(y, _ZERO)
 
     def check_inversion_identity(self, y: Element, x: Element) -> bool:
-        """Kronecker sum over representatives z in [y, x]."""
-        ctx = self.context
-        group = ctx.group
-        total = LaurentPoly.zero()
-        for z in group.downset(x):
-            if (z.length < y.length or not ctx.is_rep(z)
-                    or not group.bruhat_leq(y, z)):
-                continue
-            term = self.inverse_kl_poly(y, z) * self.kl_poly(z, x)
-            total = total + (term if (z.length - y.length) % 2 == 0 else -term)
-        expected = _ONE if y == x else LaurentPoly.zero()
-        return total == expected
+        """Kronecker sum over representatives z in [y, x]; the sums of a
+        whole column are computed on its first query and kept as the set
+        of rows where they fail."""
+        failures = self._kronecker.get(x.index)
+        if failures is None:
+            ctx = self.context
+            failures = self._kronecker[x.index] = kronecker_failures(
+                ctx.group, x, ctx.downset_ids(x), self.canonical_block(x),
+                self.inverse_column)
+        return y.index not in failures
 
     def build_all(self) -> None:
         for x in self.context.reps:
@@ -332,11 +396,15 @@ def check_soergel_identification(
     for x in ctx.reps:
         ncol = parab.inverse_column(x)
         hcol = kl.inverse_column(x)
+        # both columns vanish off the representatives below x
+        if np.array_equal(ncol.coeffs,
+                          hcol.coeffs[np.searchsorted(hcol.rows, ncol.rows)]):
+            continue
         for z in ctx.reps:
             if z.length > x.length:
                 break
-            n = ncol.get(z, LaurentPoly.zero())
-            h = hcol.get(z, LaurentPoly.zero())
+            n = ncol.get(z, _ZERO)
+            h = hcol.get(z, _ZERO)
             if n != h:
                 mismatches.append((z, x, n, h))
     return mismatches

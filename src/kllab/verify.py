@@ -19,14 +19,14 @@ nodes but one path endpoint), every consecutive chain triple must appear
 among the violations.
 
 Triples are enumerated by x in id order (length, then ShortLex), then y,
-then z, so reports are deterministic and diffable; with threads > 1 the
-per-x work is farmed out but merged back in enumeration order, so the
-output is identical at any thread count.
+then z, so reports are deterministic and diffable.  The scans run in one
+thread: their work is Python and numpy calls on small blocks that hold the
+interpreter lock, and a thread pool made them slower.  The ``threads``
+arguments are accepted and ignored, so output is identical at any value.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +34,8 @@ import numpy as np
 from .coxeter import (
     CoxeterMatrix, Element, GroupTable, parse_coxeter_spec, render_word,
 )
-from .hecke import HeckeElt, InvariantError, KLTable
+from .hecke import HeckeElt, InvariantError, KLTable, downset_ids
+from .kernel import InverseColumn
 from .laurent import LaurentPoly, first_negative_exponent, leq_coefficientwise
 from .parabolic import (
     ANTISPHERICAL, SPHERICAL, FlavorMismatchError, ParabolicContext,
@@ -45,12 +46,15 @@ _ZERO = LaurentPoly.zero()
 
 
 class CapRequiredError(ValueError):
-    """An infinite group was requested without a length cap."""
+    """An infinite group was requested without a length cap, or the cap
+    given is negative."""
 
 
 def build_group(spec: str, cap: int | None = None,
                 max_elements: int | None = None) -> GroupTable:
     """Group table from a spec string, demanding a cap for infinite groups."""
+    if cap is not None and cap < 0:
+        raise CapRequiredError(f"length cap must be >= 0, got {cap}")
     matrix = parse_coxeter_spec(spec)
     if cap is None and not matrix.is_finite():
         raise CapRequiredError(
@@ -95,14 +99,6 @@ def _check_triple(z, y, x, lhs, rhs, out: list) -> None:
                              first_negative_exponent(lhs, rhs)))
 
 
-def _parallel_over(items, worker, threads: int):
-    """Map worker over items, merging results in item order."""
-    if threads <= 1:
-        return [worker(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, items))
-
-
 # ----------------------------------------------------------------------
 # monotonicity scans
 # ----------------------------------------------------------------------
@@ -112,75 +108,82 @@ def scan_monotonicity_inverse(table: KLTable,
     """All triples violating the inverse-polynomial monotonicity.
 
     Returns (triples_checked, violations); the theorem predicts an empty
-    list for every Coxeter system.  Each (x, y) pair is compared as one
-    block over z in downset(y); only a pair that fails it is walked
-    triple by triple to report its violations.
+    list for every Coxeter system.  ``threads`` is ignored.
     """
     table.build_all()
-    group = table.group
+    return _scan_columns(table.group, table.inverse_column)
 
-    def worker(x):
-        colx = table.inverse_column(x)
-        found: list[Violation] = []
-        count = 0
-        for y in group.downset(x):
-            coly = table.inverse_column(y)
+
+def _scan_columns(xs, column) -> tuple[int, list[Violation]]:
+    """v^{l(x)-l(y)} col_y[z] <= col_x[z] over every triple of rows.
+
+    The rows of ``column(x)`` are the y <= x of the family (all of
+    downset(x), or its representatives), so the triples are x in ``xs``,
+    y a row of column x and z a row of column y.  Each (x, y) pair is
+    compared as one block; only the rows of a pair that fails are walked
+    one triple at a time to report their violations.
+    """
+    count = 0
+    found: list[Violation] = []
+    for x in xs:
+        colx = column(x)
+        elements = colx.group.elements
+        for y in colx.rows.tolist():
+            y = elements[y]
+            coly = column(y)
             gap = x.length - y.length
-            if _inverse_pair_holds(colx, coly, gap):
-                count += len(coly.rows)
-                continue
-            for z in group.downset(y):
-                count += 1
-                _check_triple(z, y, x,
-                              coly.get(z, _ZERO).shift(gap),
+            count += len(coly.rows)
+            for i in _failing_rows(colx, coly, gap):
+                z = elements[coly.rows[i]]
+                _check_triple(z, y, x, coly.get(z, _ZERO).shift(gap),
                               colx.get(z, _ZERO), found)
-        return count, found
-
-    return _merge(_parallel_over(list(group), worker, threads))
+    return count, found
 
 
-def _inverse_pair_holds(colx, coly, gap: int) -> bool:
-    """v^gap h^{z,y} <= h^{z,x} for every z <= y, on whole blocks.
+def _failing_rows(colx: InverseColumn, coly: InverseColumn,
+                  gap: int) -> list[int]:
+    """The rows z of column y where v^gap col_y[z] <= col_x[z] fails.
 
-    The rows of column y are downset(y), a subset of column x's rows
-    downset(x); column x spans exponents [0, l(x)], column y [0, l(y)].
+    The rows of column y are a subset of column x's; column x spans
+    exponents [0, l(x)], column y [0, l(y)], and gap = l(x) - l(y).
     """
     rhs = colx.coeffs[np.searchsorted(colx.rows, coly.rows)]
-    return bool((rhs[:, gap:] >= coly.coeffs).all()
-                and (rhs[:, :gap] >= 0).all())
+    upper = rhs[:, gap:] >= coly.coeffs
+    lower = rhs[:, :gap] >= 0
+    if upper.all() and lower.all():
+        return []
+    return np.flatnonzero(~(upper.all(axis=1)
+                            & lower.all(axis=1))).tolist()
 
 
 def scan_monotonicity_classical(table: KLTable,
                                 threads: int = 1) -> tuple[int, list[Violation]]:
     """All triples violating classical monotonicity of h_{y,x}.
 
-    Compares whole blocks per (x, y) pair like the inverse scan.
+    Compares whole blocks per (x, y) pair like the inverse scan; a pair
+    that fails is walked triple by triple.  ``threads`` is ignored.
     """
     table.build_all()
     group = table.group
     lengths = np.array([el.length for el in group], dtype=np.intp)
-
-    def worker(x):
+    count = 0
+    found: list[Violation] = []
+    for x in group:
         bx = table.kl_basis_element(x)
         block = table.b_block(x)
         coeffs = block.dense(x.length + 1)
-        found: list[Violation] = []
-        count = 0
         for y in group.downset(x):
-            below = table.downset_ids(y)
+            below = downset_ids(group, y)
+            count += len(below)
             if _classical_pair_holds(block.rows, coeffs, y, below,
                                      lengths[below]):
-                count += len(below)
                 continue
             hy = bx.coefficient(y)
             for z in group.downset(y):
-                count += 1
                 _check_triple(z, y, x,
                               hy.shift(y.length - z.length),
                               bx.coefficient(z), found)
-        return count, found
-
-    return _merge(_parallel_over(list(group), worker, threads))
+    return count, found
 
 
 def _classical_pair_holds(rows, coeffs, y: Element, below,
@@ -203,59 +206,29 @@ def _classical_pair_holds(rows, coeffs, y: Element, below,
     return bool((coeffs[pos] >= lhs).all())
 
 
-def _scan_parabolic(ptable: ParabolicKLTable, flavor: str, threads: int):
+def _scan_parabolic(ptable: ParabolicKLTable, flavor: str):
     ctx = ptable.context
     if ctx.flavor != flavor:
         raise FlavorMismatchError(
             f"scan needs a {flavor} table, got {ctx.flavor}")
     ptable.build_all()
-    group = ctx.group
-    for x in ctx.reps:
-        group.downset(x)
-
-    def worker(x):
-        colx = ptable.inverse_column(x)
-        found: list[Violation] = []
-        count = 0
-        for y in group.downset(x):
-            if not ctx.is_rep(y):
-                continue
-            coly = ptable.inverse_column(y)
-            gap = x.length - y.length
-            for z in group.downset(y):
-                if not ctx.is_rep(z):
-                    continue
-                count += 1
-                _check_triple(z, y, x,
-                              coly.get(z, _ZERO).shift(gap),
-                              colx.get(z, _ZERO), found)
-        return count, found
-
-    return _merge(_parallel_over(list(ctx.reps), worker, threads))
+    return _scan_columns(ctx.reps, ptable.inverse_column)
 
 
 def scan_monotonicity_antispherical(ptable: ParabolicKLTable,
                                     threads: int = 1):
-    """Monotonicity over the antispherical quotient; expected empty."""
-    return _scan_parabolic(ptable, ANTISPHERICAL, threads)
+    """Monotonicity over the antispherical quotient; expected empty.
+    ``threads`` is ignored."""
+    return _scan_parabolic(ptable, ANTISPHERICAL)
 
 
 def scan_monotonicity_spherical(ptable: ParabolicKLTable, threads: int = 1):
     """Monotonicity over the spherical quotient.
 
     Violations are genuine and expected; on a type-A chain quotient every
-    consecutive triple must show up.
+    consecutive triple must show up.  ``threads`` is ignored.
     """
-    return _scan_parabolic(ptable, SPHERICAL, threads)
-
-
-def _merge(results) -> tuple[int, list[Violation]]:
-    total = 0
-    merged: list[Violation] = []
-    for count, found in results:
-        total += count
-        merged.extend(found)
-    return total, merged
+    return _scan_parabolic(ptable, SPHERICAL)
 
 
 # ----------------------------------------------------------------------
@@ -531,11 +504,9 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
                 res.failures.append(f"parity at ({y!r},{x!r})")
 
     def bar_invariance(res):
-        from .hecke import bar_element
         for x in group:
             res.pairs_checked += 1
-            b = table.kl_basis_element(x)
-            if bar_element(b) != b:
+            if not table.is_bar_invariant(x):
                 res.passed = False
                 res.failures.append(f"bar(b) != b at {x!r}")
 

@@ -3,8 +3,8 @@
 The oracles deliberately avoid the library's own canonical-word machinery:
 symmetric groups are modelled by explicit permutation composition, Bruhat
 order by the subword property, and reduced-word sets by brute enumeration.
-The sparse references at the end are the dict-of-``LaurentPoly`` inverse
-solve and per-triple scans that the block kernel replaced.
+The sparse references at the end are the dict-of-``LaurentPoly`` solves,
+identity checks and per-triple scans that the block kernel replaced.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ import functools
 import itertools
 
 from kllab.coxeter import Element, GroupTable, parse_coxeter_spec
-from kllab.hecke import KLTable
+from kllab.hecke import HeckeElt, KLTable, mult_delta_gen
+from kllab.kernel import InvariantError
 from kllab.laurent import LaurentPoly
+from kllab.parabolic import ParabolicContext, ParabolicElt, project
 from kllab.verify import Violation
 
 
@@ -158,6 +160,108 @@ def reference_scan_classical(table: KLTable):
                 v = _reference_violation(
                     z, y, x, bx.coefficient(y).shift(y.length - z.length),
                     bx.coefficient(z))
+                if v:
+                    found.append(v)
+    return count, found
+
+
+def reference_inversion_identity(table: KLTable, y, x) -> bool:
+    """The Kronecker sum over z in [y, x], one LaurentPoly term at a time."""
+    group = table.group
+    total = LaurentPoly.zero()
+    for z in group.downset(x):
+        if z.length < y.length or not group.bruhat_leq(y, z):
+            continue
+        term = table.inverse_kl_poly(y, z) * table.kl_poly(z, x)
+        total = total + (term if (z.length - y.length) % 2 == 0 else -term)
+    return total == (LaurentPoly.one() if y == x else LaurentPoly.zero())
+
+
+@functools.lru_cache(maxsize=None)
+def reference_bar_delta(group: GroupTable, x) -> HeckeElt:
+    """bar(delta_x) = bar(delta_{x'}) (delta_s + v - v^{-1}) along the
+    canonical word, in LaurentPoly arithmetic."""
+    if not x.word:
+        return HeckeElt.delta(group, x)
+    prev = reference_bar_delta(group, group.element(x.word[:-1]))
+    return (mult_delta_gen(prev, x.word[-1])
+            + prev.scaled(LaurentPoly({1: 1, -1: -1})))
+
+
+class ReferenceParabolic:
+    """The dict-of-LaurentPoly parabolic tables: canonical elements by
+    cancelling the top term of bar(B) - B, inverse columns by peeling
+    canonical elements off from the top."""
+
+    def __init__(self, context: ParabolicContext):
+        self.context = context
+        self._canonical: dict = {}
+        self._inverse: dict = {}
+
+    def bar(self, m: ParabolicElt) -> ParabolicElt:
+        ctx = self.context
+        out = ParabolicElt.zero(ctx)
+        for x, p in m.terms.items():
+            bar_x = project(reference_bar_delta(ctx.group, x), ctx)
+            out = out + bar_x.scaled(p.bar())
+        return out
+
+    def canonical(self, x) -> ParabolicElt:
+        got = self._canonical.get(x)
+        if got is not None:
+            return got
+        b = ParabolicElt.standard(self.context, x)
+        diff = self.bar(b) - b
+        while diff:
+            y, a = diff.top_term()
+            if y.length >= x.length or not a.is_antisymmetric():
+                raise InvariantError(f"reference solve failed at {x!r}")
+            dy = self.canonical(y)
+            b = b + dy.scaled(a.positive_part())
+            diff = diff - dy.scaled(a)
+        self._canonical[x] = b
+        return b
+
+    def inverse_column(self, x) -> dict:
+        got = self._inverse.get(x)
+        if got is not None:
+            return got
+        remainder = dict(ParabolicElt.standard(self.context, x).terms)
+        col = {}
+        while remainder:
+            z = max(remainder, key=Element.sort_key)
+            c = remainder[z]
+            col[z] = c if (x.length - z.length) % 2 == 0 else -c
+            for y, p in self.canonical(z).terms.items():
+                s = remainder.get(y, LaurentPoly.zero()) - c * p
+                if s:
+                    remainder[y] = s
+                else:
+                    remainder.pop(y, None)
+        self._inverse[x] = col
+        return col
+
+
+def reference_scan_parabolic(ref: ReferenceParabolic):
+    """(triples, violations) over the representatives of ``ref``'s
+    quotient, one triple at a time."""
+    ctx = ref.context
+    group = ctx.group
+    zero = LaurentPoly.zero()
+    count, found = 0, []
+    for x in ctx.reps:
+        colx = ref.inverse_column(x)
+        for y in group.downset(x):
+            if not ctx.is_rep(y):
+                continue
+            coly = ref.inverse_column(y)
+            for z in group.downset(y):
+                if not ctx.is_rep(z):
+                    continue
+                count += 1
+                v = _reference_violation(
+                    z, y, x, coly.get(z, zero).shift(x.length - y.length),
+                    colx.get(z, zero))
                 if v:
                     found.append(v)
     return count, found

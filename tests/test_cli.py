@@ -257,6 +257,15 @@ class TestErrorsAndIO:
         assert code == 2
         assert json.loads(err)["error"] == "CapRequiredError"
 
+    @pytest.mark.parametrize("command", ["info", "kl", "suite"])
+    def test_negative_cap_exits_2(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--group", "A2",
+                                 "--cap", "-1")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "CapRequiredError",
+            "message": "length cap must be >= 0, got -1"}
+
     def test_bad_subset_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--name", "spherical",
                                "--group", "A2", "--parabolic", "9")
