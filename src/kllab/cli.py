@@ -10,8 +10,9 @@ every scan).
 Output is deterministic byte-for-byte for a fixed configuration, at any
 ``--threads`` value, in all three formats (text, csv, json).  Exit codes:
 0 success, 1 computation failure or an expected-pass scan with
-violations, 2 usage errors.  The environment variable KLLAB_MAX_ELEMENTS
-bounds enumeration (default 2,000,000).
+violations, 2 usage errors (an unwritable --out path among them).  The
+environment variable KLLAB_MAX_ELEMENTS bounds enumeration (default
+2,000,000).
 """
 
 from __future__ import annotations
@@ -61,19 +62,33 @@ def _subset_text(subset) -> str:
     return ",".join(str(t + 1) for t in sorted(subset)) if subset else "-"
 
 
+class OutputPathError(ValueError):
+    """The --out path cannot be written."""
+
+
 class _Output:
     def __init__(self, fmt: str, out_path: str | None):
         self.fmt = fmt
         self.out_path = out_path
+        if out_path:  # fail before computing; keep an existing file
+            self._write("a", "")
 
     def emit(self, text: str) -> None:
         if not text.endswith("\n"):
             text += "\n"
         if self.out_path:
-            with open(self.out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            self._write("w", text)
         else:
             sys.stdout.write(text)
+
+    def _write(self, mode: str, text: str) -> None:
+        try:
+            with open(self.out_path, mode, encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputPathError(
+                f"cannot write output file {self.out_path!r}: "
+                f"{exc.strerror}") from None
 
 
 def _json_dump(obj) -> str:
@@ -393,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = _Output(args.format, args.out)
     try:
+        out = _Output(args.format, args.out)
         if args.command == "info":
             return _cmd_info(args, out)
         if args.command == "kl":
@@ -410,7 +425,7 @@ def main(argv=None) -> int:
         if args.command == "suite":
             return _cmd_suite(args, out)
         raise AssertionError(f"unhandled command {args.command}")
-    except (CoxeterSpecError, CapRequiredError) as exc:
+    except (CoxeterSpecError, CapRequiredError, OutputPathError) as exc:
         _emit_error(exc)
         return 2
     except (CapExceededError, ResourceLimitError, InvariantError,

@@ -38,9 +38,9 @@ import numpy as np
 
 from .coxeter import Element, GroupTable, LEFT, RIGHT
 from .kernel import (
-    INT64_LIMIT, Block, InverseColumn, InvariantError, add_scaled,
-    bar_invariant_block, block_terms, dense_block, kronecker_failures,
-    row_poly, row_positions, solve_inverse_column, terms_block,
+    INT64_LIMIT, Block, InverseColumn, InvariantError, bar_invariant_block,
+    block_terms, dense_block, kronecker_failures, row_poly, row_positions,
+    scaled_sum, solve_inverse_column, terms_block,
 )
 from .laurent import LaurentPoly
 
@@ -357,31 +357,18 @@ class KLTable:
                     f"coefficient of {y!r} in b at {x!r} outside vZ>=0[v]: {p}")
 
     def is_bar_invariant(self, x: Element) -> bool:
-        """bar(b_x) == b_x, applying the blocks of bar(delta_z) to b_x as a
-        whole: bar(b_x) = sum_z bar(h_{z,x}) bar(delta_z)."""
+        """bar(b_x) == b_x: sum_z bar(h_{z,x}) bar(delta_z) - b_x, summed
+        over the blocks of bar(delta_z) as one array, must vanish."""
         group = self.group
         block = self.b_block(x)
-        ids = downset_ids(group, x)
-        where = row_positions(ids, x)
-        top = x.length
-        rows = [group.elements[z] for z in block.rows.tolist()]
-        bars = [bar_block(group, z) for z in rows]
-        slices = block.row_slices()
-        values = block.values.tolist()
-        bound = sum(sum(abs(c) for c in values[sl]) * r.row_norm
-                    for sl, r in zip(slices, bars))
-        dtype = np.int64 if bound < INT64_LIMIT else object
-        acc = np.zeros((len(ids), 2 * top + 1), dtype=dtype)
-        for z, sl, r in zip(rows, slices, bars):
-            add_scaled(acc, where, x, z, r, (top - block.exps[sl]).tolist(),
-                       block.values[sl].astype(dtype))
-        pos = where.take(block.rows, mode="clip")
-        if pos.min() < 0:
-            raise InvariantError(
-                f"b at {x!r} has a term outside downset({x!r})")
-        own = np.zeros_like(acc)
-        own[pos[block.at], block.exps + top] = block.values
-        return bool((acc == own).all())
+        elements = group.elements
+        exps, values = block.exps.tolist(), block.values.tolist()
+        terms = [(elements[z], bar_block(group, elements[z]),
+                  [-e for e in exps[sl]], values[sl])
+                 for z, sl in zip(block.rows.tolist(), block.row_slices())]
+        terms.append((x, block, [0], [-1]))
+        return not scaled_sum(x, downset_ids(group, x), 2 * x.length + 1,
+                              x.length, terms).any()
 
     # -- polynomials --------------------------------------------------------
 

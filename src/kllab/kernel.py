@@ -65,12 +65,6 @@ class Block(NamedTuple):
     values: np.ndarray
     row_norm: int
 
-    def dense(self, width: int) -> np.ndarray:
-        """The coefficients as a len(rows) x width array (exponents >= 0)."""
-        out = np.zeros((len(self.rows), width), dtype=self.values.dtype)
-        out[self.at, self.exps] = self.values
-        return out
-
     def row_slices(self) -> list[slice]:
         """The slice of the terms of each row, in row order."""
         bounds = np.searchsorted(self.at,
@@ -242,6 +236,25 @@ def add_scaled(acc: np.ndarray, where: np.ndarray, x: Element, z: Element,
     for k, shift in enumerate(shifts):
         cells = pos, block.exps + shift
         acc[cells] = op(acc[cells], block.values * coefs[k:k + 1])
+
+
+def scaled_sum(x: Element, ids: np.ndarray, width: int, offset: int,
+               terms) -> np.ndarray:
+    """sum_k coefs[k] v^shifts[k] times ``block`` (the block of z) over
+    every (z, block, shifts, coefs) in ``terms``, as a dense len(ids) x
+    width array over the sorted ``ids`` (x last) whose column j holds
+    exponent j - offset.  No entry exceeds sum |coefs| * row_norm, the
+    bound that picks int64, or exact ints at INT64_LIMIT.
+    """
+    bound = sum(sum(map(abs, coefs)) * block.row_norm
+                for _, block, _, coefs in terms)
+    dtype = np.int64 if bound < INT64_LIMIT else object
+    where = row_positions(ids, x)
+    acc = np.zeros((len(ids), width), dtype=dtype)
+    for z, block, shifts, coefs in terms:
+        add_scaled(acc, where, x, z, block, [s + offset for s in shifts],
+                   np.array(coefs, dtype=dtype))
+    return acc
 
 
 def _exact(solve, *args) -> np.ndarray:

@@ -227,10 +227,3 @@ def leq_coefficientwise(p: LaurentPoly, q: LaurentPoly) -> bool:
         if q.coefficient(e) - p.coefficient(e) < 0:
             return False
     return True
-
-
-def first_negative_exponent(p: LaurentPoly, q: LaurentPoly) -> int | None:
-    """Smallest exponent where q - p has a negative coefficient, else None."""
-    bad = [e for e in set(p._coeffs) | set(q._coeffs)
-           if q.coefficient(e) - p.coefficient(e) < 0]
-    return min(bad) if bad else None

@@ -34,15 +34,13 @@ import numpy as np
 from .coxeter import (
     CoxeterMatrix, Element, GroupTable, parse_coxeter_spec, render_word,
 )
-from .hecke import HeckeElt, InvariantError, KLTable, downset_ids
-from .kernel import InverseColumn
-from .laurent import LaurentPoly, first_negative_exponent, leq_coefficientwise
+from .hecke import InvariantError, KLTable, downset_ids
+from .kernel import InverseColumn, row_poly, scaled_sum
+from .laurent import LaurentPoly
 from .parabolic import (
     ANTISPHERICAL, SPHERICAL, FlavorMismatchError, ParabolicContext,
     ParabolicKLTable,
 )
-
-_ZERO = LaurentPoly.zero()
 
 
 class CapRequiredError(ValueError):
@@ -66,16 +64,41 @@ def build_group(spec: str, cap: int | None = None,
 # violations
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Violation:
-    """A Bruhat triple z <= y <= x where the shifted comparison fails."""
+    """A Bruhat triple z <= y <= x where the shifted comparison fails.
 
-    z: Element
-    y: Element
-    x: Element
-    lhs: LaurentPoly
-    rhs: LaurentPoly
-    witness_exponent: int
+    A block scan passes ``rows`` = (lower, i, upper, j, gap) for the
+    polynomials: lhs is v^gap times row i of the dense block ``lower``,
+    rhs is row j of ``upper``, both decoded on first access, since a scan
+    may find tens of thousands and a text report prints 20 per check.
+    """
+
+    __slots__ = ("z", "y", "x", "witness_exponent", "_sides")
+
+    def __init__(self, z: Element, y: Element, x: Element, lhs: LaurentPoly,
+                 rhs: LaurentPoly, witness_exponent: int, rows=None):
+        self.z, self.y, self.x = z, y, x
+        self.witness_exponent = witness_exponent
+        self._sides = rows or (lhs, rhs)
+
+    def _decoded(self) -> tuple[LaurentPoly, LaurentPoly]:
+        if len(self._sides) > 2:
+            lower, i, upper, j, gap = self._sides
+            self._sides = row_poly(lower[i]).shift(gap), row_poly(upper[j])
+        return self._sides
+
+    lhs = property(lambda self: self._decoded()[0])
+    rhs = property(lambda self: self._decoded()[1])
+
+    def _key(self) -> tuple:
+        return (self.z, self.y, self.x, *self._decoded(),
+                self.witness_exponent)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Violation) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def to_json_obj(self) -> dict:
         return {
@@ -91,12 +114,6 @@ class Violation:
         return (f"z={render_word(self.z.word)} y={render_word(self.y.word)} "
                 f"x={render_word(self.x.word)} lhs={self.lhs} rhs={self.rhs} "
                 f"witness_exponent={self.witness_exponent}")
-
-
-def _check_triple(z, y, x, lhs, rhs, out: list) -> None:
-    if not leq_coefficientwise(lhs, rhs):
-        out.append(Violation(z, y, x, lhs, rhs,
-                             first_negative_exponent(lhs, rhs)))
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +137,8 @@ def _scan_columns(xs, column) -> tuple[int, list[Violation]]:
     The rows of ``column(x)`` are the y <= x of the family (all of
     downset(x), or its representatives), so the triples are x in ``xs``,
     y a row of column x and z a row of column y.  Each (x, y) pair is
-    compared as one block; only the rows of a pair that fails are walked
-    one triple at a time to report their violations.
+    compared as one block; a violation keeps where its two rows are and
+    decodes them only when read.
     """
     count = 0
     found: list[Violation] = []
@@ -133,35 +150,37 @@ def _scan_columns(xs, column) -> tuple[int, list[Violation]]:
             coly = column(y)
             gap = x.length - y.length
             count += len(coly.rows)
-            for i in _failing_rows(colx, coly, gap):
-                z = elements[coly.rows[i]]
-                _check_triple(z, y, x, coly.get(z, _ZERO).shift(gap),
-                              colx.get(z, _ZERO), found)
+            for i, j, witness in _failing_rows(colx, coly, gap):
+                found.append(Violation(
+                    elements[coly.rows[i]], y, x, None, None, witness,
+                    (coly.coeffs, i, colx.coeffs, j, gap)))
     return count, found
 
 
-def _failing_rows(colx: InverseColumn, coly: InverseColumn,
-                  gap: int) -> list[int]:
-    """The rows z of column y where v^gap col_y[z] <= col_x[z] fails.
-
-    The rows of column y are a subset of column x's; column x spans
-    exponents [0, l(x)], column y [0, l(y)], and gap = l(x) - l(y).
+def _failing_rows(colx: InverseColumn, coly: InverseColumn, gap: int):
+    """(i, j, e) for each row z of column y where v^gap col_y[z] <= col_x[z]
+    fails: z is row i of column y and row j of column x, and e is the
+    first exponent where col_x[z] - v^gap col_y[z] is negative.  Column x
+    spans exponents [0, l(x)], column y [0, l(y)], gap = l(x) - l(y).
     """
-    rhs = colx.coeffs[np.searchsorted(colx.rows, coly.rows)]
-    upper = rhs[:, gap:] >= coly.coeffs
-    lower = rhs[:, :gap] >= 0
-    if upper.all() and lower.all():
+    at = np.searchsorted(colx.rows, coly.rows)
+    rhs = colx.coeffs[at]
+    lower = rhs[:, :gap] < 0
+    upper = rhs[:, gap:] < coly.coeffs
+    if not (lower.any() or upper.any()):
         return []
-    return np.flatnonzero(~(upper.all(axis=1)
-                            & lower.all(axis=1))).tolist()
+    bad = np.concatenate((lower, upper), axis=1)
+    rows = np.flatnonzero(bad.any(axis=1))
+    return zip(rows.tolist(), at[rows].tolist(),
+               bad[rows].argmax(axis=1).tolist())
 
 
 def scan_monotonicity_classical(table: KLTable,
                                 threads: int = 1) -> tuple[int, list[Violation]]:
     """All triples violating classical monotonicity of h_{y,x}.
 
-    Compares whole blocks per (x, y) pair like the inverse scan; a pair
-    that fails is walked triple by triple.  ``threads`` is ignored.
+    Compares whole blocks per (x, y) pair like the inverse scan, over b_x
+    made dense on downset(x) once per x.  ``threads`` is ignored.
     """
     table.build_all()
     group = table.group
@@ -169,41 +188,40 @@ def scan_monotonicity_classical(table: KLTable,
     count = 0
     found: list[Violation] = []
     for x in group:
-        bx = table.kl_basis_element(x)
-        block = table.b_block(x)
-        coeffs = block.dense(x.length + 1)
-        for y in group.downset(x):
+        ids = downset_ids(group, x)
+        coeffs = scaled_sum(x, ids, x.length + 1, 0,
+                            [(x, table.b_block(x), [0], [1])])
+        for i, y in enumerate(group.downset(x)):
             below = downset_ids(group, y)
             count += len(below)
-            if _classical_pair_holds(block.rows, coeffs, y, below,
-                                     lengths[below]):
-                continue
-            hy = bx.coefficient(y)
-            for z in group.downset(y):
-                _check_triple(z, y, x,
-                              hy.shift(y.length - z.length),
-                              bx.coefficient(z), found)
+            for j, gap, witness in _classical_failures(
+                    coeffs, i, y, np.searchsorted(ids, below),
+                    lengths[below]):
+                found.append(Violation(group.elements[ids[j]], y, x,
+                                       None, None, witness,
+                                       (coeffs, i, coeffs, j, gap)))
     return count, found
 
 
-def _classical_pair_holds(rows, coeffs, y: Element, below,
-                          below_lengths) -> bool:
-    """v^{l(y)-l(z)} h_{y,x} <= h_{z,x} for every z <= y, on b_x as the
-    dense block ``coeffs`` over the sorted ids ``rows``.
-
-    ``below`` holds the ids of downset(y), y last; a z missing from the
-    rows of b_x fails the block test and is left to the exact walk.
+def _classical_failures(coeffs, i: int, y: Element, pos, below_lengths):
+    """(j, gap, e) for each z <= y where v^gap h_{y,x} <= h_{z,x} fails:
+    z is row j of ``coeffs`` (b_x dense over downset(x), y its row i),
+    gap = l(y) - l(z), and e is the first exponent where h_{z,x} minus
+    the shifted h_{y,x} is negative.  ``pos`` holds the rows of
+    downset(y) and ``below_lengths`` their lengths.
     """
-    pos = np.searchsorted(rows, below)
-    if (rows.take(pos, mode="clip") != below).any():
-        return False
     width = coeffs.shape[1]
-    padded = np.concatenate((np.zeros(width, coeffs.dtype), coeffs[pos[-1]]))
+    padded = np.concatenate((np.zeros(width, coeffs.dtype), coeffs[i]))
     # row z of lhs is h_{y,x} shifted up by l(y) - l(z): entry k reads
     # padded[width + k - (l(y) - l(z))], which is 0 below exponent 0
     lhs = padded[(width - y.length) + below_lengths[:, None]
                  + np.arange(width)]
-    return bool((coeffs[pos] >= lhs).all())
+    bad = coeffs[pos] < lhs
+    if not bad.any():
+        return []
+    rows = np.flatnonzero(bad.any(axis=1))
+    return zip(pos[rows].tolist(), (y.length - below_lengths[rows]).tolist(),
+               bad[rows].argmax(axis=1).tolist())
 
 
 def _scan_parabolic(ptable: ParabolicKLTable, flavor: str):
@@ -321,40 +339,54 @@ def rouquier_multiplicities(table: KLTable, x: Element) -> RouquierTable:
     failure would mean a computation bug upstream.
     """
     col = table.inverse_column(x)
-    mult: dict[tuple[Element, int], int] = {}
-    for y, h in col.items():
-        parity = (x.length - y.length) % 2
-        for exp, c in h.items():
-            if exp % 2 != parity:
-                raise InvariantError(
-                    f"parity-support failure at ({y!r},{x!r}) exponent {exp}")
-            if c < 0:
-                raise InvariantError(
-                    f"negative multiplicity at ({y!r},{x!r},{exp})")
-            mult[(y, exp)] = c
-    return RouquierTable(x=x, mult=mult)
+    _check_multiplicities(col, x)
+    return RouquierTable(x=x, mult={(y, exp): c for y, h in col.items()
+                                    for exp, c in h.items()})
+
+
+def _wrong_parity(col: InverseColumn) -> np.ndarray:
+    """The nonzero entries of the column of x (its last row) at an
+    exponent not congruent to l(x) - l(y) mod 2, y the entry's row."""
+    elements = col.group.elements
+    lengths = np.array([elements[y].length for y in col.rows.tolist()])
+    odd = (lengths[-1] - lengths)[:, None] + np.arange(col.coeffs.shape[1])
+    return (col.coeffs != 0) & (odd % 2 == 1)
+
+
+def _check_multiplicities(col: InverseColumn, x: Element) -> None:
+    """Raise at the first entry of the column of x, in ``col.items()``
+    order, with an exponent of the wrong parity or a negative value."""
+    wrong = _wrong_parity(col)
+    bad = np.argwhere(wrong | (col.coeffs < 0))
+    if len(bad):
+        pos, exp = bad[0].tolist()
+        y = col.group.elements[col.rows[pos]]
+        if wrong[pos, exp]:
+            raise InvariantError(
+                f"parity-support failure at ({y!r},{x!r}) exponent {exp}")
+        raise InvariantError(f"negative multiplicity at ({y!r},{x!r},{exp})")
 
 
 def rouquier_shadow_ok(table: KLTable, x: Element) -> bool:
     """Grothendieck check: the alternating sum re-expands to delta_x.
 
-    Sums (-1)^i m^i_{y} v^i b_y over the whole table by direct expansion
-    and compares with the standard basis element, and re-derives each row
-    sum against h^{y,x}.
+    Checks the multiplicities as ``rouquier_multiplicities`` does, then
+    sums (-1)^i m^i_y v^i b_y over the blocks of b_y into one dense array
+    over downset(x) and compares it with the standard basis element.
     """
-    rt = rouquier_multiplicities(table, x)
     col = table.inverse_column(x)
-    per_y: dict[Element, dict[int, int]] = {}
-    for (y, exp), m in rt.mult.items():
-        per_y.setdefault(y, {})[exp] = m
-    acc = HeckeElt.zero(table.group)
-    for y, coeffs in per_y.items():
-        if LaurentPoly(coeffs) != col[y]:
-            return False
-        signed = LaurentPoly({e: (m if e % 2 == 0 else -m)
-                              for e, m in coeffs.items()})
-        acc = acc + table.kl_basis_element(y).scaled(signed)
-    return acc == HeckeElt.delta(table.group, x)
+    _check_multiplicities(col, x)
+    elements = table.group.elements
+    terms = []
+    for pos in np.flatnonzero(col.coeffs.any(axis=1)).tolist():
+        y = elements[col.rows[pos]]
+        row = col.coeffs[pos].tolist()
+        exps = [e for e, m in enumerate(row) if m]
+        terms.append((y, table.b_block(y), exps,
+                      [-row[e] if e % 2 else row[e] for e in exps]))
+    acc = scaled_sum(x, col.rows, x.length + 1, 0, terms)
+    acc[-1, 0] -= 1
+    return not acc.any()
 
 
 # ----------------------------------------------------------------------
@@ -481,13 +513,19 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
                 res.passed = False
                 res.failures.append(f"h at ({y!r},{x!r}) = {h}")
 
-    def positivity_inv(res):
-        for y, x in _comparable_pairs(group):
-            res.pairs_checked += 1
-            h = table.inverse_kl_poly(y, x)
-            if not (h.is_nonnegative() and all(e >= 0 for e in h.exponents())):
+    def column_rows(res, failing, message):
+        """One pair per row of each inverse column; failing rows decoded."""
+        for x in group:
+            col = table.inverse_column(x)
+            res.pairs_checked += len(col.rows)
+            for pos in np.flatnonzero(failing(col).any(axis=1)).tolist():
                 res.passed = False
-                res.failures.append(f"h^ at ({y!r},{x!r}) = {h}")
+                res.failures.append(message(
+                    group.elements[col.rows[pos]], x, col.coeffs[pos]))
+
+    def positivity_inv(res):
+        column_rows(res, lambda col: col.coeffs < 0,
+                    lambda y, x, row: f"h^ at ({y!r},{x!r}) = {row_poly(row)}")
 
     def mu_nonneg(res):
         for y, x in _comparable_pairs(group):
@@ -497,11 +535,8 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
                 res.failures.append(f"mu({y!r},{x!r}) < 0")
 
     def parity(res):
-        for y, x in _comparable_pairs(group):
-            res.pairs_checked += 1
-            if not table.check_parity(y, x):
-                res.passed = False
-                res.failures.append(f"parity at ({y!r},{x!r})")
+        column_rows(res, _wrong_parity,
+                    lambda y, x, row: f"parity at ({y!r},{x!r})")
 
     def bar_invariance(res):
         for x in group:

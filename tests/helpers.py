@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's own canonical-word machinery:
 symmetric groups are modelled by explicit permutation composition, Bruhat
 order by the subword property, and reduced-word sets by brute enumeration.
 The sparse references at the end are the dict-of-``LaurentPoly`` solves,
-identity checks and per-triple scans that the block kernel replaced.
+identity checks (the Rouquier shadow among them) and per-triple scans
+that the block kernel replaced.
 """
 
 from __future__ import annotations
@@ -175,6 +176,32 @@ def reference_inversion_identity(table: KLTable, y, x) -> bool:
         term = table.inverse_kl_poly(y, z) * table.kl_poly(z, x)
         total = total + (term if (z.length - y.length) % 2 == 0 else -term)
     return total == (LaurentPoly.one() if y == x else LaurentPoly.zero())
+
+
+def reference_rouquier_shadow(table: KLTable, x) -> bool:
+    """The Grothendieck check in HeckeElt arithmetic: the multiplicities of
+    the decoded column of x, parity and sign checked term by term, re-sum
+    to h^{y,x} and sum_y (-1)^i m^i_y v^i b_y is delta_x."""
+    col = table.inverse_column(x)
+    per_y: dict = {}
+    for y, h in col.items():
+        parity = (x.length - y.length) % 2
+        for exp, c in h.items():
+            if exp % 2 != parity:
+                raise InvariantError(
+                    f"parity-support failure at ({y!r},{x!r}) exponent {exp}")
+            if c < 0:
+                raise InvariantError(
+                    f"negative multiplicity at ({y!r},{x!r},{exp})")
+            per_y.setdefault(y, {})[exp] = c
+    acc = HeckeElt.zero(table.group)
+    for y, coeffs in per_y.items():
+        if LaurentPoly(coeffs) != col[y]:
+            return False
+        signed = LaurentPoly({e: (m if e % 2 == 0 else -m)
+                              for e, m in coeffs.items()})
+        acc = acc + table.kl_basis_element(y).scaled(signed)
+    return acc == HeckeElt.delta(table.group, x)
 
 
 @functools.lru_cache(maxsize=None)

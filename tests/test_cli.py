@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kllab import cli
 from kllab.cli import main, poly_csv
 from kllab.laurent import LaurentPoly
 from helpers import bruhat_leq_oracle, get_group, get_kl, poly
@@ -265,6 +266,28 @@ class TestErrorsAndIO:
         assert json.loads(err) == {
             "error": "CapRequiredError",
             "message": "length cap must be >= 0, got -1"}
+
+    @pytest.mark.parametrize("where", ["missing/table.txt", "."])
+    def test_unwritable_out_exits_2_before_computing(self, capsys, tmp_path,
+                                                     monkeypatch, where):
+        def no_build(*args):
+            raise AssertionError("computed before checking --out")
+        monkeypatch.setattr(cli, "build_group", no_build)
+        target = str(tmp_path / where)
+        code, out, err = run_cli(capsys, "kl", "--group", "A2",
+                                 "--out", target)
+        assert code == 2 and out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "OutputPathError"
+        assert obj["message"].startswith(f"cannot write output file "
+                                         f"{target!r}: ")
+
+    def test_out_file_kept_until_output(self, capsys, tmp_path):
+        target = tmp_path / "old.txt"
+        target.write_text("old\n")
+        code, _, _ = run_cli(capsys, "kl", "--group", "Q7",
+                             "--out", str(target))
+        assert code == 2 and target.read_text() == "old\n"
 
     def test_bad_subset_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--name", "spherical",

@@ -3,9 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from kllab.laurent import (
-    LaurentPoly, V, first_negative_exponent, leq_coefficientwise,
-)
+from kllab.laurent import LaurentPoly, V, leq_coefficientwise
 
 
 def lp(d):
@@ -72,10 +70,6 @@ class TestOrder:
 
     def test_dropped_coefficient_fails(self):
         assert not leq_coefficientwise(lp({-1: 1, 1: 1}), V)
-
-    def test_witness_exponent(self):
-        assert first_negative_exponent(lp({-1: 1, 1: 1}), V) == -1
-        assert first_negative_exponent(V, lp({1: 1, 3: 1})) is None
 
 
 class TestRendering:

@@ -1,0 +1,245 @@
+"""Suite checks on the integer blocks.
+
+The Rouquier shadow check sums the blocks of b_y and must agree with the
+``HeckeElt`` route it replaced, including on injected faults and under
+the exact-int fallback.  Scan violations keep their two rows and decode
+them on demand; they must equal eagerly built references field by field
+and render the same.  Random Coxeter matrices of rank <= 3 must pass
+every check of the whole suite.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kllab import kernel, verify
+from kllab.coxeter import (
+    INFINITY, CoxeterMatrix, GroupTable, parse_coxeter_spec,
+)
+from kllab.hecke import HeckeElt, InverseColumn, KLTable
+from kllab.kernel import InvariantError
+from kllab.parabolic import (
+    SPHERICAL, ParabolicContext, ParabolicKLTable,
+)
+from kllab.verify import (
+    rouquier_multiplicities, rouquier_shadow_ok, run_identity_suite,
+    scan_monotonicity_classical, scan_monotonicity_inverse,
+    scan_monotonicity_spherical,
+)
+from helpers import (
+    get_group, poly, reference_rouquier_shadow, reference_scan_classical,
+    reference_scan_inverse, reference_scan_parabolic,
+)
+from test_kernel import relabelled_matrix_file
+
+
+def assert_shadow_matches_reference(table: KLTable) -> None:
+    for x in table.group:
+        assert rouquier_shadow_ok(table, x), x
+        assert reference_rouquier_shadow(table, x), x
+
+
+class TestShadowMatchesReference:
+    @pytest.mark.parametrize("spec,cap", [
+        ("A3", None), ("B3", None), ("H3", None), ("Aff-A2", 8),
+        ("I2(inf)", 20),
+    ])
+    def test_presets(self, spec, cap):
+        assert_shadow_matches_reference(KLTable(get_group(spec, cap)))
+
+    def test_relabelled_random_matrix(self, tmp_path):
+        spec = relabelled_matrix_file(tmp_path, seed=11)
+        group = GroupTable(parse_coxeter_spec(spec), 6)
+        assert_shadow_matches_reference(KLTable(group))
+
+
+def _with_entries(table: KLTable, x, edits) -> None:
+    """Replace the stored column of x by a copy with coefficient
+    (row of ``word``, ``exp``) set to ``value`` for each edit."""
+    g = table.group
+    col = table.inverse_column(x)
+    coeffs = col.coeffs.astype(np.int64)
+    for word, exp, value in edits:
+        coeffs[int(np.searchsorted(col.rows, g.element(word).index)),
+               exp] = value
+    table._inv_cols[x.index] = InverseColumn(g, col.rows, coeffs)
+
+
+def _raised(check, table, x) -> str:
+    with pytest.raises(InvariantError) as info:
+        check(table, x)
+    return str(info.value)
+
+
+class TestShadowFaults:
+    """Faults injected into the column of x = 1,2,3,2,1 in B3, whose
+    entries at y = 1 and y = 1,3 are v^4 and v + v^3."""
+
+    word = (0, 1, 2, 1, 0)
+
+    def setup_method(self):
+        self.table = KLTable(GroupTable(get_group("B3").matrix))
+        self.x = self.table.group.element(self.word)
+
+    def test_wrong_coefficient_is_false(self):
+        _with_entries(self.table, self.x, [((0, 2), 3, 3)])
+        assert not reference_rouquier_shadow(self.table, self.x)
+        assert not rouquier_shadow_ok(self.table, self.x)
+
+    @pytest.mark.parametrize("edits,message", [
+        ([((0, 2), 2, 1)],
+         "parity-support failure at (<1,3>,<1,2,3,2,1>) exponent 2"),
+        ([((0, 2), 3, -1)], "negative multiplicity at (<1,3>,<1,2,3,2,1>,3)"),
+        # the first fault in row order wins, whichever its kind
+        ([((0, 2), 3, -1), ((0,), 3, 1)],
+         "parity-support failure at (<1>,<1,2,3,2,1>) exponent 3"),
+        # within a row, the lowest exponent wins
+        ([((0, 2), 3, -1), ((0, 2), 2, 1)],
+         "parity-support failure at (<1,3>,<1,2,3,2,1>) exponent 2"),
+        ([((0, 2), 1, -1), ((0, 2), 2, 1)],
+         "negative multiplicity at (<1,3>,<1,2,3,2,1>,1)"),
+    ])
+    def test_bad_terms_raise_the_old_messages(self, edits, message):
+        _with_entries(self.table, self.x, edits)
+        for check in (reference_rouquier_shadow, rouquier_shadow_ok,
+                      rouquier_multiplicities):
+            assert _raised(check, self.table, self.x) == message
+
+
+def test_shadow_exact_fallback_under_a_small_limit(monkeypatch):
+    """With the int64 limit at 8 the shadow sums of long elements run in
+    exact ints and give the same answers."""
+    monkeypatch.setattr(kernel, "INT64_LIMIT", 8)
+    seen = []
+
+    def spy(*args, _sum=verify.scaled_sum):
+        acc = _sum(*args)
+        seen.append(acc.dtype)
+        return acc
+    monkeypatch.setattr(verify, "scaled_sum", spy)
+    table = KLTable(GroupTable(get_group("B3").matrix))
+    assert_shadow_matches_reference(table)
+    assert np.dtype(object) in seen and np.dtype(np.int64) in seen
+    x = table.group.element(TestShadowFaults.word)
+    _with_entries(table, x, [((0, 2), 3, 3)])
+    assert not rouquier_shadow_ok(table, x)
+
+
+def test_suite_column_checks_report_failing_rows(monkeypatch):
+    """positivity-invkl and parity read whole columns; with faults in one
+    column they report exactly the rows the per-pair checks report."""
+    group = GroupTable(get_group("B3").matrix)
+    x = group.element(TestShadowFaults.word)
+    edits = [((0, 2), 2, 1), ((0, 1, 0), 2, -1), ((1, 2), 1, -3)]
+
+    class Faulty(KLTable):
+        def inverse_column(self, el):
+            col = super().inverse_column(el)
+            if el == x and not getattr(self, "_edited", False):
+                self._edited = True
+                _with_entries(self, x, edits)
+                col = super().inverse_column(el)
+            return col
+
+    monkeypatch.setattr(verify, "KLTable", Faulty)
+    report = run_identity_suite("B3", [()], group=group)
+    checks = {c.check: c for c in report.checks}
+    table = Faulty(group)
+    pairs = [(y, z) for z in group for y in group.downset(z)]
+    negative = [f"h^ at ({y!r},{z!r}) = {table.inverse_kl_poly(y, z)}"
+                for y, z in pairs if not table.inverse_kl_poly(y, z)
+                .is_nonnegative()]
+    odd = [f"parity at ({y!r},{z!r})" for y, z in pairs
+           if not table.check_parity(y, z)]
+    assert len(negative) == 2 and len(odd) == 1
+    for name, expected in (("positivity-invkl", negative), ("parity", odd)):
+        assert not checks[name].passed
+        assert checks[name].failures == expected
+        assert checks[name].pairs_checked == len(pairs)
+
+
+def _fields(v) -> tuple:
+    return v.z, v.y, v.x, v.lhs, v.rhs, v.witness_exponent
+
+
+def assert_violations_match(got, expected) -> None:
+    assert got[0] == expected[0]
+    assert len(got[1]) == len(expected[1])
+    for v, ref in zip(got[1], expected[1]):
+        assert _fields(v) == _fields(ref)
+        assert v.text() == ref.text()
+        assert v.to_json_obj() == ref.to_json_obj()
+        assert v == ref and hash(v) == hash(ref)
+
+
+class TestViolationsOnDemand:
+    @pytest.mark.parametrize("spec,subset", [
+        ("H3", ()), ("H3", (0,)), ("H3", (1,)), ("H3", (2,)),
+        ("A3", ()), ("A3", (0,)), ("A3", (0, 1)), ("A3", (1, 2)),
+    ])
+    def test_spherical_scan_matches_eager_reference(self, spec, subset):
+        ptable = ParabolicKLTable(
+            ParabolicContext(get_group(spec), subset, SPHERICAL))
+        got = scan_monotonicity_spherical(ptable)
+        # the scan reads blocks only: no column decodes a polynomial
+        assert all(not ptable.inverse_column(x)._cache
+                   for x in ptable.context.reps)
+        assert_violations_match(got, reference_scan_parabolic(ptable))
+
+    def test_injected_inverse_fault(self):
+        table = KLTable(GroupTable(get_group("B3").matrix))
+        table.build_all()
+        _with_entries(table, table.group.element((0, 1, 2, 1)),
+                      [((), 4, 0), ((1,), 1, -2)])
+        expected = reference_scan_inverse(table)
+        assert len(expected[1]) > 2
+        assert_violations_match(scan_monotonicity_inverse(table), expected)
+
+    def test_injected_classical_fault(self):
+        table = KLTable(GroupTable(get_group("B3").matrix))
+        table.build_all()
+        g = table.group
+        x = g.element((0, 1, 2, 1))
+        terms = dict(table.kl_basis_element(x).terms)
+        terms[g.element((1,))] = terms[g.element((1,))] - poly({1: 1})
+        table._b[x.index] = HeckeElt(g, terms)
+        del table._b_blocks[x.index]
+        expected = reference_scan_classical(table)
+        assert len(expected[1]) > 2
+        assert_violations_match(scan_monotonicity_classical(table), expected)
+
+    def test_a3_wall_quotient_mandate(self):
+        report = run_identity_suite("A3", [(0, 1)])
+        (sph,) = [c for c in report.checks if c.check == "scan-spherical"
+                  and c.subset == [1, 2]]
+        assert sph.passed and sph.violations
+        assert "mandated consecutive chain triples: 2/2 present" in sph.notes
+
+
+_BONDS = st.sampled_from([2, 3, 4, 5, 6, 7, INFINITY])
+_CHECKS = {
+    "positivity-kl", "positivity-invkl", "mu-nonnegative", "parity",
+    "bar-invariance", "inversion-identity", "rouquier-shadow",
+    "scan-classical", "scan-inverse", "soergel-identification",
+    "parabolic-inversion-identity", "scan-antispherical", "scan-spherical",
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.tuples(_BONDS, _BONDS, _BONDS),
+       st.integers(1, 5))
+def test_random_matrices_pass_the_whole_suite(rank, bonds, cap):
+    rows = [[1, bonds[0], bonds[1]], [bonds[0], 1, bonds[2]],
+            [bonds[1], bonds[2], 1]]
+    group = GroupTable(CoxeterMatrix([r[:rank] for r in rows[:rank]]), cap)
+    subsets = [()] + [(t,) for t in range(rank)]
+    report = run_identity_suite("random", subsets, cap, group=group)
+    assert {c.check for c in report.checks} == _CHECKS
+    for check in report.checks:
+        assert check.passed and not check.failures, check.text_lines()
+        if check.check != "scan-spherical":
+            assert check.violations == [], check.check
+    table = KLTable(group)
+    for x in group:
+        assert table.kl_basis_element(x) == \
+            table.kl_basis_element_bar_solve(x), x
