@@ -3,7 +3,8 @@ for arbitrary Coxeter systems."""
 
 from .coxeter import (
     CapExceededError, CoxeterMatrix, CoxeterSpecError, Element, GroupTable,
-    INFINITY, ResourceLimitError, canonical_form, parse_coxeter_spec,
+    INFINITY, ResourceLimitError, SettingError, canonical_form,
+    parse_coxeter_spec,
 )
 from .hecke import (
     HeckeElt, InvariantError, KLTable, bar_element, mult_b_gen,
@@ -29,7 +30,8 @@ __all__ = [
     "CoxeterSpecError", "Element", "FlavorMismatchError", "GroupTable",
     "HeckeElt", "INFINITY", "InvariantError", "KLTable", "LaurentPoly",
     "ParabolicContext", "ParabolicElt", "ParabolicKLTable",
-    "ResourceLimitError", "RouquierTable", "SPHERICAL", "SuiteReport",
+    "ResourceLimitError", "RouquierTable", "SPHERICAL", "SettingError",
+    "SuiteReport",
     "Violation", "act_delta_gen", "bar_element", "bar_parabolic",
     "build_group", "canonical_form", "check_soergel_identification",
     "leq_coefficientwise", "mult_b_gen", "mult_delta_gen",

@@ -12,7 +12,7 @@ Output is deterministic byte-for-byte for a fixed configuration, at any
 0 success, 1 computation failure or an expected-pass scan with
 violations, 2 usage errors (an unwritable --out path among them).  The
 environment variable KLLAB_MAX_ELEMENTS bounds enumeration (default
-2,000,000).
+2,000,000); a value that is not an integer >= 1 is a usage error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 
 from .coxeter import (
     CapExceededError, CoxeterSpecError, GroupTable, ResourceLimitError,
-    parse_word, render_word,
+    SettingError, parse_word, render_word,
 )
 from .hecke import InvariantError, KLTable
 from .laurent import LaurentPoly
@@ -285,12 +285,12 @@ def _cmd_scan(args, out: _Output) -> int:
             raise CoxeterSpecError(
                 f"scan {args.name!r} does not take a parabolic subset")
         table = KLTable(group)
-        count, violations = scanner(table, threads=args.threads)
+        count, violations = scanner(table)
         ctx = None
     else:
         ctx = ParabolicContext(group, subset, flavor)
         ptable = ParabolicKLTable(ctx)
-        count, violations = scanner(ptable, threads=args.threads)
+        count, violations = scanner(ptable)
     res = CheckResult(f"scan-{args.name}", args.group,
                       sorted(t + 1 for t in subset), flavor, args.cap,
                       pairs_checked=count, expected_violations=expect,
@@ -322,7 +322,7 @@ def _cmd_suite(args, out: _Output) -> int:
     else:
         subsets = [frozenset()] + [frozenset({t}) for t in range(rank)]
     report = verify.run_identity_suite(args.group, subsets, args.cap,
-                                       threads=args.threads, group=group)
+                                       group=group)
     if out.fmt == "json":
         out.emit(_json_dump(report.to_json_obj()))
     elif out.fmt == "csv":
@@ -425,7 +425,8 @@ def main(argv=None) -> int:
         if args.command == "suite":
             return _cmd_suite(args, out)
         raise AssertionError(f"unhandled command {args.command}")
-    except (CoxeterSpecError, CapRequiredError, OutputPathError) as exc:
+    except (CoxeterSpecError, CapRequiredError, OutputPathError,
+            SettingError) as exc:
         _emit_error(exc)
         return 2
     except (CapExceededError, ResourceLimitError, InvariantError,

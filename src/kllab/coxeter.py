@@ -44,6 +44,10 @@ class ResourceLimitError(RuntimeError):
     """Enumeration exceeded the configured element-count bound."""
 
 
+class SettingError(ValueError):
+    """An environment variable holds a value that cannot be used."""
+
+
 class CoxeterMatrix:
     """The presentation data: a symmetric matrix of bond orders m_st."""
 
@@ -429,6 +433,21 @@ LEFT = "left"
 RIGHT = "right"
 
 
+def _max_elements_setting() -> int:
+    """The element-count bound from KLLAB_MAX_ELEMENTS: an integer >= 1."""
+    text = os.environ.get(_ENV_MAX_ELEMENTS)
+    if text is None:
+        return DEFAULT_MAX_ELEMENTS
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise SettingError(
+            f"{_ENV_MAX_ELEMENTS} must be an integer >= 1, got {text!r}")
+    return value
+
+
 class GroupTable:
     """All elements of length <= cap, interned, with memoized structure.
 
@@ -444,8 +463,7 @@ class GroupTable:
         if cap is not None and cap < 0:
             raise ValueError("cap must be >= 0")
         if max_elements is None:
-            max_elements = int(os.environ.get(_ENV_MAX_ELEMENTS,
-                                              DEFAULT_MAX_ELEMENTS))
+            max_elements = _max_elements_setting()
         self.matrix = matrix
         self.cap = cap
         self.max_elements = max_elements

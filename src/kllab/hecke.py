@@ -1,9 +1,15 @@
 """
-The Hecke algebra of a Coxeter system, in its standard basis.
+The Hecke algebra of a Coxeter system and its modules, in standard bases.
 
-Elements are sparse vectors over the interned group elements: a map
-Element -> LaurentPoly giving the expansion in the basis {delta_x}.  The
-defining relations are the quadratic relation
+An element of a module is a sparse vector over the interned group
+elements, ``HeckeElt``: a map Element -> LaurentPoly.  Its space is the
+``GroupTable`` for the regular module, with basis {delta_x}, or a
+``parabolic.ParabolicContext`` for an induced module, with basis {m_x}
+over the minimal coset representatives; the regular module is the
+antispherical module with I empty, so one element type, one arithmetic
+and one bar function (``bar_element``, reading bar(m_x) from the space)
+serve both.  The defining relations of the algebra are the quadratic
+relation
 
     (delta_s + v)(delta_s - v^{-1}) = 0
 
@@ -21,9 +27,10 @@ h^{y,x} with alternating signs:
 length recursion b_{x's} = b_{x'} b_s - sum mu(y,x') b_y over y with ys < y,
 and the oracle route is the bar-invariance pass of the block kernel over
 the blocks of bar(delta_z), which never touches mu.  Inverse polynomials
-come from the kernel's descending solve, one column per x.  Everything is
-memoized and all tables are built in increasing length order, so
-dependencies always exist.
+and the inversion identity come from ``kernel.ColumnTable``, the table
+core it shares with the parabolic tables.  Everything is memoized and all
+tables are built in increasing length order, so dependencies always
+exist.
 
 Each b_x is kept once as its nonzero terms (``Block``), each bar(delta_x)
 as a block over downset(x) memoized on the group table, and each inverse
@@ -38,9 +45,9 @@ import numpy as np
 
 from .coxeter import Element, GroupTable, LEFT, RIGHT
 from .kernel import (
-    INT64_LIMIT, Block, InverseColumn, InvariantError, bar_invariant_block,
-    block_terms, dense_block, kronecker_failures, row_poly, row_positions,
-    scaled_sum, solve_inverse_column, terms_block,
+    INT64_LIMIT, Block, ColumnTable, InverseColumn, InvariantError,
+    bar_invariant_block, block_terms, dense_block, row_poly, row_positions,
+    scaled_sum, terms_block,
 )
 from .laurent import LaurentPoly
 
@@ -48,55 +55,66 @@ _V = LaurentPoly.v()
 _VINV = LaurentPoly.v(-1)
 _VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
 _ONE = LaurentPoly.one()
-_ZERO = LaurentPoly.zero()
 
 
 class HeckeElt:
-    """A sparse standard-basis vector: Element -> LaurentPoly."""
+    """A sparse standard-basis vector of a module: Element -> LaurentPoly.
 
-    __slots__ = ("table", "terms")
+    ``space`` is the group table (the regular module) or the parabolic
+    context (an induced module) the vector lives in.  One made by
+    ``from_block`` decodes its terms on first use.
+    """
 
-    def __init__(self, table: GroupTable, terms: dict[Element, LaurentPoly]):
-        self.table = table
-        self.terms = {x: p for x, p in terms.items() if p}
+    __slots__ = ("space", "_terms", "_block")
+
+    def __init__(self, space, terms: dict[Element, LaurentPoly]):
+        self.space = space
+        self._terms = {x: p for x, p in terms.items() if p}
+        self._block = None
 
     @staticmethod
-    def zero(table: GroupTable) -> "HeckeElt":
-        return HeckeElt(table, {})
+    def from_block(space, block: Block) -> "HeckeElt":
+        out = HeckeElt.__new__(HeckeElt)
+        out.space = space
+        out._terms = None
+        out._block = block
+        return out
+
+    @property
+    def terms(self) -> dict[Element, LaurentPoly]:
+        if self._terms is None:
+            self._terms = block_terms(_group(self.space), self._block)
+            self._block = None
+        return self._terms
 
     @staticmethod
-    def delta(table: GroupTable, x: Element) -> "HeckeElt":
-        return HeckeElt(table, {x: _ONE})
+    def zero(space) -> "HeckeElt":
+        return HeckeElt(space, {})
+
+    @staticmethod
+    def standard(space, x: Element) -> "HeckeElt":
+        """The basis vector of x: delta_x, or m_x for a representative."""
+        if not (isinstance(space, GroupTable) or space.is_rep(x)):
+            raise ValueError(f"{x!r} is not a minimal coset representative")
+        return HeckeElt(space, {x: _ONE})
+
+    delta = standard
 
     def coefficient(self, x: Element) -> LaurentPoly:
         return self.terms.get(x, LaurentPoly.zero())
 
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        out = dict(self.terms)
-        for x, p in other.terms.items():
-            q = out.get(x)
-            s = p if q is None else q + p
-            if s:
-                out[x] = s
-            elif x in out:
-                del out[x]
-        return HeckeElt(self.table, out)
+        return HeckeElt(self.space,
+                        _accum(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        out = dict(self.terms)
-        for x, p in other.terms.items():
-            q = out.get(x)
-            s = -p if q is None else q - p
-            if s:
-                out[x] = s
-            elif x in out:
-                del out[x]
-        return HeckeElt(self.table, out)
+        return HeckeElt(self.space, _accum(dict(self.terms),
+                                           other.terms.items(), negate=True))
 
     def scaled(self, p: LaurentPoly) -> "HeckeElt":
         if not p:
-            return HeckeElt.zero(self.table)
-        return HeckeElt(self.table, {x: q * p for x, q in self.terms.items()})
+            return HeckeElt.zero(self.space)
+        return HeckeElt(self.space, {x: q * p for x, q in self.terms.items()})
 
     def top_term(self) -> tuple[Element, LaurentPoly]:
         """The term with the (length, word)-largest index."""
@@ -110,13 +128,35 @@ class HeckeElt:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, HeckeElt) and self.terms == other.terms
+        return (isinstance(other, HeckeElt) and self.space is other.space
+                and self.terms == other.terms)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "HeckeElt(0)"
-        parts = [f"({p})*d[{x!r}]" for x, p in self.sorted_terms()]
-        return "HeckeElt(" + " + ".join(parts) + ")"
+        basis = "d" if isinstance(self.space, GroupTable) else "dI"
+        parts = [f"({p})*{basis}[{x!r}]" for x, p in self.sorted_terms()]
+        return "HeckeElt(" + (" + ".join(parts) or "0") + ")"
+
+
+def _group(space) -> GroupTable:
+    """The group table under a module's space."""
+    return space if isinstance(space, GroupTable) else space.group
+
+
+def _accum(out: dict[Element, LaurentPoly], terms,
+           negate: bool = False) -> dict[Element, LaurentPoly]:
+    """Add each (x, p) of ``terms`` into ``out`` (subtract, if ``negate``),
+    dropping the entries that cancel; returns ``out``."""
+    for x, p in terms:
+        q = out.get(x)
+        if negate:
+            s = -p if q is None else q - p
+        else:
+            s = p if q is None else q + p
+        if s:
+            out[x] = s
+        elif x in out:
+            del out[x]
+    return out
 
 
 def mult_delta_gen(h: HeckeElt, s: int, side: str = RIGHT) -> HeckeElt:
@@ -126,14 +166,16 @@ def mult_delta_gen(h: HeckeElt, s: int, side: str = RIGHT) -> HeckeElt:
     delta_{xs} + (v^{-1} - v) delta_x when xs is shorter (and mirrored on
     the left).
     """
-    table = h.table
-    out: dict[Element, LaurentPoly] = {}
-    for x, p in h.terms.items():
-        y = table.mult_gen(x, s, side)
-        _accum(out, y, p)
-        if y.length < x.length:
-            _accum(out, x, p * _VINV_MINUS_V)
-    return HeckeElt(table, out)
+    table = h.space
+
+    def terms():
+        for x, p in h.terms.items():
+            y = table.mult_gen(x, s, side)
+            yield y, p
+            if y.length < x.length:
+                yield x, p * _VINV_MINUS_V
+
+    return HeckeElt(table, _accum({}, terms()))
 
 
 def mult_b_gen(h: HeckeElt, s: int, side: str = RIGHT) -> HeckeElt:
@@ -142,22 +184,15 @@ def mult_b_gen(h: HeckeElt, s: int, side: str = RIGHT) -> HeckeElt:
     Per term: delta_x b_s = delta_{xs} + v delta_x when xs is longer, and
     delta_{xs} + v^{-1} delta_x when xs is shorter.
     """
-    table = h.table
-    out: dict[Element, LaurentPoly] = {}
-    for x, p in h.terms.items():
-        y = table.mult_gen(x, s, side)
-        _accum(out, y, p)
-        _accum(out, x, p * (_V if y.length > x.length else _VINV))
-    return HeckeElt(table, out)
+    table = h.space
 
+    def terms():
+        for x, p in h.terms.items():
+            y = table.mult_gen(x, s, side)
+            yield y, p
+            yield x, p * (_V if y.length > x.length else _VINV)
 
-def _accum(store: dict[Element, LaurentPoly], x: Element, p: LaurentPoly):
-    q = store.get(x)
-    s = p if q is None else q + p
-    if s:
-        store[x] = s
-    elif x in store:
-        del store[x]
+    return HeckeElt(table, _accum({}, terms()))
 
 
 def downset_ids(group: GroupTable, x: Element) -> np.ndarray:
@@ -228,40 +263,44 @@ def _bar_step(group: GroupTable, x: Element, memo: dict) -> Block:
 
 
 def bar_delta(table: GroupTable, x: Element) -> HeckeElt:
-    """bar(delta_x), decoded from ``bar_block``; memoized on the group
-    table."""
-    memo = vars(table).setdefault("_hecke_bar_delta", {})
-    got = memo.get(x.index)
-    if got is None:
-        got = memo[x.index] = HeckeElt(table,
-                                       block_terms(table, bar_block(table, x)))
-    return got
+    """bar(delta_x), decoded from ``bar_block`` on first use."""
+    return HeckeElt.from_block(table, bar_block(table, x))
 
 
 def bar_element(h: HeckeElt) -> HeckeElt:
-    """The bar involution: v -> v^{-1} on coefficients, delta_x -> bar(delta_x)."""
-    out = HeckeElt.zero(h.table)
+    """The bar involution of the element's module: v -> v^{-1} on
+    coefficients, and each basis vector to its bar, read as a block from
+    the space (``bar_block`` in the regular module, the context's
+    projected block in a quotient)."""
+    space = h.space
+    group = _group(space)
+    out: dict[Element, LaurentPoly] = {}
     for x, p in h.terms.items():
-        out = out + bar_delta(h.table, x).scaled(p.bar())
-    return out
+        block = bar_block(group, x) if space is group else space.bar_block(x)
+        pb = p.bar()
+        _accum(out, ((y, q * pb)
+                     for y, q in block_terms(group, block).items()))
+    return HeckeElt(space, out)
 
 
-class KLTable:
+class KLTable(ColumnTable):
     """Kazhdan-Lusztig data over one enumerated group table.
 
-    Memoizes the canonical basis elements b_x (two independent routes),
-    their coefficient blocks, the inverse polynomial columns and the
-    inversion-identity sums.  All queries are safe after ``build_all``;
-    lazy use is also fine single-threaded.
+    Memoizes the canonical basis elements b_x (two independent routes)
+    and their coefficient blocks; the inverse polynomial columns and the
+    inversion-identity sums come from ``ColumnTable``, whose columns here
+    must be nonnegative.  All queries are safe after ``build_all``; lazy
+    use is also fine single-threaded.
     """
 
     def __init__(self, group: GroupTable):
-        self.group = group
+        super().__init__(group, group)
         self._b: dict[int, HeckeElt] = {}
         self._b_solve: dict[int, HeckeElt] = {}
         self._b_blocks: dict[int, Block] = {}
-        self._inv_cols: dict[int, InverseColumn] = {}
-        self._kronecker: dict[int, frozenset[int]] = {}
+
+    def column_ids(self, x: Element) -> np.ndarray:
+        return downset_ids(self.group, x)
 
     # -- canonical basis, production route --------------------------------
 
@@ -327,6 +366,8 @@ class KLTable:
             self._b_blocks[x.index] = got
         return got
 
+    canonical_block = b_block
+
     # -- canonical basis, oracle route -------------------------------------
 
     def kl_basis_element_bar_solve(self, x: Element) -> HeckeElt:
@@ -342,7 +383,7 @@ class KLTable:
             group = self.group
             block = bar_invariant_block(group, x, downset_ids(group, x),
                                         lambda z: bar_block(group, z))
-            got = HeckeElt(group, block_terms(group, block))
+            got = HeckeElt.from_block(group, block)
             self._validate_triangular(got, x)
             self._b_solve[x.index] = got
         return got
@@ -383,14 +424,8 @@ class KLTable:
             raise InvariantError(f"negative mu({y!r},{x!r}) = {m}")
         return m
 
-    def inverse_column(self, x: Element) -> InverseColumn:
-        """All h^{y,x} for y <= x, by the kernel's descending solve over
-        the blocks of b_z; every h^{y,x} must be nonnegative."""
-        got = self._inv_cols.get(x.index)
-        if got is not None:
-            return got
-        col = solve_inverse_column(self.group, x,
-                                   downset_ids(self.group, x), self.b_block)
+    def _check_column(self, x: Element, col: InverseColumn) -> None:
+        """Every h^{y,x} must be nonnegative."""
         negative = np.flatnonzero((col.coeffs < 0).any(axis=1))
         if len(negative):
             pos = negative[-1]
@@ -398,12 +433,6 @@ class KLTable:
                 f"negative inverse polynomial at "
                 f"({self.group.elements[col.rows[pos]]!r},{x!r}): "
                 f"{row_poly(col.coeffs[pos])}")
-        self._inv_cols[x.index] = col
-        return col
-
-    def inverse_kl_poly(self, y: Element, x: Element) -> LaurentPoly:
-        """h^{y,x}; zero unless y <= x."""
-        return self.inverse_column(x).get(y, _ZERO)
 
     # -- identity checks ------------------------------------------------------
 
@@ -415,32 +444,3 @@ class KLTable:
         h = self.inverse_kl_poly(y, x)
         parity = (x.length - y.length) % 2
         return all(e % 2 == parity for e in h.exponents())
-
-    def check_inversion_identity(self, y: Element, x: Element) -> bool:
-        """The Kronecker sum over z in [y, x] of the two families.
-
-        sum_z (-1)^{l(z)-l(y)} h^{y,z} h_{z,x} equals 1 when y = x and 0
-        otherwise.  The sums of a whole column are computed once, on its
-        first query, and kept as the set of rows where they fail.
-        """
-        failures = self._kronecker.get(x.index)
-        if failures is None:
-            failures = self._kronecker[x.index] = kronecker_failures(
-                self.group, x, downset_ids(self.group, x), self.b_block(x),
-                self.inverse_column)
-        return y.index not in failures
-
-    # -- bulk construction ------------------------------------------------------
-
-    def build_all(self) -> None:
-        """Materialise b_x, its block and the inverse column for every element.
-
-        Walks in increasing id order (= increasing length), so every
-        dependency is ready before first use; the column of x builds the
-        blocks of every z <= x, x included.  Afterwards every query this
-        class serves is a pure read.
-        """
-        for x in self.group:
-            self.kl_basis_element(x)
-        for x in self.group:
-            self.inverse_column(x)

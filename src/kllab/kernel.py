@@ -14,6 +14,9 @@ the coefficient of v^e.  Three descending passes run on them:
   canonical elements off m_x from the top;
 - ``kronecker_failures``: the inversion identity for a whole column.
 
+``ColumnTable`` keeps the inverse columns and inversion checks of one
+module over these passes, once for the regular module and its quotients.
+
 Arithmetic is int64 under a running bound on coefficient size.  A column
 whose bound would reach 2^62 is redone by the same code with
 ``dtype=object`` (exact Python ints), so no result ever depends on
@@ -435,3 +438,69 @@ def kronecker_failures(group: GroupTable, x: Element, ids: np.ndarray,
     total[lengths % 2 == 1] *= -1
     total[-1, 0] -= 1
     return frozenset(ids[total.any(axis=1)].tolist())
+
+
+class ColumnTable:
+    """The inverse columns of one module over its canonical basis, and the
+    inversion identity on them: the core of ``KLTable`` (the regular
+    module) and ``ParabolicKLTable`` (a quotient).
+
+    A subclass supplies ``column_ids(x)``, the sorted ids of the basis
+    elements below x (x last), and ``canonical_block(x)``, the block of
+    the canonical element of x; it may check each new column in
+    ``_check_column``.  ``basis`` lists the elements indexing the basis,
+    in id order.
+    """
+
+    def __init__(self, group: GroupTable, basis):
+        self.group = group
+        self.basis = basis
+        self._inv_cols: dict[int, InverseColumn] = {}
+        self._kronecker: dict[int, frozenset[int]] = {}
+
+    def inverse_column(self, x: Element) -> InverseColumn:
+        """The inverse polynomials at (y, x) for every basis element
+        y <= x, by the descending solve over the canonical blocks."""
+        got = self._inv_cols.get(x.index)
+        if got is None:
+            got = solve_inverse_column(self.group, x, self.column_ids(x),
+                                       self.canonical_block)
+            self._check_column(x, got)
+            self._inv_cols[x.index] = got
+        return got
+
+    def _check_column(self, x: Element, col: InverseColumn) -> None:
+        """Raise InvariantError when a new column breaks a theorem."""
+
+    def inverse_kl_poly(self, y: Element, x: Element) -> LaurentPoly:
+        """The inverse polynomial at (y, x); zero unless y <= x."""
+        return self.inverse_column(x).get(y, _ZERO)
+
+    def check_inversion_identity(self, y: Element, x: Element) -> bool:
+        """The Kronecker sum over basis elements z in [y, x] of the two
+        families.
+
+        sum_z (-1)^{l(z)-l(y)} (inverse at (y, z)) (canonical at (z, x))
+        equals 1 when y = x and 0 otherwise.  The sums of a whole column
+        are computed once, on its first query, and kept as the set of rows
+        where they fail.
+        """
+        failures = self._kronecker.get(x.index)
+        if failures is None:
+            failures = self._kronecker[x.index] = kronecker_failures(
+                self.group, x, self.column_ids(x), self.canonical_block(x),
+                self.inverse_column)
+        return y.index not in failures
+
+    def build_all(self) -> None:
+        """Materialise the canonical block and the inverse column of every
+        basis element.
+
+        Walks in increasing id order (= increasing length), so every
+        dependency is ready before first use.  Afterwards every query this
+        class serves is a pure read.
+        """
+        for x in self.basis:
+            self.canonical_block(x)
+        for x in self.basis:
+            self.inverse_column(x)

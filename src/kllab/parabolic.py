@@ -24,9 +24,14 @@ restriction of the inverse Kazhdan-Lusztig table, n^{z,x} = h^{z,x}; this
 package never assumes that identity, it recomputes both sides and compares
 (``check_soergel_identification``).
 
-Tables are keyed by ``Element.index``: the rows of the column of x are the
-sorted ids of the representatives below x, and canonical elements are
-stored as blocks, decoded to ``ParabolicElt`` only when a caller asks.
+Elements of the induced module are ``hecke.HeckeElt`` vectors whose space
+is the ``ParabolicContext`` (``ParabolicElt`` is the same class), so their
+arithmetic and the bar involution (``bar_parabolic`` is ``bar_element``)
+are the regular module's.  ``ParabolicKLTable`` shares its inverse
+columns and inversion checks with ``KLTable`` through
+``kernel.ColumnTable``.  Tables are keyed by ``Element.index``: the rows
+of the column of x are the sorted ids of the representatives below x, and
+canonical elements are stored as blocks, decoded only when a caller asks.
 """
 
 from __future__ import annotations
@@ -34,19 +39,23 @@ from __future__ import annotations
 import numpy as np
 
 from .coxeter import Element, GroupTable, LEFT
-from .hecke import HeckeElt, KLTable, bar_block, downset_ids
+from .hecke import (
+    _VINV_MINUS_V, HeckeElt, KLTable, _accum, bar_block, bar_element,
+    downset_ids,
+)
 from .kernel import (
-    INT64_LIMIT, Block, InverseColumn, InvariantError, bar_invariant_block,
-    block_row, block_terms, dense_block, kronecker_failures, row_positions,
-    solve_inverse_column,
+    INT64_LIMIT, Block, ColumnTable, InvariantError, bar_invariant_block,
+    block_row, dense_block, row_positions,
 )
 from .laurent import LaurentPoly
 
 SPHERICAL = "spherical"
 ANTISPHERICAL = "antispherical"
 
-_ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
+
+#: an element of an induced module is a HeckeElt over its context
+ParabolicElt = HeckeElt
 
 
 class FlavorMismatchError(ValueError):
@@ -147,116 +156,19 @@ class ParabolicContext:
         return got
 
 
-class ParabolicElt:
-    """A sparse standard-basis vector of the induced module.
-
-    One made by ``from_block`` decodes its terms on first use.
-    """
-
-    __slots__ = ("context", "_terms", "_block")
-
-    def __init__(self, context: ParabolicContext,
-                 terms: dict[Element, LaurentPoly]):
-        self.context = context
-        self._terms = {x: p for x, p in terms.items() if p}
-        self._block = None
-
-    @staticmethod
-    def from_block(context: ParabolicContext, block: Block) -> "ParabolicElt":
-        out = ParabolicElt.__new__(ParabolicElt)
-        out.context = context
-        out._terms = None
-        out._block = block
-        return out
-
-    @property
-    def terms(self) -> dict[Element, LaurentPoly]:
-        if self._terms is None:
-            self._terms = block_terms(self.context.group, self._block)
-            self._block = None
-        return self._terms
-
-    @staticmethod
-    def zero(context: ParabolicContext) -> "ParabolicElt":
-        return ParabolicElt(context, {})
-
-    @staticmethod
-    def standard(context: ParabolicContext, x: Element) -> "ParabolicElt":
-        if not context.is_rep(x):
-            raise ValueError(f"{x!r} is not a minimal coset representative")
-        return ParabolicElt(context, {x: _ONE})
-
-    def coefficient(self, x: Element) -> LaurentPoly:
-        return self.terms.get(x, LaurentPoly.zero())
-
-    def __add__(self, other: "ParabolicElt") -> "ParabolicElt":
-        out = dict(self.terms)
-        for x, p in other.terms.items():
-            q = out.get(x)
-            s = p if q is None else q + p
-            if s:
-                out[x] = s
-            elif x in out:
-                del out[x]
-        return ParabolicElt(self.context, out)
-
-    def __sub__(self, other: "ParabolicElt") -> "ParabolicElt":
-        out = dict(self.terms)
-        for x, p in other.terms.items():
-            q = out.get(x)
-            s = -p if q is None else q - p
-            if s:
-                out[x] = s
-            elif x in out:
-                del out[x]
-        return ParabolicElt(self.context, out)
-
-    def scaled(self, p: LaurentPoly) -> "ParabolicElt":
-        if not p:
-            return ParabolicElt.zero(self.context)
-        return ParabolicElt(self.context,
-                            {x: q * p for x, q in self.terms.items()})
-
-    def top_term(self) -> tuple[Element, LaurentPoly]:
-        x = max(self.terms, key=Element.sort_key)
-        return x, self.terms[x]
-
-    def sorted_terms(self) -> list[tuple[Element, LaurentPoly]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ParabolicElt)
-                and self.context is other.context
-                and self.terms == other.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "ParabolicElt(0)"
-        parts = [f"({p})*dI[{x!r}]" for x, p in self.sorted_terms()]
-        return "ParabolicElt(" + " + ".join(parts) + ")"
-
-
-def project(h: HeckeElt, context: ParabolicContext) -> ParabolicElt:
+def project(h: HeckeElt, context: ParabolicContext) -> HeckeElt:
     """The image 1 (x) h of a Hecke element in the induced module."""
-    out: dict[Element, LaurentPoly] = {}
-    for w, p in h.terms.items():
-        x, k = context.coset_decomposition(w)
-        scale = p
-        for _ in range(k):
-            scale = scale * context.scalar
-        q = out.get(x)
-        s = scale if q is None else q + scale
-        if s:
-            out[x] = s
-        elif x in out:
-            del out[x]
-    return ParabolicElt(context, out)
+    def terms():
+        for w, p in h.terms.items():
+            x, k = context.coset_decomposition(w)
+            for _ in range(k):
+                p = p * context.scalar
+            yield x, p
+
+    return HeckeElt(context, _accum({}, terms()))
 
 
-def act_delta_gen(m: ParabolicElt, s: int) -> ParabolicElt:
+def act_delta_gen(m: HeckeElt, s: int) -> HeckeElt:
     """Right action of delta_s, case split over the coset geometry.
 
     For a representative x: either xs is again a representative (lengths
@@ -264,24 +176,24 @@ def act_delta_gen(m: ParabolicElt, s: int) -> ParabolicElt:
     single t in I, necessarily lengthening, and delta_s acts by the
     module scalar.
     """
-    ctx = m.context
+    ctx = m.space
     table = ctx.group
-    out = ParabolicElt.zero(ctx)
-    for x, p in m.terms.items():
-        word = table.canonical(x.word + (s,))
-        if _has_left_descent_in(table, word, ctx.subset):
-            if len(word) != x.length + 1:
-                raise InvariantError(
-                    f"coset wall crossed downward at {x!r} * s{s + 1}")
-            out = out + ParabolicElt(ctx, {x: p * ctx.scalar})
-        else:
-            xs = table.element(word)
-            if xs.length > x.length:
-                out = out + ParabolicElt(ctx, {xs: p})
+
+    def terms():
+        for x, p in m.terms.items():
+            word = table.canonical(x.word + (s,))
+            if _has_left_descent_in(table, word, ctx.subset):
+                if len(word) != x.length + 1:
+                    raise InvariantError(
+                        f"coset wall crossed downward at {x!r} * s{s + 1}")
+                yield x, p * ctx.scalar
             else:
-                out = out + ParabolicElt(
-                    ctx, {xs: p, x: p * LaurentPoly({-1: 1, 1: -1})})
-    return out
+                xs = table.element(word)
+                yield xs, p
+                if xs.length < x.length:
+                    yield x, p * _VINV_MINUS_V
+
+    return HeckeElt(ctx, _accum({}, terms()))
 
 
 def _has_left_descent_in(table: GroupTable, word: tuple[int, ...],
@@ -290,34 +202,29 @@ def _has_left_descent_in(table: GroupTable, word: tuple[int, ...],
     return any(len(table.canonical((t,) + word)) < len(word) for t in subset)
 
 
-def bar_parabolic(m: ParabolicElt) -> ParabolicElt:
-    """The induced bar involution: bar(m_x) from the context's block."""
-    ctx = m.context
-    out = ParabolicElt.zero(ctx)
-    for x, p in m.terms.items():
-        bar_x = ParabolicElt.from_block(ctx, ctx.bar_block(x))
-        out = out + bar_x.scaled(p.bar())
-    return out
+#: the bar involution reads bar(m_x) from the element's context
+bar_parabolic = bar_element
 
 
-class ParabolicKLTable:
+class ParabolicKLTable(ColumnTable):
     """Canonical-basis data for one parabolic context.
 
     Canonical elements are stored as blocks and inverse columns as dense
-    blocks, both over ``context.downset_ids(x)``.
+    blocks, both over ``column_ids(x)``, the representatives below x.
     """
 
     def __init__(self, context: ParabolicContext):
+        super().__init__(context.group, context.reps)
         self.context = context
         self._canonical: dict[int, Block] = {}
-        self._inv_cols: dict[int, InverseColumn] = {}
-        self._kronecker: dict[int, frozenset[int]] = {}
 
-    def _require_rep(self, x: Element) -> None:
+    def column_ids(self, x: Element) -> np.ndarray:
+        """The ids of the representatives y <= x; x must be one."""
         if not self.context.is_rep(x):
             raise ValueError(f"{x!r} is not a minimal coset representative")
+        return self.context.downset_ids(x)
 
-    def canonical_basis_element(self, x: Element) -> ParabolicElt:
+    def canonical_basis_element(self, x: Element) -> HeckeElt:
         """c_x (spherical) or d_x (antispherical) by the bar-invariance pass.
 
         One descending pass over the representatives below x, from the
@@ -327,54 +234,19 @@ class ParabolicKLTable:
         """
         got = self._canonical.get(x.index)
         if got is None:
-            self._require_rep(x)
-            ctx = self.context
             got = self._canonical[x.index] = bar_invariant_block(
-                ctx.group, x, ctx.downset_ids(x), ctx.bar_block)
-        return ParabolicElt.from_block(self.context, got)
+                self.group, x, self.column_ids(x), self.context.bar_block)
+        return HeckeElt.from_block(self.context, got)
 
     def canonical_block(self, x: Element) -> Block:
         """The block of c_x or d_x; solved by ``canonical_basis_element``."""
-        got = self._canonical.get(x.index)
-        if got is None:
+        if x.index not in self._canonical:
             self.canonical_basis_element(x)
-            got = self._canonical[x.index]
-        return got
+        return self._canonical[x.index]
 
     def kl_poly(self, y: Element, x: Element) -> LaurentPoly:
         """m_{y,x} or n_{y,x} according to flavor."""
         return block_row(self.canonical_block(x), y.index)
-
-    def inverse_column(self, x: Element) -> InverseColumn:
-        """All m^{y,x} / n^{y,x}, by the kernel's descending solve."""
-        got = self._inv_cols.get(x.index)
-        if got is None:
-            self._require_rep(x)
-            ctx = self.context
-            got = self._inv_cols[x.index] = solve_inverse_column(
-                ctx.group, x, ctx.downset_ids(x), self.canonical_block)
-        return got
-
-    def inverse_kl_poly(self, y: Element, x: Element) -> LaurentPoly:
-        return self.inverse_column(x).get(y, _ZERO)
-
-    def check_inversion_identity(self, y: Element, x: Element) -> bool:
-        """Kronecker sum over representatives z in [y, x]; the sums of a
-        whole column are computed on its first query and kept as the set
-        of rows where they fail."""
-        failures = self._kronecker.get(x.index)
-        if failures is None:
-            ctx = self.context
-            failures = self._kronecker[x.index] = kronecker_failures(
-                ctx.group, x, ctx.downset_ids(x), self.canonical_block(x),
-                self.inverse_column)
-        return y.index not in failures
-
-    def build_all(self) -> None:
-        for x in self.context.reps:
-            self.canonical_basis_element(x)
-        for x in self.context.reps:
-            self.inverse_column(x)
 
 
 def check_soergel_identification(

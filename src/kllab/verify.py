@@ -21,8 +21,7 @@ among the violations.
 Triples are enumerated by x in id order (length, then ShortLex), then y,
 then z, so reports are deterministic and diffable.  The scans run in one
 thread: their work is Python and numpy calls on small blocks that hold the
-interpreter lock, and a thread pool made them slower.  The ``threads``
-arguments are accepted and ignored, so output is identical at any value.
+interpreter lock, and a thread pool made them slower.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .kernel import InverseColumn, row_poly, scaled_sum
 from .laurent import LaurentPoly
 from .parabolic import (
     ANTISPHERICAL, SPHERICAL, FlavorMismatchError, ParabolicContext,
-    ParabolicKLTable,
+    ParabolicKLTable, check_soergel_identification,
 )
 
 
@@ -120,12 +119,11 @@ class Violation:
 # monotonicity scans
 # ----------------------------------------------------------------------
 
-def scan_monotonicity_inverse(table: KLTable,
-                              threads: int = 1) -> tuple[int, list[Violation]]:
+def scan_monotonicity_inverse(table: KLTable) -> tuple[int, list[Violation]]:
     """All triples violating the inverse-polynomial monotonicity.
 
     Returns (triples_checked, violations); the theorem predicts an empty
-    list for every Coxeter system.  ``threads`` is ignored.
+    list for every Coxeter system.
     """
     table.build_all()
     return _scan_columns(table.group, table.inverse_column)
@@ -175,12 +173,11 @@ def _failing_rows(colx: InverseColumn, coly: InverseColumn, gap: int):
                bad[rows].argmax(axis=1).tolist())
 
 
-def scan_monotonicity_classical(table: KLTable,
-                                threads: int = 1) -> tuple[int, list[Violation]]:
+def scan_monotonicity_classical(table: KLTable) -> tuple[int, list[Violation]]:
     """All triples violating classical monotonicity of h_{y,x}.
 
     Compares whole blocks per (x, y) pair like the inverse scan, over b_x
-    made dense on downset(x) once per x.  ``threads`` is ignored.
+    made dense on downset(x) once per x.
     """
     table.build_all()
     group = table.group
@@ -233,18 +230,16 @@ def _scan_parabolic(ptable: ParabolicKLTable, flavor: str):
     return _scan_columns(ctx.reps, ptable.inverse_column)
 
 
-def scan_monotonicity_antispherical(ptable: ParabolicKLTable,
-                                    threads: int = 1):
-    """Monotonicity over the antispherical quotient; expected empty.
-    ``threads`` is ignored."""
+def scan_monotonicity_antispherical(ptable: ParabolicKLTable):
+    """Monotonicity over the antispherical quotient; expected empty."""
     return _scan_parabolic(ptable, ANTISPHERICAL)
 
 
-def scan_monotonicity_spherical(ptable: ParabolicKLTable, threads: int = 1):
+def scan_monotonicity_spherical(ptable: ParabolicKLTable):
     """Monotonicity over the spherical quotient.
 
     Violations are genuine and expected; on a type-A chain quotient every
-    consecutive triple must show up.  ``threads`` is ignored.
+    consecutive triple must show up.
     """
     return _scan_parabolic(ptable, SPHERICAL)
 
@@ -480,7 +475,6 @@ def _comparable_pairs(group: GroupTable):
 
 
 def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
-                       threads: int = 1,
                        max_elements: int | None = None,
                        group: GroupTable | None = None) -> SuiteReport:
     """Run every identity check and every scan over one group.
@@ -568,7 +562,7 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
     run(CheckResult("rouquier-shadow", spec, cap=cap), rouquier)
 
     def scan_into(res, scanner, *args):
-        count, violations = scanner(*args, threads=threads)
+        count, violations = scanner(*args)
         res.pairs_checked = count
         res.violations = violations
         if violations and not res.expected_violations:
@@ -587,7 +581,6 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
         sph = ParabolicKLTable(sph_ctx)
 
         def soergel(res, anti=anti):
-            from .parabolic import check_soergel_identification
             mismatches = check_soergel_identification(anti, table)
             res.pairs_checked = len(anti.context.reps) ** 2
             for z, x, n, h in mismatches:

@@ -316,6 +316,22 @@ class TestErrorsAndIO:
         assert code == 1
         assert json.loads(err)["error"] == "ResourceLimitError"
 
+    @pytest.mark.parametrize("value", ["abc", "-1", "0", "2.5", ""])
+    def test_bad_max_elements_env_exits_2_before_enumerating(
+            self, capsys, monkeypatch, value):
+        from kllab.coxeter import GroupTable
+
+        def no_enumerate(table):
+            raise AssertionError("enumerated before checking the setting")
+        monkeypatch.setattr(GroupTable, "_enumerate", no_enumerate)
+        monkeypatch.setenv("KLLAB_MAX_ELEMENTS", value)
+        code, out, err = run_cli(capsys, "info", "--group", "A2")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "SettingError",
+            "message": f"KLLAB_MAX_ELEMENTS must be an integer >= 1, "
+                       f"got {value!r}"}
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"
         code, out, _ = run_cli(capsys, "invkl", "--group", "A2",

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from kllab.coxeter import CapExceededError
 from kllab.hecke import (
-    HeckeElt, KLTable, bar_delta, bar_element, mult_b_gen, mult_delta_gen,
+    HeckeElt, InvariantError, KLTable, bar_delta, bar_element, mult_b_gen,
+    mult_delta_gen,
 )
 from kllab.laurent import LaurentPoly
 from helpers import SymmetricOracle, get_group, get_kl, poly
@@ -348,6 +349,17 @@ class TestHeckeEltBehaviour:
         a = delta(g, (0,)).scaled(poly({2: 3}))
         b = delta(g, (1,)) + delta(g, (0,))
         assert (a + b) - b == a
+
+    def test_negative_inverse_polynomial_raises(self):
+        # b_s = delta_s - v delta_e would give h^{e,s} = -v
+        g = get_group("A1")
+        table = KLTable(g)
+        e, s = g.identity, g.element((0,))
+        table._b[s.index] = HeckeElt(g, {s: ONE, e: poly({1: -1})})
+        with pytest.raises(InvariantError, match=r"negative inverse "
+                           r"polynomial at \(<e>,<1>\): "):
+            table.inverse_column(s)
+        assert s.index not in table._inv_cols
 
     def test_top_term(self):
         g = get_group("A2")

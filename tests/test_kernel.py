@@ -108,7 +108,6 @@ class TestBlockScansReportInjectedFaults:
         expected = reference_scan_inverse(table)
         assert expected[1]
         assert scan_monotonicity_inverse(table) == expected
-        assert scan_monotonicity_inverse(table, threads=2) == expected
 
     def test_classical_scan(self):
         table = KLTable(get_group("B3"))

@@ -11,12 +11,13 @@ solve by hand on A2 with I = {1} (1-based):
     inverse:       n^{e,s2s1} = v^2   but   m^{e,s2s1} = 0
 """
 
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kllab.hecke import HeckeElt, mult_delta_gen
+from kllab.hecke import HeckeElt, bar_element, mult_delta_gen
 from kllab.laurent import LaurentPoly
 from kllab.parabolic import (
     ANTISPHERICAL, SPHERICAL, FlavorMismatchError, ParabolicContext,
@@ -31,6 +32,12 @@ ONE = LaurentPoly.one()
 
 def ctx_of(spec, subset, flavor, cap=None):
     return ParabolicContext(get_group(spec, cap), subset, flavor)
+
+
+@functools.lru_cache(maxsize=None)
+def a3_context(subset, flavor):
+    """One context per (subset, flavor) of A3, so bar blocks stay memoized."""
+    return ParabolicContext(get_group("A3"), subset, flavor)
 
 
 def all_subsets(rank):
@@ -132,6 +139,25 @@ class TestBar:
         m = ParabolicElt(ctx, {reps[i]: LaurentPoly(c)
                                for i, c in coeffs.items()})
         assert bar_parabolic(bar_parabolic(m)) == m
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.dictionaries(st.integers(0, 23),
+                           st.dictionaries(st.integers(-3, 3),
+                                           st.integers(-4, 4), max_size=3),
+                           max_size=4))
+    def test_bar_commutes_with_projection(self, coeffs):
+        # one bar function serves every module: projecting a random
+        # element of the regular module of A3 and taking bar in the
+        # quotient agrees with bar upstairs, then projecting, for every
+        # subset and both flavors
+        g = get_group("A3")
+        h = HeckeElt(g, {g.elements[i]: LaurentPoly(c)
+                         for i, c in coeffs.items()})
+        bar_h = bar_element(h)
+        for subset in all_subsets(3):
+            for flavor in (SPHERICAL, ANTISPHERICAL):
+                ctx = a3_context(subset, flavor)
+                assert project(bar_h, ctx) == bar_element(project(h, ctx))
 
     def test_bar_independent_of_word_route(self):
         # recompute bar(delta_x) along brute-forced alternative reduced
@@ -302,6 +328,15 @@ class TestContextValidation:
         ctx = ctx_of("A2", {0}, ANTISPHERICAL)
         with pytest.raises(ValueError):
             ParabolicElt.standard(ctx, ctx.group.element((0,)))
+
+    def test_table_requires_representative(self):
+        tab = ParabolicKLTable(ctx_of("A2", {0}, ANTISPHERICAL))
+        s1 = tab.context.group.element((0,))
+        for query in (tab.canonical_basis_element, tab.inverse_column,
+                      lambda x: tab.check_inversion_identity(x, x)):
+            with pytest.raises(ValueError,
+                               match="not a minimal coset representative"):
+                query(s1)
 
     def test_unknown_flavor(self):
         with pytest.raises(ValueError):
