@@ -1,18 +1,21 @@
 """
 Coxeter systems presented by a Coxeter matrix.
 
-Elements are identified by their canonical reduced word: the ShortLex-least
-word within the braid-equivalence class of any reduced expression.  By
-Tits' solution to the word problem this is a complete normal form for every
-Coxeter system, including ones with infinite bond orders, and it needs no
-reflection representation.  The closure under braid moves is exponential in
-the worst case but is computed once per element and cached, which is
-negligible at the scale this package targets (rank <= 4ish, length <= ~16).
+Elements are identified by their canonical reduced word, the ShortLex-least
+one.  A ``GroupTable`` gives every element of length <= cap an integer id,
+in length-then-ShortLex order, and keeps the group as integer arrays:
+products with each generator on either side, descent sets and inverses.
+It is built one length level at a time from the dihedral lemma
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, section 2.4), so no word
+is ever rewritten; each element keeps one parent pointer and one letter,
+from which its word is rebuilt on demand.  Bruhat downsets come lazily
+from the lifting property, as sorted id arrays.
 
-A ``GroupTable`` interns every element of length <= cap as an integer id,
-assigned in length-then-ShortLex order, and memoizes products with
-generators and Bruhat comparisons.  After construction the table is only
-ever read, so it is safe to share across threads.
+Words that leave the table (user input beyond the cap, the parabolic coset
+test just above it) fall back to Tits' solution of the word problem,
+``canonical_form``: delete adjacent equal pairs and walk the braid-move
+closure.  It works for infinite bond orders but is exponential in the
+worst case, so the table never relies on it.
 
 Generator indices are 1-based in all I/O (matching the usual Bourbaki node
 numbering of the presets) and 0-based internally.
@@ -23,6 +26,8 @@ from __future__ import annotations
 import os
 import re
 from typing import Iterable, Sequence
+
+import numpy as np
 
 #: sentinel for an infinite bond order m_st; chosen so it never collides
 #: with a legal order (legal orders are 1 on the diagonal, >= 2 off it)
@@ -309,40 +314,28 @@ def _alternating(s: int, t: int, length: int) -> tuple[int, ...]:
     return tuple(s if i % 2 == 0 else t for i in range(length))
 
 
-def canonical_form(word: Iterable[int], matrix: CoxeterMatrix,
-                   _cache: dict | None = None) -> tuple[int, ...]:
+def canonical_form(word: Iterable[int],
+                   matrix: CoxeterMatrix) -> tuple[int, ...]:
     """Canonical reduced word (0-based letters) of the element ``word`` spells.
 
     Deletes adjacent equal pairs, then walks the braid-move closure; any
     closure word containing an adjacent equal pair restarts the reduction,
-    otherwise the ShortLex-least closure word is the normal form.  With a
-    cache supplied, every closure member is remembered, so any reduced word
-    of a previously canonicalised element is an O(1) hit.
+    otherwise the ShortLex-least closure word is the normal form.
     """
     w = tuple(word)
-    for s in w:
-        if not 0 <= s < matrix.rank:
-            raise CoxeterSpecError(f"generator index {s + 1} out of range")
+    _check_letters(w, matrix.rank)
     w = _delete_adjacent_pairs(w)
-    pending: list[tuple[int, ...]] = []
     while True:
-        if _cache is not None and w in _cache:
-            best = _cache[w]
-            break
         orbit, shorter = _braid_closure(w, matrix)
         if shorter is None:
-            best = min(orbit)
-            if _cache is not None:
-                for member in orbit:
-                    _cache[member] = best
-            break
-        # w was not reduced: every word seen so far shares its value
-        pending.extend(orbit)
+            return min(orbit)
         w = _delete_adjacent_pairs(shorter)
-    if _cache is not None:
-        for member in pending:
-            _cache[member] = best
-    return best
+
+
+def _check_letters(word: Sequence[int], rank: int) -> None:
+    for s in word:
+        if not 0 <= s < rank:
+            raise CoxeterSpecError(f"generator index {s + 1} out of range")
 
 
 def _braid_closure(w: tuple[int, ...], matrix: CoxeterMatrix):
@@ -381,29 +374,31 @@ def _braid_closure(w: tuple[int, ...], matrix: CoxeterMatrix):
 # ----------------------------------------------------------------------
 
 class Element:
-    """A group element: canonical reduced word plus interned integer id."""
+    """An interned element of one table: id and length.  It compares,
+    hashes and sorts by id; its canonical word is rebuilt on each read."""
 
-    __slots__ = ("word", "index")
+    __slots__ = ("group", "index", "length")
 
-    def __init__(self, word: tuple[int, ...], index: int):
-        self.word = word
+    def __init__(self, group: "GroupTable", index: int, length: int):
+        self.group = group
         self.index = index
+        self.length = length
 
     @property
-    def length(self) -> int:
-        return len(self.word)
+    def word(self) -> tuple[int, ...]:
+        return self.group.word(self.index)
 
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self.word), self.word)
+    def sort_key(self) -> int:
+        return self.index
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Element) and self.word == other.word
+        return isinstance(other, Element) and self.index == other.index
 
     def __hash__(self) -> int:
-        return hash(self.word)
+        return self.index
 
     def __lt__(self, other: "Element") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self.index < other.index
 
     def __repr__(self) -> str:
         return f"<{render_word(self.word)}>"
@@ -423,9 +418,7 @@ def parse_word(text: str, rank: int) -> tuple[int, ...]:
         letters = tuple(int(part) - 1 for part in text.split(","))
     except ValueError:
         raise CoxeterSpecError(f"malformed element {text!r}")
-    for s in letters:
-        if not 0 <= s < rank:
-            raise CoxeterSpecError(f"generator index {s + 1} out of range")
+    _check_letters(letters, rank)
     return letters
 
 
@@ -449,13 +442,14 @@ def _max_elements_setting() -> int:
 
 
 class GroupTable:
-    """All elements of length <= cap, interned, with memoized structure.
+    """All elements of length <= cap, as integer tables.
 
-    Construction walks the breadth-first closure of {e} under right
-    multiplication, one length level at a time, so ids increase in
-    length-then-ShortLex order.  ``cap=None`` means "until the group
+    ``right[x, s]`` and ``left[x, s]`` are the ids of xs and sx, -1 where
+    the product lies beyond the cap; ``right_descents`` and
+    ``left_descents`` are the matching (elements x rank) boolean arrays and
+    ``inverses[x]`` the id of x^-1.  ``cap=None`` means "until the group
     closes", which is only sensible for finite groups; the element-count
-    bound still applies either way.
+    bound applies either way.
     """
 
     def __init__(self, matrix: CoxeterMatrix, cap: int | None = None,
@@ -467,66 +461,127 @@ class GroupTable:
         self.matrix = matrix
         self.cap = cap
         self.max_elements = max_elements
-        self._canon: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
-        self.elements: list[Element] = []
-        self._by_word: dict[tuple[int, ...], Element] = {}
-        self._right: dict[tuple[int, int], Element] = {}
-        self._left: dict[tuple[int, int], Element] = {}
-        self._right_desc: list[frozenset[int]] = []
-        self._left_desc: list[frozenset[int]] = []
-        self._bruhat: dict[tuple[int, int], bool] = {}
-        self._downsets: dict[int, tuple[Element, ...]] = {}
         self._enumerate()
-
-    # -- construction ----------------------------------------------------
-
-    def _intern(self, word: tuple[int, ...]) -> Element:
-        el = Element(word, len(self.elements))
-        if len(self.elements) >= self.max_elements:
-            raise ResourceLimitError(
-                f"enumeration exceeded {self.max_elements} elements")
-        self.elements.append(el)
-        self._by_word[word] = el
-        return el
+        self._downsets: dict[int, np.ndarray] = {0: np.zeros(1, np.intp)}
 
     def _enumerate(self) -> None:
-        gens = range(self.matrix.rank)
-        self._intern(())
-        frontier = [()]
-        length = 0
-        while frontier and (self.cap is None or length < self.cap):
-            length += 1
-            level: set[tuple[int, ...]] = set()
-            for w in frontier:
+        """Build the tables one length level at a time.
+
+        For x of the current level in id order and each ascent s of x with
+        xs not yet made, y = xs is new: any other (x', s') with x's' = y
+        comes later in that order and finds right[x', s'] set.  So the ids
+        of a level follow min over t in D_R(y) of (id(yt), t), which is
+        ShortLex order of the canonical words, word(y) = word(x) + (s,).
+
+        ``alt[x][a * rank + b]`` is the length of the descending chain
+        x > xa > xab > ... with alternating letters; y = xs gains the right
+        descent t != s exactly when ``alt[x][t * rank + s]`` is m(s,t) - 1,
+        that is when x ends in an alternating word ..., s, t of that length
+        (the dihedral lemma; never for m = INFINITY, which is 0).  Only the
+        current level's chains are kept.
+        """
+        m, rank = self.matrix.m, self.matrix.rank
+        gens = range(rank)
+        right: list[list[int]] = [[-1] * rank]
+        parent, last, lengths = [-1], [-1], [0]
+        alt = [[0] * (rank * rank)]
+        start, stop = 0, 1
+        self._check_size(1)
+        while start < stop and (self.cap is None or lengths[-1] < self.cap):
+            new_alt = []
+            for x in range(start, stop):
+                row, ax = right[x], alt[x - start]
                 for s in gens:
-                    c = canonical_form(w + (s,), self.matrix, self._canon)
-                    if len(c) == length:
-                        level.add(c)
-            frontier = sorted(level)
-            for w in frontier:
-                self._intern(w)
-        for el in self.elements:
-            self._right_desc.append(frozenset(
-                s for s in gens
-                if len(self.canonical(el.word + (s,))) < el.length))
-            self._left_desc.append(frozenset(
-                s for s in gens
-                if len(self.canonical((s,) + el.word)) < el.length))
+                    if row[s] != -1:
+                        continue            # a descent, or xs already made
+                    y = len(right)
+                    self._check_size(y + 1)
+                    row[s] = y
+                    ys = [-1] * rank
+                    ys[s] = x
+                    for t in gens:
+                        if t != s and ax[t * rank + s] == m[s][t] - 1:
+                            ys[t] = _twin(right, x, s, t, m[s][t])
+                            right[ys[t]][t] = y
+                    new_alt.append([
+                        0 if a == b or ys[a] < 0 else m[a][b] if ys[b] >= 0
+                        else 1 + alt[ys[a] - start][b * rank + a]
+                        for a in gens for b in gens])
+                    right.append(ys)
+                    parent.append(x)
+                    last.append(s)
+                    lengths.append(lengths[x] + 1)
+            start, stop, alt = stop, len(right), new_alt
+        self._parent, self._last = parent, last
+        self.elements = [Element(self, i, n) for i, n in enumerate(lengths)]
+        self.right = np.array(right, dtype=np.intp).reshape(-1, rank)
+        self.inverses = np.array(_inverses(right, parent, last), np.intp)
+        ids = np.arange(len(right))
+        self.right_descents = (self.right >= 0) & (self.right < ids[:, None])
+        self.left_descents = self.right_descents[self.inverses]
+        up = self.right[self.inverses]                  # sx = (x^-1 s)^-1
+        self.left = np.where(up >= 0, self.inverses[up], -1)
+
+    def _check_size(self, count: int) -> None:
+        if count > self.max_elements:
+            raise ResourceLimitError(
+                f"enumeration exceeded {self.max_elements} elements")
 
     # -- element access ----------------------------------------------------
 
+    def word(self, index: int) -> tuple[int, ...]:
+        """The canonical word of the element with this id."""
+        letters = []
+        while index > 0:
+            letters.append(self._last[index])
+            index = self._parent[index]
+        return tuple(reversed(letters))
+
+    def prefix(self, x: Element) -> tuple[Element, int]:
+        """(x', s) with x = x's and word(x) = word(x') + (s,); x != e."""
+        return self.elements[self._parent[x.index]], self._last[x.index]
+
+    def missing_prefixes(self, x: Element, memo) -> list[int]:
+        """The ids of the prefixes of x's canonical word (x included) that
+        are not keys of ``memo``, above the longest one that is; shortest
+        first, so each one's own prefix is in ``memo`` or before it."""
+        chain, index = [], x.index
+        while index >= 0 and index not in memo:
+            chain.append(index)
+            index = self._parent[index]
+        return chain[::-1]
+
+    def _walk(self, word: Sequence[int]) -> int:
+        """The id of the element ``word`` spells, -1 if a product on the
+        way lies beyond the cap."""
+        _check_letters(word, self.matrix.rank)
+        index = 0
+        for s in word:
+            index = self.right.item(index, s)
+            if index < 0:
+                break
+        return index
+
     def canonical(self, word: Iterable[int]) -> tuple[int, ...]:
-        return canonical_form(word, self.matrix, self._canon)
+        word = tuple(word)
+        index = self._walk(word)
+        if index < 0:
+            return canonical_form(word, self.matrix)
+        return self.word(index)
 
     def element(self, word: Iterable[int]) -> Element:
         """Intern lookup by (any) word; raises if beyond the cap."""
-        c = self.canonical(word)
-        el = self._by_word.get(c)
-        if el is None:
-            raise CapExceededError(
-                f"element {render_word(c)} of length {len(c)} lies beyond "
-                f"the enumerated cap {self.cap}")
-        return el
+        word = tuple(word)
+        index = self._walk(word)
+        if index < 0:
+            # a word that is not reduced may leave the cap and come back
+            c = canonical_form(word, self.matrix)
+            index = self._walk(c)
+            if index < 0:
+                raise CapExceededError(
+                    f"element {render_word(c)} of length {len(c)} lies "
+                    f"beyond the enumerated cap {self.cap}")
+        return self.elements[index]
 
     @property
     def identity(self) -> Element:
@@ -542,79 +597,54 @@ class GroupTable:
         return self.elements[-1].length
 
     def is_complete(self) -> bool:
-        """True when the whole (finite) group was enumerated.
-
-        Holds exactly when no top-length element can still be lengthened,
-        i.e. the BFS frontier closed before hitting the cap.
-        """
-        top = self.longest_length()
-        if self.cap is not None and top >= self.cap:
-            for el in self.elements:
-                if el.length == top and \
-                        len(self._right_desc[el.index]) < self.matrix.rank:
-                    return False
-        return True
+        """True when the whole (finite) group was enumerated: no product
+        with a generator leaves the table."""
+        return bool((self.right >= 0).all())
 
     # -- multiplication and descents ---------------------------------------
 
     def mult_gen(self, x: Element, s: int, side: str = RIGHT) -> Element:
-        """Canonical form of x*s (right) or s*x (left); length moves by 1."""
-        memo = self._right if side == RIGHT else self._left
-        key = (x.index, s)
-        out = memo.get(key)
-        if out is None:
-            word = x.word + (s,) if side == RIGHT else (s,) + x.word
-            out = self.element(word)
-            memo[key] = out
-        return out
+        """x*s (right) or s*x (left); length moves by 1."""
+        index = (self.right if side == RIGHT else self.left).item(x.index, s)
+        if index < 0:
+            return self.element(x.word + (s,) if side == RIGHT
+                                else (s,) + x.word)
+        return self.elements[index]
 
     def descents(self, x: Element, side: str = RIGHT) -> frozenset[int]:
         """{s : x*s is shorter} (right) or {s : s*x is shorter} (left)."""
-        table = self._right_desc if side == RIGHT else self._left_desc
-        return table[x.index]
+        table = self.right_descents if side == RIGHT else self.left_descents
+        return frozenset(np.flatnonzero(table[x.index]).tolist())
 
     def inverse(self, x: Element) -> Element:
-        return self.element(tuple(reversed(x.word)))
+        return self.elements[self.inverses.item(x.index)]
 
     # -- Bruhat order --------------------------------------------------------
 
-    def bruhat_leq(self, x: Element, y: Element) -> bool:
-        """x <= y in Bruhat order, by the descent recursion, memoized.
+    def downset_ids(self, x: Element) -> np.ndarray:
+        """The ids of all y <= x, ascending; memoized.
 
-        For any right descent s of y: x <= y iff min(x, xs) <= ys.  The
-        recursion is a single chain, walked as a loop; every pair on the
-        chain is memoized with the answer.
+        By the lifting property, D(x) = D(x') u D(x')s for x = x's, built
+        along the canonical word from the longest memoized prefix.
         """
-        chain = []
-        while True:
-            if x.length > y.length:
-                out = False
-                break
-            if x.length == y.length:
-                out = x.word == y.word
-                break
-            key = (x.index, y.index)
-            cached = self._bruhat.get(key)
-            if cached is not None:
-                out = cached
-                break
-            chain.append(key)
-            s = min(self._right_desc[y.index])
-            if s in self._right_desc[x.index]:
-                x = self.mult_gen(x, s, RIGHT)
-            y = self.mult_gen(y, s, RIGHT)
-        for key in chain:
-            self._bruhat[key] = out
-        return out
+        for i in self.missing_prefixes(x, self._downsets):
+            below = self._downsets[self._parent[i]]
+            self._downsets[i] = np.union1d(below,
+                                           self.right[below, self._last[i]])
+        return self._downsets[x.index]
+
+    def bruhat_leq(self, x: Element, y: Element) -> bool:
+        """x <= y in Bruhat order: x lies in the downset of y."""
+        if x.length >= y.length:
+            return x.index == y.index
+        ids = self.downset_ids(y)
+        pos = int(ids.searchsorted(x.index))
+        return pos < len(ids) and ids.item(pos) == x.index
 
     def downset(self, x: Element) -> tuple[Element, ...]:
-        """All y <= x, in id order; memoized."""
-        cached = self._downsets.get(x.index)
-        if cached is None:
-            cached = tuple(y for y in self.elements
-                           if y.length <= x.length and self.bruhat_leq(y, x))
-            self._downsets[x.index] = cached
-        return cached
+        """All y <= x, in id order."""
+        return tuple(map(self.elements.__getitem__,
+                         self.downset_ids(x).tolist()))
 
     # -- parabolic quotients --------------------------------------------------
 
@@ -624,9 +654,35 @@ class GroupTable:
         These are the x with no left descent in I, i.e. every t in I
         lengthens x from the left; returned in length-then-ShortLex order.
         """
-        isub = frozenset(subset)
-        for t in isub:
-            if not 0 <= t < self.matrix.rank:
-                raise CoxeterSpecError(f"generator index {t + 1} out of range")
-        return tuple(el for el in self.elements
-                     if not (self._left_desc[el.index] & isub))
+        isub = sorted(frozenset(subset))
+        _check_letters(isub, self.matrix.rank)
+        keep = ~self.left_descents[:, isub].any(axis=1)
+        return tuple(map(self.elements.__getitem__,
+                         np.flatnonzero(keep).tolist()))
+
+
+def _twin(right: list[list[int]], x: int, s: int, t: int, m: int) -> int:
+    """(xs)t, for x ending in the alternating word ..., s, t of length
+    m - 1 = m(s,t) - 1: down that suffix, then up the other alternating
+    word of length m - 1, the one ending in s."""
+    for i in range(m - 1):
+        x = right[x][t if i % 2 == 0 else s]
+    for i in range(m - 1):
+        x = right[x][s if (m - i) % 2 == 0 else t]
+    return x
+
+
+def _inverses(right: list[list[int]], parent: list[int],
+              last: list[int]) -> list[int]:
+    """The id of each inverse, O(1) per element: for y = y's with first
+    letter c (that of y' too, when y' != e), cy = (cy')s is one shorter
+    and y^-1 = (cy)^-1 c."""
+    first, below, inverse = [-1], [0], [0]
+    for y in range(1, len(right)):
+        p, s = parent[y], last[y]
+        c = first[p] if p else s
+        cy = right[below[p]][s] if p else 0
+        first.append(c)
+        below.append(cy)
+        inverse.append(right[inverse[cy]][c] if p else y)
+    return inverse

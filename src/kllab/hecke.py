@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coxeter import Element, GroupTable, LEFT, RIGHT
+from .coxeter import Element, GroupTable, RIGHT
 from .kernel import (
     INT64_LIMIT, Block, ColumnTable, InverseColumn, InvariantError,
     bar_invariant_block, block_terms, dense_block, row_poly, row_positions,
@@ -73,12 +73,18 @@ class HeckeElt:
         self._block = None
 
     @staticmethod
-    def from_block(space, block: Block) -> "HeckeElt":
+    def _clean(space, terms: dict[Element, LaurentPoly] | None,
+               block: Block | None = None) -> "HeckeElt":
+        """An element over ``terms`` taken as given, with no zero entry as
+        ``_accum`` and products of nonzero polynomials guarantee; or, with
+        ``terms`` None, one that decodes ``block`` on first use."""
         out = HeckeElt.__new__(HeckeElt)
-        out.space = space
-        out._terms = None
-        out._block = block
+        out.space, out._terms, out._block = space, terms, block
         return out
+
+    @staticmethod
+    def from_block(space, block: Block) -> "HeckeElt":
+        return HeckeElt._clean(space, None, block)
 
     @property
     def terms(self) -> dict[Element, LaurentPoly]:
@@ -104,17 +110,18 @@ class HeckeElt:
         return self.terms.get(x, LaurentPoly.zero())
 
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        return HeckeElt(self.space,
-                        _accum(dict(self.terms), other.terms.items()))
+        return HeckeElt._clean(self.space,
+                               _accum(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        return HeckeElt(self.space, _accum(dict(self.terms),
-                                           other.terms.items(), negate=True))
+        return HeckeElt._clean(self.space, _accum(
+            dict(self.terms), other.terms.items(), negate=True))
 
     def scaled(self, p: LaurentPoly) -> "HeckeElt":
         if not p:
             return HeckeElt.zero(self.space)
-        return HeckeElt(self.space, {x: q * p for x, q in self.terms.items()})
+        return HeckeElt._clean(self.space,
+                               {x: q * p for x, q in self.terms.items()})
 
     def top_term(self) -> tuple[Element, LaurentPoly]:
         """The term with the (length, word)-largest index."""
@@ -175,7 +182,7 @@ def mult_delta_gen(h: HeckeElt, s: int, side: str = RIGHT) -> HeckeElt:
             if y.length < x.length:
                 yield x, p * _VINV_MINUS_V
 
-    return HeckeElt(table, _accum({}, terms()))
+    return HeckeElt._clean(table, _accum({}, terms()))
 
 
 def mult_b_gen(h: HeckeElt, s: int, side: str = RIGHT) -> HeckeElt:
@@ -192,17 +199,7 @@ def mult_b_gen(h: HeckeElt, s: int, side: str = RIGHT) -> HeckeElt:
             yield y, p
             yield x, p * (_V if y.length > x.length else _VINV)
 
-    return HeckeElt(table, _accum({}, terms()))
-
-
-def downset_ids(group: GroupTable, x: Element) -> np.ndarray:
-    """The ids of downset(x), ascending; memoized on the group table."""
-    memo = vars(group).setdefault("_hecke_downset_ids", {})
-    got = memo.get(x.index)
-    if got is None:
-        got = memo[x.index] = np.array([y.index for y in group.downset(x)],
-                                       dtype=np.intp)
-    return got
+    return HeckeElt._clean(table, _accum({}, terms()))
 
 
 def bar_block(group: GroupTable, x: Element) -> Block:
@@ -214,35 +211,24 @@ def bar_block(group: GroupTable, x: Element) -> Block:
         bar(delta_x) = bar(delta_{x'}) (delta_s + v - v^{-1})
                      = sum_y p_y (delta_{ys} + [ys > y] (v - v^{-1}) delta_y)
 
-    over the terms p_y delta_y of bar(delta_{x'}).  Missing prefixes (which
-    are canonical words too) are built shortest first, without recursion.
+    over the terms p_y delta_y of bar(delta_{x'}).  Missing prefixes are
+    built shortest first, without recursion.
     """
     memo = vars(group).setdefault("_hecke_bar_blocks", {})
-    got = memo.get(x.index)
-    if got is not None:
-        return got
-    missing = [x]
-    while missing[-1].word:
-        prefix = group.mult_gen(missing[-1], missing[-1].word[-1])
-        if prefix.index in memo:
-            break
-        missing.append(prefix)
-    for el in reversed(missing):
-        memo[el.index] = _bar_step(group, el, memo)
+    for i in group.missing_prefixes(x, memo):
+        memo[i] = _bar_step(group, group.elements[i], memo)
     return memo[x.index]
 
 
 def _bar_step(group: GroupTable, x: Element, memo: dict) -> Block:
-    ids = downset_ids(group, x)
-    if not x.word:
+    ids = group.downset_ids(x)
+    if not x.length:
         return Block(ids, np.zeros(1, np.intp), np.zeros(1, np.intp),
                      np.ones(1, np.int8), 1)
-    s = x.word[-1]
-    prev = memo[group.mult_gen(x, s).index]
-    elements = group.elements
+    prefix, s = group.prefix(x)
+    prev = memo[prefix.index]
     src = prev.rows
-    dst = np.array([group.mult_gen(elements[y], s).index
-                    for y in src.tolist()], dtype=np.intp)
+    dst = group.right[src, s]
     where = row_positions(ids, x)
     pos_src = where.take(src, mode="clip")
     pos_dst = where.take(dst, mode="clip")
@@ -280,7 +266,7 @@ def bar_element(h: HeckeElt) -> HeckeElt:
         pb = p.bar()
         _accum(out, ((y, q * pb)
                      for y, q in block_terms(group, block).items()))
-    return HeckeElt(space, out)
+    return HeckeElt._clean(space, out)
 
 
 class KLTable(ColumnTable):
@@ -300,54 +286,41 @@ class KLTable(ColumnTable):
         self._b_blocks: dict[int, Block] = {}
 
     def column_ids(self, x: Element) -> np.ndarray:
-        return downset_ids(self.group, x)
+        return self.group.downset_ids(x)
 
     # -- canonical basis, production route --------------------------------
 
     def kl_basis_element(self, x: Element) -> HeckeElt:
-        """b_x by induction along the canonical word of x.
+        """b_x by induction along canonical words.
 
-        For x = x's with s lengthening, b_{x'} b_s = b_x plus the
-        mu-corrections sum_{ys<y} mu(y, x') b_y, so b_x is recovered by
-        subtracting them.  Missing dependencies (the prefix, then the
-        corrections) are built first from an explicit stack, so the depth
-        of the induction costs no Python recursion.
+        For z = z's with s lengthening, b_{z'} b_s = b_z plus the
+        mu-corrections sum_{ys<y} mu(y, z') b_y, so b_z is recovered by
+        subtracting them.  z' and every such y lie in downset(x) with ids
+        below z, so building that downset in id order meets every
+        dependency first and needs no recursion.
         """
         got = self._b.get(x.index)
         if got is not None:
             return got
-        stack = [x]
-        while stack:
-            top = stack[-1]
-            if top.index in self._b:
-                stack.pop()
+        group = self.group
+        for z in group.downset_ids(x).tolist():
+            if z in self._b:
                 continue
-            if not top.word:
-                self._b[top.index] = HeckeElt.delta(self.group, top)
-                stack.pop()
+            top = group.elements[z]
+            if not top.length:
+                self._b[z] = HeckeElt.delta(group, top)
                 continue
-            prefix = self.group.element(top.word[:-1])
-            prev = self._b.get(prefix.index)
-            if prev is None:
-                stack.append(prefix)
-                continue
-            s = top.word[-1]
-            corrections = []
+            prefix, s = group.prefix(top)
+            prev = self._b[prefix.index]
+            out = mult_b_gen(prev, s, RIGHT)
             for y, p in prev.terms.items():
-                if s in self.group.descents(y, RIGHT):
+                if group.right_descents.item(y.index, s):
                     m = p.coefficient(1)
                     if m:
-                        corrections.append((y, m))
-            missing = [y for y, _ in corrections if y.index not in self._b]
-            if missing:
-                stack.extend(missing)
-                continue
-            out = mult_b_gen(prev, s, RIGHT)
-            for y, m in corrections:
-                out = out - self._b[y.index].scaled(LaurentPoly.constant(m))
+                        out = out - self._b[y.index].scaled(
+                            LaurentPoly.constant(m))
             self._validate_triangular(out, top)
-            self._b[top.index] = out
-            stack.pop()
+            self._b[z] = out
         return self._b[x.index]
 
     def b_block(self, x: Element) -> Block:
@@ -381,7 +354,7 @@ class KLTable(ColumnTable):
         got = self._b_solve.get(x.index)
         if got is None:
             group = self.group
-            block = bar_invariant_block(group, x, downset_ids(group, x),
+            block = bar_invariant_block(group, x, group.downset_ids(x),
                                         lambda z: bar_block(group, z))
             got = HeckeElt.from_block(group, block)
             self._validate_triangular(got, x)
@@ -408,7 +381,7 @@ class KLTable(ColumnTable):
                   [-e for e in exps[sl]], values[sl])
                  for z, sl in zip(block.rows.tolist(), block.row_slices())]
         terms.append((x, block, [0], [-1]))
-        return not scaled_sum(x, downset_ids(group, x), 2 * x.length + 1,
+        return not scaled_sum(x, group.downset_ids(x), 2 * x.length + 1,
                               x.length, terms).any()
 
     # -- polynomials --------------------------------------------------------

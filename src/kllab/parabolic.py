@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coxeter import Element, GroupTable, LEFT
+from .coxeter import Element, GroupTable
 from .hecke import (
     _VINV_MINUS_V, HeckeElt, KLTable, _accum, bar_block, bar_element,
-    downset_ids,
 )
 from .kernel import (
     INT64_LIMIT, Block, ColumnTable, InvariantError, bar_invariant_block,
@@ -78,8 +77,17 @@ class ParabolicContext:
         # scalar by which delta_t (t in I) acts on the rank-1 module
         self.scalar = (LaurentPoly.v(-1) if flavor == SPHERICAL
                        else LaurentPoly.v(1, -1))
-        self._coset: dict[int, tuple[Element, int]] = {}
-        self._cosets: tuple[np.ndarray, np.ndarray] | None = None
+        # w = u x for every id w, as the ids of x and l(u): for a left
+        # descent t of w in I, w = t (tw) splits like tw with one more
+        # letter in u, and tw has the smaller id
+        isub = sorted(self.subset)
+        tw = np.where(group.left_descents[:, isub], group.left[:, isub],
+                      -1).max(axis=1, initial=-1).tolist()
+        reps, u_lengths = list(range(len(group))), [0] * len(group)
+        for w, u in enumerate(tw):
+            if u >= 0:
+                reps[w], u_lengths[w] = reps[u], u_lengths[u] + 1
+        self._split = np.array(reps, np.intp), np.array(u_lengths, np.intp)
         self._down_ids: dict[int, np.ndarray] = {}
         self._bar_rep: dict[int, Block] = {}
 
@@ -88,18 +96,8 @@ class ParabolicContext:
 
     def coset_decomposition(self, w: Element) -> tuple[Element, int]:
         """The representative x and l(u) from the splitting w = u * x."""
-        got = self._coset.get(w.index)
-        if got is not None:
-            return got
-        x, k = w, 0
-        while True:
-            in_i = self.group.descents(x, LEFT) & self.subset
-            if not in_i:
-                break
-            x = self.group.mult_gen(x, min(in_i), LEFT)
-            k += 1
-        self._coset[w.index] = (x, k)
-        return x, k
+        reps, u_lengths = self._split
+        return self.group.elements[reps.item(w.index)], u_lengths.item(w.index)
 
     def subset_1based(self) -> list[int]:
         return sorted(t + 1 for t in self.subset)
@@ -108,7 +106,7 @@ class ParabolicContext:
         """The ids of the representatives y <= x, ascending; memoized."""
         got = self._down_ids.get(x.index)
         if got is None:
-            ids = downset_ids(self.group, x)
+            ids = self.group.downset_ids(x)
             got = self._down_ids[x.index] = ids[self._rep_mask[ids]]
         return got
 
@@ -126,11 +124,7 @@ class ParabolicContext:
         if not self.subset:
             self._bar_rep[x.index] = full
             return full
-        if self._cosets is None:
-            split = [self.coset_decomposition(w) for w in self.group]
-            self._cosets = (np.array([y.index for y, _ in split], np.intp),
-                            np.array([k for _, k in split], np.intp))
-        reps, u_lengths = self._cosets
+        reps, u_lengths = self._split
         w = full.rows[full.at]
         k = u_lengths[w]
         # an entry sums at most every term of bar(delta_x)
@@ -165,7 +159,7 @@ def project(h: HeckeElt, context: ParabolicContext) -> HeckeElt:
                 p = p * context.scalar
             yield x, p
 
-    return HeckeElt(context, _accum({}, terms()))
+    return HeckeElt._clean(context, _accum({}, terms()))
 
 
 def act_delta_gen(m: HeckeElt, s: int) -> HeckeElt:
@@ -181,24 +175,31 @@ def act_delta_gen(m: HeckeElt, s: int) -> HeckeElt:
 
     def terms():
         for x, p in m.terms.items():
-            word = table.canonical(x.word + (s,))
-            if _has_left_descent_in(table, word, ctx.subset):
-                if len(word) != x.length + 1:
+            j = table.right.item(x.index, s)
+            if j < 0:
+                # xs lies just beyond the cap, one longer than x
+                if not _has_left_descent_in(table, x.word + (s,), ctx.subset):
+                    table.mult_gen(x, s)        # raises CapExceededError
+                yield x, p * ctx.scalar
+                continue
+            xs = table.elements[j]
+            if not ctx.is_rep(xs):
+                if xs.length < x.length:
                     raise InvariantError(
                         f"coset wall crossed downward at {x!r} * s{s + 1}")
                 yield x, p * ctx.scalar
             else:
-                xs = table.element(word)
                 yield xs, p
                 if xs.length < x.length:
                     yield x, p * _VINV_MINUS_V
 
-    return HeckeElt(ctx, _accum({}, terms()))
+    return HeckeElt._clean(ctx, _accum({}, terms()))
 
 
 def _has_left_descent_in(table: GroupTable, word: tuple[int, ...],
                          subset: frozenset[int]) -> bool:
-    # pure word computation so it also works just beyond the cap
+    """Whether the reduced ``word``, which lies beyond the cap, has a left
+    descent in ``subset``; decided on words."""
     return any(len(table.canonical((t,) + word)) < len(word) for t in subset)
 
 

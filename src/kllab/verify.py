@@ -33,7 +33,7 @@ import numpy as np
 from .coxeter import (
     CoxeterMatrix, Element, GroupTable, parse_coxeter_spec, render_word,
 )
-from .hecke import InvariantError, KLTable, downset_ids
+from .hecke import InvariantError, KLTable
 from .kernel import InverseColumn, row_poly, scaled_sum
 from .laurent import LaurentPoly
 from .parabolic import (
@@ -185,11 +185,11 @@ def scan_monotonicity_classical(table: KLTable) -> tuple[int, list[Violation]]:
     count = 0
     found: list[Violation] = []
     for x in group:
-        ids = downset_ids(group, x)
+        ids = group.downset_ids(x)
         coeffs = scaled_sum(x, ids, x.length + 1, 0,
                             [(x, table.b_block(x), [0], [1])])
         for i, y in enumerate(group.downset(x)):
-            below = downset_ids(group, y)
+            below = group.downset_ids(y)
             count += len(below)
             for j, gap, witness in _classical_failures(
                     coeffs, i, y, np.searchsorted(ids, below),

@@ -3,9 +3,10 @@
 The oracles deliberately avoid the library's own canonical-word machinery:
 symmetric groups are modelled by explicit permutation composition, Bruhat
 order by the subword property, and reduced-word sets by brute enumeration.
-The sparse references at the end are the dict-of-``LaurentPoly`` solves,
-identity checks (the Rouquier shadow among them) and per-triple scans
-that the block kernel replaced.
+``ReferenceGroupTable`` is the braid-closure enumeration that the integer
+group tables replaced.  The sparse references at the end are the
+dict-of-``LaurentPoly`` solves, identity checks (the Rouquier shadow among
+them) and per-triple scans that the block kernel replaced.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import functools
 import itertools
 
-from kllab.coxeter import Element, GroupTable, parse_coxeter_spec
+from kllab.coxeter import (
+    Element, GroupTable, canonical_form, parse_coxeter_spec,
+)
 from kllab.hecke import HeckeElt, KLTable, mult_delta_gen
 from kllab.kernel import InvariantError
 from kllab.laurent import LaurentPoly
@@ -83,6 +86,61 @@ class SymmetricOracle:
         return [w for w in itertools.product(range(self.n - 1),
                                              repeat=target_len)
                 if self.word_to_perm(w) == perm]
+
+
+# ----------------------------------------------------------------------
+# braid-closure reference for the group tables
+# ----------------------------------------------------------------------
+
+class ReferenceGroupTable:
+    """Every element of length <= cap as its canonical word, found by
+    canonicalising each word of a level times each generator with Tits'
+    algorithm; products, descents and inverses by canonicalising words, and
+    Bruhat order by the descent recursion x <= y iff min(x, xs) <= ys for a
+    right descent s of y.  Lists are indexed by id, with -1 for a product
+    beyond the cap."""
+
+    def __init__(self, matrix, cap: int | None):
+        self.matrix = matrix
+        self._canon: dict = {}
+        gens = range(matrix.rank)
+        self.words = [()]
+        frontier = [()]
+        while frontier and (cap is None or len(frontier[0]) < cap):
+            level = {self.canonical(w + (s,)) for w in frontier for s in gens}
+            frontier = sorted(c for c in level if len(c) > len(frontier[0]))
+            self.words.extend(frontier)
+        ids = {w: i for i, w in enumerate(self.words)}
+        self.right = [[ids.get(self.canonical(w + (s,)), -1) for s in gens]
+                      for w in self.words]
+        self.left = [[ids.get(self.canonical((s,) + w), -1) for s in gens]
+                     for w in self.words]
+        self.right_descents = [[len(self.canonical(w + (s,))) < len(w)
+                                for s in gens] for w in self.words]
+        self.left_descents = [[len(self.canonical((s,) + w)) < len(w)
+                               for s in gens] for w in self.words]
+        self.inverses = [ids[self.canonical(w[::-1])] for w in self.words]
+        top = len(self.words[-1])
+        self.complete = cap is None or top < cap or all(
+            all(d) for w, d in zip(self.words, self.right_descents)
+            if len(w) == top)
+
+    def canonical(self, word: tuple) -> tuple:
+        got = self._canon.get(word)
+        if got is None:
+            got = self._canon[word] = canonical_form(word, self.matrix)
+        return got
+
+    def bruhat_leq(self, x: int, y: int) -> bool:
+        while len(self.words[x]) < len(self.words[y]):
+            s = self.right_descents[y].index(True)
+            if self.right_descents[x][s]:
+                x = self.right[x][s]
+            y = self.right[y][s]
+        return x == y
+
+    def downset(self, y: int) -> list[int]:
+        return [x for x in range(y + 1) if self.bruhat_leq(x, y)]
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ arithmetic for type A, and the subword property for Bruhat order.
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,10 @@ from kllab.coxeter import (
     ResourceLimitError, canonical_form, parse_coxeter_spec, parse_matrix_file,
     render_word,
 )
-from helpers import SymmetricOracle, bruhat_leq_oracle, get_group
+from kllab.hecke import HeckeElt
+from helpers import (
+    ReferenceGroupTable, SymmetricOracle, bruhat_leq_oracle, get_group,
+)
 
 
 class TestParseSpec:
@@ -361,3 +365,103 @@ class TestMinCosetReps:
         reps = table.min_coset_reps((0,))
         assert len(table) % len(reps) == 0
         assert len(reps) == 24
+
+
+@st.composite
+def coxeter_matrices(draw, max_rank=4):
+    rank = draw(st.integers(1, max_rank))
+    m = [[1] * rank for _ in range(rank)]
+    for i, j in itertools.combinations(range(rank), 2):
+        m[i][j] = m[j][i] = draw(st.sampled_from([2, 3, 4, 5, 6, INFINITY]))
+    return CoxeterMatrix(m)
+
+
+class TestAgainstBraidClosure:
+    """The integer tables against the braid-closure enumeration."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(coxeter_matrices(), st.integers(0, 6), st.data())
+    def test_tables_match_reference(self, matrix, cap, data):
+        table = GroupTable(matrix, cap)
+        ref = ReferenceGroupTable(matrix, cap)
+        assert [el.word for el in table] == ref.words
+        assert all(el.index == i and el.length == len(w)
+                   for i, (el, w) in enumerate(zip(table, ref.words)))
+        assert table.right.tolist() == ref.right
+        assert table.left.tolist() == ref.left
+        assert table.right_descents.tolist() == ref.right_descents
+        assert table.left_descents.tolist() == ref.left_descents
+        assert table.inverses.tolist() == ref.inverses
+        assert table.is_complete() == ref.complete
+        for x in table:
+            gens = range(matrix.rank)
+            assert table.descents(x, "right") == {
+                s for s in gens if ref.right_descents[x.index][s]}
+            assert table.descents(x, "left") == {
+                s for s in gens if ref.left_descents[x.index][s]}
+            assert table.downset_ids(x).tolist() == ref.downset(x.index)
+        # any word, reduced or not, inside the cap or beyond it
+        word = tuple(data.draw(st.lists(st.integers(0, matrix.rank - 1),
+                                        max_size=cap + 3)))
+        c = canonical_form(word, matrix)
+        assert table.canonical(word) == c
+        if len(c) <= cap:
+            assert table.element(word).word == c
+        else:
+            with pytest.raises(CapExceededError):
+                table.element(word)
+
+
+class TestLargeDihedral:
+    def test_i2_30000_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            table = GroupTable(parse_coxeter_spec("I2(30000)"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 60_000
+        assert table.longest_length() == 30_000
+        assert table.is_complete()
+        assert peak < 200 * 2**20, peak
+
+    def test_element_bound_still_applies(self, monkeypatch):
+        monkeypatch.setenv("KLLAB_MAX_ELEMENTS", "1000")
+        with pytest.raises(ResourceLimitError):
+            GroupTable(parse_coxeter_spec("I2(30000)"))
+
+
+class TestElementIdentity:
+    def test_equality_hash_and_order_by_index(self):
+        table = get_group("B3")
+        els = list(table)
+        for x in els:
+            assert x == table.elements[x.index] and hash(x) == x.index
+            assert table.element(x.word) is x
+        assert els[5] != els[6] and els[5] < els[6]
+        assert sorted(reversed(els)) == els
+
+    def test_elements_of_two_tables(self):
+        a = GroupTable(parse_coxeter_spec("A2"))
+        b = GroupTable(parse_coxeter_spec("A2"))
+        x, y = a.element((0, 1)), b.element((0, 1))
+        # same id in two tables of one group: equal elements, but the
+        # vectors live in different modules
+        assert x == y and hash(x) == hash(y)
+        assert HeckeElt.delta(a, x) != HeckeElt.delta(b, y)
+        assert HeckeElt.delta(a, x) == HeckeElt.delta(a, x)
+
+    def test_word_calls(self):
+        table = get_group("A3")
+        x = table.element((1, 0, 1))
+        assert x.word == (0, 1, 0) and render_word(x.word) == "1,2,1"
+        assert table.element([2, 0, 0, 1, 1]) == table.element((2,))
+        assert repr(x) == "<1,2,1>"
+        capped = get_group("I2(inf)", 2)
+        # leaves the cap on the way and comes back
+        assert capped.element((0, 1, 0, 0, 1, 1)).word == (0, 1)
+        with pytest.raises(CapExceededError,
+                           match="element 1,2,1 of length 3"):
+            capped.element((0, 1, 0))
+        with pytest.raises(CoxeterSpecError):
+            table.element((3,))
