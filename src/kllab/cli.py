@@ -179,9 +179,10 @@ def _emit_table(args, out: _Output, command: str, rows, entries,
 def _cmd_kl(args, out: _Output, inverse: bool) -> int:
     group = build_group(args.group, args.cap)
     table = KLTable(group)
-    table.build_all()
-    if not inverse and getattr(args, "mu", False):
+    if not inverse and args.mu:
         return _cmd_mu(args, out, table)
+    if inverse:
+        table.build_all()
     pairs = []
     for x in group:
         if inverse:
@@ -201,8 +202,13 @@ def _cmd_mu(args, out: _Output, table: KLTable) -> int:
     entries = {}
     words = _words(group)
     for x in group:
+        # mu(y, x) is the v^1 term of row y of b_x, nonnegative once built
+        block = table.b_block(x)
+        one = block.exps == 1
+        mus = dict(zip(block.rows[block.at[one]].tolist(),
+                       block.values[one].tolist()))
         for y in group.downset(x):
-            m = table.mu(y, x)
+            m = mus.get(y.index, 0)
             yw, xw = words[y.index], words[x.index]
             rows.append([yw, xw, str(y.length), str(x.length), str(m)])
             entries[f"{yw}|{xw}"] = m
@@ -316,7 +322,8 @@ def _cmd_suite(args, out: _Output) -> int:
     group = build_group(args.group, args.cap)
     rank = group.matrix.rank
     if args.parabolic:
-        subsets = [_subset_parse(p, rank) for p in args.parabolic]
+        subsets = list(dict.fromkeys(_subset_parse(p, rank)
+                                     for p in args.parabolic))
         if frozenset() not in subsets:
             subsets.insert(0, frozenset())
     else:

@@ -221,10 +221,11 @@ def parse_coxeter_spec(spec: str) -> CoxeterMatrix:
 
     m = re.fullmatch(r"I2\((\d+|inf)\)", spec)
     if m:
-        order = INFINITY if m.group(1) == "inf" else int(m.group(1))
-        if order != INFINITY and order < 2:
+        if m.group(1) == "inf":
+            return _path_matrix(2, {(0, 1): INFINITY})
+        if int(m.group(1)) < 2:  # 0 is also the INFINITY sentinel
             raise CoxeterSpecError("I2(m) needs m >= 2")
-        return _path_matrix(2, {(0, 1): order})
+        return _path_matrix(2, {(0, 1): int(m.group(1))})
     if spec == "Aff-A1":
         return _path_matrix(2, {(0, 1): INFINITY})
     if spec == "Aff-A2":

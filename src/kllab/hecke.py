@@ -25,18 +25,19 @@ h^{y,x} with alternating signs:
 
 ``KLTable`` computes b_x two independent ways: the production route is the
 length recursion b_{x's} = b_{x'} b_s - sum mu(y,x') b_y over y with ys < y,
-and the oracle route is the bar-invariance pass of the block kernel over
-the blocks of bar(delta_z), which never touches mu.  Inverse polynomials
-and the inversion identity come from ``kernel.ColumnTable``, the table
-core it shares with the parabolic tables.  Everything is memoized and all
-tables are built in increasing length order, so dependencies always
-exist.
+run on integer blocks, and the oracle route is the bar-invariance pass of
+the block kernel over the blocks of bar(delta_z), which never touches mu.
+Inverse polynomials and the inversion identity come from
+``kernel.ColumnTable``, the table core it shares with the parabolic
+tables.  Everything is memoized and all tables are built in increasing
+length order, so dependencies always exist.
 
 Each b_x is kept once as its nonzero terms (``Block``), each bar(delta_x)
 as a block over downset(x) memoized on the group table, and each inverse
 column as a dense block over the sorted ids of downset(x)
 (``InverseColumn``); see ``kernel`` for the passes and their overflow
-guard.
+guard.  ``HeckeElt`` arithmetic (``mult_b_gen`` among it) is library API
+and the tests' reference; no table computes with it.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ import numpy as np
 from .coxeter import Element, GroupTable, RIGHT
 from .kernel import (
     INT64_LIMIT, Block, ColumnTable, InverseColumn, InvariantError,
-    bar_invariant_block, block_terms, dense_block, row_poly, row_positions,
-    scaled_sum, terms_block,
+    add_scaled, bar_invariant_block, block_row, block_terms, dense_block,
+    row_poly, row_positions, scaled_sum,
 )
 from .laurent import LaurentPoly
 
@@ -202,6 +203,11 @@ def mult_b_gen(h: HeckeElt, s: int, side: str = RIGHT) -> HeckeElt:
     return HeckeElt._clean(table, _accum({}, terms()))
 
 
+#: delta_e over downset(e) = {e}; it is both bar(delta_e) and b_e
+_DELTA_E = Block(np.zeros(1, np.intp), np.zeros(1, np.intp),
+                 np.zeros(1, np.intp), np.ones(1, np.int8), 1)
+
+
 def bar_block(group: GroupTable, x: Element) -> Block:
     """bar(delta_x) as a block over downset(x); memoized on the group table.
 
@@ -214,38 +220,55 @@ def bar_block(group: GroupTable, x: Element) -> Block:
     over the terms p_y delta_y of bar(delta_{x'}).  Missing prefixes are
     built shortest first, without recursion.
     """
-    memo = vars(group).setdefault("_hecke_bar_blocks", {})
+    memo = vars(group).setdefault("_hecke_bar_blocks", {0: _DELTA_E})
     for i in group.missing_prefixes(x, memo):
         memo[i] = _bar_step(group, group.elements[i], memo)
     return memo[x.index]
 
 
 def _bar_step(group: GroupTable, x: Element, memo: dict) -> Block:
-    ids = group.downset_ids(x)
-    if not x.length:
-        return Block(ids, np.zeros(1, np.intp), np.zeros(1, np.intp),
-                     np.ones(1, np.int8), 1)
     prefix, s = group.prefix(x)
     prev = memo[prefix.index]
-    src = prev.rows
-    dst = group.right[src, s]
-    where = row_positions(ids, x)
-    pos_src = where.take(src, mode="clip")
-    pos_dst = where.take(dst, mode="clip")
-    if min(pos_src.min(), pos_dst.min()) < 0:
-        raise InvariantError(f"bar(delta) at {x!r} leaves downset({x!r})")
     # each entry receives at most three terms of the previous block
     dtype = np.int64 if 3 * prev.row_norm < INT64_LIMIT else object
-    top = x.length
-    dense = np.zeros((len(ids), 2 * top + 1), dtype=dtype)
-    cols = prev.exps + top
-    values = prev.values.astype(dtype)
-    dense[pos_dst[prev.at], cols] += values
-    up = (dst > src)[prev.at]
-    rows = pos_src[prev.at][up]
-    dense[rows, cols[up] + 1] += values[up]
-    dense[rows, cols[up] - 1] -= values[up]
-    return dense_block(ids, dense, top)
+    ids = group.downset_ids(x)
+    _, dense = _times_generator(group, x, ids, prev, s, x.length, dtype,
+                                up=((1, 1), (-1, -1)))
+    return dense_block(ids, dense, x.length)
+
+
+def _times_generator(group: GroupTable, x: Element, ids: np.ndarray,
+                     prev: Block, s: int, offset: int, dtype, up, down=()):
+    """``prev`` (delta_s + c) for x = x's, ``prev`` a block over
+    downset(x'): the row positions of the sorted ``ids`` of downset(x),
+    and the product as a dense array over them whose column j holds
+    exponent j - offset.
+
+    delta_y delta_s is delta_{ys}, plus (v^{-1} - v) delta_y if ys < y, so
+    each term p delta_y moves unshifted to row ys and stays in row y
+    times the (shift, coef) terms ``up`` if ys > y, ``down`` if ys < y.
+    """
+    where = row_positions(ids, x)
+    src, dst = prev.rows, group.right[prev.rows, s]
+    pos_src = where.take(src, mode="clip")[prev.at]
+    pos_dst = where.take(dst, mode="clip")[prev.at]
+    if min(pos_src.min(), pos_dst.min()) < 0:
+        raise InvariantError(f"the product at {x!r} leaves downset({x!r})")
+    width = offset + x.length + 1
+    dense = np.zeros((len(ids), width), dtype=dtype)
+    cols, values = prev.exps + offset, prev.values.astype(dtype)
+    dense[pos_dst, cols] += values
+    rising = (dst > src)[prev.at]
+    for mask, shifts in ((rising, up), (~rising, down)):
+        for shift, coef in shifts:
+            cells = cols[mask] + shift
+            # numpy would wrap a negative column silently
+            if len(cells) and (cells.min() < 0 or cells.max() >= width):
+                raise InvariantError(
+                    f"the product at {x!r} has a term outside exponents "
+                    f"[{-offset}, {x.length}]")
+            dense[pos_src[mask], cells] += coef * values[mask]
+    return where, dense
 
 
 def bar_delta(table: GroupTable, x: Element) -> HeckeElt:
@@ -272,74 +295,68 @@ def bar_element(h: HeckeElt) -> HeckeElt:
 class KLTable(ColumnTable):
     """Kazhdan-Lusztig data over one enumerated group table.
 
-    Memoizes the canonical basis elements b_x (two independent routes)
-    and their coefficient blocks; the inverse polynomial columns and the
-    inversion-identity sums come from ``ColumnTable``, whose columns here
-    must be nonnegative.  All queries are safe after ``build_all``; lazy
-    use is also fine single-threaded.
+    Memoizes the canonical basis elements b_x as blocks (the mu route,
+    ``b_block``; the oracle route is kept apart); the inverse polynomial
+    columns and the inversion-identity sums come from ``ColumnTable``,
+    whose columns here must be nonnegative.  All queries are safe after
+    ``build_all``; lazy use is also fine single-threaded.
     """
 
     def __init__(self, group: GroupTable):
         super().__init__(group, group)
-        self._b: dict[int, HeckeElt] = {}
+        self._b_blocks: dict[int, Block] = {0: _DELTA_E}
         self._b_solve: dict[int, HeckeElt] = {}
-        self._b_blocks: dict[int, Block] = {}
 
     def column_ids(self, x: Element) -> np.ndarray:
         return self.group.downset_ids(x)
 
     # -- canonical basis, production route --------------------------------
 
-    def kl_basis_element(self, x: Element) -> HeckeElt:
-        """b_x by induction along canonical words.
-
-        For z = z's with s lengthening, b_{z'} b_s = b_z plus the
-        mu-corrections sum_{ys<y} mu(y, z') b_y, so b_z is recovered by
-        subtracting them.  z' and every such y lie in downset(x) with ids
-        below z, so building that downset in id order meets every
-        dependency first and needs no recursion.
-        """
-        got = self._b.get(x.index)
-        if got is not None:
-            return got
-        group = self.group
-        for z in group.downset_ids(x).tolist():
-            if z in self._b:
-                continue
-            top = group.elements[z]
-            if not top.length:
-                self._b[z] = HeckeElt.delta(group, top)
-                continue
-            prefix, s = group.prefix(top)
-            prev = self._b[prefix.index]
-            out = mult_b_gen(prev, s, RIGHT)
-            for y, p in prev.terms.items():
-                if group.right_descents.item(y.index, s):
-                    m = p.coefficient(1)
-                    if m:
-                        out = out - self._b[y.index].scaled(
-                            LaurentPoly.constant(m))
-            self._validate_triangular(out, top)
-            self._b[z] = out
-        return self._b[x.index]
-
     def b_block(self, x: Element) -> Block:
-        """The nonzero terms of b_x; exponents lie in [0, l(x)]."""
-        got = self._b_blocks.get(x.index)
-        if got is None:
-            terms = sorted(self.kl_basis_element(x).terms.items(),
-                           key=lambda kv: kv[0].index)
-            for y, p in terms:
-                exps = p.exponents()
-                if exps[0] < 0 or exps[-1] > x.length:
-                    raise InvariantError(
-                        f"coefficient of {y!r} in b at {x!r} has a term "
-                        f"outside the window [0, {x.length}]: {p}")
-            got = terms_block((y.index, p) for y, p in terms)
-            self._b_blocks[x.index] = got
-        return got
+        """The nonzero terms of b_x; exponents lie in [0, l(x)].
+
+        Every block ``_b_step`` reads at z lies in downset(z) with a
+        smaller id, so building downset(x) in id order meets each one
+        first and needs no recursion.
+        """
+        memo = self._b_blocks
+        if x.index not in memo:
+            for z in [z for z in self.group.downset_ids(x).tolist()
+                      if z not in memo]:
+                memo[z] = self._b_step(self.group.elements[z])
+        return memo[x.index]
 
     canonical_block = b_block
+
+    def _b_step(self, z: Element) -> Block:
+        """b_z by the mu-recursion, on one dense array over downset(z) x
+        [0, l(z)]: for z = z's with s lengthening, b_{z'} b_s is b_z plus
+        sum_{ys<y} mu(y, z') b_y, mu(y, z') the v^1 term of row y of b_{z'}.
+        """
+        group = self.group
+        prefix, s = group.prefix(z)
+        prev = self._b_blocks[prefix.index]
+        k = np.flatnonzero((prev.exps == 1)
+                           & group.right_descents[prev.rows, s][prev.at])
+        ys, mus = prev.rows[prev.at[k]].tolist(), prev.values[k].tolist()
+        lower = [self._b_blocks[y] for y in ys]
+        # an entry gets two terms of b_{z'} and one of each mu-multiple
+        bound = 2 * prev.row_norm + sum(
+            abs(m) * b.row_norm for m, b in zip(mus, lower))
+        dtype = np.int64 if bound < INT64_LIMIT else object
+        ids = group.downset_ids(z)
+        where, dense = _times_generator(group, z, ids, prev, s, 0, dtype,
+                                        up=((1, 1),), down=((-1, 1),))
+        for y, m, b in zip(ys, mus, lower):
+            add_scaled(dense, where, z, group.elements[y], b, [0],
+                       np.array([m], dtype=dtype), np.subtract)
+        block = dense_block(ids, dense)
+        self._validate_triangular(block, z)
+        return block
+
+    def kl_basis_element(self, x: Element) -> HeckeElt:
+        """b_x, decoded from ``b_block`` on first use."""
+        return HeckeElt.from_block(self.group, self.b_block(x))
 
     # -- canonical basis, oracle route -------------------------------------
 
@@ -348,27 +365,32 @@ class KLTable(ColumnTable):
 
         The kernel's bar-invariance pass over the blocks of bar(delta_z)
         for z in downset(x), decoded; the regular module is the quotient
-        with I empty.  Entirely independent of the mu-recursion route: it
-        never touches mult_b_gen or mu, and no column needs another.
+        with I empty.  Entirely independent of the mu route: it never
+        reads a b block, mult_b_gen or mu, and no column needs another.
         """
         got = self._b_solve.get(x.index)
         if got is None:
             group = self.group
             block = bar_invariant_block(group, x, group.downset_ids(x),
                                         lambda z: bar_block(group, z))
-            got = HeckeElt.from_block(group, block)
-            self._validate_triangular(got, x)
-            self._b_solve[x.index] = got
+            self._validate_triangular(block, x)
+            got = self._b_solve[x.index] = HeckeElt.from_block(group, block)
         return got
 
-    def _validate_triangular(self, b: HeckeElt, x: Element) -> None:
-        for y, p in b.terms.items():
-            if y == x:
-                if p != _ONE:
-                    raise InvariantError(f"b at {x!r} not unitriangular")
-            elif not (p.in_v_times_polys() and p.is_nonnegative()):
-                raise InvariantError(
-                    f"coefficient of {y!r} in b at {x!r} outside vZ>=0[v]: {p}")
+    def _validate_triangular(self, block: Block, x: Element) -> None:
+        """The row of x must be exactly 1 and every other row lie in
+        vZ>=0[v]."""
+        own = block.at == len(block.rows) - 1
+        if (block.rows[-1:].tolist() != [x.index]
+                or block.exps[own].tolist() != [0]
+                or block.values[own].tolist() != [1]):
+            raise InvariantError(f"b at {x!r} not unitriangular")
+        bad = np.flatnonzero(~own & ((block.values < 0) | (block.exps < 1)))
+        if len(bad):
+            y = int(block.rows[block.at[bad[0]]])
+            raise InvariantError(
+                f"coefficient of {self.group.elements[y]!r} in b at {x!r} "
+                f"outside vZ>=0[v]: {block_row(block, y)}")
 
     def is_bar_invariant(self, x: Element) -> bool:
         """bar(b_x) == b_x: sum_z bar(h_{z,x}) bar(delta_z) - b_x, summed
@@ -385,10 +407,6 @@ class KLTable(ColumnTable):
                               x.length, terms).any()
 
     # -- polynomials --------------------------------------------------------
-
-    def kl_poly(self, y: Element, x: Element) -> LaurentPoly:
-        """h_{y,x}: the coefficient of delta_y in b_x."""
-        return self.kl_basis_element(x).coefficient(y)
 
     def mu(self, y: Element, x: Element) -> int:
         """The coefficient of v in h_{y,x}; nonnegative."""

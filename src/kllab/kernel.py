@@ -98,25 +98,6 @@ def max_abs(block: np.ndarray) -> int:
     return max(-int(block.min()), int(block.max())) if block.size else 0
 
 
-def terms_block(terms) -> Block:
-    """The block of (id, LaurentPoly) pairs given in increasing id order;
-    zero polynomials are left out."""
-    rows, at, exps, values, norm = [], [], [], [], 0
-    for row, p in terms:
-        if not p:
-            continue
-        size = 0
-        for e, c in p.items():
-            at.append(len(rows))
-            exps.append(e)
-            values.append(c)
-            size += abs(c)
-        rows.append(row)
-        norm = max(norm, size)
-    return Block(np.array(rows, dtype=np.intp), np.array(at, dtype=np.intp),
-                 np.array(exps, dtype=np.intp), exact_array(values), norm)
-
-
 def dense_block(ids: np.ndarray, dense: np.ndarray, offset: int = 0) -> Block:
     """The nonzero terms of ``dense``, whose row i is element ``ids[i]``
     and whose column j is the exponent j - offset."""
@@ -471,6 +452,11 @@ class ColumnTable:
 
     def _check_column(self, x: Element, col: InverseColumn) -> None:
         """Raise InvariantError when a new column breaks a theorem."""
+
+    def kl_poly(self, y: Element, x: Element) -> LaurentPoly:
+        """The coefficient of y in the canonical element of x: h_{y,x}, or
+        m_{y,x} / n_{y,x} in a quotient."""
+        return block_row(self.canonical_block(x), y.index)
 
     def inverse_kl_poly(self, y: Element, x: Element) -> LaurentPoly:
         """The inverse polynomial at (y, x); zero unless y <= x."""

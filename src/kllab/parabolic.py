@@ -44,7 +44,7 @@ from .hecke import (
 )
 from .kernel import (
     INT64_LIMIT, Block, ColumnTable, InvariantError, bar_invariant_block,
-    block_row, dense_block, row_positions,
+    dense_block, row_positions,
 )
 from .laurent import LaurentPoly
 
@@ -244,10 +244,6 @@ class ParabolicKLTable(ColumnTable):
         if x.index not in self._canonical:
             self.canonical_basis_element(x)
         return self._canonical[x.index]
-
-    def kl_poly(self, y: Element, x: Element) -> LaurentPoly:
-        """m_{y,x} or n_{y,x} according to flavor."""
-        return block_row(self.canonical_block(x), y.index)
 
 
 def check_soergel_identification(

@@ -14,14 +14,42 @@ from __future__ import annotations
 import functools
 import itertools
 
+import numpy as np
+
 from kllab.coxeter import (
     Element, GroupTable, canonical_form, parse_coxeter_spec,
 )
 from kllab.hecke import HeckeElt, KLTable, mult_delta_gen
-from kllab.kernel import InvariantError
+from kllab.kernel import Block, InvariantError, exact_array
 from kllab.laurent import LaurentPoly
 from kllab.parabolic import ParabolicContext, ParabolicElt, project
 from kllab.verify import Violation
+
+
+def terms_block(terms) -> Block:
+    """The block of (id, LaurentPoly) pairs given in increasing id order;
+    zero polynomials are left out.  Tests store hand-made or broken
+    blocks with it."""
+    rows, at, exps, values, norm = [], [], [], [], 0
+    for row, p in terms:
+        if not p:
+            continue
+        size = 0
+        for e, c in p.items():
+            at.append(len(rows))
+            exps.append(e)
+            values.append(c)
+            size += abs(c)
+        rows.append(row)
+        norm = max(norm, size)
+    return Block(np.array(rows, dtype=np.intp), np.array(at, dtype=np.intp),
+                 np.array(exps, dtype=np.intp), exact_array(values), norm)
+
+
+def store_b(table: KLTable, x, terms: dict) -> None:
+    """Store b_x in ``table`` as the Element -> LaurentPoly ``terms``."""
+    table._b_blocks[x.index] = terms_block(
+        sorted((y.index, p) for y, p in terms.items()))
 
 
 @functools.lru_cache(maxsize=None)

@@ -209,6 +209,18 @@ class TestSuiteCommand:
         subsets = {tuple(c["I"]) for c in obj["checks"]}
         assert (1,) in subsets and (1, 2) in subsets and () in subsets
 
+    def test_suite_repeated_subset_runs_once(self, capsys):
+        code, out, _ = run_cli(capsys, "suite", "--group", "A2",
+                               "--parabolic", "1", "--parabolic", "1",
+                               "--format", "json")
+        assert code == 0
+        _, once, _ = run_cli(capsys, "suite", "--group", "A2",
+                             "--parabolic", "1", "--format", "json")
+        assert out == once
+        labels = [(c["check"], tuple(c["I"]), c["flavor"])
+                  for c in json.loads(out)["checks"]]
+        assert len(labels) == len(set(labels))
+
     def test_byte_identical_runs_and_threads(self, capsys):
         outs = []
         for threads in ("1", "1", "4"):
@@ -252,6 +264,13 @@ class TestErrorsAndIO:
         code, _, err = run_cli(capsys, "info", "--group", "Q7")
         assert code == 2
         assert json.loads(err)["error"] == "CoxeterSpecError"
+
+    def test_dihedral_order_zero_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "info", "--group", "I2(0)",
+                                 "--cap", "3")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "CoxeterSpecError",
+                                   "message": "I2(m) needs m >= 2"}
 
     def test_missing_cap_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "info", "--group", "Aff-A1")

@@ -49,7 +49,8 @@ class TestParseSpec:
         assert e6.is_finite()
         assert parse_coxeter_spec("Aff-A1").order(0, 1) == INFINITY
 
-    @pytest.mark.parametrize("bad", ["Z9", "A0", "I2(1)", "B1", "", "H5"])
+    @pytest.mark.parametrize("bad", ["Z9", "A0", "I2(1)", "I2(0)", "B1", "",
+                                     "H5"])
     def test_unknown_specs(self, bad):
         with pytest.raises(CoxeterSpecError):
             parse_coxeter_spec(bad)

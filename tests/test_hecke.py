@@ -10,16 +10,18 @@ route and cross-checked.
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kllab import hecke
 from kllab.coxeter import CapExceededError
 from kllab.hecke import (
     HeckeElt, InvariantError, KLTable, bar_delta, bar_element, mult_b_gen,
     mult_delta_gen,
 )
 from kllab.laurent import LaurentPoly
-from helpers import SymmetricOracle, get_group, get_kl, poly
+from helpers import SymmetricOracle, get_group, get_kl, poly, store_b
 
 V = LaurentPoly.v()
 ONE = LaurentPoly.one()
@@ -204,15 +206,65 @@ class TestKLBasis:
             expected = table.kl_basis_element(x)
             words = oracle.reduced_words(oracle.word_to_perm(x.word)) or [()]
             for word in words:
-                acc = delta(g, ())
-                for s in word:
-                    grown = mult_b_gen(acc, s)
-                    for y, p in acc.terms.items():
-                        if s in g.descents(y, "right") and p.coefficient(1):
-                            grown = grown - table.kl_basis_element(y).scaled(
-                                LaurentPoly.constant(p.coefficient(1)))
-                    acc = grown
-                assert acc == expected
+                assert b_along_word(table, word) == expected
+
+    def test_exact_ints_past_the_int64_bound(self, monkeypatch):
+        # every b step whose bound reaches 8 runs on Python ints
+        dtypes = []
+        times_generator = hecke._times_generator
+
+        def spy(*args, **kwargs):
+            dtypes.append(args[6])
+            return times_generator(*args, **kwargs)
+
+        monkeypatch.setattr(hecke, "INT64_LIMIT", 8)
+        monkeypatch.setattr(hecke, "_times_generator", spy)
+        table = KLTable(get_group("B3"))
+        g = table.group
+        for x in g:
+            table.b_block(x)
+        assert object in dtypes and np.int64 in dtypes
+        for x in g:
+            assert table.kl_basis_element(x) == b_along_word(table, x.word)
+
+
+class TestMuRouteChecks:
+    """A broken b_{st} in A2 must stop the step at sts."""
+
+    @pytest.mark.parametrize("terms,message", [
+        ({(0, 1): {0: 1}, (0,): {1: 1}, (1,): {1: -1}, (): {2: 1}},
+         "outside vZ>=0"),                      # a negative coefficient
+        ({(0, 1): {0: 1}, (0,): {1: 1}, (1,): {1: 1}, (): {0: 1, 2: 1}},
+         "outside vZ>=0"),                      # a constant term, ys > y
+        ({(0, 1): {0: 1}, (0,): {0: 1, 1: 1}, (1,): {1: 1}, (): {2: 1}},
+         r"outside exponents \[0, 3\]"),       # a constant term, ys < y
+        ({(0, 1): {0: 2}, (0,): {1: 1}, (1,): {1: 1}, (): {2: 1}},
+         "not unitriangular"),                  # a wrong diagonal
+    ])
+    def test_broken_block_raises_at_the_next_step(self, terms, message):
+        table = KLTable(get_group("A2"))
+        g = table.group
+        store_b(table, g.element((0, 1)),
+                {g.element(w): poly(p) for w, p in terms.items()})
+        with pytest.raises(InvariantError, match=message) as err:
+            table.b_block(g.element((0, 1, 0)))
+        assert "<1,2,1>" in str(err.value)
+        assert g.element((0, 1, 0)).index not in table._b_blocks
+
+
+def b_along_word(table: KLTable, word) -> HeckeElt:
+    """b_x along ``word``, a reduced word of x, by the mu-recursion in
+    HeckeElt arithmetic over the lower b_y of ``table``."""
+    g = table.group
+    acc = delta(g, ())
+    for s in word:
+        grown = mult_b_gen(acc, s)
+        for y, p in acc.terms.items():
+            if s in g.descents(y, "right") and p.coefficient(1):
+                grown = grown - table.kl_basis_element(y).scaled(
+                    LaurentPoly.constant(p.coefficient(1)))
+        acc = grown
+    return acc
 
 
 class TestPolynomials:
@@ -355,7 +407,7 @@ class TestHeckeEltBehaviour:
         g = get_group("A1")
         table = KLTable(g)
         e, s = g.identity, g.element((0,))
-        table._b[s.index] = HeckeElt(g, {s: ONE, e: poly({1: -1})})
+        store_b(table, s, {s: ONE, e: poly({1: -1})})
         with pytest.raises(InvariantError, match=r"negative inverse "
                            r"polynomial at \(<e>,<1>\): "):
             table.inverse_column(s)

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from kllab.coxeter import GroupTable, parse_coxeter_spec
-from kllab.hecke import HeckeElt, InverseColumn, KLTable, bar_delta
+from kllab.hecke import InverseColumn, KLTable, bar_delta
 from kllab.laurent import LaurentPoly
 from kllab.verify import scan_monotonicity_classical, scan_monotonicity_inverse
 from helpers import (
     get_group, get_kl, poly, reference_inverse_column,
-    reference_scan_classical, reference_scan_inverse,
+    reference_scan_classical, reference_scan_inverse, store_b,
 )
 
 ONE = LaurentPoly.one()
@@ -117,8 +117,7 @@ class TestBlockScansReportInjectedFaults:
         z = g.element((1,))
         terms = dict(table.kl_basis_element(x).terms)
         terms[z] = terms[z] - poly({1: 1})
-        table._b[x.index] = HeckeElt(g, terms)
-        del table._b_blocks[x.index]
+        store_b(table, x, terms)
         expected = reference_scan_classical(table)
         assert expected[1]
         assert scan_monotonicity_classical(table) == expected
@@ -147,10 +146,10 @@ class TestOverflowGuard:
         e, s, t = g.identity, g.element((0,)), g.element((1,))
         x = g.element((0, 1))
         kv, kkv = poly({1: k}), poly({2: k * k})
-        table._b[e.index] = HeckeElt.delta(g, e)
-        table._b[s.index] = HeckeElt(g, {s: ONE, e: kv})
-        table._b[t.index] = HeckeElt(g, {t: ONE, e: kv})
-        table._b[x.index] = HeckeElt(g, {x: ONE, s: kv, t: kv, e: kkv})
+        store_b(table, e, {e: ONE})
+        store_b(table, s, {s: ONE, e: kv})
+        store_b(table, t, {t: ONE, e: kv})
+        store_b(table, x, {x: ONE, s: kv, t: kv, e: kkv})
         col = table.inverse_column(x)
         assert col.coeffs.dtype == dtype
         assert dict(col.items()) == {x: ONE, s: kv, t: kv, e: kkv}

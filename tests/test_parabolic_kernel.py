@@ -17,8 +17,8 @@ from kllab import hecke, kernel, parabolic
 from kllab.coxeter import (
     INFINITY, CoxeterMatrix, GroupTable, parse_coxeter_spec,
 )
-from kllab.hecke import HeckeElt, KLTable
-from kllab.kernel import Block, InvariantError, block_terms, terms_block
+from kllab.hecke import KLTable
+from kllab.kernel import Block, InvariantError, block_terms
 from kllab.laurent import LaurentPoly
 from kllab.parabolic import (
     ANTISPHERICAL, SPHERICAL, ParabolicContext, ParabolicKLTable,
@@ -29,7 +29,7 @@ from kllab.verify import (
 )
 from helpers import (
     ReferenceParabolic, get_group, get_kl, poly, reference_inversion_identity,
-    reference_scan_parabolic,
+    reference_scan_parabolic, store_b, terms_block,
 )
 from test_kernel import relabelled_matrix_file
 
@@ -112,8 +112,7 @@ class TestBlockChecks:
         x = g.element((0, 1, 0))
         terms = dict(table.kl_basis_element(x).terms)
         terms[g.identity] = terms[g.identity] + poly({2: 1})
-        table._b[x.index] = HeckeElt(g, terms)
-        del table._b_blocks[x.index]
+        store_b(table, x, terms)
         assert not table.is_bar_invariant(x)
 
     @pytest.mark.parametrize("spec,subset", [

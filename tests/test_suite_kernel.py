@@ -16,7 +16,7 @@ from kllab import kernel, verify
 from kllab.coxeter import (
     INFINITY, CoxeterMatrix, GroupTable, parse_coxeter_spec,
 )
-from kllab.hecke import HeckeElt, InverseColumn, KLTable
+from kllab.hecke import InverseColumn, KLTable
 from kllab.kernel import InvariantError
 from kllab.parabolic import (
     SPHERICAL, ParabolicContext, ParabolicKLTable,
@@ -28,7 +28,7 @@ from kllab.verify import (
 )
 from helpers import (
     get_group, poly, reference_rouquier_shadow, reference_scan_classical,
-    reference_scan_inverse, reference_scan_parabolic,
+    reference_scan_inverse, reference_scan_parabolic, store_b,
 )
 from test_kernel import relabelled_matrix_file
 
@@ -202,11 +202,36 @@ class TestViolationsOnDemand:
         x = g.element((0, 1, 2, 1))
         terms = dict(table.kl_basis_element(x).terms)
         terms[g.element((1,))] = terms[g.element((1,))] - poly({1: 1})
-        table._b[x.index] = HeckeElt(g, terms)
-        del table._b_blocks[x.index]
+        store_b(table, x, terms)
         expected = reference_scan_classical(table)
         assert len(expected[1]) > 2
         assert_violations_match(scan_monotonicity_classical(table), expected)
+
+    def test_b_column_checks_report_failing_rows(self, monkeypatch):
+        class BrokenB(KLTable):
+            def build_all(self):
+                super().build_all()
+                if broken:
+                    return
+                g = self.group
+                x = g.element((0, 1, 2, 1))
+                z = next(y for y in g.downset(x) if y.length == 3)
+                terms = dict(self.kl_basis_element(x).terms)
+                terms[z] = terms[z] - poly({1: 3})
+                store_b(self, x, terms)
+                broken.append((z, x))
+
+        broken = []
+        monkeypatch.setattr(verify, "KLTable", BrokenB)
+        report = run_identity_suite("B3", [()])
+        (z, x), = broken
+        checks = {c.check: c for c in report.checks}
+        pairs = sum(len(x.group.downset_ids(w)) for w in x.group)
+        assert checks["positivity-kl"].failures == [
+            f"h at ({z!r},{x!r}) = {poly({1: -2})}"]
+        assert checks["mu-nonnegative"].failures == [f"mu({z!r},{x!r}) < 0"]
+        for name in ("positivity-kl", "mu-nonnegative", "positivity-invkl"):
+            assert checks[name].pairs_checked == pairs
 
     def test_a3_wall_quotient_mandate(self):
         report = run_identity_suite("A3", [(0, 1)])
