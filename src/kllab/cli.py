@@ -28,6 +28,7 @@ from .coxeter import (
     SettingError, parse_word, render_word,
 )
 from .hecke import InvariantError, KLTable
+from .kernel import row_poly
 from .laurent import LaurentPoly
 from .parabolic import (
     ANTISPHERICAL, SPHERICAL, FlavorMismatchError, ParabolicContext,
@@ -131,47 +132,43 @@ def _cmd_info(args, out: _Output) -> int:
     return 0
 
 
-def _words(group) -> list[str]:
-    """The rendered word of every element, by id: a table row names two
-    elements, and a long cap repeats each in many rows."""
-    return [render_word(el.word) for el in group]
+def _table_entries(group, triples, fmt: str, cell=poly_csv,
+                   value=LaurentPoly.to_json_dict):
+    """Shared rendering for all table commands, in the one form ``fmt``
+    prints: JSON entries, streamed csv rows, or a list of (y, x, entry)
+    text rows to align; each element's word is rendered once."""
+    words = [render_word(el.word) for el in group]
+    if fmt == "json":
+        return {f"{words[y.index]}|{words[x.index]}": value(p)
+                for y, x, p in triples}
+    if fmt == "csv":
+        return ([words[y.index], words[x.index], str(y.length),
+                 str(x.length), cell(p)] for y, x, p in triples)
+    return [(words[y.index], words[x.index], cell(p)) for y, x, p in triples]
 
 
-def _table_entries(group, pairs_with_polys):
-    """Shared rendering for all polynomial-table commands."""
-    rows = []
-    entries = {}
-    words = _words(group)
-    for y, x, p in pairs_with_polys:
-        yw, xw = words[y.index], words[x.index]
-        rows.append([yw, xw, str(y.length), str(x.length), poly_csv(p)])
-        entries[f"{yw}|{xw}"] = p.to_json_dict()
-    return rows, entries
-
-
-def _emit_table(args, out: _Output, command: str, rows, entries,
+def _emit_table(args, out: _Output, command: str, entries,
                 extra_cols: list[str] | None = None,
                 extra_vals: list[str] | None = None,
                 meta: dict | None = None) -> int:
-    header = ["y", "x", "len_y", "len_x", "poly"] + (extra_cols or [])
-    if extra_vals:
-        rows = [row + extra_vals for row in rows]
     if out.fmt == "json":
         obj = {"command": command, "group": args.group, "cap": args.cap,
                "entries": entries}
         obj.update(meta or {})
         out.emit(_json_dump(obj))
     elif out.fmt == "csv":
-        out.emit(_csv_text(header, rows))
+        header = ["y", "x", "len_y", "len_x", "poly"] + (extra_cols or [])
+        out.emit(_csv_text(header, (row + (extra_vals or [])
+                                    for row in entries)))
     else:
         lines = [f"{command}: group {args.group}, "
                  f"cap {'full' if args.cap is None else args.cap}"]
         if meta:
             lines[0] += "".join(f", {k} {v}" for k, v in sorted(meta.items()))
-        width = max((len(r[0]) + len(r[1]) for r in rows), default=0) + 4
-        for row in rows:
+        width = max((len(r[0]) + len(r[1]) for r in entries), default=0) + 4
+        for row in entries:
             pair = f"({row[0]}, {row[1]})"
-            lines.append(f"  {pair:<{width}} {row[4]}")
+            lines.append(f"  {pair:<{width}} {row[2]}")
         out.emit("\n".join(lines))
     return 0
 
@@ -183,44 +180,45 @@ def _cmd_kl(args, out: _Output, inverse: bool) -> int:
         return _cmd_mu(args, out, table)
     if inverse:
         table.build_all()
-    pairs = []
-    for x in group:
-        if inverse:
-            col = table.inverse_column(x)
-            pairs.extend((y, x, col.get(y, LaurentPoly.zero()))
-                         for y in group.downset(x))
-        else:
-            bx = table.kl_basis_element(x)
-            pairs.extend((y, x, bx.coefficient(y)) for y in group.downset(x))
-    rows, entries = _table_entries(group, pairs)
-    return _emit_table(args, out, "invkl" if inverse else "kl", rows, entries)
+
+    def pairs():
+        for x in group:
+            down = group.downset(x)
+            if inverse:     # the rows of the column of x are downset(x)
+                polys = map(row_poly, table.inverse_column(x).coeffs)
+            else:
+                polys = map(table.kl_basis_element(x).coefficient, down)
+            yield from ((y, x, p) for y, p in zip(down, polys))
+
+    return _emit_table(args, out, "invkl" if inverse else "kl",
+                       _table_entries(group, pairs(), out.fmt))
 
 
 def _cmd_mu(args, out: _Output, table: KLTable) -> int:
     group = table.group
-    rows = []
-    entries = {}
-    words = _words(group)
-    for x in group:
-        # mu(y, x) is the v^1 term of row y of b_x, nonnegative once built
-        block = table.b_block(x)
-        one = block.exps == 1
-        mus = dict(zip(block.rows[block.at[one]].tolist(),
-                       block.values[one].tolist()))
-        for y in group.downset(x):
-            m = mus.get(y.index, 0)
-            yw, xw = words[y.index], words[x.index]
-            rows.append([yw, xw, str(y.length), str(x.length), str(m)])
-            entries[f"{yw}|{xw}"] = m
+
+    def mus():
+        for x in group:
+            # mu(y, x) is the v^1 term of row y of b_x, nonnegative once built
+            block = table.b_block(x)
+            one = block.exps == 1
+            mu = dict(zip(block.rows[block.at[one]].tolist(),
+                          block.values[one].tolist()))
+            for y in group.downset(x):
+                m = mu.get(y.index, 0)
+                if m or out.fmt != "text":  # text lists the nonzero mu only
+                    yield y, x, m
+
+    entries = _table_entries(group, mus(), out.fmt, str, int)
     if out.fmt == "json":
         out.emit(_json_dump({"command": "mu", "group": args.group,
                              "cap": args.cap, "entries": entries}))
     elif out.fmt == "csv":
-        out.emit(_csv_text(["y", "x", "len_y", "len_x", "mu"], rows))
+        out.emit(_csv_text(["y", "x", "len_y", "len_x", "mu"], entries))
     else:
         lines = [f"mu: group {args.group}, "
                  f"cap {'full' if args.cap is None else args.cap}"]
-        lines.extend(f"  ({r[0]}, {r[1]})  {r[4]}" for r in rows if r[4] != "0")
+        lines.extend(f"  ({r[0]}, {r[1]})  {r[2]}" for r in entries)
         out.emit("\n".join(lines))
     return 0
 
@@ -231,19 +229,17 @@ def _cmd_parabolic(args, out: _Output) -> int:
     ctx = ParabolicContext(group, subset, args.flavor)
     table = ParabolicKLTable(ctx)
     table.build_all()
-    pairs = []
-    for x in ctx.reps:
-        if args.family == "invkl":
-            col = table.inverse_column(x)
-        else:
-            col = table.canonical_basis_element(x).terms
-        for y in group.downset(x):
-            if ctx.is_rep(y) and y in col:
-                pairs.append((y, x, col[y]))
-    rows, entries = _table_entries(group, pairs)
+
+    def pairs():
+        for x in ctx.reps:
+            col = (table.inverse_column(x) if args.family == "invkl"
+                   else table.canonical_basis_element(x).terms)
+            yield from ((y, x, p) for y, p in col.items())
+
     subset_text = _subset_text(subset)
     return _emit_table(
-        args, out, f"parabolic-{args.family}", rows, entries,
+        args, out, f"parabolic-{args.family}",
+        _table_entries(group, pairs(), out.fmt),
         extra_cols=["flavor", "I"], extra_vals=[args.flavor, subset_text],
         meta={"flavor": args.flavor, "I": sorted(t + 1 for t in subset),
               "family": args.family})

@@ -27,10 +27,10 @@ h^{y,x} with alternating signs:
 length recursion b_{x's} = b_{x'} b_s - sum mu(y,x') b_y over y with ys < y,
 run on integer blocks, and the oracle route is the bar-invariance pass of
 the block kernel over the blocks of bar(delta_z), which never touches mu.
-Inverse polynomials and the inversion identity come from
-``kernel.ColumnTable``, the table core it shares with the parabolic
-tables.  Everything is memoized and all tables are built in increasing
-length order, so dependencies always exist.
+Inverse polynomials, by the recursion delta_x = delta_{x'} (b_s - v), and
+the inversion identity come from ``kernel.ColumnTable``, the table core it
+shares with the parabolic tables.  Everything is memoized and all tables
+are built in increasing length order, so dependencies always exist.
 
 Each b_x is kept once as its nonzero terms (``Block``), each bar(delta_x)
 as a block over downset(x) memoized on the group table, and each inverse
@@ -129,9 +129,6 @@ class HeckeElt:
         x = max(self.terms, key=Element.sort_key)
         return x, self.terms[x]
 
-    def sorted_terms(self) -> list[tuple[Element, LaurentPoly]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -141,7 +138,8 @@ class HeckeElt:
 
     def __repr__(self) -> str:
         basis = "d" if isinstance(self.space, GroupTable) else "dI"
-        parts = [f"({p})*{basis}[{x!r}]" for x, p in self.sorted_terms()]
+        parts = [f"({p})*{basis}[{x!r}]" for x, p in sorted(
+            self.terms.items(), key=lambda kv: kv[0].sort_key())]
         return "HeckeElt(" + (" + ".join(parts) or "0") + ")"
 
 
@@ -303,7 +301,7 @@ class KLTable(ColumnTable):
     """
 
     def __init__(self, group: GroupTable):
-        super().__init__(group, group)
+        super().__init__(group, group, np.ones(len(group), bool))
         self._b_blocks: dict[int, Block] = {0: _DELTA_E}
         self._b_solve: dict[int, HeckeElt] = {}
 

@@ -6,16 +6,15 @@ ShortLex, so "the top remaining term" of a triangular solve is the
 largest id.  A column is a sorted id array (the downset of x, or its
 minimal coset representatives) plus integer coefficients: a sparse
 ``Block`` of nonzero terms, or a dense array whose row i, column e holds
-the coefficient of v^e.  Three descending passes run on them:
+the coefficient of v^e.  Two descending passes run on them:
 
 - ``bar_invariant_block``: the canonical element of x from the blocks of
   bar(m_z), the bar-invariance route;
-- ``solve_inverse_column``: the inverse polynomials of x, by peeling the
-  canonical elements off m_x from the top;
 - ``kronecker_failures``: the inversion identity for a whole column.
 
-``ColumnTable`` keeps the inverse columns and inversion checks of one
-module over these passes, once for the regular module and its quotients.
+``ColumnTable``, the table core of the regular module and its quotients,
+builds the inverse column of x = x's from the column of x' by one step of
+the recursion m_x = m_{x'} (b_s - v), and checks the inversion identity.
 
 Arithmetic is int64 under a running bound on coefficient size.  A column
 whose bound would reach 2^62 is redone by the same code with
@@ -157,17 +156,16 @@ class InverseColumn(Mapping):
         self.group = group
         self.rows = rows
         self.coeffs = coeffs
+        coeffs.flags.writeable = False
         self._cache: dict[int, LaurentPoly] = {}
 
     def get(self, y: Element, default=None):
         got = self._cache.get(y.index)
         if got is None:
             pos = int(np.searchsorted(self.rows, y.index))
-            if pos < len(self.rows) and self.rows[pos] == y.index:
-                got = row_poly(self.coeffs[pos])
-            else:
-                got = _ZERO
-            self._cache[y.index] = got
+            found = pos < len(self.rows) and self.rows[pos] == y.index
+            got = self._cache[y.index] = (row_poly(self.coeffs[pos])
+                                          if found else _ZERO)
         return got if got else default
 
     def __getitem__(self, y: Element) -> LaurentPoly:
@@ -327,54 +325,6 @@ def bar_invariant_block(group: GroupTable, x: Element, ids: np.ndarray,
     return dense_block(ids, out)
 
 
-def _inverse_solve(group: GroupTable, x: Element, ids: np.ndarray,
-                   block_of: Callable[[Element], Block], dtype, limit):
-    """The inverse column of x over ``ids``, as a dense
-    len(ids) x (l(x) + 1) array.
-
-    Peels the expansion of m_x over the canonical basis from the top: the
-    id-largest remaining term m_z has coefficient exactly
-    (-1)^{l(x)-l(z)} times the inverse polynomial at (z, x), because every
-    longer canonical element has already been subtracted.
-    """
-    elements = group.elements
-    rows = ids.tolist()
-    where = row_positions(ids, x)
-    remainder = np.zeros((len(ids), x.length + 1), dtype=dtype)
-    remainder[-1, 0] = 1
-    out = np.zeros_like(remainder)
-    bound = 1
-    for i in range(len(rows) - 1, -1, -1):
-        c = remainder[i]
-        exps = c.nonzero()[0]
-        if not len(exps):
-            continue
-        z = elements[rows[i]]
-        if (x.length - z.length) % 2:
-            np.negative(c, out=out[i])
-        else:
-            out[i] = c
-        shifts = exps.tolist()
-        if shifts[-1] + z.length > x.length:
-            raise InvariantError(
-                f"inverse polynomial at ({z!r},{x!r}) has a term outside "
-                f"the window [0, {x.length - z.length}]: {row_poly(out[i])}")
-        coef = c[exps]
-        b = block_of(z)
-        bound = _grow(bound, limit, coef, b.row_norm)
-        add_scaled(remainder, where, x, z, b, shifts, coef, np.subtract)
-    return out
-
-
-def solve_inverse_column(group: GroupTable, x: Element, ids: np.ndarray,
-                         block_of: Callable[[Element], Block]) -> InverseColumn:
-    """The inverse polynomials at (y, x) for every y in the sorted ``ids``
-    (x last), given ``block_of(z)``, the canonical element of z."""
-    coeffs = _exact(_inverse_solve, group, x, ids, block_of)
-    coeffs.flags.writeable = False
-    return InverseColumn(group, ids, coeffs)
-
-
 def kronecker_failures(group: GroupTable, x: Element, ids: np.ndarray,
                        block: Block,
                        column_of: Callable[[Element], InverseColumn]
@@ -390,10 +340,9 @@ def kronecker_failures(group: GroupTable, x: Element, ids: np.ndarray,
     elements = group.elements
     top = x.length
     where = row_positions(ids, x)
-    rows = block.rows.tolist()
+    rows, exps, values = (block.rows.tolist(), block.exps.tolist(),
+                          block.values.tolist())
     slices = block.row_slices()
-    values = block.values.tolist()
-    exps = block.exps.tolist()
     columns = [column_of(elements[z]) for z in rows]
     bound = sum(sum(abs(c) for c in values[sl]) * max_abs(col.coeffs)
                 for sl, col in zip(slices, columns))
@@ -429,26 +378,97 @@ class ColumnTable:
     A subclass supplies ``column_ids(x)``, the sorted ids of the basis
     elements below x (x last), and ``canonical_block(x)``, the block of
     the canonical element of x; it may check each new column in
-    ``_check_column``.  ``basis`` lists the elements indexing the basis,
-    in id order.
+    ``_check_column``.  ``basis`` lists the basis elements in id order,
+    ``mask`` flags their ids, and ``spherical`` picks the wall rule.
     """
 
-    def __init__(self, group: GroupTable, basis):
+    def __init__(self, group: GroupTable, basis, mask: np.ndarray,
+                 spherical: bool = False):
         self.group = group
         self.basis = basis
-        self._inv_cols: dict[int, InverseColumn] = {}
+        self.mask = mask
+        self.spherical = spherical
+        self._inv_cols: dict[int, InverseColumn] = {0: InverseColumn(
+            group, np.zeros(1, np.intp), np.ones((1, 1), np.int8))}
+        self._mu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._kronecker: dict[int, frozenset[int]] = {}
 
     def inverse_column(self, x: Element) -> InverseColumn:
-        """The inverse polynomials at (y, x) for every basis element
-        y <= x, by the descending solve over the canonical blocks."""
+        """The inverse polynomials at (y, x) for every basis element y <= x,
+        by steps up from the longest stored prefix of x; only the column of
+        x is stored, and ``build_all`` asks in id order."""
         got = self._inv_cols.get(x.index)
         if got is None:
-            got = solve_inverse_column(self.group, x, self.column_ids(x),
-                                       self.canonical_block)
+            group, elements = self.group, self.group.elements
+            chain = group.missing_prefixes(x, self._inv_cols)
+            got = self._inv_cols[group.prefix(elements[chain[0]])[0].index]
+            for i in chain:
+                got = self._inverse_step(elements[i], got)
             self._check_column(x, got)
             self._inv_cols[x.index] = got
         return got
+
+    def _inverse_step(self, x: Element, prev: InverseColumn) -> InverseColumn:
+        """The column of x = x's from ``prev``, the column of x', by
+        m_x = m_{x'} (b_s - v).
+
+        c_z b_s is c_{zs} + sum mu(y, z) c_y if zs > z is a basis element,
+        (v + v^{-1}) c_z if zs < z, and across a wall (zs no basis element)
+        the mu sum alone, or (v + v^{-1}) c_z if ``spherical``.  The sum
+        runs over ys < y, and in the spherical flavor also over ys off the
+        basis; mu(y, z) is the v^1 term of row y of the block of c_z.  In
+        the stored signs, row z of ``prev`` sends h^{z,x'} to row zs if zs
+        is a basis element above z, and v h^{z,x'} to row z plus mu(y, z)
+        h^{z,x'} to row y if there is a mu sum, else -v^{-1} h^{z,x'} to
+        row z; the v^{-1} terms must cancel.  No entry exceeds max|prev|
+        (2 + sum |mu|), the bound that picks int64, or exact ints at
+        INT64_LIMIT.
+        """
+        group = self.group
+        s = group.prefix(x)[1]
+        nz = np.flatnonzero(prev.coeffs.any(axis=1))
+        z = prev.rows[nz]
+        zs = group.right[z, s]
+        moves = (zs > z) & self.mask[zs]
+        lifts = (zs > z) & (self.mask[zs] | (not self.spherical))
+        ys, mus, src = self._mu_terms(z[lifts].tolist(), s)
+        bound = max_abs(prev.coeffs) * (2 + sum(map(abs, mus.tolist())))
+        dtype = np.int64 if bound < INT64_LIMIT else object
+        h = prev.coeffs[nz].astype(dtype)
+        ids = self.column_ids(x)
+        where = row_positions(ids, x)
+        at_z, at_zs, at_y = where[z], where[zs[moves]], where.take(
+            ys, mode="clip")
+        if at_y.min(initial=0) < 0:
+            raise InvariantError(f"a mu term at {x!r} leaves its rows")
+        # column j holds exponent j - 1; each row z stays exactly once
+        dense = np.zeros((len(ids), x.length + 2), dtype=dtype)
+        dense[at_z[lifts], 2:] = h[lifts]
+        dense[at_z[~lifts], :-2] = -h[~lifts]
+        dense[at_zs, 1:-1] += h[moves]
+        np.add.at(dense[:, 1:-1], at_y,
+                  mus.astype(dtype)[:, None] * h[lifts][src])
+        if dense[:, 0].any():
+            y = group.elements[ids[np.flatnonzero(dense[:, 0])[0]]]
+            raise InvariantError(
+                f"inverse polynomial at ({y!r},{x!r}) has a v^-1 term")
+        return InverseColumn(group, ids, dense[:, 1:] if dtype is object
+                             else narrow(dense[:, 1:]))
+
+    def _mu_terms(self, zs: list[int], s: int):
+        """(y, mu(y, z), k) for each z = zs[k] and each y of its mu sum
+        under b_s, as arrays; the mu entries of z are read once."""
+        for z in zs:
+            if z not in self._mu:
+                block = self.canonical_block(self.group.elements[z])
+                one = block.exps == 1
+                self._mu[z] = block.rows[block.at[one]], block.values[one]
+        parts = [self._mu[z] for z in zs] or [(np.zeros(0, np.intp),) * 2]
+        ys, mus = (np.concatenate(p) for p in zip(*parts))
+        src = np.repeat(np.arange(len(parts)), [len(p[0]) for p in parts])
+        yss = self.group.right[ys, s]
+        keep = (yss < ys) | (self.spherical & ~self.mask[yss])
+        return ys[keep], mus[keep], src[keep]
 
     def _check_column(self, x: Element, col: InverseColumn) -> None:
         """Raise InvariantError when a new column breaks a theorem."""

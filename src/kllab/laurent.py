@@ -163,9 +163,6 @@ class LaurentPoly:
         """The terms with strictly positive exponent."""
         return _wrap({e: c for e, c in self._coeffs.items() if e > 0})
 
-    def support_size(self) -> int:
-        return len(self._coeffs)
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 

@@ -22,14 +22,18 @@ families mirror the non-parabolic ones:
 For the antispherical flavor the inverse family coincides with the
 restriction of the inverse Kazhdan-Lusztig table, n^{z,x} = h^{z,x}; this
 package never assumes that identity, it recomputes both sides and compares
-(``check_soergel_identification``).
+(``check_soergel_identification``).  Both sides share the prefix
+recursion of ``kernel.ColumnTable`` over independent canonical bases; the
+inversion identity of each table is what checks the recursion itself.
 
 Elements of the induced module are ``hecke.HeckeElt`` vectors whose space
 is the ``ParabolicContext`` (``ParabolicElt`` is the same class), so their
 arithmetic and the bar involution (``bar_parabolic`` is ``bar_element``)
 are the regular module's.  ``ParabolicKLTable`` shares its inverse
 columns and inversion checks with ``KLTable`` through
-``kernel.ColumnTable``.  Tables are keyed by ``Element.index``: the rows
+``kernel.ColumnTable``, supplying the representatives as basis and the
+flavor's wall rule: across a wall, b_s sends d_z to sum mu(y, z) d_y and
+c_z to (v + v^{-1}) c_z.  Tables are keyed by ``Element.index``: the rows
 of the column of x are the sorted ids of the representatives below x, and
 canonical elements are stored as blocks, decoded only when a caller asks.
 """
@@ -44,14 +48,12 @@ from .hecke import (
 )
 from .kernel import (
     INT64_LIMIT, Block, ColumnTable, InvariantError, bar_invariant_block,
-    dense_block, row_positions,
+    dense_block, row_poly, row_positions,
 )
 from .laurent import LaurentPoly
 
 SPHERICAL = "spherical"
 ANTISPHERICAL = "antispherical"
-
-_ZERO = LaurentPoly.zero()
 
 #: an element of an induced module is a HeckeElt over its context
 ParabolicElt = HeckeElt
@@ -72,8 +74,8 @@ class ParabolicContext:
         self.subset = frozenset(subset)
         self.flavor = flavor
         self.reps = group.min_coset_reps(self.subset)
-        self._rep_mask = np.zeros(len(group), dtype=bool)
-        self._rep_mask[[r.index for r in self.reps]] = True
+        self.rep_mask = np.zeros(len(group), dtype=bool)
+        self.rep_mask[[r.index for r in self.reps]] = True
         # scalar by which delta_t (t in I) acts on the rank-1 module
         self.scalar = (LaurentPoly.v(-1) if flavor == SPHERICAL
                        else LaurentPoly.v(1, -1))
@@ -92,22 +94,19 @@ class ParabolicContext:
         self._bar_rep: dict[int, Block] = {}
 
     def is_rep(self, x: Element) -> bool:
-        return bool(self._rep_mask[x.index])
+        return bool(self.rep_mask[x.index])
 
     def coset_decomposition(self, w: Element) -> tuple[Element, int]:
         """The representative x and l(u) from the splitting w = u * x."""
         reps, u_lengths = self._split
         return self.group.elements[reps.item(w.index)], u_lengths.item(w.index)
 
-    def subset_1based(self) -> list[int]:
-        return sorted(t + 1 for t in self.subset)
-
     def downset_ids(self, x: Element) -> np.ndarray:
         """The ids of the representatives y <= x, ascending; memoized."""
         got = self._down_ids.get(x.index)
         if got is None:
             ids = self.group.downset_ids(x)
-            got = self._down_ids[x.index] = ids[self._rep_mask[ids]]
+            got = self._down_ids[x.index] = ids[self.rep_mask[ids]]
         return got
 
     def bar_block(self, x: Element) -> Block:
@@ -215,7 +214,8 @@ class ParabolicKLTable(ColumnTable):
     """
 
     def __init__(self, context: ParabolicContext):
-        super().__init__(context.group, context.reps)
+        super().__init__(context.group, context.reps, context.rep_mask,
+                         context.flavor == SPHERICAL)
         self.context = context
         self._canonical: dict[int, Block] = {}
 
@@ -250,9 +250,11 @@ def check_soergel_identification(
         parab: ParabolicKLTable, kl: KLTable) -> list[tuple]:
     """Mismatches between n^{z,x} and h^{z,x} over all representative pairs.
 
-    Both sides are recomputed by their own code paths (the antispherical
-    solve has no knowledge of the b-basis recursion and vice versa); an
-    empty list certifies the identification on this quotient.
+    Both sides share the prefix recursion of ``kernel.ColumnTable`` over
+    independent canonical bases (the bar-invariance pass for d_z, the mu
+    route for b_z); the inversion identity of each table is what checks
+    the recursion itself.  An empty list certifies the identification on
+    this quotient.
     """
     ctx = parab.context
     if ctx.flavor != ANTISPHERICAL:
@@ -266,14 +268,8 @@ def check_soergel_identification(
         ncol = parab.inverse_column(x)
         hcol = kl.inverse_column(x)
         # both columns vanish off the representatives below x
-        if np.array_equal(ncol.coeffs,
-                          hcol.coeffs[np.searchsorted(hcol.rows, ncol.rows)]):
-            continue
-        for z in ctx.reps:
-            if z.length > x.length:
-                break
-            n = ncol.get(z, _ZERO)
-            h = hcol.get(z, _ZERO)
-            if n != h:
-                mismatches.append((z, x, n, h))
+        h = hcol.coeffs[np.searchsorted(hcol.rows, ncol.rows)]
+        for pos in np.flatnonzero((ncol.coeffs != h).any(axis=1)).tolist():
+            mismatches.append((ctx.group.elements[ncol.rows[pos]], x,
+                               row_poly(ncol.coeffs[pos]), row_poly(h[pos])))
     return mismatches

@@ -27,6 +27,7 @@ interpreter lock, and a thread pool made them slower.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -34,7 +35,9 @@ from .coxeter import (
     CoxeterMatrix, Element, GroupTable, parse_coxeter_spec, render_word,
 )
 from .hecke import InvariantError, KLTable
-from .kernel import InverseColumn, block_row, row_poly, scaled_sum
+from .kernel import (
+    InverseColumn, block_row, row_poly, row_positions, scaled_sum,
+)
 from .laurent import LaurentPoly
 from .parabolic import (
     ANTISPHERICAL, SPHERICAL, FlavorMismatchError, ParabolicContext,
@@ -134,43 +137,42 @@ def _scan_columns(xs, column) -> tuple[int, list[Violation]]:
 
     The rows of ``column(x)`` are the y <= x of the family (all of
     downset(x), or its representatives), so the triples are x in ``xs``,
-    y a row of column x and z a row of column y.  Each (x, y) pair is
-    compared as one block; a violation keeps where its two rows are and
-    decodes them only when read.
+    y a row of column x and z a row of column y.  The columns of the y of
+    one length, stacked in id order, are compared with column x as one
+    block; a violation keeps where its two rows are and decodes them only
+    when read.
     """
     count = 0
     found: list[Violation] = []
     for x in xs:
         colx = column(x)
         elements = colx.group.elements
-        for y in colx.rows.tolist():
-            y = elements[y]
-            coly = column(y)
-            gap = x.length - y.length
-            count += len(coly.rows)
-            for i, j, witness in _failing_rows(colx, coly, gap):
+        where = row_positions(colx.rows, x)
+        below = map(elements.__getitem__, colx.rows.tolist())
+        for length, level in groupby(below, lambda y: y.length):
+            level = list(level)
+            cols = [column(y) for y in level]
+            at = where[np.concatenate([col.rows for col in cols])]
+            count += len(at)
+            gap = x.length - length
+            rhs = colx.coeffs[at]
+            lower = rhs[:, :gap] < 0
+            upper = rhs[:, gap:] < np.concatenate([col.coeffs for col in cols])
+            if not (lower.any() or upper.any()):
+                continue
+            bad = np.concatenate((lower, upper), axis=1)
+            rows = np.flatnonzero(bad.any(axis=1))
+            # row k of the stack is row k - starts[n] of column y_n
+            starts = np.cumsum([0] + [len(col.rows) for col in cols])
+            for k, witness in zip(rows.tolist(),
+                                  bad[rows].argmax(axis=1).tolist()):
+                n = int(np.searchsorted(starts, k, side="right")) - 1
+                i = k - int(starts[n])
                 found.append(Violation(
-                    elements[coly.rows[i]], y, x, None, None, witness,
-                    (coly.coeffs, i, colx.coeffs, j, gap)))
+                    elements[cols[n].rows[i]], level[n], x, None, None,
+                    witness, (cols[n].coeffs, i, colx.coeffs, int(at[k]),
+                              gap)))
     return count, found
-
-
-def _failing_rows(colx: InverseColumn, coly: InverseColumn, gap: int):
-    """(i, j, e) for each row z of column y where v^gap col_y[z] <= col_x[z]
-    fails: z is row i of column y and row j of column x, and e is the
-    first exponent where col_x[z] - v^gap col_y[z] is negative.  Column x
-    spans exponents [0, l(x)], column y [0, l(y)], gap = l(x) - l(y).
-    """
-    at = np.searchsorted(colx.rows, coly.rows)
-    rhs = colx.coeffs[at]
-    lower = rhs[:, :gap] < 0
-    upper = rhs[:, gap:] < coly.coeffs
-    if not (lower.any() or upper.any()):
-        return []
-    bad = np.concatenate((lower, upper), axis=1)
-    rows = np.flatnonzero(bad.any(axis=1))
-    return zip(rows.tolist(), at[rows].tolist(),
-               bad[rows].argmax(axis=1).tolist())
 
 
 def scan_monotonicity_classical(table: KLTable) -> tuple[int, list[Violation]]:
@@ -536,13 +538,15 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
                 res.passed = False
                 res.failures.append(f"bar(b) != b at {x!r}")
 
-    def inversion(res):
-        for x in group:
-            for y in group.downset(x):
+    def inversion(res, ptable, message):
+        """One pair per row of each column of a table of any module."""
+        for x in ptable.basis:
+            for y in map(group.elements.__getitem__,
+                         ptable.column_ids(x).tolist()):
                 res.pairs_checked += 1
-                if not table.check_inversion_identity(y, x):
+                if not ptable.check_inversion_identity(y, x):
                     res.passed = False
-                    res.failures.append(f"inversion sum at ({y!r},{x!r})")
+                    res.failures.append(message(y, x))
 
     def rouquier(res):
         for x in group:
@@ -556,7 +560,9 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
     run(CheckResult("mu-nonnegative", spec, cap=cap), mu_nonneg)
     run(CheckResult("parity", spec, cap=cap), parity)
     run(CheckResult("bar-invariance", spec, cap=cap), bar_invariance)
-    run(CheckResult("inversion-identity", spec, cap=cap), inversion)
+    run(CheckResult("inversion-identity", spec, cap=cap),
+        lambda res: inversion(res, table, lambda y, x:
+                              f"inversion sum at ({y!r},{x!r})"))
     run(CheckResult("rouquier-shadow", spec, cap=cap), rouquier)
 
     def scan_into(res, scanner, *args):
@@ -587,26 +593,13 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
                     f"n^/h^ differ at ({render_word(z.word)},"
                     f"{render_word(x.word)}): {n} vs {h}")
 
-        def parab_inversion(res, ptable=None):
-            ctx = ptable.context
-            for x in ctx.reps:
-                for y in ctx.group.downset(x):
-                    if not ctx.is_rep(y):
-                        continue
-                    res.pairs_checked += 1
-                    if not ptable.check_inversion_identity(y, x):
-                        res.passed = False
-                        res.failures.append(
-                            f"at ({render_word(y.word)},{render_word(x.word)})")
-
         run(CheckResult("soergel-identification", spec, one_based,
                         ANTISPHERICAL, cap), soergel)
-        run(CheckResult("parabolic-inversion-identity", spec, one_based,
-                        ANTISPHERICAL, cap),
-            lambda res: parab_inversion(res, ptable=anti))
-        run(CheckResult("parabolic-inversion-identity", spec, one_based,
-                        SPHERICAL, cap),
-            lambda res: parab_inversion(res, ptable=sph))
+        for ptable in (anti, sph):
+            run(CheckResult("parabolic-inversion-identity", spec, one_based,
+                            ptable.context.flavor, cap),
+                lambda res, p=ptable: inversion(res, p, lambda y, x: (
+                    f"at ({render_word(y.word)},{render_word(x.word)})")))
         run(CheckResult("scan-antispherical", spec, one_based,
                         ANTISPHERICAL, cap),
             lambda res: scan_into(res, scan_monotonicity_antispherical, anti))

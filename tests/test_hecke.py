@@ -403,15 +403,18 @@ class TestHeckeEltBehaviour:
         assert (a + b) - b == a
 
     def test_negative_inverse_polynomial_raises(self):
-        # b_s = delta_s - v delta_e would give h^{e,s} = -v
-        g = get_group("A1")
+        # mu(s, st) = -1 in b_st would give h^{s,sts} = v^2 - 2 by the
+        # step delta_sts = delta_st (b_s - v)
+        g = get_group("A2")
         table = KLTable(g)
-        e, s = g.identity, g.element((0,))
-        store_b(table, s, {s: ONE, e: poly({1: -1})})
+        e, s, t = g.identity, g.element((0,)), g.element((1,))
+        st, sts = g.element((0, 1)), g.element((0, 1, 0))
+        store_b(table, st, {st: ONE, s: poly({1: -1}), t: poly({1: 1}),
+                            e: poly({2: 1})})
         with pytest.raises(InvariantError, match=r"negative inverse "
-                           r"polynomial at \(<e>,<1>\): "):
-            table.inverse_column(s)
-        assert s.index not in table._inv_cols
+                           r"polynomial at \(<1>,<1,2,1>\): -2 \+ v\^2"):
+            table.inverse_column(sts)
+        assert sts.index not in table._inv_cols
 
     def test_top_term(self):
         g = get_group("A2")

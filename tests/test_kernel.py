@@ -1,8 +1,8 @@
 """The integer-id block kernel: inverse columns and the block scans.
 
-Every column the kernel stores is checked against the sparse
-dict-of-``LaurentPoly`` solve it replaced, the block scans against the
-per-triple loops, and the int64 overflow guard against exact values.
+Every column the prefix recursion stores is checked against the sparse
+dict-of-``LaurentPoly`` peel, the block scans against the per-triple
+loops, and the int64 overflow guard against exact values.
 """
 
 import random
@@ -11,8 +11,9 @@ import sys
 import numpy as np
 import pytest
 
+from kllab import kernel
 from kllab.coxeter import GroupTable, parse_coxeter_spec
-from kllab.hecke import InverseColumn, KLTable, bar_delta
+from kllab.hecke import InverseColumn, InvariantError, KLTable, bar_delta
 from kllab.laurent import LaurentPoly
 from kllab.verify import scan_monotonicity_classical, scan_monotonicity_inverse
 from helpers import (
@@ -37,8 +38,9 @@ def relabelled_matrix_file(tmp_path, seed: int) -> str:
     return f"file:{path}"
 
 
-def assert_columns_match_reference(table: KLTable) -> None:
-    for x in table.group:
+def assert_columns_match_reference(table: KLTable,
+                                   order=lambda group: group) -> None:
+    for x in order(table.group):
         col = table.inverse_column(x)
         ref = reference_inverse_column(table, x)
         assert dict(col.items()) == ref, x
@@ -57,6 +59,17 @@ class TestColumnsMatchReference:
         spec = relabelled_matrix_file(tmp_path, seed=7)
         group = GroupTable(parse_coxeter_spec(spec), 6)
         assert_columns_match_reference(KLTable(group))
+
+    @pytest.mark.parametrize("spec,cap", [("B3", None), ("Aff-A2", 8)])
+    def test_lone_walks(self, spec, cap):
+        """A lone request stores only its own column; in decreasing id
+        order each column walks up from a short prefix."""
+        table = KLTable(get_group(spec, cap))
+        top = table.group.elements[-1]
+        table.inverse_column(top)
+        assert set(table._inv_cols) == {0, top.index}
+        assert_columns_match_reference(
+            table, lambda group: reversed(group.elements))
 
 
 class TestInverseColumnView:
@@ -131,29 +144,81 @@ class TestBlockScansReportInjectedFaults:
 
 
 class TestOverflowGuard:
-    """A2 with b_{s}, b_{t}, b_{st} replaced by unitriangular elements whose
-    coefficients K v and K^2 v^2 make the column of st be
-    1, K v, K v, K^2 v^2 exactly."""
+    """The step delta_x = delta_{x'} (b_s - v) is linear in the column of
+    x', so with the stored column of st in A2 scaled by K^2 the column of
+    sts must be K^2 times the true one.  Its bound is
+    max|prev| (2 + sum |mu|) = K^2 (2 + mu(s, st)) = 3 K^2."""
 
     @pytest.mark.parametrize("k,dtype", [
-        (2 ** 29, np.int64),    # bound 2^60 + 1 stays below 2^62
+        (2 ** 29, np.int64),    # bound 3 * 2^58 stays below 2^62
         (2 ** 31, object),      # K^2 = 2^62 already reaches the limit
         (2 ** 40, object),      # K^2 = 2^80 would wrap in int64
     ])
     def test_route_and_exact_values(self, k, dtype):
         g = get_group("A2")
         table = KLTable(g)
-        e, s, t = g.identity, g.element((0,)), g.element((1,))
-        x = g.element((0, 1))
-        kv, kkv = poly({1: k}), poly({2: k * k})
-        store_b(table, e, {e: ONE})
-        store_b(table, s, {s: ONE, e: kv})
-        store_b(table, t, {t: ONE, e: kv})
-        store_b(table, x, {x: ONE, s: kv, t: kv, e: kkv})
-        col = table.inverse_column(x)
-        assert col.coeffs.dtype == dtype
-        assert dict(col.items()) == {x: ONE, s: kv, t: kv, e: kkv}
-        assert dict(col.items()) == reference_inverse_column(table, x)
+        st, sts = g.element((0, 1)), g.element((0, 1, 0))
+        col = table.inverse_column(st)
+        scaled = col.coeffs.astype(object) * (k * k)
+        table._inv_cols[st.index] = InverseColumn(
+            g, col.rows, scaled if dtype is object else scaled.astype(dtype))
+        got = table.inverse_column(sts)
+        assert got.coeffs.dtype == dtype
+        assert dict(got.items()) == {
+            y: h * poly({0: k * k})
+            for y, h in reference_inverse_column(table, sts).items()}
+
+    @staticmethod
+    def step_bound(table: KLTable, x) -> int:
+        """max|h^{z,x'}| (2 + sum of mu(y, z) over the rows z of x' with
+        zs > z and every y < z with ys < y), for x = x's."""
+        g = table.group
+        prefix, s = g.element(x.word[:-1]), x.word[-1]
+        col = table.inverse_column(prefix)
+        mus = sum(table.mu(y, z) for z in col
+                  if g.mult_gen(z, s).length > z.length
+                  for y in g.downset(z)
+                  if g.mult_gen(y, s).length < y.length)
+        return max(abs(c) for h in col.values() for _, c in h.items()) \
+            * (2 + mus)
+
+    @pytest.mark.parametrize("spec,word", [
+        ("B3", (0, 1, 0, 2, 1, 0, 2, 1, 2)), ("H3", (0, 1, 0, 1, 2, 1, 0)),
+    ])
+    def test_step_bound_picks_the_dtype(self, monkeypatch, spec, word):
+        """int64 (stored narrowed) below the bound, exact ints at and
+        above it, with the same values either way."""
+        group = get_group(spec)
+        x = group.element(word)
+        assert x.word == word
+        expected = dict(get_kl(spec).inverse_column(x).items())
+        bound = self.step_bound(get_kl(spec), x)
+        assert bound > 8
+        for limit, exact in ((bound + 1, False), (bound, True),
+                             (bound - 1, True)):
+            table = KLTable(group)
+            table.inverse_column(group.element(word[:-1]))
+            monkeypatch.setattr(kernel, "INT64_LIMIT", limit)
+            col = table.inverse_column(x)
+            monkeypatch.undo()
+            assert (col.coeffs.dtype == object) == exact
+            assert col.coeffs.dtype in (object, np.int8)
+            assert dict(col.items()) == expected
+
+
+def test_v_inverse_terms_must_cancel():
+    """A constant term in h^{s,st} of A2 (which lies in vZ[v]) leaves
+    -v^{-1} in row s of the step to sts, since ss < s."""
+    g = get_group("A2")
+    table = KLTable(g)
+    s, st, sts = g.element((0,)), g.element((0, 1)), g.element((0, 1, 0))
+    col = table.inverse_column(st)
+    coeffs = col.coeffs.astype(np.int64)
+    coeffs[int(np.searchsorted(col.rows, s.index)), 0] = 1
+    table._inv_cols[st.index] = InverseColumn(g, col.rows, coeffs)
+    with pytest.raises(InvariantError, match=r"inverse polynomial at "
+                       r"\(<1>,<1,2,1>\) has a v\^-1 term"):
+        table.inverse_column(sts)
 
 
 def test_deep_elements_need_no_recursion():

@@ -1,12 +1,14 @@
 """The parabolic tables on the integer-id block kernel.
 
 Canonical elements from the bar-invariance pass and inverse columns from
-the shared descending solve are checked against the dict-of-LaurentPoly
-solves they replaced, faults injected into the blocks of bar(m_z) must
-raise, the exact-int fallback must give the same values, and random
-rank-3 Coxeter matrices must keep the theorems the suite checks.
+the shared prefix recursion are checked against the dict-of-LaurentPoly
+solves, faults injected into the blocks of bar(m_z) must raise, the
+exact-int fallback must give the same values, and random rank-3 Coxeter
+matrices must keep the theorems the suite checks.
 """
 
+import functools
+import itertools
 import sys
 
 import numpy as np
@@ -31,14 +33,22 @@ from helpers import (
     ReferenceParabolic, get_group, get_kl, poly, reference_inversion_identity,
     reference_scan_parabolic, store_b, terms_block,
 )
-from test_kernel import relabelled_matrix_file
+from test_kernel import assert_columns_match_reference, relabelled_matrix_file
 
 FLAVORS = (SPHERICAL, ANTISPHERICAL)
 
 
-def assert_matches_reference(ctx: ParabolicContext) -> None:
+@functools.lru_cache(maxsize=None)
+def finite_reference(spec: str, subset, flavor: str) -> ReferenceParabolic:
+    """The sparse reference of a quotient of a finite preset, shared by
+    the tests that read it."""
+    return ReferenceParabolic(
+        ParabolicContext(get_group(spec), subset, flavor))
+
+
+def assert_matches_reference(ctx: ParabolicContext, ref=None) -> None:
     table = ParabolicKLTable(ctx)
-    ref = ReferenceParabolic(ctx)
+    ref = ref or ReferenceParabolic(ctx)
     for x in ctx.reps:
         assert table.canonical_basis_element(x).terms == \
             ref.canonical(x).terms, x
@@ -60,7 +70,8 @@ class TestBlocksMatchReference:
     ])
     def test_finite(self, spec, subset, flavor):
         assert_matches_reference(
-            ParabolicContext(get_group(spec), subset, flavor))
+            ParabolicContext(get_group(spec), subset, flavor),
+            finite_reference(spec, subset, flavor))
 
     @pytest.mark.parametrize("spec,cap,subset", [
         ("Aff-A2", 8, ()), ("Aff-A2", 8, (0,)), ("Aff-A2", 8, (1, 2)),
@@ -87,6 +98,28 @@ class TestBlocksMatchReference:
             solved = table.kl_basis_element_bar_solve(x)
             assert solved.terms == ref.canonical(x).terms
             assert solved == table.kl_basis_element(x)
+
+
+class TestRecursionMatchesReference:
+    """Every inverse column of every quotient, built by the prefix
+    recursion, against the peel of the sparse reference.  Asking in
+    decreasing id order makes each column a lone walk up from a short
+    prefix; the antispherical wall terms show on A3 with I = {1} or {2}."""
+
+    @pytest.mark.parametrize("spec", ["A3", "B3", "H3", "D4"])
+    def test_every_subset_and_flavor(self, spec):
+        group = get_group(spec)
+        rank = group.matrix.rank
+        for subset in itertools.chain.from_iterable(
+                itertools.combinations(range(rank), k)
+                for k in range(rank + 1)):
+            for flavor in FLAVORS:
+                ctx = ParabolicContext(group, subset, flavor)
+                table = ParabolicKLTable(ctx)
+                ref = finite_reference(spec, subset, flavor)
+                for x in reversed(ctx.reps):
+                    assert dict(table.inverse_column(x).items()) == \
+                        ref.inverse_column(x), (subset, flavor, x)
 
 
 class TestBlockChecks:
@@ -196,12 +229,20 @@ def test_exact_fallback_under_a_small_limit(monkeypatch):
     and redo the column in exact ints, with the same results."""
     for module in (kernel, hecke, parabolic):
         monkeypatch.setattr(module, "INT64_LIMIT", 8)
-    dtypes = {"_bar_solve": [], "_inverse_solve": []}
-    for name, seen in dtypes.items():
-        def spy(*args, _solve=getattr(kernel, name), _seen=seen):
-            _seen.append(args[-2])
-            return _solve(*args)
-        monkeypatch.setattr(kernel, name, spy)
+    dtypes = {"_bar_solve": [], "_inverse_step": []}
+
+    def bar_spy(*args, _solve=kernel._bar_solve):
+        dtypes["_bar_solve"].append(args[-2])
+        return _solve(*args)
+
+    def step_spy(self, x, prev, _step=kernel.ColumnTable._inverse_step):
+        col = _step(self, x, prev)
+        # an int64 step is stored narrowed
+        dtypes["_inverse_step"].append(
+            object if col.coeffs.dtype == object else np.int64)
+        return col
+    monkeypatch.setattr(kernel, "_bar_solve", bar_spy)
+    monkeypatch.setattr(kernel.ColumnTable, "_inverse_step", step_spy)
     group = GroupTable(get_group("B3").matrix)
     for subset in ((), (1,)):
         for flavor in FLAVORS:
@@ -252,3 +293,4 @@ def test_random_rank3_matrices(bonds, cap, subset):
     anti = ParabolicKLTable(ParabolicContext(group, subset, ANTISPHERICAL))
     assert scan_monotonicity_antispherical(anti)[1] == []
     assert check_soergel_identification(anti, KLTable(group)) == []
+    assert_columns_match_reference(KLTable(group))

@@ -133,18 +133,17 @@ def test_suite_column_checks_report_failing_rows(monkeypatch):
     edits = [((0, 2), 2, 1), ((0, 1, 0), 2, -1), ((1, 2), 1, -3)]
 
     class Faulty(KLTable):
-        def inverse_column(self, el):
-            col = super().inverse_column(el)
-            if el == x and not getattr(self, "_edited", False):
-                self._edited = True
-                _with_entries(self, x, edits)
-                col = super().inverse_column(el)
-            return col
+        # the column of x is edited once every column is built, since the
+        # columns above x are built from it
+        def build_all(self):
+            super().build_all()
+            _with_entries(self, x, edits)
 
     monkeypatch.setattr(verify, "KLTable", Faulty)
     report = run_identity_suite("B3", [()], group=group)
     checks = {c.check: c for c in report.checks}
     table = Faulty(group)
+    table.build_all()
     pairs = [(y, z) for z in group for y in group.downset(z)]
     negative = [f"h^ at ({y!r},{z!r}) = {table.inverse_kl_poly(y, z)}"
                 for y, z in pairs if not table.inverse_kl_poly(y, z)
