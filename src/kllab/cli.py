@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import sys
 
@@ -68,24 +68,42 @@ class OutputPathError(ValueError):
 
 
 class _Output:
+    """The chosen format and destination; JSON and CSV are streamed."""
+
     def __init__(self, fmt: str, out_path: str | None):
         self.fmt = fmt
         self.out_path = out_path
         if out_path:  # fail before computing; keep an existing file
-            self._write("a", "")
+            self._write("a", lambda fh: None)
 
     def emit(self, text: str) -> None:
         if not text.endswith("\n"):
             text += "\n"
-        if self.out_path:
-            self._write("w", text)
-        else:
-            sys.stdout.write(text)
+        self._write("w", lambda fh: fh.write(text))
 
-    def _write(self, mode: str, text: str) -> None:
+    def emit_json(self, obj) -> None:
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+
+        def write(fh):      # the encoder's chunks, a few thousand at a time
+            while piece := "".join(itertools.islice(chunks, 4096)):
+                fh.write(piece)
+            fh.write("\n")
+        self._write("w", write)
+
+    def emit_csv(self, header: list[str], rows) -> None:
+        def write(fh):
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        self._write("w", write)
+
+    def _write(self, mode: str, write) -> None:
+        if not self.out_path:
+            write(sys.stdout)
+            return
         try:
             with open(self.out_path, mode, encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                write(fh)
         except OSError as exc:
             raise OutputPathError(
                 f"cannot write output file {self.out_path!r}: "
@@ -94,14 +112,6 @@ class _Output:
 
 def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -114,15 +124,14 @@ def _cmd_info(args, out: _Output) -> int:
     longest = group.longest_length()
     complete = group.is_complete()
     if out.fmt == "json":
-        out.emit(_json_dump({
+        out.emit_json({
             "command": "info", "group": args.group, "cap": args.cap,
             "order": order, "longest_length": longest, "complete": complete,
-        }))
+        })
     elif out.fmt == "csv":
-        out.emit(_csv_text(["group", "cap", "order", "longest_length",
-                            "complete"],
-                           [[args.group, "" if args.cap is None else args.cap,
-                             order, longest, str(complete).lower()]]))
+        out.emit_csv(["group", "cap", "order", "longest_length", "complete"],
+                     [[args.group, "" if args.cap is None else args.cap,
+                       order, longest, str(complete).lower()]])
     else:
         if complete:
             out.emit(f"order {order}, longest length {longest}")
@@ -155,11 +164,10 @@ def _emit_table(args, out: _Output, command: str, entries,
         obj = {"command": command, "group": args.group, "cap": args.cap,
                "entries": entries}
         obj.update(meta or {})
-        out.emit(_json_dump(obj))
+        out.emit_json(obj)
     elif out.fmt == "csv":
-        header = ["y", "x", "len_y", "len_x", "poly"] + (extra_cols or [])
-        out.emit(_csv_text(header, (row + (extra_vals or [])
-                                    for row in entries)))
+        out.emit_csv(["y", "x", "len_y", "len_x", "poly"] + (extra_cols or []),
+                     (row + (extra_vals or []) for row in entries))
     else:
         lines = [f"{command}: group {args.group}, "
                  f"cap {'full' if args.cap is None else args.cap}"]
@@ -176,10 +184,12 @@ def _emit_table(args, out: _Output, command: str, entries,
 def _cmd_kl(args, out: _Output, inverse: bool) -> int:
     group = build_group(args.group, args.cap)
     table = KLTable(group)
+    if inverse:     # every table is computed before the output streams
+        table.build_all()
+    else:
+        table.canonical_blocks(group)
     if not inverse and args.mu:
         return _cmd_mu(args, out, table)
-    if inverse:
-        table.build_all()
 
     def pairs():
         for x in group:
@@ -211,10 +221,10 @@ def _cmd_mu(args, out: _Output, table: KLTable) -> int:
 
     entries = _table_entries(group, mus(), out.fmt, str, int)
     if out.fmt == "json":
-        out.emit(_json_dump({"command": "mu", "group": args.group,
-                             "cap": args.cap, "entries": entries}))
+        out.emit_json({"command": "mu", "group": args.group,
+                       "cap": args.cap, "entries": entries})
     elif out.fmt == "csv":
-        out.emit(_csv_text(["y", "x", "len_y", "len_x", "mu"], entries))
+        out.emit_csv(["y", "x", "len_y", "len_x", "mu"], entries)
     else:
         lines = [f"mu: group {args.group}, "
                  f"cap {'full' if args.cap is None else args.cap}"]
@@ -252,14 +262,14 @@ def _cmd_rouquier(args, out: _Output) -> int:
     rt = verify.rouquier_multiplicities(table, x)
     rows = [[render_word(y.word), str(i), str(m)] for y, i, m in rt.rows()]
     if out.fmt == "json":
-        out.emit(_json_dump({
+        out.emit_json({
             "command": "rouquier", "group": args.group, "cap": args.cap,
             "x": render_word(x.word),
             "entries": {f"{render_word(y.word)}|{i}": m
                         for y, i, m in rt.rows()},
-        }))
+        })
     elif out.fmt == "csv":
-        out.emit(_csv_text(["y", "i", "mult"], rows))
+        out.emit_csv(["y", "i", "mult"], rows)
     else:
         lines = [f"rouquier: group {args.group}, x {render_word(x.word)}"]
         lines.extend(f"  y={r[0]} i={r[1]} mult={r[2]}" for r in rows)
@@ -302,13 +312,13 @@ def _cmd_scan(args, out: _Output) -> int:
     if args.name == "spherical" and expect and ctx is not None:
         verify.evaluate_spherical_mandate(res, ctx)
     if out.fmt == "json":
-        out.emit(_json_dump(res.to_json_obj()))
+        out.emit_json(res.to_json_obj())
     elif out.fmt == "csv":
-        rows = [[render_word(v.z.word), render_word(v.y.word),
-                 render_word(v.x.word), poly_csv(v.lhs), poly_csv(v.rhs),
-                 str(v.witness_exponent)] for v in violations]
-        out.emit(_csv_text(["z", "y", "x", "lhs", "rhs", "witness_exponent"],
-                           rows))
+        out.emit_csv(["z", "y", "x", "lhs", "rhs", "witness_exponent"],
+                     [[render_word(v.z.word), render_word(v.y.word),
+                       render_word(v.x.word), poly_csv(v.lhs),
+                       poly_csv(v.rhs), str(v.witness_exponent)]
+                      for v in violations])
     else:
         out.emit("\n".join(res.text_lines()))
     return 0 if res.passed else 1
@@ -327,15 +337,13 @@ def _cmd_suite(args, out: _Output) -> int:
     report = verify.run_identity_suite(args.group, subsets, args.cap,
                                        group=group)
     if out.fmt == "json":
-        out.emit(_json_dump(report.to_json_obj()))
+        out.emit_json(report.to_json_obj())
     elif out.fmt == "csv":
-        rows = [[c.check, _subset_text([t - 1 for t in c.subset]),
-                 c.flavor or "-", str(c.pairs_checked),
-                 str(len(c.violations)), "pass" if c.passed else "fail"]
-                for c in report.checks]
-        out.emit(_csv_text(
+        out.emit_csv(
             ["check", "I", "flavor", "checked", "violations", "status"],
-            rows))
+            [[c.check, _subset_text([t - 1 for t in c.subset]),
+              c.flavor or "-", str(c.pairs_checked), str(len(c.violations)),
+              "pass" if c.passed else "fail"] for c in report.checks])
     else:
         out.emit("\n".join(report.text_lines()))
     return 0 if report.passed else 1

@@ -447,10 +447,10 @@ class GroupTable:
 
     ``right[x, s]`` and ``left[x, s]`` are the ids of xs and sx, -1 where
     the product lies beyond the cap; ``right_descents`` and
-    ``left_descents`` are the matching (elements x rank) boolean arrays and
-    ``inverses[x]`` the id of x^-1.  ``cap=None`` means "until the group
-    closes", which is only sensible for finite groups; the element-count
-    bound applies either way.
+    ``left_descents`` are the matching (elements x rank) boolean arrays,
+    ``inverses[x]`` the id of x^-1 and ``lengths[x]`` the length of x.
+    ``cap=None`` means "until the group closes", which is only sensible
+    for finite groups; the element-count bound applies either way.
     """
 
     def __init__(self, matrix: CoxeterMatrix, cap: int | None = None,
@@ -515,6 +515,7 @@ class GroupTable:
             start, stop, alt = stop, len(right), new_alt
         self._parent, self._last = parent, last
         self.elements = [Element(self, i, n) for i, n in enumerate(lengths)]
+        self.lengths = np.array(lengths, dtype=np.intp)
         self.right = np.array(right, dtype=np.intp).reshape(-1, rank)
         self.inverses = np.array(_inverses(right, parent, last), np.intp)
         ids = np.arange(len(right))

@@ -42,13 +42,15 @@ and the tests' reference; no table computes with it.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
 from .coxeter import Element, GroupTable, RIGHT
 from .kernel import (
     INT64_LIMIT, Block, ColumnTable, InverseColumn, InvariantError,
-    add_scaled, bar_invariant_block, block_row, block_terms, dense_block,
-    row_poly, row_positions, scaled_sum,
+    Batch, add_blocks, bar_invariant_blocks, batched, block_row,
+    block_sums, block_terms, dense_block, row_poly, row_positions,
 )
 from .laurent import LaurentPoly
 
@@ -230,17 +232,18 @@ def _bar_step(group: GroupTable, x: Element, memo: dict) -> Block:
     # each entry receives at most three terms of the previous block
     dtype = np.int64 if 3 * prev.row_norm < INT64_LIMIT else object
     ids = group.downset_ids(x)
-    _, dense = _times_generator(group, x, ids, prev, s, x.length, dtype,
-                                up=((1, 1), (-1, -1)))
+    dense = _times_generator(group, x, ids, prev, s, x.length, dtype,
+                             up=((1, 1), (-1, -1)))
     return dense_block(ids, dense, x.length)
 
 
 def _times_generator(group: GroupTable, x: Element, ids: np.ndarray,
-                     prev: Block, s: int, offset: int, dtype, up, down=()):
+                     prev: Block, s: int, offset: int, dtype, up, down=(),
+                     out=None):
     """``prev`` (delta_s + c) for x = x's, ``prev`` a block over
-    downset(x'): the row positions of the sorted ``ids`` of downset(x),
-    and the product as a dense array over them whose column j holds
-    exponent j - offset.
+    downset(x'), as a dense array over the sorted ``ids`` of downset(x)
+    whose column j holds exponent j - offset, computed in ``dtype`` (and
+    added into ``out`` when given).
 
     delta_y delta_s is delta_{ys}, plus (v^{-1} - v) delta_y if ys < y, so
     each term p delta_y moves unshifted to row ys and stays in row y
@@ -253,7 +256,7 @@ def _times_generator(group: GroupTable, x: Element, ids: np.ndarray,
     if min(pos_src.min(), pos_dst.min()) < 0:
         raise InvariantError(f"the product at {x!r} leaves downset({x!r})")
     width = offset + x.length + 1
-    dense = np.zeros((len(ids), width), dtype=dtype)
+    dense = np.zeros((len(ids), width), dtype=dtype) if out is None else out
     cols, values = prev.exps + offset, prev.values.astype(dtype)
     dense[pos_dst, cols] += values
     rising = (dst > src)[prev.at]
@@ -266,7 +269,7 @@ def _times_generator(group: GroupTable, x: Element, ids: np.ndarray,
                     f"the product at {x!r} has a term outside exponents "
                     f"[{-offset}, {x.length}]")
             dense[pos_src[mask], cells] += coef * values[mask]
-    return where, dense
+    return dense
 
 
 def bar_delta(table: GroupTable, x: Element) -> HeckeElt:
@@ -311,46 +314,78 @@ class KLTable(ColumnTable):
     # -- canonical basis, production route --------------------------------
 
     def b_block(self, x: Element) -> Block:
-        """The nonzero terms of b_x; exponents lie in [0, l(x)].
-
-        Every block ``_b_step`` reads at z lies in downset(z) with a
-        smaller id, so building downset(x) in id order meets each one
-        first and needs no recursion.
-        """
-        memo = self._b_blocks
-        if x.index not in memo:
-            for z in [z for z in self.group.downset_ids(x).tolist()
-                      if z not in memo]:
-                memo[z] = self._b_step(self.group.elements[z])
-        return memo[x.index]
+        """The nonzero terms of b_x; exponents lie in [0, l(x)]."""
+        return self._b_blocks.get(x.index) or self.canonical_blocks([x])[0]
 
     canonical_block = b_block
 
-    def _b_step(self, z: Element) -> Block:
-        """b_z by the mu-recursion, on one dense array over downset(z) x
-        [0, l(z)]: for z = z's with s lengthening, b_{z'} b_s is b_z plus
-        sum_{ys<y} mu(y, z') b_y, mu(y, z') the v^1 term of row y of b_{z'}.
+    def canonical_blocks(self, xs) -> list[Block]:
+        """The blocks of b_x for ``xs``.  Every block ``_b_steps`` reads
+        at z lies in downset(z) and is shorter than z, so building the
+        missing part of each downset one length at a time meets each one
+        first and needs no recursion."""
+        memo, group = self._b_blocks, self.group
+        need = np.zeros(len(group), bool)
+        for x in xs:
+            if x.index not in memo:
+                need[group.downset_ids(x)] = True
+        todo = [group.elements[z] for z in np.flatnonzero(need).tolist()
+                if z not in memo]
+        for _, level in groupby(todo, lambda z: z.length):
+            for z, block in batched(group, list(level),
+                                    lambda z: 2 * z.length + 2, self._b_steps):
+                memo[z.index] = block
+        return [memo[x.index] for x in xs]
+
+    def _b_steps(self, zs: list[Element]) -> list[Block]:
+        """b_z for the zs, all of one length, by the mu-recursion: for
+        z = z's with s lengthening, b_{z'} b_s, a dense array over
+        downset(z) x [0, l(z)], is b_z plus sum_{ys<y} mu(y, z') b_y,
+        mu(y, z') the v^1 term of row y of b_{z'}.  The mu-multiples of
+        all the zs are one sum of blocks.
         """
-        group = self.group
-        prefix, s = group.prefix(z)
-        prev = self._b_blocks[prefix.index]
-        k = np.flatnonzero((prev.exps == 1)
-                           & group.right_descents[prev.rows, s][prev.at])
-        ys, mus = prev.rows[prev.at[k]].tolist(), prev.values[k].tolist()
-        lower = [self._b_blocks[y] for y in ys]
-        # an entry gets two terms of b_{z'} and one of each mu-multiple
-        bound = 2 * prev.row_norm + sum(
-            abs(m) * b.row_norm for m, b in zip(mus, lower))
-        dtype = np.int64 if bound < INT64_LIMIT else object
-        ids = group.downset_ids(z)
-        where, dense = _times_generator(group, z, ids, prev, s, 0, dtype,
-                                        up=((1, 1),), down=((-1, 1),))
-        for y, m, b in zip(ys, mus, lower):
-            add_scaled(dense, where, z, group.elements[y], b, [0],
-                       np.array([m], dtype=dtype), np.subtract)
-        block = dense_block(ids, dense)
-        self._validate_triangular(block, z)
-        return block
+        group, memo = self.group, self._b_blocks
+        ids = [group.downset_ids(z) for z in zs]
+        steps = []
+        for z in zs:
+            prefix, s = group.prefix(z)
+            prev = memo[prefix.index]
+            k = np.flatnonzero((prev.exps == 1)
+                               & group.right_descents[prev.rows, s][prev.at])
+            ys, mus = prev.rows[prev.at[k]], prev.values[k]
+            # an entry gets two terms of b_{z'} and one of each mu-multiple
+            bound = 2 * prev.row_norm + sum(
+                abs(m) * memo[y].row_norm
+                for y, m in zip(ys.tolist(), mus.tolist()))
+            steps.append((s, prev, ys, mus,
+                          np.int64 if bound < INT64_LIMIT else object))
+        dtypes = {st[4] for st in steps}
+        if len(dtypes) > 1:     # the int64 and the exact-int zs apart
+            got = {}
+            for dtype in dtypes:
+                part = [z for z, st in zip(zs, steps) if st[4] is dtype]
+                got.update(zip(part, self._b_steps(part)))
+            return [got[z] for z in zs]
+        batch = Batch(group, zs, ids)
+        acc = np.zeros((len(batch.ids), zs[0].length + 1), dtype=dtypes.pop())
+        for z, rows, part, (s, prev, _, _, dtype) in zip(
+                zs, ids, batch.split(acc), steps):
+            _times_generator(group, z, rows, prev, s, 0, dtype,
+                             up=((1, 1),), down=((-1, 1),), out=part)
+        _, _, ys, mus, _ = zip(*steps)
+        slot = np.repeat(np.arange(len(zs)), [len(y) for y in ys])
+        y = np.concatenate(ys)
+        lower, which = np.unique(y, return_inverse=True)
+        add_blocks(acc, batch.locate, slot, which, np.zeros(len(y), np.intp),
+                   -np.concatenate(mus).astype(acc.dtype),
+                   [memo[v] for v in lower.tolist()],
+                   lambda k: f"the block of {group.elements[y[k]]!r} has a "
+                             f"term outside the rows of {zs[slot[k]]!r}")
+        blocks = [dense_block(rows, part)
+                  for rows, part in zip(ids, batch.split(acc))]
+        for z, block in zip(zs, blocks):
+            self._validate_triangular(block, z)
+        return blocks
 
     def kl_basis_element(self, x: Element) -> HeckeElt:
         """b_x, decoded from ``b_block`` on first use."""
@@ -369,8 +404,8 @@ class KLTable(ColumnTable):
         got = self._b_solve.get(x.index)
         if got is None:
             group = self.group
-            block = bar_invariant_block(group, x, group.downset_ids(x),
-                                        lambda z: bar_block(group, z))
+            ((_, block),) = bar_invariant_blocks(
+                group, [x], group.downset_ids, lambda z: bar_block(group, z))
             self._validate_triangular(block, x)
             got = self._b_solve[x.index] = HeckeElt.from_block(group, block)
         return got
@@ -390,19 +425,37 @@ class KLTable(ColumnTable):
                 f"coefficient of {self.group.elements[y]!r} in b at {x!r} "
                 f"outside vZ>=0[v]: {block_row(block, y)}")
 
-    def is_bar_invariant(self, x: Element) -> bool:
-        """bar(b_x) == b_x: sum_z bar(h_{z,x}) bar(delta_z) - b_x, summed
-        over the blocks of bar(delta_z) as one array, must vanish."""
+    def bar_invariance(self, xs):
+        """For each x of ``xs`` in order, whether bar(b_x) == b_x: the sum
+        over the terms of b_x of bar(h_{z,x}) bar(delta_z), minus b_x, one
+        batched sum of blocks per chunk, must vanish."""
         group = self.group
-        block = self.b_block(x)
         elements = group.elements
-        exps, values = block.exps.tolist(), block.values.tolist()
-        terms = [(elements[z], bar_block(group, elements[z]),
-                  [-e for e in exps[sl]], values[sl])
-                 for z, sl in zip(block.rows.tolist(), block.row_slices())]
-        terms.append((x, block, [0], [-1]))
-        return not scaled_sum(x, group.downset_ids(x), 2 * x.length + 1,
-                              x.length, terms).any()
+
+        def run(chunk):
+            blocks = [self.b_block(x) for x in chunk]
+            n, top = len(chunk), max(x.length for x in chunk)
+            z = np.concatenate([b.rows[b.at] for b in blocks]
+                               + [[x.index for x in chunk]])
+            zs, which = np.unique(z[:-n], return_inverse=True)
+            bars = [bar_block(group, elements[y]) for y in zs.tolist()]
+            slot = np.r_[np.repeat(np.arange(n), [b.size for b in blocks]),
+                         :n]
+            sums = block_sums(
+                group, chunk, [group.downset_ids(x) for x in chunk],
+                2 * top + 1, slot, np.r_[which, len(bars):len(bars) + n],
+                top - np.concatenate([b.exps for b in blocks] + [[0] * n]),
+                np.concatenate([b.values for b in blocks] + [[-1] * n]),
+                bars + blocks, [b.row_norm for b in bars + blocks],
+                lambda k: f"the block of {elements[z[k]]!r} has a term "
+                          f"outside the rows of {chunk[slot[k]]!r}")
+            return [not acc.any() for acc in sums]
+        return (ok for _, ok in batched(
+            group, xs, lambda x: 2 * x.length + 1, run))
+
+    def is_bar_invariant(self, x: Element) -> bool:
+        """bar(b_x) == b_x, by ``bar_invariance``."""
+        return next(self.bar_invariance([x]))
 
     # -- polynomials --------------------------------------------------------
 

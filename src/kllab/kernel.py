@@ -6,18 +6,27 @@ ShortLex, so "the top remaining term" of a triangular solve is the
 largest id.  A column is a sorted id array (the downset of x, or its
 minimal coset representatives) plus integer coefficients: a sparse
 ``Block`` of nonzero terms, or a dense array whose row i, column e holds
-the coefficient of v^e.  Two descending passes run on them:
+the coefficient of v^e.
 
-- ``bar_invariant_block``: the canonical element of x from the blocks of
-  bar(m_z), the bar-invariance route;
-- ``kronecker_failures``: the inversion identity for a whole column.
+Every sum of blocks goes through one scatter, ``add_blocks``: it adds
+sum c v^e (block of z) into the rows of a batch of columns x, given flat
+entries (x, z, e, c), with one ``np.add.at`` per piece.  The passes built
+on it take a chunk of columns at a time (``batched``):
 
-``ColumnTable``, the table core of the regular module and its quotients,
-builds the inverse column of x = x's from the column of x' by one step of
-the recursion m_x = m_{x'} (b_s - v), and checks the inversion identity.
+- ``bar_invariant_blocks``: canonical elements from the blocks of
+  bar(m_z), one length level of every column of the chunk per step;
+- ``kronecker_failures``: the inversion identity of whole columns;
+- ``block_sums``: any other sum of blocks, one array per dtype.
 
-Arithmetic is int64 under a running bound on coefficient size.  A column
-whose bound would reach 2^62 is redone by the same code with
+A chunk of columns and a scatter piece hold about ``CELL_BUDGET`` cells;
+an error in a chunk is raised as the first failing column raises it
+alone.  ``ColumnTable``, the table core of the regular module and its
+quotients, builds the inverse column of x = x's from the column of x' by
+one step of the recursion m_x = m_{x'} (b_s - v), and checks the
+inversion identity.
+
+Arithmetic is int64 under a bound on coefficient size, per column.  A
+column whose bound would reach 2^62 is redone by the same code with
 ``dtype=object`` (exact Python ints), so no result ever depends on
 wrapping.  Stored values move to a narrower integer dtype only after an
 exact range check.
@@ -38,13 +47,14 @@ _ZERO = LaurentPoly.zero()
 #: an int64 pass gives a column up when its coefficient bound reaches this
 INT64_LIMIT = 1 << 62
 
+#: about the most array cells a batched pass holds at once: the dense sums
+#: of one chunk of columns with their id tables, or the index arrays of one
+#: scatter piece; it keeps the temporaries of a pass near 1 MB on any group
+CELL_BUDGET = 1 << 15
+
 
 class InvariantError(RuntimeError):
     """A mathematically guaranteed internal invariant failed to hold."""
-
-
-class _Overflow(Exception):
-    """An int64 pass could have produced a coefficient of INT64_LIMIT."""
 
 
 class Block(NamedTuple):
@@ -67,11 +77,13 @@ class Block(NamedTuple):
     values: np.ndarray
     row_norm: int
 
-    def row_slices(self) -> list[slice]:
-        """The slice of the terms of each row, in row order."""
-        bounds = np.searchsorted(self.at,
-                                 np.arange(len(self.rows) + 1)).tolist()
-        return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    @property
+    def size(self) -> int:
+        return len(self.values)
+
+    def terms(self):
+        """Row id, exponent and value of each term, as arrays."""
+        return self.rows[self.at], self.exps, self.values
 
 
 def exact_array(values: list[int]) -> np.ndarray:
@@ -159,6 +171,16 @@ class InverseColumn(Mapping):
         coeffs.flags.writeable = False
         self._cache: dict[int, LaurentPoly] = {}
 
+    @property
+    def size(self) -> int:
+        """The number of nonzero entries."""
+        return int(np.count_nonzero(self.coeffs))
+
+    def terms(self):
+        """Row id, exponent and value of each nonzero entry, as arrays."""
+        pos, exps = np.nonzero(self.coeffs)
+        return self.rows[pos], exps, self.coeffs[pos, exps]
+
     def get(self, y: Element, default=None):
         got = self._cache.get(y.index)
         if got is None:
@@ -187,7 +209,7 @@ class InverseColumn(Mapping):
 
 
 # ----------------------------------------------------------------------
-# the descending passes
+# the batched passes
 # ----------------------------------------------------------------------
 
 def row_positions(ids: np.ndarray, x: Element) -> np.ndarray:
@@ -199,175 +221,269 @@ def row_positions(ids: np.ndarray, x: Element) -> np.ndarray:
     return where
 
 
-def add_scaled(acc: np.ndarray, where: np.ndarray, x: Element, z: Element,
-               block: Block, shifts: list[int], coefs: np.ndarray,
-               op=np.add) -> None:
-    """acc[row, exp + shifts[k]] = op(that, coefs[k] * value), over every
-    term of ``block`` (which belongs to z) and every k.
+class Batch:
+    """The columns of several x stacked as the rows of one array: column
+    k, of x = ``xs[k]``, holds rows ``start[k]:start[k + 1]``, the sorted
+    ids of its basis elements below x, x last (row ``top[k]``)."""
 
-    ``coefs`` has the dtype of ``acc``; a term in a row that is not a row
-    of ``acc`` raises InvariantError.
+    def __init__(self, group: GroupTable, xs: list[Element], ids):
+        sizes = [len(i) for i in ids]
+        self.ids, self.start = np.concatenate(ids), np.cumsum([0] + sizes)
+        self.top, self.slot = self.start[1:] - 1, np.repeat(
+            np.arange(len(xs)), sizes)
+        self.lengths = group.lengths[self.ids]
+        # the row_positions of each column, end to end
+        self._cap = np.array([x.index + 1 for x in xs], dtype=np.intp)
+        self._base = np.cumsum(self._cap + 1) - self._cap - 1
+        self._where = np.full(int(self._cap.sum()) + len(xs), -1, np.intp)
+        self._where[self._base[self.slot] + self.ids] = np.arange(
+            len(self.ids))
+
+    def locate(self, slot: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The row of id y in column ``slot``, -1 where y is no row of it."""
+        return self._where[self._base[slot] + np.minimum(y, self._cap[slot])]
+
+    def split(self, rows: np.ndarray) -> list[np.ndarray]:
+        """``rows`` (one entry per row) cut into the columns."""
+        return [rows[a:b] for a, b in zip(self.start[:-1], self.start[1:])]
+
+
+def add_blocks(acc: np.ndarray, locate, slot: np.ndarray, block: np.ndarray,
+               shift: np.ndarray, coef: np.ndarray, blocks: list,
+               fault: Callable[[int], str]) -> None:
+    """acc[locate(slot[k], y), exp + shift[k]] += coef[k] * value for every
+    entry k and every term (y, exp, value) of ``blocks[block[k]]`` (a
+    ``Block``, or the nonzero entries of an ``InverseColumn``): the one
+    scatter of every sum of blocks.  ``locate`` gives the row of id y in
+    column slot, or -1 (``Batch.locate``).
+
+    The entries go in block order, in pieces of about CELL_BUDGET // 8
+    terms (a piece holds about eight index arrays per term), and a piece
+    reads the terms of its own blocks only: one ``np.add.at`` each.
+    ``coef`` has the dtype of ``acc``.  The first entry k, in entry order,
+    with a term off the rows of its column or off the columns of ``acc``
+    raises InvariantError(fault(k)).
     """
-    pos = where.take(block.rows, mode="clip")
-    if pos.min() < 0:
-        raise InvariantError(
-            f"the block of {z!r} has a term outside the rows of {x!r}")
-    pos = pos[block.at]
-    # one shift at a time, so no entry is hit twice by one update;
-    # coefs[k:k + 1] (not coefs[k]) keeps the product in acc's dtype
-    for k, shift in enumerate(shifts):
-        cells = pos, block.exps + shift
-        acc[cells] = op(acc[cells], block.values * coefs[k:k + 1])
+    flat, width = acc.reshape(-1), acc.shape[1]
+    sizes = np.array([b.size for b in blocks], dtype=np.intp)
+    offset = np.cumsum(sizes) - sizes        # of each block, end to end
+    n = sizes[block]
+    piece = max(1, CELL_BUDGET // 8)
+    pieces = [slice(None)] if len(block) else []
+    if n.sum() > piece:
+        order = np.argsort(block)
+        start = np.cumsum(n[order]) - n[order]
+        pieces = np.split(order, np.flatnonzero(np.diff(start // piece)) + 1)
+    bad = len(block)
+    for k in pieces:
+        b0, b1 = int(block[k].min()), int(block[k].max()) + 1
+        rows, exps, values = (np.concatenate(p) for p in zip(
+            *[b.terms() for b in blocks[b0:b1]]))
+        m = n[k]
+        t = np.arange(int(m.sum())) + np.repeat(
+            offset[block[k]] - offset[b0] - np.cumsum(m) + m, m)
+        k = np.arange(len(block))[k].repeat(m)
+        pos, cols = locate(slot[k], rows[t]), exps[t] + shift[k]
+        if pos.min(initial=0) < 0 or cols.min(initial=0) < 0 \
+                or cols.max(initial=0) >= width:
+            off = (pos < 0) | (cols < 0) | (cols >= width)
+            bad = min(bad, int(k[off].min()))
+        else:
+            np.add.at(flat, pos * width + cols, values[t] * coef[k])
+    if bad < len(block):
+        raise InvariantError(fault(bad))
 
 
-def scaled_sum(x: Element, ids: np.ndarray, width: int, offset: int,
-               terms) -> np.ndarray:
-    """sum_k coefs[k] v^shifts[k] times ``block`` (the block of z) over
-    every (z, block, shifts, coefs) in ``terms``, as a dense len(ids) x
-    width array over the sorted ``ids`` (x last) whose column j holds
-    exponent j - offset.  No entry exceeds sum |coefs| * row_norm, the
-    bound that picks int64, or exact ints at INT64_LIMIT.
-    """
-    bound = sum(sum(map(abs, coefs)) * block.row_norm
-                for _, block, _, coefs in terms)
-    dtype = np.int64 if bound < INT64_LIMIT else object
-    where = row_positions(ids, x)
-    acc = np.zeros((len(ids), width), dtype=dtype)
-    for z, block, shifts, coefs in terms:
-        add_scaled(acc, where, x, z, block, [s + offset for s in shifts],
-                   np.array(coefs, dtype=dtype))
-    return acc
-
-
-def _exact(solve, *args) -> np.ndarray:
-    """``solve(*args, dtype, limit)`` in int64 under INT64_LIMIT, narrowed;
-    redone with exact Python ints if its bound would reach the limit."""
-    try:
-        return narrow(solve(*args, np.int64, INT64_LIMIT))
-    except _Overflow:
-        return solve(*args, object, None)
-
-
-def _grow(bound: int, limit: int | None, coef: np.ndarray, norm: int) -> int:
-    """The entry bound after adding coef * (a block of row norm ``norm``):
-    one row of the block hits an entry at most once per coefficient."""
-    if limit is None:
-        return bound
-    values = coef.tolist()
-    bound += max(-min(values), max(values)) * norm
-    if bound >= limit:
-        raise _Overflow
-    return bound
-
-
-def _bar_solve(group: GroupTable, x: Element, ids: np.ndarray,
-               bar_of: Callable[[Element], Block], dtype, limit):
-    """The canonical element of x over ``ids``, as a dense
-    len(ids) x (l(x) + 1) array.
-
-    Write the element as sum_z n_z m_z with n_x = 1.  Bar-invariance says
-    that for every row y, a_y = sum_{z > y} bar(n_z) r_{y,z} equals
-    n_y - bar(n_y), where bar(m_z) = sum_y r_{y,z} m_y; since n_y lies in
-    vZ[v], a_y is antisymmetric and n_y is its part of positive degree.
-    ``acc`` holds these sums for every row over the exponents
-    [-l(x), l(x)]: rows are taken from the top, and once a row's n_y is
-    known, bar(n_y) times the block of bar(m_y) is added into all rows.
-    At the end ``acc`` is bar of the result, which must equal it.
-    """
-    elements = group.elements
-    rows = ids.tolist()
-    top = x.length
-    where = row_positions(ids, x)
-    acc = np.zeros((len(ids), 2 * top + 1), dtype=dtype)
-    out = np.zeros((len(ids), top + 1), dtype=dtype)
-    out[-1, 0] = 1
-    shifts, coef = [top], out[-1, :1]
-    bound = 0
-    for i in range(len(rows) - 1, -1, -1):
-        z = elements[rows[i]]
-        if i < len(rows) - 1:
-            a = acc[i]
-            if (a[top:] != -a[top::-1]).any():
-                raise InvariantError(
-                    f"bar-invariance solve at {x!r}: the coefficient of "
-                    f"{z!r} is not antisymmetric")
-            exps = a[top + 1:].nonzero()[0] + 1
-            if not len(exps):
-                continue
-            if exps[-1] > top - z.length:
-                raise InvariantError(
-                    f"bar-invariance solve at {x!r}: the coefficient of "
-                    f"{z!r} has a term above degree {top - z.length}")
-            coef = a[top + exps]
-            out[i, exps] = coef
-            shifts = (top - exps).tolist()
-        r = bar_of(z)
-        bound = _grow(bound, limit, coef, r.row_norm)
-        add_scaled(acc, where, x, z, r, shifts, coef)
-    if acc[:, :top].any() or (acc[:, top:] != out).any():
-        raise InvariantError(
-            f"bar-invariance solve produced a non-self-dual element at {x!r}")
+def _slot_sums(n: int, slot: np.ndarray, amounts: np.ndarray) -> np.ndarray:
+    """Exact sums of ``amounts`` per slot, as Python ints."""
+    out = np.zeros(n, dtype=object)
+    np.add.at(out, slot, amounts.astype(object))
     return out
 
 
-def bar_invariant_block(group: GroupTable, x: Element, ids: np.ndarray,
-                        bar_of: Callable[[Element], Block]) -> Block:
-    """The bar-invariant element m_x + sum_{y < x} vZ[v] m_y over the sorted
-    ``ids`` (x last), given ``bar_of(z)``, the block of bar(m_z).
+def block_sums(group: GroupTable, xs: list[Element], ids, width: int,
+               slot: np.ndarray, block: np.ndarray, shift: np.ndarray,
+               coef: np.ndarray, blocks: list, norms: list[int],
+               fault) -> list[np.ndarray]:
+    """For each x of ``xs``, the dense sum of ``add_blocks`` over the rows
+    ``ids`` of its column and ``width`` exponent columns.  Each x whose
+    sum |coef| * norms[block] stays below INT64_LIMIT is summed in int64,
+    the others in exact ints, as a lone x would be."""
+    exact = _slot_sums(len(xs), slot, np.abs(coef) * np.array(
+        norms, dtype=object)[block]) >= INT64_LIMIT
+    out = [None] * len(xs)
+    for dtype, mine in ((np.int64, ~exact), (object, exact)):
+        keep, sel = np.flatnonzero(mine), np.flatnonzero(mine[slot])
+        if len(keep):
+            batch = Batch(group, [xs[k] for k in keep], [ids[k] for k in keep])
+            acc = np.zeros((len(batch.ids), width), dtype=dtype)
+            add_blocks(acc, batch.locate, (np.cumsum(mine) - 1)[slot[sel]],
+                       block[sel], shift[sel], coef[sel].astype(dtype),
+                       blocks, lambda k: fault(sel[k]))
+            for k, part in zip(keep, batch.split(acc)):
+                out[k] = part
+    return out
 
-    Raises InvariantError when the pass finds no such element.
+
+def batched(group: GroupTable, xs, width: Callable[[Element], int], run):
+    """(x, run(chunk)[i]) for each x of ``xs`` in order, ``run`` taking
+    runs of xs whose columns (|downset(x)| rows, at least a quotient's
+    count, times ``width(x)``) and id tables hold about CELL_BUDGET cells,
+    or one x alone.  A chunk that raises is redone one x at a time, so the
+    error raised is the first failing x's, worded as its lone request
+    words it."""
+    chunks, cells = [], CELL_BUDGET
+    for x in xs:
+        cost = len(group.downset_ids(x)) * width(x) + x.index + 2
+        if cells + cost > CELL_BUDGET:
+            chunks.append([])
+            cells = 0
+        chunks[-1].append(x)
+        cells += cost
+    for chunk in chunks:
+        try:
+            got = run(chunk)
+        except (InvariantError, ValueError):    # a column's own errors
+            if len(chunk) == 1:
+                raise
+            got = (run([x])[0] for x in chunk)     # lazily, in order
+        yield from zip(chunk, got)
+
+
+def _bar_solve_chunk(group: GroupTable, xs: list[Element], ids,
+                     bar_of: Callable[[Element], Block], dtype,
+                     limit) -> list[Block]:
+    """The canonical elements of a chunk of xs over their sorted ``ids``
+    (x last), in ``dtype`` under ``limit``; an x whose bound reaches it is
+    redone in exact ints.
+
+    Write the element of x as sum_z n_z m_z with n_x = 1.  Bar-invariance
+    says that for every row y, a_y = sum_{z > y} bar(n_z) r_{y,z} equals
+    n_y - bar(n_y), where bar(m_z) = sum_y r_{y,z} m_y; since n_y lies in
+    vZ[v], a_y is antisymmetric and n_y is its part of positive degree.
+    ``acc`` holds these sums for the rows of all columns over exponents
+    [-T, T], T the longest l(x).  Rows of one length never feed each
+    other, so the pass takes one length level of every column at a time,
+    from the top: it checks the level's sums, reads off its n_y and adds
+    bar(n_y) times the block of bar(m_y) into all rows in one scatter.  At
+    the end ``acc`` is bar of the result, which must equal it.  The bound
+    of x grows by max|n_y| times the row norm of bar(m_y) for each row.
     """
-    out = _exact(_bar_solve, group, x, ids, bar_of)
-    if (ids[-1] != x.index or out[-1, 0] != 1 or out[-1, 1:].any()
-            or out[:-1, 0].any()):
-        raise InvariantError(
-            f"canonical element at {x!r} not unitriangular over vZ[v]")
-    return dense_block(ids, out)
+    elements, batch = group.elements, Batch(group, xs, ids)
+    top = max(x.length for x in xs)
+    acc = np.zeros((len(batch.ids), 2 * top + 1), dtype=dtype)
+    out = np.zeros((len(batch.ids), top + 1), dtype=dtype)
+    alive, bound = np.ones(len(xs), bool), np.zeros(len(xs), dtype=object)
+    order = np.argsort(-batch.ids)          # ids follow length
+    for rows in np.split(order, np.flatnonzero(
+            np.diff(batch.lengths[order])) + 1):
+        rows = rows[alive[batch.slot[rows]]]
+        slot = batch.slot[rows]
+        own = rows == batch.top[slot]
+        coef = acc[rows, top:]
+        skew = ~own & (coef != -acc[rows, top::-1]).any(axis=1)
+        high = ~own & ((coef[:, 1:] != 0) & (np.arange(1, top + 1) > (
+            batch.lengths[batch.top[slot]] - batch.lengths[rows])[:, None])
+        ).any(axis=1)
+        # a lone column takes its rows from the top: those above its first
+        # failing row are still scattered, so a stray among them comes first
+        fail = skew | high
+        cut = int(fail.argmax()) if fail.any() else len(rows)
+        coef[own, 0] = 1
+        size = np.abs(coef[:cut]).max(axis=1, initial=0)
+        has = np.flatnonzero(size)
+        zs, which = np.unique(batch.ids[rows[has]], return_inverse=True)
+        # fetched from the top down, as a lone column meets them
+        bars = [bar_of(elements[z]) for z in zs[::-1].tolist()][::-1]
+        if limit is not None:
+            bound += _slot_sums(len(xs), slot[has], size[has] * np.array(
+                [b.row_norm for b in bars], dtype=object)[which])
+            alive &= bound < limit
+        i, e = np.nonzero(coef[:cut])
+        out[rows[i], e] = coef[i, e]
+        block = np.zeros(cut, np.intp)
+        block[has] = which
+        add_blocks(acc, batch.locate, slot[i], block[i], top - e, coef[i, e],
+                   bars, lambda k: (
+                       f"the block of {elements[batch.ids[rows[i[k]]]]!r} has "
+                       f"a term outside the rows of {xs[slot[i[k]]]!r}"))
+        if cut < len(rows):
+            z, x = elements[batch.ids[rows[cut]]], xs[slot[cut]]
+            raise InvariantError(
+                f"bar-invariance solve at {x!r}: the coefficient of {z!r} "
+                + ("is not antisymmetric" if skew[cut] else
+                   f"has a term above degree {x.length - z.length}"))
+    for x, rows, a, n, live in zip(xs, ids, batch.split(acc),
+                                   batch.split(out), alive):
+        if live and (a[:, :top].any() or (a[:, top:] != n).any()):
+            raise InvariantError("bar-invariance solve produced a "
+                                 f"non-self-dual element at {x!r}")
+        if live and (rows[-1] != x.index or n[-1, 0] != 1
+                     or n[-1, 1:].any() or n[:-1, 0].any()):
+            raise InvariantError(
+                f"canonical element at {x!r} not unitriangular over vZ[v]")
+    redo = [k for k in range(len(xs)) if not alive[k]]
+    exact = iter(_bar_solve_chunk(group, [xs[k] for k in redo],
+                                  [ids[k] for k in redo], bar_of, object, None)
+                 if redo else ())
+    return [dense_block(ids[k], part) if alive[k] else next(exact)
+            for k, part in enumerate(batch.split(out))]
 
 
-def kronecker_failures(group: GroupTable, x: Element, ids: np.ndarray,
-                       block: Block,
+def bar_invariant_blocks(group: GroupTable, xs, ids_of, bar_of):
+    """(x, block) for each x of ``xs`` in order: the bar-invariant element
+    m_x + sum_{y < x} vZ[v] m_y over the sorted ``ids_of(x)`` (x last),
+    given ``bar_of(z)``, the block of bar(m_z), by one batched pass per
+    chunk.  Raises InvariantError when the pass finds no such element.
+    """
+    return batched(group, xs, lambda x: 3 * x.length + 2, lambda chunk: (
+        _bar_solve_chunk(group, chunk, [ids_of(x) for x in chunk], bar_of,
+                         np.int64, INT64_LIMIT)))
+
+
+def kronecker_failures(group: GroupTable, xs: list[Element], ids, blocks,
                        column_of: Callable[[Element], InverseColumn]
-                       ) -> frozenset[int]:
-    """The ids y among ``ids`` (the rows of the column of x) at which
+                       ) -> list[frozenset[int]]:
+    """For each x of a chunk, the ids y among ``ids`` (the rows of its
+    column) at which
 
         sum_z (-1)^{l(z)-l(y)} h^{y,z} h_{z,x}
 
-    differs from the Kronecker delta, h_{z,x} read from ``block`` (the
-    canonical element of x) and h^{y,z} from ``column_of(z)``.  One dense
-    sum per column; its bound is checked before choosing int64.
+    differs from the Kronecker delta, h_{z,x} read from ``blocks`` (the
+    canonical element of x) and h^{y,z} from ``column_of(z)``: one batched
+    sum per chunk, whose bound for x is sum |h_{z,x}| max|h^{.,z}|.
     """
     elements = group.elements
-    top = x.length
-    where = row_positions(ids, x)
-    rows, exps, values = (block.rows.tolist(), block.exps.tolist(),
-                          block.values.tolist())
-    slices = block.row_slices()
-    columns = [column_of(elements[z]) for z in rows]
-    bound = sum(sum(abs(c) for c in values[sl]) * max_abs(col.coeffs)
-                for sl, col in zip(slices, columns))
-    dtype = np.int64 if bound < INT64_LIMIT else object
-    total = np.zeros((len(ids), top + 1), dtype=dtype)
-    for z, sl, col in zip(rows, slices, columns):
-        pos = where.take(col.rows, mode="clip")
-        if pos.min() < 0:
-            raise InvariantError(
-                f"the inverse column of {elements[z]!r} has a row outside "
-                f"the rows of {x!r}")
-        coeffs = col.coeffs.astype(dtype)
-        if elements[z].length % 2:
-            coeffs = -coeffs
-        width = coeffs.shape[1]
-        for e, c in zip(exps[sl], values[sl]):
-            if not 0 <= e <= top + 1 - width:
-                raise InvariantError(
-                    f"coefficient of {elements[z]!r} at {x!r} has a term "
-                    f"outside the window [0, {top + 1 - width}]")
-            total[pos, e:e + width] += coeffs * c
-    lengths = np.array([elements[y].length for y in ids.tolist()])
-    total[lengths % 2 == 1] *= -1
-    total[-1, 0] -= 1
-    return frozenset(ids[total.any(axis=1)].tolist())
+    slot = np.repeat(np.arange(len(xs)), [b.size for b in blocks])
+    z = np.concatenate([b.rows[b.at] for b in blocks])
+    e = np.concatenate([b.exps for b in blocks])
+    zs, which = np.unique(z, return_inverse=True)
+    cols = [column_of(elements[y]) for y in zs.tolist()]
+    width = max(x.length for x in xs) + 1
+    window = np.array([x.length for x in xs])[slot] + 1 - np.array(
+        [col.coeffs.shape[1] for col in cols])[which]
+    outside = (e < 0) | (e > window)
+
+    def fault(k):
+        x, y = xs[slot[k]], elements[z[k]]
+        if outside[k] and np.isin(cols[which[k]].terms()[0],
+                                  ids[slot[k]]).all():
+            return (f"coefficient of {y!r} at {x!r} has a term outside the "
+                    f"window [0, {window[k]}]")
+        return (f"the inverse column of {y!r} has a row outside the rows "
+                f"of {x!r}")
+    # a term outside the window is sent off the array, where add_blocks
+    # reports it in entry order after any stray row of an earlier column
+    sums = block_sums(
+        group, xs, ids, width, slot, which, np.where(outside, -width, e),
+        np.concatenate([b.values for b in blocks]) * (1 - 2 * (
+            group.lengths[z] % 2)), cols, [max_abs(c.coeffs) for c in cols],
+        fault)
+    failures = []
+    for x, rows, acc in zip(xs, ids, sums):
+        acc[-1, 0] -= 1 - 2 * (x.length % 2)     # the row of x is signed
+        failures.append(frozenset(rows[acc.any(axis=1)].tolist()))
+    return failures
 
 
 class ColumnTable:
@@ -482,21 +598,36 @@ class ColumnTable:
         """The inverse polynomial at (y, x); zero unless y <= x."""
         return self.inverse_column(x).get(y, _ZERO)
 
-    def check_inversion_identity(self, y: Element, x: Element) -> bool:
-        """The Kronecker sum over basis elements z in [y, x] of the two
-        families.
+    def canonical_blocks(self, xs) -> list[Block]:
+        """The canonical blocks of ``xs``; a subclass may solve the
+        missing ones in batches."""
+        return [self.canonical_block(x) for x in xs]
 
-        sum_z (-1)^{l(z)-l(y)} (inverse at (y, z)) (canonical at (z, x))
-        equals 1 when y = x and 0 otherwise.  The sums of a whole column
-        are computed once, on its first query, and kept as the set of rows
-        where they fail.
+    def inversion_failures(self, xs):
+        """For each x of ``xs`` in order, the ids y of its column where
+
+            sum_z (-1)^{l(z)-l(y)} (inverse at (y, z)) (canonical at (z, x))
+
+        over basis elements z in [y, x] differs from the Kronecker delta.
+        The sums of a chunk of columns are one batched pass, computed on
+        first query and kept.
         """
-        failures = self._kronecker.get(x.index)
-        if failures is None:
-            failures = self._kronecker[x.index] = kronecker_failures(
-                self.group, x, self.column_ids(x), self.canonical_block(x),
-                self.inverse_column)
-        return y.index not in failures
+        def run(chunk):
+            return kronecker_failures(
+                self.group, chunk, [self.column_ids(x) for x in chunk],
+                self.canonical_blocks(chunk), self.inverse_column)
+        todo = batched(self.group, [x for x in dict.fromkeys(xs)
+                                    if x.index not in self._kronecker],
+                       lambda x: x.length + 1, run)
+        for x in xs:
+            if x.index not in self._kronecker:
+                self._kronecker[x.index] = next(todo)[1]
+            yield self._kronecker[x.index]
+
+    def check_inversion_identity(self, y: Element, x: Element) -> bool:
+        """The Kronecker sum at (y, x): 1 when y = x and 0 otherwise, read
+        from ``inversion_failures``."""
+        return y.index not in next(self.inversion_failures([x]))
 
     def build_all(self) -> None:
         """Materialise the canonical block and the inverse column of every
@@ -506,7 +637,6 @@ class ColumnTable:
         dependency is ready before first use.  Afterwards every query this
         class serves is a pure read.
         """
-        for x in self.basis:
-            self.canonical_block(x)
+        self.canonical_blocks(self.basis)
         for x in self.basis:
             self.inverse_column(x)

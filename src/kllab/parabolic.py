@@ -47,7 +47,7 @@ from .hecke import (
     _VINV_MINUS_V, HeckeElt, KLTable, _accum, bar_block, bar_element,
 )
 from .kernel import (
-    INT64_LIMIT, Block, ColumnTable, InvariantError, bar_invariant_block,
+    INT64_LIMIT, Block, ColumnTable, InvariantError, bar_invariant_blocks,
     dense_block, row_poly, row_positions,
 )
 from .laurent import LaurentPoly
@@ -226,24 +226,28 @@ class ParabolicKLTable(ColumnTable):
         return self.context.downset_ids(x)
 
     def canonical_basis_element(self, x: Element) -> HeckeElt:
-        """c_x (spherical) or d_x (antispherical) by the bar-invariance pass.
-
-        One descending pass over the representatives below x, from the
-        blocks of bar(m_z) alone; uniqueness of the basis makes the result
-        independent of every choice made there.  The block is stored and
-        the element decoded lazily.
-        """
-        got = self._canonical.get(x.index)
-        if got is None:
-            got = self._canonical[x.index] = bar_invariant_block(
-                self.group, x, self.column_ids(x), self.context.bar_block)
-        return HeckeElt.from_block(self.context, got)
+        """c_x (spherical) or d_x (antispherical), decoded lazily from
+        ``canonical_block``."""
+        return HeckeElt.from_block(self.context, self.canonical_block(x))
 
     def canonical_block(self, x: Element) -> Block:
-        """The block of c_x or d_x; solved by ``canonical_basis_element``."""
-        if x.index not in self._canonical:
-            self.canonical_basis_element(x)
-        return self._canonical[x.index]
+        """The block of c_x or d_x, by ``canonical_blocks``."""
+        return self.canonical_blocks([x])[0]
+
+    def canonical_blocks(self, xs) -> list[Block]:
+        """The blocks of c_x or d_x for ``xs`` by the bar-invariance pass,
+        the missing ones solved in batches and stored.
+
+        The pass runs over the representatives below each x, from the
+        blocks of bar(m_z) alone; uniqueness of the basis makes the result
+        independent of every choice made there.
+        """
+        for x, block in bar_invariant_blocks(
+                self.group, [x for x in dict.fromkeys(xs)
+                             if x.index not in self._canonical],
+                self.column_ids, self.context.bar_block):
+            self._canonical[x.index] = block
+        return [self._canonical[x.index] for x in xs]
 
 
 def check_soergel_identification(
@@ -263,6 +267,7 @@ def check_soergel_identification(
             "antispherical flavor")
     if kl.group is not ctx.group:
         raise ValueError("tables live over different groups")
+    parab.build_all()
     mismatches = []
     for x in ctx.reps:
         ncol = parab.inverse_column(x)

@@ -36,7 +36,7 @@ from .coxeter import (
 )
 from .hecke import InvariantError, KLTable
 from .kernel import (
-    InverseColumn, block_row, row_poly, row_positions, scaled_sum,
+    InverseColumn, batched, block_row, block_sums, row_poly, row_positions,
 )
 from .laurent import LaurentPoly
 from .parabolic import (
@@ -179,17 +179,21 @@ def scan_monotonicity_classical(table: KLTable) -> tuple[int, list[Violation]]:
     """All triples violating classical monotonicity of h_{y,x}.
 
     Compares whole blocks per (x, y) pair like the inverse scan, over b_x
-    made dense on downset(x) once per x.
+    made dense on downset(x) once per x, by one block sum.
     """
     table.build_all()
     group = table.group
-    lengths = np.array([el.length for el in group], dtype=np.intp)
+    lengths = group.lengths
     count = 0
     found: list[Violation] = []
+    zero = np.zeros(1, np.intp)
     for x in group:
         ids = group.downset_ids(x)
-        coeffs = scaled_sum(x, ids, x.length + 1, 0,
-                            [(x, table.b_block(x), [0], [1])])
+        b = table.b_block(x)
+        (coeffs,) = block_sums(
+            group, [x], [ids], x.length + 1, zero, zero, zero, zero + 1, [b],
+            [b.row_norm], lambda k: f"the block of {x!r} has a term outside "
+                                    f"the rows of {x!r}")
         for i, y in enumerate(group.downset(x)):
             below = group.downset_ids(y)
             count += len(below)
@@ -344,8 +348,7 @@ def rouquier_multiplicities(table: KLTable, x: Element) -> RouquierTable:
 def _wrong_parity(col: InverseColumn) -> np.ndarray:
     """The nonzero entries of the column of x (its last row) at an
     exponent not congruent to l(x) - l(y) mod 2, y the entry's row."""
-    elements = col.group.elements
-    lengths = np.array([elements[y].length for y in col.rows.tolist()])
+    lengths = col.group.lengths[col.rows]
     odd = (lengths[-1] - lengths)[:, None] + np.arange(col.coeffs.shape[1])
     return (col.coeffs != 0) & (odd % 2 == 1)
 
@@ -371,19 +374,34 @@ def rouquier_shadow_ok(table: KLTable, x: Element) -> bool:
     sums (-1)^i m^i_y v^i b_y over the blocks of b_y into one dense array
     over downset(x) and compares it with the standard basis element.
     """
-    col = table.inverse_column(x)
-    _check_multiplicities(col, x)
-    elements = table.group.elements
-    terms = []
-    for pos in np.flatnonzero(col.coeffs.any(axis=1)).tolist():
-        y = elements[col.rows[pos]]
-        row = col.coeffs[pos].tolist()
-        exps = [e for e, m in enumerate(row) if m]
-        terms.append((y, table.b_block(y), exps,
-                      [-row[e] if e % 2 else row[e] for e in exps]))
-    acc = scaled_sum(x, col.rows, x.length + 1, 0, terms)
-    acc[-1, 0] -= 1
-    return not acc.any()
+    return next(rouquier_shadows(table, [x]))
+
+
+def rouquier_shadows(table: KLTable, xs):
+    """``rouquier_shadow_ok`` for each x of ``xs`` in order, as one
+    batched sum of blocks per chunk."""
+    group = table.group
+    elements = group.elements
+
+    def run(chunk):
+        cols = [table.inverse_column(x) for x in chunk]
+        for col, x in zip(cols, chunk):
+            _check_multiplicities(col, x)
+        parts = [col.terms() for col in cols]
+        ys, exps, mults = (np.concatenate(p) for p in zip(*parts))
+        slot = np.repeat(np.arange(len(chunk)), [len(p[0]) for p in parts])
+        zs, which = np.unique(ys, return_inverse=True)
+        lower = [table.b_block(elements[y]) for y in zs.tolist()]
+        sums = block_sums(
+            group, chunk, [col.rows for col in cols],
+            max(x.length for x in chunk) + 1, slot, which, exps,
+            mults * (1 - 2 * (exps % 2)), lower, [b.row_norm for b in lower],
+            lambda k: f"the block of {elements[ys[k]]!r} has a term "
+                      f"outside the rows of {chunk[slot[k]]!r}")
+        for acc in sums:
+            acc[-1, 0] -= 1
+        return [not acc.any() for acc in sums]
+    return (ok for _, ok in batched(group, xs, lambda x: x.length + 1, run))
 
 
 # ----------------------------------------------------------------------
@@ -531,29 +549,35 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
         column_rows(res, _wrong_parity,
                     lambda y, x, row: f"parity at ({y!r},{x!r})")
 
-    def bar_invariance(res):
+    def per_element(res, flags, message):
+        """One pair per x, counted before its batched check."""
         for x in group:
             res.pairs_checked += 1
-            if not table.is_bar_invariant(x):
+            if not next(flags):
                 res.passed = False
-                res.failures.append(f"bar(b) != b at {x!r}")
+                res.failures.append(message(x))
+
+    def bar_invariance(res):
+        per_element(res, table.bar_invariance(group),
+                    lambda x: f"bar(b) != b at {x!r}")
 
     def inversion(res, ptable, message):
-        """One pair per row of each column of a table of any module."""
+        """One pair per row of each column of a table of any module; the
+        sums of a column are checked with its first pair."""
+        sums = ptable.inversion_failures(ptable.basis)
         for x in ptable.basis:
-            for y in map(group.elements.__getitem__,
-                         ptable.column_ids(x).tolist()):
-                res.pairs_checked += 1
-                if not ptable.check_inversion_identity(y, x):
+            ids = ptable.column_ids(x).tolist()
+            res.pairs_checked += 1
+            failures = next(sums)
+            res.pairs_checked += len(ids) - 1
+            for y in ids:
+                if y in failures:
                     res.passed = False
-                    res.failures.append(message(y, x))
+                    res.failures.append(message(group.elements[y], x))
 
     def rouquier(res):
-        for x in group:
-            res.pairs_checked += 1
-            if not rouquier_shadow_ok(table, x):
-                res.passed = False
-                res.failures.append(f"shadow at {x!r}")
+        per_element(res, rouquier_shadows(table, group),
+                    lambda x: f"shadow at {x!r}")
 
     run(CheckResult("positivity-kl", spec, cap=cap), positivity_kl)
     run(CheckResult("positivity-invkl", spec, cap=cap), positivity_inv)

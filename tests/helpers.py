@@ -6,7 +6,9 @@ order by the subword property, and reduced-word sets by brute enumeration.
 ``ReferenceGroupTable`` is the braid-closure enumeration that the integer
 group tables replaced.  The sparse references at the end are the
 dict-of-``LaurentPoly`` solves, identity checks (the Rouquier shadow among
-them) and per-triple scans that the block kernel replaced.
+them) and per-triple scans that the block kernel replaced, and the
+per-element block passes (one column and one block at a time) that the
+batched passes replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ from kllab.coxeter import (
     Element, GroupTable, canonical_form, parse_coxeter_spec,
 )
 from kllab.hecke import HeckeElt, KLTable, mult_delta_gen
-from kllab.kernel import Block, InvariantError, exact_array
+from kllab import kernel
+from kllab.kernel import (
+    Block, InvariantError, dense_block, exact_array, max_abs, narrow,
+    row_positions,
+)
 from kllab.laurent import LaurentPoly
 from kllab.parabolic import ParabolicContext, ParabolicElt, project
 from kllab.verify import Violation
@@ -378,3 +384,116 @@ def reference_scan_parabolic(ref: ReferenceParabolic):
                 if v:
                     found.append(v)
     return count, found
+
+
+# ----------------------------------------------------------------------
+# per-element block passes: one column, one block of z at a time
+# ----------------------------------------------------------------------
+
+class _Overflow(Exception):
+    pass
+
+
+def _add_scaled(acc, where, x, z, block, shifts, coefs):
+    """acc[row, exp + shifts[k]] += coefs[k] * value over every term of
+    ``block`` (the block of z) and every k."""
+    pos = where.take(block.rows, mode="clip")
+    if pos.min() < 0:
+        raise InvariantError(
+            f"the block of {z!r} has a term outside the rows of {x!r}")
+    pos = pos[block.at]
+    for k, shift in enumerate(shifts):
+        acc[pos, block.exps + shift] += block.values * coefs[k:k + 1]
+
+
+def _reference_bar_solve(group, x, ids, bar_of, dtype, limit):
+    """The descending bar-invariance solve of one column, row by row."""
+    elements = group.elements
+    rows = ids.tolist()
+    top = x.length
+    where = row_positions(ids, x)
+    acc = np.zeros((len(ids), 2 * top + 1), dtype=dtype)
+    out = np.zeros((len(ids), top + 1), dtype=dtype)
+    out[-1, 0] = 1
+    shifts, coef = [top], out[-1, :1]
+    bound = 0
+    for i in range(len(rows) - 1, -1, -1):
+        z = elements[rows[i]]
+        if i < len(rows) - 1:
+            a = acc[i]
+            if (a[top:] != -a[top::-1]).any():
+                raise InvariantError(
+                    f"bar-invariance solve at {x!r}: the coefficient of "
+                    f"{z!r} is not antisymmetric")
+            exps = a[top + 1:].nonzero()[0] + 1
+            if not len(exps):
+                continue
+            if exps[-1] > top - z.length:
+                raise InvariantError(
+                    f"bar-invariance solve at {x!r}: the coefficient of "
+                    f"{z!r} has a term above degree {top - z.length}")
+            coef = a[top + exps]
+            out[i, exps] = coef
+            shifts = (top - exps).tolist()
+        r = bar_of(z)
+        if limit is not None:
+            bound += max_abs(coef) * r.row_norm
+            if bound >= limit:
+                raise _Overflow
+        _add_scaled(acc, where, x, z, r, shifts, coef)
+    if acc[:, :top].any() or (acc[:, top:] != out).any():
+        raise InvariantError(
+            f"bar-invariance solve produced a non-self-dual element at {x!r}")
+    return out
+
+
+def reference_bar_invariant_block(group, x, ids, bar_of) -> Block:
+    """The canonical element of x over ``ids`` by the per-element solve,
+    in int64 under the bound and redone in exact ints above it."""
+    try:
+        out = narrow(_reference_bar_solve(group, x, ids, bar_of, np.int64,
+                                          kernel.INT64_LIMIT))
+    except _Overflow:
+        out = _reference_bar_solve(group, x, ids, bar_of, object, None)
+    if (ids[-1] != x.index or out[-1, 0] != 1 or out[-1, 1:].any()
+            or out[:-1, 0].any()):
+        raise InvariantError(
+            f"canonical element at {x!r} not unitriangular over vZ[v]")
+    return dense_block(ids, out)
+
+
+def reference_kronecker_failures(group, x, ids, block, column_of):
+    """The rows of the column of x where the Kronecker sum fails, one
+    column of z and one term at a time."""
+    elements = group.elements
+    top = x.length
+    where = row_positions(ids, x)
+    rows, exps, values = (block.rows.tolist(), block.exps.tolist(),
+                          block.values.tolist())
+    bounds = np.searchsorted(block.at, np.arange(len(rows) + 1)).tolist()
+    slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    columns = [column_of(elements[z]) for z in rows]
+    bound = sum(sum(abs(c) for c in values[sl]) * max_abs(col.coeffs)
+                for sl, col in zip(slices, columns))
+    dtype = np.int64 if bound < kernel.INT64_LIMIT else object
+    total = np.zeros((len(ids), top + 1), dtype=dtype)
+    for z, sl, col in zip(rows, slices, columns):
+        pos = where.take(col.rows, mode="clip")
+        if pos.min() < 0:
+            raise InvariantError(
+                f"the inverse column of {elements[z]!r} has a row outside "
+                f"the rows of {x!r}")
+        coeffs = col.coeffs.astype(dtype)
+        if elements[z].length % 2:
+            coeffs = -coeffs
+        width = coeffs.shape[1]
+        for e, c in zip(exps[sl], values[sl]):
+            if not 0 <= e <= top + 1 - width:
+                raise InvariantError(
+                    f"coefficient of {elements[z]!r} at {x!r} has a term "
+                    f"outside the window [0, {top + 1 - width}]")
+            total[pos, e:e + width] += coeffs * c
+    lengths = np.array([elements[y].length for y in ids.tolist()])
+    total[lengths % 2 == 1] *= -1
+    total[-1, 0] -= 1
+    return frozenset(ids[total.any(axis=1)].tolist())

@@ -1,0 +1,177 @@
+"""The batched passes against the per-element references.
+
+Every canonical block of every quotient, and every Kronecker failure set,
+must equal the per-element pass of ``helpers`` field by field, both with
+the cell budget at its default and at its minimum, where every x is a
+chunk of its own and every scatter piece holds one entry.  A fault in
+the middle of a multi-x chunk must raise the message the per-element
+pass raises, and the exact fallback must pick out single columns.
+"""
+
+import functools
+import itertools
+
+import numpy as np
+import pytest
+
+from kllab import kernel
+from kllab.kernel import InvariantError, block_terms
+from kllab.parabolic import (
+    ANTISPHERICAL, SPHERICAL, ParabolicContext, ParabolicKLTable,
+)
+from helpers import (
+    get_group, poly, reference_bar_invariant_block,
+    reference_kronecker_failures, terms_block,
+)
+
+FLAVORS = (SPHERICAL, ANTISPHERICAL)
+GROUPS = [("A3", None), ("B3", None), ("H3", None), ("D4", None),
+          ("Aff-A2", 8), ("I2(inf)", 12)]
+
+
+def subsets(rank: int):
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(rank), k) for k in range(rank + 1))
+
+
+def same_block(got, expected) -> bool:
+    return (all(np.array_equal(a, b) for a, b in zip(got[:4], expected[:4]))
+            and got.values.dtype == expected.values.dtype
+            and got.row_norm == expected.row_norm)
+
+
+@functools.lru_cache(maxsize=None)
+def references(spec: str, cap, subset, flavor):
+    """Per-element canonical blocks and Kronecker failure sets, the latter
+    over the per-element blocks and the recursion's inverse columns."""
+    ctx = ParabolicContext(get_group(spec, cap), subset, flavor)
+    blocks = {x.index: reference_bar_invariant_block(
+        ctx.group, x, ctx.downset_ids(x), ctx.bar_block) for x in ctx.reps}
+    table = ParabolicKLTable(ctx)
+    table._canonical.update(blocks)
+    table.build_all()
+    failures = {x.index: reference_kronecker_failures(
+        ctx.group, x, ctx.downset_ids(x), blocks[x.index],
+        table.inverse_column) for x in ctx.reps}
+    return blocks, failures
+
+
+@pytest.mark.parametrize("budget", ["default", "minimum"])
+@pytest.mark.parametrize("spec,cap", GROUPS)
+def test_batched_passes_match_the_references(monkeypatch, spec, cap,
+                                             budget):
+    if budget == "minimum":
+        monkeypatch.setattr(kernel, "CELL_BUDGET", 1)
+    group = get_group(spec, cap)
+    for subset in subsets(group.matrix.rank):
+        for flavor in FLAVORS:
+            blocks, failures = references(spec, cap, subset, flavor)
+            table = ParabolicKLTable(ParabolicContext(group, subset, flavor))
+            reps = table.basis
+            for x, got in zip(reps, table.canonical_blocks(reps)):
+                assert same_block(got, blocks[x.index]), (subset, flavor, x)
+            got = dict(zip([x.index for x in reps],
+                           table.inversion_failures(reps)))
+            assert got == failures, (subset, flavor)
+
+
+def _chunks_seen(monkeypatch) -> list:
+    """Record (dtype, xs) of every call of the batched solver."""
+    seen = []
+
+    def spy(group, xs, ids, bar_of, dtype, limit,
+            _solve=kernel._bar_solve_chunk):
+        seen.append((dtype, list(xs)))
+        return _solve(group, xs, ids, bar_of, dtype, limit)
+    monkeypatch.setattr(kernel, "_bar_solve_chunk", spy)
+    return seen
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda terms, e, stray: terms.update({e: terms[e] + poly({1: 1})}),
+     "not antisymmetric"),
+    (lambda terms, e, stray: terms.update({stray: poly({1: 1, -1: -1})}),
+     "outside the rows"),
+])
+def test_fault_in_a_multi_x_chunk(monkeypatch, edit, message):
+    """A broken bar(m_z) used by several columns of one chunk raises the
+    first failing x's message, as the per-element pass over the
+    representatives in order raises it."""
+    group = get_group("B3")
+    ctx = ParabolicContext(group, (1,), ANTISPHERICAL)
+    reps = list(ctx.reps)
+    z = reps[len(reps) // 2]
+    # a representative above z, so no row of the column of z
+    stray = next(w for w in reps if w.length > z.length)
+    terms = block_terms(group, ctx.bar_block(z))
+    edit(terms, group.identity, stray)
+    ctx._bar_rep[z.index] = terms_block(
+        sorted((y.index, p) for y, p in terms.items() if p))
+    expected = failing = None
+    for x in reps:
+        try:
+            reference_bar_invariant_block(group, x, ctx.downset_ids(x),
+                                          ctx.bar_block)
+        except InvariantError as exc:
+            expected, failing = str(exc), x
+            break
+    assert message in expected and repr(failing) in expected
+    assert repr(z) in expected or message == "not antisymmetric"
+    seen = _chunks_seen(monkeypatch)
+    table = ParabolicKLTable(ctx)
+    with pytest.raises(InvariantError) as raised:
+        table.canonical_blocks(reps)
+    assert str(raised.value) == expected
+    assert any(failing in xs and len(xs) > 1 for _, xs in seen)
+    # the columns before it are stored, as lone requests store them
+    assert all(x.index in table._canonical for x in reps if x < failing)
+
+
+def test_the_first_of_two_faults_in_one_level():
+    """Two broken blocks of one length under a lone column: the pass
+    raises for the higher row, which a row-by-row pass meets first."""
+    group = get_group("B3")
+    ctx = ParabolicContext(group, (), ANTISPHERICAL)
+    x = next(w for w in group if w.length == 5)
+    stray = next(w for w in group if w.length == 6)
+    z1, z2 = [z for z in group.downset(x) if z.length == 3][:2]
+    for z in (z1, z2):
+        terms = block_terms(group, ctx.bar_block(z))
+        terms[stray] = poly({1: 1, -1: -1})
+        ctx._bar_rep[z.index] = terms_block(
+            sorted((y.index, p) for y, p in terms.items()))
+    with pytest.raises(InvariantError) as expected:
+        reference_bar_invariant_block(group, x, ctx.downset_ids(x),
+                                      ctx.bar_block)
+    assert repr(z2) in str(expected.value)
+    with pytest.raises(InvariantError) as raised:
+        ParabolicKLTable(ctx).canonical_block(x)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_one_x_of_a_chunk_past_the_bound(monkeypatch):
+    """With the limit just above every row norm seen by all but one x of
+    a chunk, only that x is redone in exact ints, with the reference's
+    result."""
+    group = get_group("B3")
+    ctx = ParabolicContext(group, (), ANTISPHERICAL)
+    reps = list(ctx.reps)
+    expected = {x.index: reference_bar_invariant_block(
+        group, x, ctx.downset_ids(x), ctx.bar_block) for x in reps}
+    bounds = {}
+    for x in reps:
+        bounds[x.index] = sum(
+            max(map(abs, b.values[b.rows[b.at] == y].tolist()))
+            * ctx.bar_block(group.elements[y]).row_norm
+            for b in [expected[x.index]] for y in b.rows.tolist())
+    top = max(reps, key=lambda x: bounds[x.index])
+    others = max(v for k, v in bounds.items() if k != top.index)
+    assert others < bounds[top.index]
+    monkeypatch.setattr(kernel, "INT64_LIMIT", others + 1)
+    seen = _chunks_seen(monkeypatch)
+    table = ParabolicKLTable(ctx)
+    for x, got in zip(reps, table.canonical_blocks(reps)):
+        assert same_block(got, expected[x.index]), x
+    chunk = next(xs for dtype, xs in seen if top in xs)
+    assert len(chunk) > 1
+    assert [xs for dtype, xs in seen if dtype is object] == [[top]]

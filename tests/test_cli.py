@@ -1,6 +1,9 @@
 """Command-line interface: formats, determinism, exit codes, round-trips."""
 
+import csv
+import io
 import json
+import sys
 
 import pytest
 
@@ -359,3 +362,33 @@ class TestErrorsAndIO:
         text = target.read_text()
         assert text.startswith("y,x,len_y,len_x,poly\n")
         assert len(text.strip().split("\n")) == 20
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_streamed_output_is_the_one_string(self, tmp_path, monkeypatch,
+                                                fmt):
+        """JSON and CSV leave in many writes, none of them the whole
+        output, and hold byte for byte what one string of
+        json.dumps(indent=2, sort_keys=True) or of a csv writer would."""
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        argv = ["invkl", "--group", "B3", "--format", fmt]
+        assert main(argv) == 0
+        out = sys.stdout.getvalue()
+        if fmt == "json":
+            expected = json.dumps(json.loads(out), indent=2,
+                                  sort_keys=True) + "\n"
+        else:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(
+                csv.reader(io.StringIO(out)))
+            expected = buf.getvalue()
+        assert out == expected
+        assert len(writes) > 1 and max(writes) < len(out)
+        target = tmp_path / f"table.{fmt}"
+        assert main(argv + ["--out", str(target)]) == 0
+        assert target.read_text() == out

@@ -229,10 +229,10 @@ def test_exact_fallback_under_a_small_limit(monkeypatch):
     and redo the column in exact ints, with the same results."""
     for module in (kernel, hecke, parabolic):
         monkeypatch.setattr(module, "INT64_LIMIT", 8)
-    dtypes = {"_bar_solve": [], "_inverse_step": []}
+    dtypes = {"_bar_solve_chunk": [], "_inverse_step": []}
 
-    def bar_spy(*args, _solve=kernel._bar_solve):
-        dtypes["_bar_solve"].append(args[-2])
+    def bar_spy(*args, _solve=kernel._bar_solve_chunk):
+        dtypes["_bar_solve_chunk"].append(args[-2])
         return _solve(*args)
 
     def step_spy(self, x, prev, _step=kernel.ColumnTable._inverse_step):
@@ -241,7 +241,7 @@ def test_exact_fallback_under_a_small_limit(monkeypatch):
         dtypes["_inverse_step"].append(
             object if col.coeffs.dtype == object else np.int64)
         return col
-    monkeypatch.setattr(kernel, "_bar_solve", bar_spy)
+    monkeypatch.setattr(kernel, "_bar_solve_chunk", bar_spy)
     monkeypatch.setattr(kernel.ColumnTable, "_inverse_step", step_spy)
     group = GroupTable(get_group("B3").matrix)
     for subset in ((), (1,)):

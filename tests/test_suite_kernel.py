@@ -112,11 +112,11 @@ def test_shadow_exact_fallback_under_a_small_limit(monkeypatch):
     monkeypatch.setattr(kernel, "INT64_LIMIT", 8)
     seen = []
 
-    def spy(*args, _sum=verify.scaled_sum):
-        acc = _sum(*args)
-        seen.append(acc.dtype)
-        return acc
-    monkeypatch.setattr(verify, "scaled_sum", spy)
+    def spy(*args, _sums=verify.block_sums):
+        sums = _sums(*args)
+        seen.extend(acc.dtype for acc in sums)
+        return sums
+    monkeypatch.setattr(verify, "block_sums", spy)
     table = KLTable(GroupTable(get_group("B3").matrix))
     assert_shadow_matches_reference(table)
     assert np.dtype(object) in seen and np.dtype(np.int64) in seen
