@@ -48,8 +48,8 @@ _ZERO = LaurentPoly.zero()
 INT64_LIMIT = 1 << 62
 
 #: about the most array cells a batched pass holds at once: the dense sums
-#: of one chunk of columns with their id tables, or the index arrays of one
-#: scatter piece; it keeps the temporaries of a pass near 1 MB on any group
+#: of a chunk of columns with their id tables, the index arrays of a scatter
+#: piece or of a piece of scan triples; it keeps temporaries near 1 MB
 CELL_BUDGET = 1 << 15
 
 
@@ -325,22 +325,28 @@ def block_sums(group: GroupTable, xs: list[Element], ids, width: int,
     return out
 
 
+def chunks(xs, cost: Callable[[Element], int]) -> list[list[Element]]:
+    """``xs`` in order, cut into runs whose ``cost`` sums to about
+    CELL_BUDGET cells, or one x alone."""
+    out, cells = [], CELL_BUDGET
+    for x in xs:
+        c = cost(x)
+        if cells + c > CELL_BUDGET:
+            out.append([])
+            cells = 0
+        out[-1].append(x)
+        cells += c
+    return out
+
+
 def batched(group: GroupTable, xs, width: Callable[[Element], int], run):
     """(x, run(chunk)[i]) for each x of ``xs`` in order, ``run`` taking
-    runs of xs whose columns (|downset(x)| rows, at least a quotient's
-    count, times ``width(x)``) and id tables hold about CELL_BUDGET cells,
-    or one x alone.  A chunk that raises is redone one x at a time, so the
-    error raised is the first failing x's, worded as its lone request
-    words it."""
-    chunks, cells = [], CELL_BUDGET
-    for x in xs:
-        cost = len(group.downset_ids(x)) * width(x) + x.index + 2
-        if cells + cost > CELL_BUDGET:
-            chunks.append([])
-            cells = 0
-        chunks[-1].append(x)
-        cells += cost
-    for chunk in chunks:
+    the ``chunks`` whose columns (|downset(x)| rows times ``width(x)``)
+    and id tables hold about CELL_BUDGET cells.  A chunk that raises is
+    redone one x at a time, so the error raised is the first failing x's,
+    worded as its lone request words it."""
+    for chunk in chunks(xs, lambda x: len(group.downset_ids(x)) * width(x)
+                        + x.index + 2):
         try:
             got = run(chunk)
         except (InvariantError, ValueError):    # a column's own errors

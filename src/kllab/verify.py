@@ -18,25 +18,27 @@ is the chain arising from a type-A group modulo a type-A wall (I = all
 nodes but one path endpoint), every consecutive chain triple must appear
 among the violations.
 
-Triples are enumerated by x in id order (length, then ShortLex), then y,
-then z, so reports are deterministic and diffable.  The scans run in one
-thread: their work is Python and numpy calls on small blocks that hold the
-interpreter lock, and a thread pool made them slower.
+All four scans run one triple kernel, ``_scan_triples``: a triple is a
+pair of rows of an aligned coefficient store, compared slot by slot, in
+pieces of about ``CELL_BUDGET`` cells.  Triples go by x in id order
+(length, then ShortLex), then y, then z, so reports are deterministic and
+diffable.  The scans run in one thread: a thread pool made them slower.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
+from . import kernel
 from .coxeter import (
     CoxeterMatrix, Element, GroupTable, parse_coxeter_spec, render_word,
 )
 from .hecke import InvariantError, KLTable
 from .kernel import (
-    InverseColumn, batched, block_row, block_sums, row_poly, row_positions,
+    InverseColumn, batched, block_row, block_sums, chunks, row_poly,
 )
 from .laurent import LaurentPoly
 from .parabolic import (
@@ -129,102 +131,132 @@ def scan_monotonicity_inverse(table: KLTable) -> tuple[int, list[Violation]]:
     list for every Coxeter system.
     """
     table.build_all()
-    return _scan_columns(table.group, table.inverse_column)
+    return _scan_columns(table.group, list(table.group), table.inverse_column)
 
 
-def _scan_columns(xs, column) -> tuple[int, list[Violation]]:
-    """v^{l(x)-l(y)} col_y[z] <= col_x[z] over every triple of rows.
-
-    The rows of ``column(x)`` are the y <= x of the family (all of
-    downset(x), or its representatives), so the triples are x in ``xs``,
-    y a row of column x and z a row of column y.  The columns of the y of
-    one length, stacked in id order, are compared with column x as one
-    block; a violation keeps where its two rows are and decodes them only
-    when read.
-    """
-    count = 0
-    found: list[Violation] = []
-    for x in xs:
-        colx = column(x)
-        elements = colx.group.elements
-        where = row_positions(colx.rows, x)
-        below = map(elements.__getitem__, colx.rows.tolist())
-        for length, level in groupby(below, lambda y: y.length):
-            level = list(level)
-            cols = [column(y) for y in level]
-            at = where[np.concatenate([col.rows for col in cols])]
-            count += len(at)
-            gap = x.length - length
-            rhs = colx.coeffs[at]
-            lower = rhs[:, :gap] < 0
-            upper = rhs[:, gap:] < np.concatenate([col.coeffs for col in cols])
-            if not (lower.any() or upper.any()):
-                continue
-            bad = np.concatenate((lower, upper), axis=1)
-            rows = np.flatnonzero(bad.any(axis=1))
-            # row k of the stack is row k - starts[n] of column y_n
-            starts = np.cumsum([0] + [len(col.rows) for col in cols])
-            for k, witness in zip(rows.tolist(),
-                                  bad[rows].argmax(axis=1).tolist()):
-                n = int(np.searchsorted(starts, k, side="right")) - 1
-                i = k - int(starts[n])
-                found.append(Violation(
-                    elements[cols[n].rows[i]], level[n], x, None, None,
-                    witness, (cols[n].coeffs, i, colx.coeffs, int(at[k]),
-                              gap)))
-    return count, found
+def _scan_columns(group, xs, column) -> tuple[int, list[Violation]]:
+    """The triple kernel over the inverse columns of ``xs``."""
+    cols = [column(x) for x in xs]
+    return _scan_triples(group, xs, [col.rows for col in cols],
+                         [col.coeffs for col in cols])
 
 
 def scan_monotonicity_classical(table: KLTable) -> tuple[int, list[Violation]]:
     """All triples violating classical monotonicity of h_{y,x}.
 
-    Compares whole blocks per (x, y) pair like the inverse scan, over b_x
-    made dense on downset(x) once per x, by one block sum.
+    The triple kernel over b_x made dense on downset(x) for a run of xs
+    by one block sum, row z shifted up by l(z), so that v^{l(y)-l(z)}
+    h_{y,x} lines up with h_{z,x}; a term of b_x at a negative exponent
+    or past the dense width raises InvariantError.
     """
     table.build_all()
     group = table.group
-    lengths = group.lengths
-    count = 0
-    found: list[Violation] = []
-    zero = np.zeros(1, np.intp)
-    for x in group:
-        ids = group.downset_ids(x)
-        b = table.b_block(x)
-        (coeffs,) = block_sums(
-            group, [x], [ids], x.length + 1, zero, zero, zero, zero + 1, [b],
-            [b.row_norm], lambda k: f"the block of {x!r} has a term outside "
-                                    f"the rows of {x!r}")
-        for i, y in enumerate(group.downset(x)):
-            below = group.downset_ids(y)
-            count += len(below)
-            for j, gap, witness in _classical_failures(
-                    coeffs, i, y, np.searchsorted(ids, below),
-                    lengths[below]):
-                found.append(Violation(group.elements[ids[j]], y, x,
-                                       None, None, witness,
-                                       (coeffs, i, coeffs, j, gap)))
-    return count, found
+
+    def dense(chunk):
+        blocks = [table.b_block(x) for x in chunk]
+        k = np.arange(len(chunk))
+        # a negative exponent is sent off the store, where it raises
+        return np.concatenate(block_sums(
+            group, chunk, [group.downset_ids(x) for x in chunk],
+            chunk[-1].length + 1, k, k, 0 * k, 1 + 0 * k, [b._replace(
+                exps=np.where(b.exps < 0, -1, b.exps + group.lengths[
+                    b.rows[b.at]])) for b in blocks],
+            [b.row_norm for b in blocks], lambda j: (
+                f"the block of {chunk[j]!r} has a term outside the rows of "
+                f"{chunk[j]!r}")))
+    return _scan_triples(group, list(group), [
+        group.downset_ids(x) for x in group], dense=dense)
 
 
-def _classical_failures(coeffs, i: int, y: Element, pos, below_lengths):
-    """(j, gap, e) for each z <= y where v^gap h_{y,x} <= h_{z,x} fails:
-    z is row j of ``coeffs`` (b_x dense over downset(x), y its row i),
-    gap = l(y) - l(z), and e is the first exponent where h_{z,x} minus
-    the shifted h_{y,x} is negative.  ``pos`` holds the rows of
-    downset(y) and ``below_lengths`` their lengths.
+def _scan_triples(group, xs, rows, coeffs=None, dense=None):
+    """(count, violations) of a monotonicity scan: the triple kernel.
+
+    The triples are (x, y, z), x in ``xs``, y in the sorted ``rows`` of x
+    and z in the rows of y, in that order.  Each compares two rows of an
+    aligned store slot by slot and fails where the row of z in x (hi) is
+    below the other (lo).  Given the ``coeffs`` of xs, the store holds
+    them end to end, right-aligned, and lo is the row of z in y.  Given
+    ``dense`` (the classical scan), ``dense(chunk)`` is the store of a
+    run of xs, row z from slot l(z), and lo is the row of y in x.  Runs
+    of xs keep their pair arrays and position table, and pieces of their
+    triples their index arrays and rows, within about CELL_BUDGET cells.
+    A z that is no row of x raises InvariantError.
     """
-    width = coeffs.shape[1]
-    padded = np.concatenate((np.zeros(width, coeffs.dtype), coeffs[i]))
-    # row z of lhs is h_{y,x} shifted up by l(y) - l(z): entry k reads
-    # padded[width + k - (l(y) - l(z))], which is 0 below exponent 0
-    lhs = padded[(width - y.length) + below_lengths[:, None]
-                 + np.arange(width)]
-    bad = coeffs[pos] < lhs
-    if not bad.any():
-        return []
-    rows = np.flatnonzero(bad.any(axis=1))
-    return zip(pos[rows].tolist(), (y.length - below_lengths[rows]).tolist(),
-               bad[rows].argmax(axis=1).tolist())
+    elements, lengths = group.elements, group.lengths
+    size = np.array([len(r) for r in rows])
+    first = np.cumsum(size) - size
+    index = np.zeros(len(elements), np.intp)
+    index[[x.index for x in xs]] = np.arange(len(xs))
+    ids = np.concatenate(rows, dtype=np.min_scalar_type(len(elements)),
+                         casting="unsafe")
+    if dense is None:
+        widths = np.array([c.shape[1] for c in coeffs])
+        store = np.zeros((len(ids), int(widths.max())),
+                         np.result_type(*[c.dtype for c in coeffs]))
+        for c, f, w in zip(coeffs, first.tolist(), widths.tolist()):
+            store[f:f + len(c), store.shape[1] - w:] = c
+        shift = store.shape[1] - widths
+    count, found = 0, []
+    for chunk in chunks(xs, lambda x: size[index[x.index]] * (
+            32 + (0 if dense is None else x.length + 1)) + x.index + 2):
+        c0 = int(index[chunk[0].index])
+        p0, n = int(first[c0]), size[c0:c0 + len(chunk)]
+        row0, store = (0, store) if dense is None else (p0, dense(chunk))
+        ys, slot = ids[p0:p0 + int(n.sum())], np.repeat(np.arange(len(n)), n)
+        top = np.array([x.index for x in chunk]) + 1
+        base = np.cumsum(top) - top
+        where = np.full(int(top.sum()), -1, np.int32)
+        where[base[slot] + ys] = own = np.arange(len(ys)) + p0 - row0
+        m = size[index[ys]]
+        start = np.concatenate(([0], np.cumsum(m)))
+        count += int(start[-1])
+        # per pair (x, y): its first z less its first triple, the position
+        # table of x and the store row of y
+        pair = np.stack((first[index[ys]] - start[:-1], base[slot], own), 1)
+        cuts = np.flatnonzero(np.diff(start[:-1] * (store.shape[1] + 8)
+                                      // kernel.CELL_BUDGET)) + 1
+        for q0, q1 in zip([0, *cuts.tolist()], [*cuts.tolist(), len(ys)]):
+            t0 = int(start[q0])
+            at = np.repeat(pair[q0:q1], m[q0:q1], axis=0)
+            zidx = at[:, 0] + np.arange(t0, int(start[q1]))
+            z = ids.take(zidx)
+            hi = where.take(at[:, 1] + z)
+            lo = zidx if dense is None else at[:, 2]
+            if hi.min() < 0:
+                t = int(np.argmax(hi < 0))
+                q = int(np.searchsorted(start, t0 + t, side="right")) - 1
+                raise InvariantError("scan triple {0!r} <= {1!r} <= {2!r}: "
+                                     "{0!r} is no row of the column of {2!r}"
+                                     .format(elements[z[t]], elements[ys[q]],
+                                             chunk[slot[q]]))
+            bad = np.less(store.take(hi, 0), store.take(lo, 0))
+            if not bad.any():
+                continue
+            # the first failing slot of each failing triple t
+            t, slots = np.divmod(np.flatnonzero(bad), store.shape[1])
+            new = np.flatnonzero(np.diff(t, prepend=-1))
+            t, slots, q = t[new], slots[new], np.searchsorted(
+                start, t0 + t[new], side="right") - 1
+            z, y, x = z[t], index[ys[q]], c0 + slot[q]
+            if dense is None:       # the rows of the columns of y and x
+                zero = shift[x]
+                sides = zip(map(coeffs.__getitem__, y.tolist()),
+                            (lo[t] - first[y]).tolist(),
+                            map(coeffs.__getitem__, x.tolist()),
+                            (hi[t] - first[x]).tolist(),
+                            (shift[y] - zero).tolist())
+            else:                   # the store, row z read from slot l(z)
+                zero = lengths[z]
+                views = [store[:, k:] for k in range(store.shape[1])]
+                sides = zip(itertools.repeat(store), lo[t].tolist(),
+                            map(views.__getitem__, zero.tolist()),
+                            hi[t].tolist(), (-zero).tolist())
+            found.extend(
+                Violation(elements[zz], elements[yy], xs[xx], None, None, e,
+                          side) for zz, yy, xx, e, side in zip(
+                    z.tolist(), ys[q].tolist(), x.tolist(),
+                    (slots - zero).tolist(), sides))
+    return count, found
 
 
 def _scan_parabolic(ptable: ParabolicKLTable, flavor: str):
@@ -233,7 +265,7 @@ def _scan_parabolic(ptable: ParabolicKLTable, flavor: str):
         raise FlavorMismatchError(
             f"scan needs a {flavor} table, got {ctx.flavor}")
     ptable.build_all()
-    return _scan_columns(ctx.reps, ptable.inverse_column)
+    return _scan_columns(ctx.group, list(ctx.reps), ptable.inverse_column)
 
 
 def scan_monotonicity_antispherical(ptable: ParabolicKLTable):
@@ -263,14 +295,10 @@ def chain_triples(ctx: ParabolicContext) -> list[tuple] | None:
     gives the total order.
     """
     reps = ctx.reps
-    lengths = [r.length for r in reps]
-    if len(set(lengths)) != len(lengths):
+    if len({r.length for r in reps}) != len(reps) or not all(
+            ctx.group.bruhat_leq(a, b) for a, b in zip(reps, reps[1:])):
         return None
-    for a, b in zip(reps, reps[1:]):
-        if not ctx.group.bruhat_leq(a, b):
-            return None
-    return [(reps[i], reps[i + 1], reps[i + 2])
-            for i in range(len(reps) - 2)]
+    return list(zip(reps, reps[1:], reps[2:]))
 
 
 def is_type_a_wall_quotient(matrix: CoxeterMatrix, subset) -> bool:
@@ -281,34 +309,21 @@ def is_type_a_wall_quotient(matrix: CoxeterMatrix, subset) -> bool:
     violations as mandatory.
     """
     rank = matrix.rank
-    subset = frozenset(subset)
-    if rank < 2 or len(subset) != rank - 1:
+    orders = {(i, j): matrix.order(i, j) for i in range(rank)
+              for j in range(rank) if i != j}
+    bonds = [[j for j in range(rank) if orders.get((i, j)) == 3]
+             for i in range(rank)]
+    omitted = set(range(rank)) - set(subset)
+    # rank - 1 simple bonds, none of degree 3, connected: a path
+    if (rank < 2 or len(omitted) != 1 or set(orders.values()) - {2, 3}
+            or sum(map(len, bonds)) != 2 * (rank - 1)
+            or max(map(len, bonds)) > 2):
         return False
-    adj: dict[int, list[int]] = {i: [] for i in range(rank)}
-    edges = 0
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            order = matrix.order(i, j)
-            if order == 3:
-                adj[i].append(j)
-                adj[j].append(i)
-                edges += 1
-            elif order != 2:
-                return False
-    if edges != rank - 1 or any(len(v) > 2 for v in adj.values()):
-        return False
-    endpoints = [i for i in range(rank) if len(adj[i]) == 1]
-    if len(endpoints) != 2:
-        return False
-    seen = {endpoints[0]}
-    frontier = [endpoints[0]]
+    seen, frontier = {0}, [0]
     while frontier:
-        frontier = [w for u in frontier for w in adj[u]
+        frontier = [w for u in frontier for w in bonds[u]
                     if w not in seen and not seen.add(w)]
-    if len(seen) != rank:
-        return False
-    (omitted,) = set(range(rank)) - subset
-    return omitted in endpoints
+    return len(seen) == rank and len(bonds[omitted.pop()]) == 1
 
 
 # ----------------------------------------------------------------------
@@ -423,19 +438,10 @@ class CheckResult:
     notes: list[str] = field(default_factory=list)
 
     def to_json_obj(self) -> dict:
-        return {
-            "check": self.check,
-            "group": self.group,
-            "I": self.subset,
-            "flavor": self.flavor,
-            "cap": self.cap,
-            "pairs_checked": self.pairs_checked,
-            "passed": self.passed,
-            "expected_violations": self.expected_violations,
-            "violations": [v.to_json_obj() for v in self.violations],
-            "failures": self.failures,
-            "notes": self.notes,
-        }
+        """Every field, the subset as "I" and each violation as JSON."""
+        return {**{k: v for k, v in vars(self).items() if k != "subset"},
+                "I": self.subset,
+                "violations": [v.to_json_obj() for v in self.violations]}
 
     def text_lines(self) -> list[str]:
         label = self.check
@@ -523,10 +529,6 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
                 res.failures.append(
                     message(group.elements[y], x, block_row(block, y)))
 
-    def positivity_kl(res):
-        b_rows(res, lambda b: (b.values < 0) | (b.exps < 0),
-               lambda y, x, h: f"h at ({y!r},{x!r}) = {h}")
-
     def column_rows(res, failing, message):
         """One pair per row of each inverse column; failing rows decoded."""
         for x in group:
@@ -537,18 +539,6 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
                 res.failures.append(message(
                     group.elements[col.rows[pos]], x, col.coeffs[pos]))
 
-    def positivity_inv(res):
-        column_rows(res, lambda col: col.coeffs < 0,
-                    lambda y, x, row: f"h^ at ({y!r},{x!r}) = {row_poly(row)}")
-
-    def mu_nonneg(res):
-        b_rows(res, lambda b: (b.values < 0) & (b.exps == 1),
-               lambda y, x, h: f"mu({y!r},{x!r}) < 0")
-
-    def parity(res):
-        column_rows(res, _wrong_parity,
-                    lambda y, x, row: f"parity at ({y!r},{x!r})")
-
     def per_element(res, flags, message):
         """One pair per x, counted before its batched check."""
         for x in group:
@@ -556,10 +546,6 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
             if not next(flags):
                 res.passed = False
                 res.failures.append(message(x))
-
-    def bar_invariance(res):
-        per_element(res, table.bar_invariance(group),
-                    lambda x: f"bar(b) != b at {x!r}")
 
     def inversion(res, ptable, message):
         """One pair per row of each column of a table of any module; the
@@ -575,20 +561,6 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
                     res.passed = False
                     res.failures.append(message(group.elements[y], x))
 
-    def rouquier(res):
-        per_element(res, rouquier_shadows(table, group),
-                    lambda x: f"shadow at {x!r}")
-
-    run(CheckResult("positivity-kl", spec, cap=cap), positivity_kl)
-    run(CheckResult("positivity-invkl", spec, cap=cap), positivity_inv)
-    run(CheckResult("mu-nonnegative", spec, cap=cap), mu_nonneg)
-    run(CheckResult("parity", spec, cap=cap), parity)
-    run(CheckResult("bar-invariance", spec, cap=cap), bar_invariance)
-    run(CheckResult("inversion-identity", spec, cap=cap),
-        lambda res: inversion(res, table, lambda y, x:
-                              f"inversion sum at ({y!r},{x!r})"))
-    run(CheckResult("rouquier-shadow", spec, cap=cap), rouquier)
-
     def scan_into(res, scanner, *args):
         count, violations = scanner(*args)
         res.pairs_checked = count
@@ -596,10 +568,32 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
         if violations and not res.expected_violations:
             res.passed = False
 
-    run(CheckResult("scan-classical", spec, cap=cap),
-        lambda res: scan_into(res, scan_monotonicity_classical, table))
-    run(CheckResult("scan-inverse", spec, cap=cap),
-        lambda res: scan_into(res, scan_monotonicity_inverse, table))
+    for name, body in [
+        ("positivity-kl", lambda res: b_rows(
+            res, lambda b: (b.values < 0) | (b.exps < 0),
+            lambda y, x, h: f"h at ({y!r},{x!r}) = {h}")),
+        ("positivity-invkl", lambda res: column_rows(
+            res, lambda col: col.coeffs < 0,
+            lambda y, x, row: f"h^ at ({y!r},{x!r}) = {row_poly(row)}")),
+        ("mu-nonnegative", lambda res: b_rows(
+            res, lambda b: (b.values < 0) & (b.exps == 1),
+            lambda y, x, h: f"mu({y!r},{x!r}) < 0")),
+        ("parity", lambda res: column_rows(
+            res, _wrong_parity, lambda y, x, row: f"parity at ({y!r},{x!r})")),
+        ("bar-invariance", lambda res: per_element(
+            res, table.bar_invariance(group),
+            lambda x: f"bar(b) != b at {x!r}")),
+        ("inversion-identity", lambda res: inversion(
+            res, table, lambda y, x: f"inversion sum at ({y!r},{x!r})")),
+        ("rouquier-shadow", lambda res: per_element(
+            res, rouquier_shadows(table, group),
+            lambda x: f"shadow at {x!r}")),
+        ("scan-classical", lambda res: scan_into(
+            res, scan_monotonicity_classical, table)),
+        ("scan-inverse", lambda res: scan_into(
+            res, scan_monotonicity_inverse, table)),
+    ]:
+        run(CheckResult(name, spec, cap=cap), body)
 
     for subset in subsets:
         one_based = sorted(t + 1 for t in subset)
