@@ -315,10 +315,10 @@ def _cmd_scan(args, out: _Output) -> int:
         out.emit_json(res.to_json_obj())
     elif out.fmt == "csv":
         out.emit_csv(["z", "y", "x", "lhs", "rhs", "witness_exponent"],
-                     [[render_word(v.z.word), render_word(v.y.word),
+                     ([render_word(v.z.word), render_word(v.y.word),
                        render_word(v.x.word), poly_csv(v.lhs),
                        poly_csv(v.rhs), str(v.witness_exponent)]
-                      for v in violations])
+                      for v in violations))
     else:
         out.emit("\n".join(res.text_lines()))
     return 0 if res.passed else 1

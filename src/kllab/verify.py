@@ -23,11 +23,18 @@ pair of rows of an aligned coefficient store, compared slot by slot, in
 pieces of about ``CELL_BUDGET`` cells.  Triples go by x in id order
 (length, then ShortLex), then y, then z, so reports are deterministic and
 diffable.  The scans run in one thread: a thread pool made them slower.
+A scan returns its violations as a ``ViolationRecord``: integer arrays,
+a few bytes per failing triple, from which a ``Violation`` is built only
+when it is read, so a spherical scan may find millions of violations
+while a text report renders 20 per check.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,10 +78,11 @@ def build_group(spec: str, cap: int | None = None,
 class Violation:
     """A Bruhat triple z <= y <= x where the shifted comparison fails.
 
-    A block scan passes ``rows`` = (lower, i, upper, j, gap) for the
+    A scan's record passes ``rows`` = (lower, i, upper, j, gap) for the
     polynomials: lhs is v^gap times row i of the dense block ``lower``,
-    rhs is row j of ``upper``, both decoded on first access, since a scan
-    may find tens of thousands and a text report prints 20 per check.
+    rhs is row j of ``upper``, both decoded on first access.  Equality,
+    ``text()`` and ``to_json_obj()`` read the decoded polynomials, so a
+    built violation is the same whichever way it was made.
     """
 
     __slots__ = ("z", "y", "x", "witness_exponent", "_sides")
@@ -120,28 +128,92 @@ class Violation:
                 f"witness_exponent={self.witness_exponent}")
 
 
+class ViolationRecord(Sequence):
+    """The violations of a scan, in scan order, held as integer arrays.
+
+    Each part is (arrays, sides).  The arrays give, per violation, the
+    ids of z, y and x, the witness exponent and the two side rows (lo
+    row, hi row, gap), each in the narrowest dtype that holds it;
+    ``sides(y, x, gap)`` gives the blocks (lower, upper) the rows are
+    read from.  An item is a ``Violation`` built when it is read and not
+    kept, so the record is read-only and a report that renders 20
+    violations builds 20.
+    """
+
+    def __init__(self, elements=(), parts=()):
+        self._elements, self._parts = elements, list(parts)
+        self._ends = list(itertools.accumulate(
+            len(arrays[0]) for arrays, _ in self._parts))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        k = operator.index(i)
+        k += len(self) if k < 0 else 0
+        if not 0 <= k < len(self):
+            raise IndexError("violation index out of range")
+        p = bisect.bisect_right(self._ends, k)
+        arrays, sides = self._parts[p]
+        k -= self._ends[p] - len(arrays[0])
+        return self._build(sides, *(int(a[k]) for a in arrays))
+
+    def __iter__(self):
+        for arrays, sides in self._parts:
+            for k in range(0, len(arrays[0]), 4096):
+                for row in zip(*(a[k:k + 4096].tolist() for a in arrays)):
+                    yield self._build(sides, *row)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, tuple, ViolationRecord)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def _build(self, sides, z, y, x, exp, lo, hi, gap) -> Violation:
+        elements = self._elements
+        lower, upper = sides(y, x, gap)
+        return Violation(elements[z], elements[y], elements[x], None, None,
+                         exp, (lower, lo, upper, hi, gap))
+
+    def has_triple(self, z: Element, y: Element, x: Element) -> bool:
+        """Whether (z, y, x) is a violation, read off the id arrays."""
+        return any(((a[0] == z.index) & (a[1] == y.index)
+                    & (a[2] == x.index)).any() for a, _ in self._parts)
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """``a`` in the narrowest integer dtype that holds its values."""
+    lo, hi = int(a.min()), int(a.max())
+    return a.astype(np.min_scalar_type(min(lo, -1 - hi) if lo < 0 else hi))
+
+
 # ----------------------------------------------------------------------
 # monotonicity scans
 # ----------------------------------------------------------------------
 
-def scan_monotonicity_inverse(table: KLTable) -> tuple[int, list[Violation]]:
+def scan_monotonicity_inverse(table: KLTable) -> tuple[int, ViolationRecord]:
     """All triples violating the inverse-polynomial monotonicity.
 
     Returns (triples_checked, violations); the theorem predicts an empty
-    list for every Coxeter system.
+    record for every Coxeter system.
     """
     table.build_all()
     return _scan_columns(table.group, list(table.group), table.inverse_column)
 
 
-def _scan_columns(group, xs, column) -> tuple[int, list[Violation]]:
+def _scan_columns(group, xs, column) -> tuple[int, ViolationRecord]:
     """The triple kernel over the inverse columns of ``xs``."""
     cols = [column(x) for x in xs]
     return _scan_triples(group, xs, [col.rows for col in cols],
                          [col.coeffs for col in cols])
 
 
-def scan_monotonicity_classical(table: KLTable) -> tuple[int, list[Violation]]:
+def scan_monotonicity_classical(table: KLTable
+                                ) -> tuple[int, ViolationRecord]:
     """All triples violating classical monotonicity of h_{y,x}.
 
     The triple kernel over b_x made dense on downset(x) for a run of xs
@@ -169,7 +241,7 @@ def scan_monotonicity_classical(table: KLTable) -> tuple[int, list[Violation]]:
 
 
 def _scan_triples(group, xs, rows, coeffs=None, dense=None):
-    """(count, violations) of a monotonicity scan: the triple kernel.
+    """(count, ViolationRecord) of a monotonicity scan: the triple kernel.
 
     The triples are (x, y, z), x in ``xs``, y in the sorted ``rows`` of x
     and z in the rows of y, in that order.  Each compares two rows of an
@@ -180,7 +252,9 @@ def _scan_triples(group, xs, rows, coeffs=None, dense=None):
     run of xs, row z from slot l(z), and lo is the row of y in x.  Runs
     of xs keep their pair arrays and position table, and pieces of their
     triples their index arrays and rows, within about CELL_BUDGET cells.
-    A z that is no row of x raises InvariantError.
+    A z that is no row of x raises InvariantError.  The violations of a
+    run of xs become one part of the record: rows of the columns of y and
+    x, or of the run's store, whose row z is read from slot l(z).
     """
     elements, lengths = group.elements, group.lengths
     size = np.array([len(r) for r in rows])
@@ -196,14 +270,18 @@ def _scan_triples(group, xs, rows, coeffs=None, dense=None):
         for c, f, w in zip(coeffs, first.tolist(), widths.tolist()):
             store[f:f + len(c), store.shape[1] - w:] = c
         shift = store.shape[1] - widths
-    count, found = 0, []
+
+        def sides(y, x, gap):
+            return coeffs[index[y]], coeffs[index[x]]
+    count, parts = 0, []
     for chunk in chunks(xs, lambda x: size[index[x.index]] * (
             32 + (0 if dense is None else x.length + 1)) + x.index + 2):
         c0 = int(index[chunk[0].index])
         p0, n = int(first[c0]), size[c0:c0 + len(chunk)]
         row0, store = (0, store) if dense is None else (p0, dense(chunk))
         ys, slot = ids[p0:p0 + int(n.sum())], np.repeat(np.arange(len(n)), n)
-        top = np.array([x.index for x in chunk]) + 1
+        xid = np.array([x.index for x in chunk])
+        top, found = xid + 1, []
         base = np.cumsum(top) - top
         where = np.full(int(top.sum()), -1, np.int32)
         where[base[slot] + ys] = own = np.arange(len(ys)) + p0 - row0
@@ -237,26 +315,22 @@ def _scan_triples(group, xs, rows, coeffs=None, dense=None):
             new = np.flatnonzero(np.diff(t, prepend=-1))
             t, slots, q = t[new], slots[new], np.searchsorted(
                 start, t0 + t[new], side="right") - 1
-            z, y, x = z[t], index[ys[q]], c0 + slot[q]
-            if dense is None:       # the rows of the columns of y and x
-                zero = shift[x]
-                sides = zip(map(coeffs.__getitem__, y.tolist()),
-                            (lo[t] - first[y]).tolist(),
-                            map(coeffs.__getitem__, x.tolist()),
-                            (hi[t] - first[x]).tolist(),
-                            (shift[y] - zero).tolist())
-            else:                   # the store, row z read from slot l(z)
+            z, y, x = z[t], ys[q], xid[slot[q]]
+            if dense is None:       # rows of the columns of y and x
+                yp, xp = index[y], c0 + slot[q]
+                zero = shift[xp]
+                found.append((z, y, x, slots - zero, lo[t] - first[yp],
+                              hi[t] - first[xp], shift[yp] - zero))
+            else:                   # rows of the store, row z from slot l(z)
                 zero = lengths[z]
-                views = [store[:, k:] for k in range(store.shape[1])]
-                sides = zip(itertools.repeat(store), lo[t].tolist(),
-                            map(views.__getitem__, zero.tolist()),
-                            hi[t].tolist(), (-zero).tolist())
-            found.extend(
-                Violation(elements[zz], elements[yy], xs[xx], None, None, e,
-                          side) for zz, yy, xx, e, side in zip(
-                    z.tolist(), ys[q].tolist(), x.tolist(),
-                    (slots - zero).tolist(), sides))
-    return count, found
+                found.append((z, y, x, slots - zero, lo[t], hi[t], -zero))
+        if found:
+            if dense is not None:
+                def sides(y, x, gap, store=store):
+                    return store, store[:, -gap:]
+            parts.append((tuple(_narrow(np.concatenate(a))
+                                for a in zip(*found)), sides))
+    return count, ViolationRecord(elements, parts)
 
 
 def _scan_parabolic(ptable: ParabolicKLTable, flavor: str):
@@ -425,6 +499,10 @@ def rouquier_shadows(table: KLTable, xs):
 
 @dataclass
 class CheckResult:
+    """One suite check.  ``violations`` is the record of a scan check (an
+    empty record otherwise); the text report builds at most 20 of its
+    violations, the JSON report every one."""
+
     check: str
     group: str
     subset: list[int] = field(default_factory=list)  # 1-based for reporting
@@ -433,7 +511,7 @@ class CheckResult:
     pairs_checked: int = 0
     passed: bool = True
     expected_violations: bool = False
-    violations: list = field(default_factory=list)  # Violation objects
+    violations: ViolationRecord = field(default_factory=ViolationRecord)
     failures: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
@@ -636,7 +714,8 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
 def evaluate_spherical_mandate(res: CheckResult,
                                ctx: ParabolicContext) -> None:
     """Fail the (expected-violations) spherical check if a mandated
-    consecutive chain triple is missing from the violations."""
+    consecutive chain triple is missing from the violations, looked up in
+    the record's id arrays."""
     if not is_type_a_wall_quotient(ctx.group.matrix, ctx.subset):
         res.notes.append("no mandated violations for this quotient")
         return
@@ -645,8 +724,7 @@ def evaluate_spherical_mandate(res: CheckResult,
         res.passed = False
         res.failures.append("type-A wall quotient is unexpectedly not a chain")
         return
-    got = {(v.z, v.y, v.x) for v in res.violations}
-    missing = [t for t in triples if t not in got]
+    missing = [t for t in triples if not res.violations.has_triple(*t)]
     res.notes.append(
         f"mandated consecutive chain triples: "
         f"{len(triples) - len(missing)}/{len(triples)} present")
