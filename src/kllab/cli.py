@@ -28,7 +28,7 @@ from .coxeter import (
     SettingError, parse_word, render_word,
 )
 from .hecke import InvariantError, KLTable
-from .kernel import row_poly
+from .kernel import block_terms, row_poly
 from .laurent import LaurentPoly
 from .parabolic import (
     ANTISPHERICAL, SPHERICAL, FlavorMismatchError, ParabolicContext,
@@ -243,8 +243,8 @@ def _cmd_parabolic(args, out: _Output) -> int:
     def pairs():
         for x in ctx.reps:
             col = (table.inverse_column(x) if args.family == "invkl"
-                   else table.canonical_basis_element(x).terms)
-            yield from ((y, x, p) for y, p in col.items())
+                   else table.canonical_block(x))
+            yield from ((y, x, p) for y, p in block_terms(group, col).items())
 
     subset_text = _subset_text(subset)
     return _emit_table(

@@ -37,7 +37,8 @@ as a block over downset(x) memoized on the group table, and each inverse
 column as a dense block over the sorted ids of downset(x)
 (``InverseColumn``); see ``kernel`` for the passes and their overflow
 guard.  ``HeckeElt`` arithmetic (``mult_b_gen`` among it) is library API
-and the tests' reference; no table computes with it.
+and the tests' reference; no table computes with it, and a block or column
+becomes one only through ``kernel.block_terms``.
 """
 
 from __future__ import annotations
@@ -64,37 +65,27 @@ class HeckeElt:
     """A sparse standard-basis vector of a module: Element -> LaurentPoly.
 
     ``space`` is the group table (the regular module) or the parabolic
-    context (an induced module) the vector lives in.  One made by
-    ``from_block`` decodes its terms on first use.
+    context (an induced module) the vector lives in.
     """
 
-    __slots__ = ("space", "_terms", "_block")
+    __slots__ = ("space", "terms")
 
     def __init__(self, space, terms: dict[Element, LaurentPoly]):
         self.space = space
-        self._terms = {x: p for x, p in terms.items() if p}
-        self._block = None
+        self.terms = {x: p for x, p in terms.items() if p}
 
     @staticmethod
-    def _clean(space, terms: dict[Element, LaurentPoly] | None,
-               block: Block | None = None) -> "HeckeElt":
+    def _clean(space, terms: dict[Element, LaurentPoly]) -> "HeckeElt":
         """An element over ``terms`` taken as given, with no zero entry as
-        ``_accum`` and products of nonzero polynomials guarantee; or, with
-        ``terms`` None, one that decodes ``block`` on first use."""
+        ``_accum`` and products of nonzero polynomials guarantee."""
         out = HeckeElt.__new__(HeckeElt)
-        out.space, out._terms, out._block = space, terms, block
+        out.space, out.terms = space, terms
         return out
 
     @staticmethod
     def from_block(space, block: Block) -> "HeckeElt":
-        return HeckeElt._clean(space, None, block)
-
-    @property
-    def terms(self) -> dict[Element, LaurentPoly]:
-        if self._terms is None:
-            self._terms = block_terms(_group(self.space), self._block)
-            self._block = None
-        return self._terms
+        """The element whose terms are the block's, decoded."""
+        return HeckeElt._clean(space, block_terms(_group(space), block))
 
     @staticmethod
     def zero(space) -> "HeckeElt":
@@ -273,7 +264,7 @@ def _times_generator(group: GroupTable, x: Element, ids: np.ndarray,
 
 
 def bar_delta(table: GroupTable, x: Element) -> HeckeElt:
-    """bar(delta_x), decoded from ``bar_block`` on first use."""
+    """bar(delta_x), decoded from ``bar_block``."""
     return HeckeElt.from_block(table, bar_block(table, x))
 
 
@@ -388,7 +379,7 @@ class KLTable(ColumnTable):
         return blocks
 
     def kl_basis_element(self, x: Element) -> HeckeElt:
-        """b_x, decoded from ``b_block`` on first use."""
+        """b_x, decoded from ``b_block``."""
         return HeckeElt.from_block(self.group, self.b_block(x))
 
     # -- canonical basis, oracle route -------------------------------------

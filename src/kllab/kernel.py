@@ -5,8 +5,8 @@ Every table is keyed by ``Element.index``; ids follow length, then
 ShortLex, so "the top remaining term" of a triangular solve is the
 largest id.  A column is a sorted id array (the downset of x, or its
 minimal coset representatives) plus integer coefficients: a sparse
-``Block`` of nonzero terms, or a dense array whose row i, column e holds
-the coefficient of v^e.
+``Block`` of nonzero terms, or a dense ``InverseColumn`` whose row i,
+column e holds the coefficient of v^e; ``block_terms`` decodes either.
 
 Every sum of blocks goes through one scatter, ``add_blocks``: it adds
 sum c v^e (block of z) into the rows of a batch of columns x, given flat
@@ -34,7 +34,6 @@ exact range check.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -126,15 +125,14 @@ def dense_block(ids: np.ndarray, dense: np.ndarray, offset: int = 0) -> Block:
                  values, norm)
 
 
-def block_terms(group: GroupTable, block: Block) -> dict[Element, LaurentPoly]:
-    """Decode a block to Element -> LaurentPoly."""
-    polys: list[dict[int, int]] = [{} for _ in range(len(block.rows))]
-    for a, e, c in zip(block.at.tolist(), block.exps.tolist(),
-                       block.values.tolist()):
-        polys[a][e] = c
+def block_terms(group: GroupTable, block) -> dict[Element, LaurentPoly]:
+    """Decode a ``Block`` or an ``InverseColumn`` to Element -> LaurentPoly
+    over its nonzero rows, in id order, through its ``terms()`` arrays."""
+    polys: dict[int, dict[int, int]] = {}
+    for y, e, c in zip(*(a.tolist() for a in block.terms())):
+        polys.setdefault(y, {})[e] = c
     elements = group.elements
-    return {elements[y]: LaurentPoly(p)
-            for y, p in zip(block.rows.tolist(), polys)}
+    return {elements[y]: LaurentPoly(p) for y, p in polys.items()}
 
 
 def block_row(block: Block, y: int) -> LaurentPoly:
@@ -152,24 +150,14 @@ def row_poly(row: np.ndarray) -> LaurentPoly:
     return LaurentPoly({e: c for e, c in enumerate(row.tolist()) if c})
 
 
-class InverseColumn(Mapping):
-    """Read-only mapping y -> inverse polynomial over one stored column.
+class InverseColumn(NamedTuple):
+    """One stored inverse column: row i of the read-only ``coeffs`` holds
+    the coefficient of v^e, column e, of the element with id ``rows[i]``,
+    ``rows`` being the sorted ids of the column.  ``block_terms`` decodes
+    it as it decodes a ``Block``."""
 
-    Rows are the ids of the column; only nonzero rows are keys.  Values
-    are decoded from the block on first access and cached, so a caller
-    that reads every entry pays for the ``LaurentPoly`` values once and a
-    block-level reader (the scans) never pays for them.
-    """
-
-    __slots__ = ("group", "rows", "coeffs", "_cache")
-
-    def __init__(self, group: GroupTable, rows: np.ndarray,
-                 coeffs: np.ndarray):
-        self.group = group
-        self.rows = rows
-        self.coeffs = coeffs
-        coeffs.flags.writeable = False
-        self._cache: dict[int, LaurentPoly] = {}
+    rows: np.ndarray
+    coeffs: np.ndarray
 
     @property
     def size(self) -> int:
@@ -180,32 +168,6 @@ class InverseColumn(Mapping):
         """Row id, exponent and value of each nonzero entry, as arrays."""
         pos, exps = np.nonzero(self.coeffs)
         return self.rows[pos], exps, self.coeffs[pos, exps]
-
-    def get(self, y: Element, default=None):
-        got = self._cache.get(y.index)
-        if got is None:
-            pos = int(np.searchsorted(self.rows, y.index))
-            found = pos < len(self.rows) and self.rows[pos] == y.index
-            got = self._cache[y.index] = (row_poly(self.coeffs[pos])
-                                          if found else _ZERO)
-        return got if got else default
-
-    def __getitem__(self, y: Element) -> LaurentPoly:
-        got = self.get(y)
-        if got is None:
-            raise KeyError(y)
-        return got
-
-    def _nonzero_positions(self) -> list[int]:
-        return np.flatnonzero(self.coeffs.any(axis=1)).tolist()
-
-    def __iter__(self):
-        elements = self.group.elements
-        for pos in self._nonzero_positions():
-            yield elements[int(self.rows[pos])]
-
-    def __len__(self) -> int:
-        return len(self._nonzero_positions())
 
 
 # ----------------------------------------------------------------------
@@ -511,7 +473,7 @@ class ColumnTable:
         self.mask = mask
         self.spherical = spherical
         self._inv_cols: dict[int, InverseColumn] = {0: InverseColumn(
-            group, np.zeros(1, np.intp), np.ones((1, 1), np.int8))}
+            np.zeros(1, np.intp), np.broadcast_to(np.int8(1), (1, 1)))}
         self._mu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._kronecker: dict[int, frozenset[int]] = {}
 
@@ -574,8 +536,9 @@ class ColumnTable:
             y = group.elements[ids[np.flatnonzero(dense[:, 0])[0]]]
             raise InvariantError(
                 f"inverse polynomial at ({y!r},{x!r}) has a v^-1 term")
-        return InverseColumn(group, ids, dense[:, 1:] if dtype is object
-                             else narrow(dense[:, 1:]))
+        coeffs = dense[:, 1:] if dtype is object else narrow(dense[:, 1:])
+        coeffs.flags.writeable = False
+        return InverseColumn(ids, coeffs)
 
     def _mu_terms(self, zs: list[int], s: int):
         """(y, mu(y, z), k) for each z = zs[k] and each y of its mu sum
@@ -602,7 +565,11 @@ class ColumnTable:
 
     def inverse_kl_poly(self, y: Element, x: Element) -> LaurentPoly:
         """The inverse polynomial at (y, x); zero unless y <= x."""
-        return self.inverse_column(x).get(y, _ZERO)
+        col = self.inverse_column(x)
+        pos = int(np.searchsorted(col.rows, y.index))
+        if pos == len(col.rows) or col.rows[pos] != y.index:
+            return _ZERO
+        return row_poly(col.coeffs[pos])
 
     def canonical_blocks(self, xs) -> list[Block]:
         """The canonical blocks of ``xs``; a subclass may solve the

@@ -226,7 +226,7 @@ class ParabolicKLTable(ColumnTable):
         return self.context.downset_ids(x)
 
     def canonical_basis_element(self, x: Element) -> HeckeElt:
-        """c_x (spherical) or d_x (antispherical), decoded lazily from
+        """c_x (spherical) or d_x (antispherical), decoded from
         ``canonical_block``."""
         return HeckeElt.from_block(self.context, self.canonical_block(x))
 

@@ -24,9 +24,9 @@ pieces of about ``CELL_BUDGET`` cells.  Triples go by x in id order
 (length, then ShortLex), then y, then z, so reports are deterministic and
 diffable.  The scans run in one thread: a thread pool made them slower.
 A scan returns its violations as a ``ViolationRecord``: integer arrays,
-a few bytes per failing triple, from which a ``Violation`` is built only
-when it is read, so a spherical scan may find millions of violations
-while a text report renders 20 per check.
+a few bytes per failing triple, from which a ``Violation`` is built and
+decoded only when it is read, so a spherical scan may find millions of
+violations while a text report renders 20 per check and JSON streams.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .coxeter import (
 )
 from .hecke import InvariantError, KLTable
 from .kernel import (
-    InverseColumn, batched, block_row, block_sums, chunks, row_poly,
+    batched, block_row, block_sums, block_terms, chunks, row_poly,
 )
 from .laurent import LaurentPoly
 from .parabolic import (
@@ -75,42 +75,16 @@ def build_group(spec: str, cap: int | None = None,
 # violations
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class Violation:
-    """A Bruhat triple z <= y <= x where the shifted comparison fails.
+    """A Bruhat triple z <= y <= x where the shifted comparison fails."""
 
-    A scan's record passes ``rows`` = (lower, i, upper, j, gap) for the
-    polynomials: lhs is v^gap times row i of the dense block ``lower``,
-    rhs is row j of ``upper``, both decoded on first access.  Equality,
-    ``text()`` and ``to_json_obj()`` read the decoded polynomials, so a
-    built violation is the same whichever way it was made.
-    """
-
-    __slots__ = ("z", "y", "x", "witness_exponent", "_sides")
-
-    def __init__(self, z: Element, y: Element, x: Element, lhs: LaurentPoly,
-                 rhs: LaurentPoly, witness_exponent: int, rows=None):
-        self.z, self.y, self.x = z, y, x
-        self.witness_exponent = witness_exponent
-        self._sides = rows or (lhs, rhs)
-
-    def _decoded(self) -> tuple[LaurentPoly, LaurentPoly]:
-        if len(self._sides) > 2:
-            lower, i, upper, j, gap = self._sides
-            self._sides = row_poly(lower[i]).shift(gap), row_poly(upper[j])
-        return self._sides
-
-    lhs = property(lambda self: self._decoded()[0])
-    rhs = property(lambda self: self._decoded()[1])
-
-    def _key(self) -> tuple:
-        return (self.z, self.y, self.x, *self._decoded(),
-                self.witness_exponent)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Violation) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    z: Element
+    y: Element
+    x: Element
+    lhs: LaurentPoly
+    rhs: LaurentPoly
+    witness_exponent: int
 
     def to_json_obj(self) -> dict:
         return {
@@ -135,9 +109,9 @@ class ViolationRecord(Sequence):
     ids of z, y and x, the witness exponent and the two side rows (lo
     row, hi row, gap), each in the narrowest dtype that holds it;
     ``sides(y, x, gap)`` gives the blocks (lower, upper) the rows are
-    read from.  An item is a ``Violation`` built when it is read and not
-    kept, so the record is read-only and a report that renders 20
-    violations builds 20.
+    read from.  An item is a ``Violation`` of v^gap (row lo of lower) and
+    row hi of upper, built when it is read and not kept, so the record is
+    read-only and a report that renders 20 violations builds 20.
     """
 
     def __init__(self, elements=(), parts=()):
@@ -176,8 +150,9 @@ class ViolationRecord(Sequence):
     def _build(self, sides, z, y, x, exp, lo, hi, gap) -> Violation:
         elements = self._elements
         lower, upper = sides(y, x, gap)
-        return Violation(elements[z], elements[y], elements[x], None, None,
-                         exp, (lower, lo, upper, hi, gap))
+        return Violation(elements[z], elements[y], elements[x],
+                         row_poly(lower[lo]).shift(gap), row_poly(upper[hi]),
+                         exp)
 
     def has_triple(self, z: Element, y: Element, x: Element) -> bool:
         """Whether (z, y, x) is a violation, read off the id arrays."""
@@ -335,7 +310,7 @@ def _scan_triples(group, xs, rows, coeffs=None, dense=None):
 
 def _scan_parabolic(ptable: ParabolicKLTable, flavor: str):
     ctx = ptable.context
-    if ctx.flavor != flavor:
+    if ctx.flavor != flavor and ctx.subset:     # I empty: one module
         raise FlavorMismatchError(
             f"scan needs a {flavor} table, got {ctx.flavor}")
     ptable.build_all()
@@ -430,26 +405,26 @@ def rouquier_multiplicities(table: KLTable, x: Element) -> RouquierTable:
     """
     col = table.inverse_column(x)
     _check_multiplicities(col, x)
-    return RouquierTable(x=x, mult={(y, exp): c for y, h in col.items()
-                                    for exp, c in h.items()})
+    return RouquierTable(x=x, mult={(y, e): c for y, h in block_terms(
+        table.group, col).items() for e, c in h.items()})
 
 
-def _wrong_parity(col: InverseColumn) -> np.ndarray:
+def _wrong_parity(group: GroupTable, col: kernel.InverseColumn) -> np.ndarray:
     """The nonzero entries of the column of x (its last row) at an
     exponent not congruent to l(x) - l(y) mod 2, y the entry's row."""
-    lengths = col.group.lengths[col.rows]
+    lengths = group.lengths[col.rows]
     odd = (lengths[-1] - lengths)[:, None] + np.arange(col.coeffs.shape[1])
     return (col.coeffs != 0) & (odd % 2 == 1)
 
 
-def _check_multiplicities(col: InverseColumn, x: Element) -> None:
-    """Raise at the first entry of the column of x, in ``col.items()``
-    order, with an exponent of the wrong parity or a negative value."""
-    wrong = _wrong_parity(col)
+def _check_multiplicities(col: kernel.InverseColumn, x: Element) -> None:
+    """Raise at the first entry of the column of x, by row id then
+    exponent, with an exponent of the wrong parity or a negative value."""
+    wrong = _wrong_parity(x.group, col)
     bad = np.argwhere(wrong | (col.coeffs < 0))
     if len(bad):
         pos, exp = bad[0].tolist()
-        y = col.group.elements[col.rows[pos]]
+        y = x.group.elements[col.rows[pos]]
         if wrong[pos, exp]:
             raise InvariantError(
                 f"parity-support failure at ({y!r},{x!r}) exponent {exp}")
@@ -497,11 +472,31 @@ def rouquier_shadows(table: KLTable, xs):
 # the batched suite
 # ----------------------------------------------------------------------
 
+class _JSONList(list):
+    """The JSON objects of a sequence's items, each built as an iterating
+    reader (``JSONEncoder.iterencode``) reaches it and then dropped.  The
+    list itself holds nothing: readers through ``len`` and ``iter`` see
+    the items and ``==`` compares them, but a reader of list storage,
+    such as the unindented one-shot ``json.dumps``, sees ``[]``."""
+
+    def __init__(self, items):      # the list's own storage stays empty
+        self.items = items
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        return (item.to_json_obj() for item in self.items)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+
 @dataclass
 class CheckResult:
     """One suite check.  ``violations`` is the record of a scan check (an
     empty record otherwise); the text report builds at most 20 of its
-    violations, the JSON report every one."""
+    violations, the JSON report every one, one at a time."""
 
     check: str
     group: str
@@ -516,10 +511,10 @@ class CheckResult:
     notes: list[str] = field(default_factory=list)
 
     def to_json_obj(self) -> dict:
-        """Every field, the subset as "I" and each violation as JSON."""
+        """Every field, the subset as "I" and each violation as JSON, the
+        violations as a ``_JSONList`` that the indented encoder streams."""
         return {**{k: v for k, v in vars(self).items() if k != "subset"},
-                "I": self.subset,
-                "violations": [v.to_json_obj() for v in self.violations]}
+                "I": self.subset, "violations": _JSONList(self.violations)}
 
     def text_lines(self) -> list[str]:
         label = self.check
@@ -657,7 +652,8 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
             res, lambda b: (b.values < 0) & (b.exps == 1),
             lambda y, x, h: f"mu({y!r},{x!r}) < 0")),
         ("parity", lambda res: column_rows(
-            res, _wrong_parity, lambda y, x, row: f"parity at ({y!r},{x!r})")),
+            res, lambda col: _wrong_parity(group, col),
+            lambda y, x, row: f"parity at ({y!r},{x!r})")),
         ("bar-invariance", lambda res: per_element(
             res, table.bar_invariance(group),
             lambda x: f"bar(b) != b at {x!r}")),
@@ -675,10 +671,10 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
 
     for subset in subsets:
         one_based = sorted(t + 1 for t in subset)
-        anti_ctx = ParabolicContext(group, subset, ANTISPHERICAL)
-        anti = ParabolicKLTable(anti_ctx)
-        sph_ctx = ParabolicContext(group, subset, SPHERICAL)
-        sph = ParabolicKLTable(sph_ctx)
+        anti = ParabolicKLTable(ParabolicContext(group, subset, ANTISPHERICAL))
+        # with I empty both flavors are the regular module: one table
+        sph = ParabolicKLTable(ParabolicContext(
+            group, subset, SPHERICAL)) if subset else anti
 
         def soergel(res, anti=anti):
             mismatches = check_soergel_identification(anti, table)
@@ -691,19 +687,19 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
 
         run(CheckResult("soergel-identification", spec, one_based,
                         ANTISPHERICAL, cap), soergel)
-        for ptable in (anti, sph):
+        for flavor, ptable in ((ANTISPHERICAL, anti), (SPHERICAL, sph)):
             run(CheckResult("parabolic-inversion-identity", spec, one_based,
-                            ptable.context.flavor, cap),
+                            flavor, cap),
                 lambda res, p=ptable: inversion(res, p, lambda y, x: (
                     f"at ({render_word(y.word)},{render_word(x.word)})")))
         run(CheckResult("scan-antispherical", spec, one_based,
                         ANTISPHERICAL, cap),
             lambda res: scan_into(res, scan_monotonicity_antispherical, anti))
 
-        def spherical_scan(res, sph=sph, sph_ctx=sph_ctx):
+        def spherical_scan(res, sph=sph):
             res.expected_violations = True
             scan_into(res, scan_monotonicity_spherical, sph)
-            evaluate_spherical_mandate(res, sph_ctx)
+            evaluate_spherical_mandate(res, sph.context)
 
         run(CheckResult("scan-spherical", spec, one_based, SPHERICAL, cap),
             spherical_scan)

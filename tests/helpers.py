@@ -24,8 +24,8 @@ from kllab.coxeter import (
 from kllab.hecke import HeckeElt, KLTable, mult_delta_gen
 from kllab import kernel
 from kllab.kernel import (
-    Block, InvariantError, dense_block, exact_array, max_abs, narrow,
-    row_positions,
+    Block, InvariantError, block_terms, dense_block, exact_array, max_abs,
+    narrow, row_positions,
 )
 from kllab.laurent import LaurentPoly
 from kllab.parabolic import ParabolicContext, ParabolicElt, project
@@ -199,6 +199,14 @@ def bruhat_leq_oracle(table: GroupTable, x, y) -> bool:
 # sparse references for the block kernel
 # ----------------------------------------------------------------------
 
+def decoded_column(table, x) -> dict:
+    """The inverse column of x as Element -> LaurentPoly over its nonzero
+    rows: a table's stored column decoded by ``block_terms``, or the dict
+    of a ``ReferenceParabolic``."""
+    col = table.inverse_column(x)
+    return col if isinstance(col, dict) else block_terms(x.group, col)
+
+
 def reference_inverse_column(table: KLTable, x) -> dict:
     """All h^{y,x}, by the descending solve over sparse dicts."""
     remainder = {x: LaurentPoly.one()}
@@ -227,10 +235,11 @@ def reference_scan_inverse(table: KLTable):
     group = table.group
     zero = LaurentPoly.zero()
     count, found = 0, []
+    cols = {x: decoded_column(table, x) for x in group}
     for x in group:
-        colx = table.inverse_column(x)
+        colx = cols[x]
         for y in group.downset(x):
-            coly = table.inverse_column(y)
+            coly = cols[y]
             for z in group.downset(y):
                 count += 1
                 v = _reference_violation(
@@ -274,7 +283,7 @@ def reference_rouquier_shadow(table: KLTable, x) -> bool:
     """The Grothendieck check in HeckeElt arithmetic: the multiplicities of
     the decoded column of x, parity and sign checked term by term, re-sum
     to h^{y,x} and sum_y (-1)^i m^i_y v^i b_y is delta_x."""
-    col = table.inverse_column(x)
+    col = decoded_column(table, x)
     per_y: dict = {}
     for y, h in col.items():
         parity = (x.length - y.length) % 2
@@ -368,12 +377,13 @@ def reference_scan_parabolic(ref: ReferenceParabolic):
     group = ctx.group
     zero = LaurentPoly.zero()
     count, found = 0, []
+    cols = {x: decoded_column(ref, x) for x in ctx.reps}
     for x in ctx.reps:
-        colx = ref.inverse_column(x)
+        colx = cols[x]
         for y in group.downset(x):
             if not ctx.is_rep(y):
                 continue
-            coly = ref.inverse_column(y)
+            coly = cols[y]
             for z in group.downset(y):
                 if not ctx.is_rep(z):
                     continue

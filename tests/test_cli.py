@@ -121,6 +121,24 @@ class TestTables:
         assert "e|2,1" not in obj["entries"]
         assert obj["entries"]["e|2"] == {"1": 1}
 
+    @pytest.mark.parametrize("spec", ["A3", "B3"])
+    def test_invkl_is_the_antispherical_family_at_empty_i(self, capsys, spec):
+        """Soergel's identity n^ = h^ at I = empty, read through the two
+        decode paths: rows of the regular columns, and ``block_terms`` of
+        the quotient's columns."""
+        code, out, _ = run_cli(capsys, "invkl", "--group", spec,
+                               "--format", "json")
+        assert code == 0
+        regular = json.loads(out)["entries"]
+        group = get_group(spec)
+        assert len(regular) == sum(len(group.downset(x)) for x in group)
+        code, out, _ = run_cli(capsys, "parabolic", "--group", spec,
+                               "--parabolic", "none", "--flavor",
+                               "antispherical", "--family", "invkl",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["entries"] == regular
+
     def test_rouquier_csv(self, capsys):
         code, out, _ = run_cli(capsys, "rouquier", "--group", "A2",
                                "--element", "1", "--format", "csv")

@@ -20,6 +20,7 @@ from kllab.hecke import (
     HeckeElt, InvariantError, KLTable, bar_delta, bar_element, mult_b_gen,
     mult_delta_gen,
 )
+from kllab.kernel import block_terms
 from kllab.laurent import LaurentPoly
 from helpers import SymmetricOracle, get_group, get_kl, poly, store_b
 
@@ -315,7 +316,9 @@ class TestPolynomials:
             table = get_kl(spec)
             g = table.group
             for x in g:
-                for y, h in table.inverse_column(x).items():
+                col = block_terms(g, table.inverse_column(x))
+                assert list(col) == list(g.downset(x))
+                for y, h in col.items():
                     assert h == poly({x.length - y.length: 1})
 
     @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3"])
@@ -335,8 +338,9 @@ class TestPolynomials:
         table = get_kl("I2(inf)", 8)
         g = table.group
         top = g.elements[-1]
-        col = table.inverse_column(top)
+        col = block_terms(g, table.inverse_column(top))
         assert col[g.identity] == poly({8: 1})
+        assert table.inverse_kl_poly(g.identity, top) == poly({8: 1})
         assert table.kl_poly(g.identity, top) == poly({8: 1})
 
 

@@ -94,7 +94,7 @@ def test_exact_columns_share_the_store(monkeypatch):
 
 
 def _replace_column(table, x, rows, coeffs) -> None:
-    table._inv_cols[x.index] = InverseColumn(table.group, rows, coeffs)
+    table._inv_cols[x.index] = InverseColumn(rows, coeffs)
 
 
 @pytest.mark.parametrize("value", [1000, -1000])

@@ -2,29 +2,30 @@
 
 The Rouquier shadow check sums the blocks of b_y and must agree with the
 ``HeckeElt`` route it replaced, including on injected faults and under
-the exact-int fallback.  Scan violations keep their two rows and decode
-them on demand; they must equal eagerly built references field by field
-and render the same.  Random Coxeter matrices of rank <= 3 must pass
-every check of the whole suite.
+the exact-int fallback.  Scan violations are decoded from the record's
+rows when read; they must equal eagerly built references field by field
+and render the same, and a passing suite decodes nothing.  Random Coxeter
+matrices of rank <= 3 must pass every check of the whole suite.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kllab import kernel, verify
+import kllab
+from kllab import cli, coxeter, hecke, kernel, laurent, parabolic, verify
 from kllab.coxeter import (
     INFINITY, CoxeterMatrix, GroupTable, parse_coxeter_spec,
 )
 from kllab.hecke import InverseColumn, KLTable
-from kllab.kernel import InvariantError
+from kllab.kernel import Block, InvariantError
 from kllab.parabolic import (
-    SPHERICAL, ParabolicContext, ParabolicKLTable,
+    ANTISPHERICAL, SPHERICAL, ParabolicContext, ParabolicKLTable,
 )
 from kllab.verify import (
     rouquier_multiplicities, rouquier_shadow_ok, run_identity_suite,
-    scan_monotonicity_classical, scan_monotonicity_inverse,
-    scan_monotonicity_spherical,
+    scan_monotonicity_antispherical, scan_monotonicity_classical,
+    scan_monotonicity_inverse, scan_monotonicity_spherical,
 )
 from helpers import (
     get_group, poly, reference_rouquier_shadow, reference_scan_classical,
@@ -62,7 +63,7 @@ def _with_entries(table: KLTable, x, edits) -> None:
     for word, exp, value in edits:
         coeffs[int(np.searchsorted(col.rows, g.element(word).index)),
                exp] = value
-    table._inv_cols[x.index] = InverseColumn(g, col.rows, coeffs)
+    table._inv_cols[x.index] = InverseColumn(col.rows, coeffs)
 
 
 def _raised(check, table, x) -> str:
@@ -180,9 +181,6 @@ class TestViolationsOnDemand:
         ptable = ParabolicKLTable(
             ParabolicContext(get_group(spec), subset, SPHERICAL))
         got = scan_monotonicity_spherical(ptable)
-        # the scan reads blocks only: no column decodes a polynomial
-        assert all(not ptable.inverse_column(x)._cache
-                   for x in ptable.context.reps)
         assert_violations_match(got, reference_scan_parabolic(ptable))
 
     def test_injected_inverse_fault(self):
@@ -238,6 +236,86 @@ class TestViolationsOnDemand:
                   and c.subset == [1, 2]]
         assert sph.passed and sph.violations
         assert "mandated consecutive chain triples: 2/2 present" in sph.notes
+
+
+DECODERS = ("row_poly", "block_terms", "block_row")
+
+
+def test_passing_suite_decodes_nothing(monkeypatch):
+    """Every check of a passing suite reads arrays: no decoder is called,
+    under any name a kllab module holds it by.  Rendering the report,
+    which builds violations, shows the spies are live."""
+    calls, holders = [], set()
+    for module in (kllab, cli, coxeter, hecke, kernel, laurent, parabolic,
+                   verify):
+        for name in DECODERS:
+            fn = getattr(module, name, None)
+            if fn is None:
+                continue
+            holders.add((module.__name__, name))
+
+            def spy(*args, _fn=fn, _where=(module.__name__, name)):
+                calls.append(_where)
+                return _fn(*args)
+            monkeypatch.setattr(module, name, spy)
+    assert {(f"kllab.{m}", "row_poly") for m in (
+        "cli", "hecke", "kernel", "parabolic", "verify")} <= holders
+    assert {("kllab.kernel", "block_terms"), ("kllab.verify", "block_terms"),
+            ("kllab.hecke", "block_terms")} <= holders
+    report = run_identity_suite("H3", [(), (0,), (1,), (2,)])
+    assert report.passed
+    assert calls == []
+    report.text_lines()
+    assert ("kllab.verify", "row_poly") in calls
+
+
+def _same_arrays(a: tuple, b: tuple) -> bool:
+    return all(np.array_equal(p, q) and (not isinstance(p, np.ndarray)
+                                         or p.dtype == q.dtype)
+               for p, q in zip(a, b))
+
+
+@pytest.mark.parametrize("spec,cap", [("A3", None), ("H3", None),
+                                      ("Aff-A2", 8)])
+def test_empty_subset_flavors_are_one_module(spec, cap):
+    """With I empty the spherical and antispherical tables, built apart,
+    agree block for block and column for column, and either table serves
+    either scan with the same result."""
+    group = get_group(spec, cap)
+    sph, anti = (ParabolicKLTable(ParabolicContext(group, (), flavor))
+                 for flavor in (SPHERICAL, ANTISPHERICAL))
+    sph.build_all()
+    anti.build_all()
+    assert list(sph.basis) == list(anti.basis) == list(group)
+    for x in group:
+        assert _same_arrays(sph.context.bar_block(x),
+                            anti.context.bar_block(x)), x
+        assert _same_arrays(sph.canonical_block(x), anti.canonical_block(x))
+        assert _same_arrays(sph.inverse_column(x), anti.inverse_column(x))
+    assert isinstance(sph.canonical_block(group.identity), Block)
+    scans = [scan(table) for table in (sph, anti) for scan in (
+        scan_monotonicity_spherical, scan_monotonicity_antispherical)]
+    assert all(got == scans[0] for got in scans)
+
+
+def test_suite_builds_one_empty_subset_table(monkeypatch):
+    """The suite builds one table for I empty, reported under both
+    flavors, and one per flavor for each other subset."""
+    flavors = []
+
+    class Counted(ParabolicKLTable):
+        def __init__(self, context):
+            flavors.append((tuple(sorted(context.subset)), context.flavor))
+            super().__init__(context)
+    monkeypatch.setattr(verify, "ParabolicKLTable", Counted)
+    report = run_identity_suite("A3", [(), (0,)])
+    assert report.passed
+    assert sorted(flavors) == [((), ANTISPHERICAL), ((0,), ANTISPHERICAL),
+                               ((0,), SPHERICAL)]
+    labels = [(c.check, c.subset, c.flavor) for c in report.checks
+              if c.subset == []]
+    assert ("parabolic-inversion-identity", [], SPHERICAL) in labels
+    assert ("scan-spherical", [], SPHERICAL) in labels
 
 
 _BONDS = st.sampled_from([2, 3, 4, 5, 6, 7, INFINITY])

@@ -222,16 +222,20 @@ class TestSuite:
         assert report.passed
 
     def test_json_structure_and_determinism(self):
+        """Encoded as the CLI encodes it, the indented encoder streaming
+        the violations."""
         r1 = run_identity_suite("A2", [(0,)])
         r2 = run_identity_suite("A2", [(0,)])
-        j1 = json.dumps(r1.to_json_obj(), sort_keys=True)
-        j2 = json.dumps(r2.to_json_obj(), sort_keys=True)
+        j1 = json.dumps(r1.to_json_obj(), indent=2, sort_keys=True)
+        j2 = json.dumps(r2.to_json_obj(), indent=2, sort_keys=True)
         assert j1 == j2
         obj = json.loads(j1)
         assert obj["passed"] is True
         for check in obj["checks"]:
             assert {"check", "group", "I", "cap", "pairs_checked",
                     "passed", "violations"} <= set(check)
+        (sph,) = [c for c in obj["checks"] if c["check"] == "scan-spherical"]
+        assert len(sph["violations"]) == 2
 
     def test_text_lines_shape(self):
         report = run_identity_suite("A2", [()])

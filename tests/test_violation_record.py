@@ -3,10 +3,12 @@
 A scan returns its violations as integer arrays and builds a
 ``Violation`` only when one is read: the record must behave as a
 read-only sequence equal to the one-triple-at-a-time references, no scan
-may build a violation, a text report builds at most 20 per check, and
-the spherical mandate reads the id arrays.
+may build a violation, a text report builds at most 20 per check, a JSON
+report builds each as the encoder reaches it, and the spherical mandate
+reads the id arrays.
 """
 
+import json
 from collections.abc import Sequence
 
 import numpy as np
@@ -128,6 +130,29 @@ def test_suite_text_builds_at_most_20_per_check(built):
     assert max(len(c.violations) for c in report.checks) > 20
     report.text_lines()
     assert len(built) == sum(shown)
+
+
+def test_json_builds_each_violation_as_the_encoder_reaches_it(built):
+    """The indented encoder of the CLI writes the first violation after
+    building one, and the streamed text is that of the eager list."""
+    count, record = scan_monotonicity_spherical(spherical("H3", (0,)))
+    res = CheckResult("scan-spherical", "H3", [1], SPHERICAL,
+                      pairs_checked=count, expected_violations=True,
+                      violations=record)
+    built.clear()
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(
+        res.to_json_obj())
+    text = ""
+    while '"witness_exponent"' not in text:
+        text += next(chunks)
+    assert len(built) == 1
+    text += "".join(chunks)
+    assert len(built) == len(record) > 40
+    eager = [v.to_json_obj() for v in record]
+    lazy = res.to_json_obj()["violations"]
+    assert len(lazy) == len(eager) and lazy == eager and list(lazy) == eager
+    assert text == json.dumps({**res.to_json_obj(), "violations": eager},
+                              indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("spec,subset", [("A3", (0, 1)), ("A3", (1, 2)),
