@@ -5,7 +5,9 @@ Subcommands: ``info`` (group order and longest length), ``kl`` / ``invkl``
 (polynomial tables), ``parabolic`` (the four parabolic families),
 ``rouquier`` (graded multiplicity table of one standard object), ``scan``
 (one named monotonicity scan) and ``suite`` (every identity check plus
-every scan).
+every scan).  ``kl``, ``invkl`` and ``parabolic`` print from one generator
+over ``kernel.block_terms`` of each column, and ``scan`` fills its check
+by ``verify.scan_into``, as the suite does.
 
 Output is deterministic byte-for-byte for a fixed configuration, at any
 ``--threads`` value, in all three formats (text, csv, json).  Exit codes:
@@ -28,7 +30,7 @@ from .coxeter import (
     SettingError, parse_word, render_word,
 )
 from .hecke import InvariantError, KLTable
-from .kernel import block_terms, row_poly
+from .kernel import block_terms
 from .laurent import LaurentPoly
 from .parabolic import (
     ANTISPHERICAL, SPHERICAL, FlavorMismatchError, ParabolicContext,
@@ -181,6 +183,15 @@ def _emit_table(args, out: _Output, command: str, entries,
     return 0
 
 
+def _column_pairs(table, inverse: bool):
+    """(y, x, polynomial) over the nonzero rows of the canonical or the
+    inverse column of each basis element x of the table, in id order."""
+    column = table.inverse_column if inverse else table.canonical_block
+    for x in table.basis:
+        yield from ((y, x, p) for y, p in block_terms(
+            table.group, column(x)).items())
+
+
 def _cmd_kl(args, out: _Output, inverse: bool) -> int:
     group = build_group(args.group, args.cap)
     table = KLTable(group)
@@ -190,18 +201,9 @@ def _cmd_kl(args, out: _Output, inverse: bool) -> int:
         table.canonical_blocks(group)
     if not inverse and args.mu:
         return _cmd_mu(args, out, table)
-
-    def pairs():
-        for x in group:
-            down = group.downset(x)
-            if inverse:     # the rows of the column of x are downset(x)
-                polys = map(row_poly, table.inverse_column(x).coeffs)
-            else:
-                polys = map(table.kl_basis_element(x).coefficient, down)
-            yield from ((y, x, p) for y, p in zip(down, polys))
-
     return _emit_table(args, out, "invkl" if inverse else "kl",
-                       _table_entries(group, pairs(), out.fmt))
+                       _table_entries(group, _column_pairs(table, inverse),
+                                      out.fmt))
 
 
 def _cmd_mu(args, out: _Output, table: KLTable) -> int:
@@ -236,20 +238,13 @@ def _cmd_mu(args, out: _Output, table: KLTable) -> int:
 def _cmd_parabolic(args, out: _Output) -> int:
     group = build_group(args.group, args.cap)
     subset = _subset_parse(args.parabolic, group.matrix.rank)
-    ctx = ParabolicContext(group, subset, args.flavor)
-    table = ParabolicKLTable(ctx)
+    table = ParabolicKLTable(ParabolicContext(group, subset, args.flavor))
     table.build_all()
-
-    def pairs():
-        for x in ctx.reps:
-            col = (table.inverse_column(x) if args.family == "invkl"
-                   else table.canonical_block(x))
-            yield from ((y, x, p) for y, p in block_terms(group, col).items())
-
     subset_text = _subset_text(subset)
     return _emit_table(
         args, out, f"parabolic-{args.family}",
-        _table_entries(group, pairs(), out.fmt),
+        _table_entries(group, _column_pairs(table, args.family == "invkl"),
+                       out.fmt),
         extra_cols=["flavor", "I"], extra_vals=[args.flavor, subset_text],
         meta={"flavor": args.flavor, "I": sorted(t + 1 for t in subset),
               "family": args.family})
@@ -293,24 +288,16 @@ def _cmd_scan(args, out: _Output) -> int:
     if expect is None:
         expect = args.name == "spherical"
     if flavor is None:
-        if args.parabolic not in ("", "none", "-") and subset:
+        if subset:
             raise CoxeterSpecError(
                 f"scan {args.name!r} does not take a parabolic subset")
         table = KLTable(group)
-        count, violations = scanner(table)
-        ctx = None
     else:
-        ctx = ParabolicContext(group, subset, flavor)
-        ptable = ParabolicKLTable(ctx)
-        count, violations = scanner(ptable)
+        table = ParabolicKLTable(ParabolicContext(group, subset, flavor))
     res = CheckResult(f"scan-{args.name}", args.group,
                       sorted(t + 1 for t in subset), flavor, args.cap,
-                      pairs_checked=count, expected_violations=expect,
-                      violations=violations)
-    if violations and not expect:
-        res.passed = False
-    if args.name == "spherical" and expect and ctx is not None:
-        verify.evaluate_spherical_mandate(res, ctx)
+                      expected_violations=expect)
+    verify.scan_into(res, scanner, table)
     if out.fmt == "json":
         out.emit_json(res.to_json_obj())
     elif out.fmt == "csv":
@@ -318,7 +305,7 @@ def _cmd_scan(args, out: _Output) -> int:
                      ([render_word(v.z.word), render_word(v.y.word),
                        render_word(v.x.word), poly_csv(v.lhs),
                        poly_csv(v.rhs), str(v.witness_exponent)]
-                      for v in violations))
+                      for v in res.violations))
     else:
         out.emit("\n".join(res.text_lines()))
     return 0 if res.passed else 1

@@ -631,8 +631,9 @@ class GroupTable:
         """
         for i in self.missing_prefixes(x, self._downsets):
             below = self._downsets[self._parent[i]]
-            self._downsets[i] = np.union1d(below,
-                                           self.right[below, self._last[i]])
+            ids = np.sort(np.concatenate((below,
+                                          self.right[below, self._last[i]])))
+            self._downsets[i] = ids[np.r_[True, ids[1:] != ids[:-1]]]
         return self._downsets[x.index]
 
     def bruhat_leq(self, x: Element, y: Element) -> bool:

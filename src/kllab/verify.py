@@ -27,6 +27,8 @@ A scan returns its violations as a ``ViolationRecord``: integer arrays,
 a few bytes per failing triple, from which a ``Violation`` is built and
 decoded only when it is read, so a spherical scan may find millions of
 violations while a text report renders 20 per check and JSON streams.
+``scan_into`` fills a scan check for ``kllab scan`` and the suite alike,
+and the suite's four row checks are one helper over ``terms()`` arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .coxeter import (
 )
 from .hecke import InvariantError, KLTable
 from .kernel import (
-    batched, block_row, block_sums, block_terms, chunks, row_poly,
+    batched, block_sums, block_terms, chunks, row_poly,
 )
 from .laurent import LaurentPoly
 from .parabolic import (
@@ -176,14 +178,16 @@ def scan_monotonicity_inverse(table: KLTable) -> tuple[int, ViolationRecord]:
     Returns (triples_checked, violations); the theorem predicts an empty
     record for every Coxeter system.
     """
+    return _scan_columns(table)
+
+
+def _scan_columns(table) -> tuple[int, ViolationRecord]:
+    """The triple kernel over the inverse columns of the whole basis of a
+    ``KLTable`` or ``ParabolicKLTable``, built first."""
     table.build_all()
-    return _scan_columns(table.group, list(table.group), table.inverse_column)
-
-
-def _scan_columns(group, xs, column) -> tuple[int, ViolationRecord]:
-    """The triple kernel over the inverse columns of ``xs``."""
-    cols = [column(x) for x in xs]
-    return _scan_triples(group, xs, [col.rows for col in cols],
+    xs = list(table.basis)
+    cols = [table.inverse_column(x) for x in xs]
+    return _scan_triples(table.group, xs, [col.rows for col in cols],
                          [col.coeffs for col in cols])
 
 
@@ -313,8 +317,7 @@ def _scan_parabolic(ptable: ParabolicKLTable, flavor: str):
     if ctx.flavor != flavor and ctx.subset:     # I empty: one module
         raise FlavorMismatchError(
             f"scan needs a {flavor} table, got {ctx.flavor}")
-    ptable.build_all()
-    return _scan_columns(ctx.group, list(ctx.reps), ptable.inverse_column)
+    return _scan_columns(ptable)
 
 
 def scan_monotonicity_antispherical(ptable: ParabolicKLTable):
@@ -404,28 +407,27 @@ def rouquier_multiplicities(table: KLTable, x: Element) -> RouquierTable:
     failure would mean a computation bug upstream.
     """
     col = table.inverse_column(x)
-    _check_multiplicities(col, x)
+    _check_multiplicities(x, *col.terms())
     return RouquierTable(x=x, mult={(y, e): c for y, h in block_terms(
         table.group, col).items() for e, c in h.items()})
 
 
-def _wrong_parity(group: GroupTable, col: kernel.InverseColumn) -> np.ndarray:
-    """The nonzero entries of the column of x (its last row) at an
-    exponent not congruent to l(x) - l(y) mod 2, y the entry's row."""
-    lengths = group.lengths[col.rows]
-    odd = (lengths[-1] - lengths)[:, None] + np.arange(col.coeffs.shape[1])
-    return (col.coeffs != 0) & (odd % 2 == 1)
+def _wrong_parity(x: Element, rows: np.ndarray, exps: np.ndarray
+                  ) -> np.ndarray:
+    """Which terms (row id, exponent) of a column of x have an exponent
+    not congruent to l(x) - l(y) mod 2, y the term's row."""
+    return (x.length - x.group.lengths[rows] + exps) % 2 == 1
 
 
-def _check_multiplicities(col: kernel.InverseColumn, x: Element) -> None:
-    """Raise at the first entry of the column of x, by row id then
+def _check_multiplicities(x: Element, rows, exps, values) -> None:
+    """Raise at the first term of the column of x, by row id then
     exponent, with an exponent of the wrong parity or a negative value."""
-    wrong = _wrong_parity(x.group, col)
-    bad = np.argwhere(wrong | (col.coeffs < 0))
+    wrong = _wrong_parity(x, rows, exps)
+    bad = np.flatnonzero(wrong | (values < 0))
     if len(bad):
-        pos, exp = bad[0].tolist()
-        y = x.group.elements[col.rows[pos]]
-        if wrong[pos, exp]:
+        k = bad[0]
+        y, exp = x.group.elements[rows[k]], int(exps[k])
+        if wrong[k]:
             raise InvariantError(
                 f"parity-support failure at ({y!r},{x!r}) exponent {exp}")
         raise InvariantError(f"negative multiplicity at ({y!r},{x!r},{exp})")
@@ -449,9 +451,9 @@ def rouquier_shadows(table: KLTable, xs):
 
     def run(chunk):
         cols = [table.inverse_column(x) for x in chunk]
-        for col, x in zip(cols, chunk):
-            _check_multiplicities(col, x)
         parts = [col.terms() for col in cols]
+        for x, part in zip(chunk, parts):
+            _check_multiplicities(x, *part)
         ys, exps, mults = (np.concatenate(p) for p in zip(*parts))
         slot = np.repeat(np.arange(len(chunk)), [len(p[0]) for p in parts])
         zs, which = np.unique(ys, return_inverse=True)
@@ -567,6 +569,17 @@ class SuiteReport:
         return lines
 
 
+def scan_into(res: CheckResult, scanner, table) -> None:
+    """Fill the scan check ``res`` from ``scanner(table)``: the count, the
+    violations, a failure on violations it does not expect, and for an
+    expected-violation spherical scan the mandate."""
+    res.pairs_checked, res.violations = scanner(table)
+    if res.violations and not res.expected_violations:
+        res.passed = False
+    if res.check == "scan-spherical" and res.expected_violations:
+        evaluate_spherical_mandate(res, table.context)
+
+
 def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
                        max_elements: int | None = None,
                        group: GroupTable | None = None) -> SuiteReport:
@@ -592,25 +605,17 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
             result.failures.append(f"error: {type(exc).__name__}: {exc}")
         report.checks.append(result)
 
-    def b_rows(res, failing, message):
-        """One pair per y <= x; rows of b_x with a failing term decoded."""
+    def term_rows(res, column, failing, poly, message):
+        """One pair per y <= x; each row of the column of x with a failing
+        term, in id order, decoded by ``poly``."""
         for x in group:
-            block = table.b_block(x)
             res.pairs_checked += len(group.downset_ids(x))
-            for y in np.unique(block.rows[block.at[failing(block)]]).tolist():
+            rows, exps, values = column(x).terms()
+            for y in dict.fromkeys(rows[failing(x, rows, exps, values)]
+                                   .tolist()):
+                y = group.elements[y]
                 res.passed = False
-                res.failures.append(
-                    message(group.elements[y], x, block_row(block, y)))
-
-    def column_rows(res, failing, message):
-        """One pair per row of each inverse column; failing rows decoded."""
-        for x in group:
-            col = table.inverse_column(x)
-            res.pairs_checked += len(col.rows)
-            for pos in np.flatnonzero(failing(col).any(axis=1)).tolist():
-                res.passed = False
-                res.failures.append(message(
-                    group.elements[col.rows[pos]], x, col.coeffs[pos]))
+                res.failures.append(message(y, x, poly(y, x)))
 
     def per_element(res, flags, message):
         """One pair per x, counted before its batched check."""
@@ -634,26 +639,21 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
                     res.passed = False
                     res.failures.append(message(group.elements[y], x))
 
-    def scan_into(res, scanner, *args):
-        count, violations = scanner(*args)
-        res.pairs_checked = count
-        res.violations = violations
-        if violations and not res.expected_violations:
-            res.passed = False
-
     for name, body in [
-        ("positivity-kl", lambda res: b_rows(
-            res, lambda b: (b.values < 0) | (b.exps < 0),
-            lambda y, x, h: f"h at ({y!r},{x!r}) = {h}")),
-        ("positivity-invkl", lambda res: column_rows(
-            res, lambda col: col.coeffs < 0,
-            lambda y, x, row: f"h^ at ({y!r},{x!r}) = {row_poly(row)}")),
-        ("mu-nonnegative", lambda res: b_rows(
-            res, lambda b: (b.values < 0) & (b.exps == 1),
-            lambda y, x, h: f"mu({y!r},{x!r}) < 0")),
-        ("parity", lambda res: column_rows(
-            res, lambda col: _wrong_parity(group, col),
-            lambda y, x, row: f"parity at ({y!r},{x!r})")),
+        ("positivity-kl", lambda res: term_rows(
+            res, table.b_block, lambda x, y, e, c: (c < 0) | (e < 0),
+            table.kl_poly, lambda y, x, h: f"h at ({y!r},{x!r}) = {h}")),
+        ("positivity-invkl", lambda res: term_rows(
+            res, table.inverse_column, lambda x, y, e, c: c < 0,
+            table.inverse_kl_poly,
+            lambda y, x, h: f"h^ at ({y!r},{x!r}) = {h}")),
+        ("mu-nonnegative", lambda res: term_rows(
+            res, table.b_block, lambda x, y, e, c: (c < 0) & (e == 1),
+            table.kl_poly, lambda y, x, h: f"mu({y!r},{x!r}) < 0")),
+        ("parity", lambda res: term_rows(
+            res, table.inverse_column,
+            lambda x, y, e, c: _wrong_parity(x, y, e), table.inverse_kl_poly,
+            lambda y, x, h: f"parity at ({y!r},{x!r})")),
         ("bar-invariance", lambda res: per_element(
             res, table.bar_invariance(group),
             lambda x: f"bar(b) != b at {x!r}")),
@@ -670,6 +670,7 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
         run(CheckResult(name, spec, cap=cap), body)
 
     for subset in subsets:
+        scans = {}      # I empty: one table, scanned once for both checks
         one_based = sorted(t + 1 for t in subset)
         anti = ParabolicKLTable(ParabolicContext(group, subset, ANTISPHERICAL))
         # with I empty both flavors are the regular module: one table
@@ -692,17 +693,13 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
                             flavor, cap),
                 lambda res, p=ptable: inversion(res, p, lambda y, x: (
                     f"at ({render_word(y.word)},{render_word(x.word)})")))
-        run(CheckResult("scan-antispherical", spec, one_based,
-                        ANTISPHERICAL, cap),
-            lambda res: scan_into(res, scan_monotonicity_antispherical, anti))
-
-        def spherical_scan(res, sph=sph):
-            res.expected_violations = True
-            scan_into(res, scan_monotonicity_spherical, sph)
-            evaluate_spherical_mandate(res, sph.context)
-
-        run(CheckResult("scan-spherical", spec, one_based, SPHERICAL, cap),
-            spherical_scan)
+        for flavor, ptable, scanner in (
+                (ANTISPHERICAL, anti, scan_monotonicity_antispherical),
+                (SPHERICAL, sph, scan_monotonicity_spherical)):
+            run(CheckResult(f"scan-{flavor}", spec, one_based, flavor, cap,
+                            expected_violations=flavor == SPHERICAL),
+                lambda res: scan_into(res, lambda t: scans.get(t) or (
+                    scans.setdefault(t, scanner(t))), ptable))
 
     return report
 

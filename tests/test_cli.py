@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
+import kllab
 from kllab import cli
 from kllab.cli import main, poly_csv
 from kllab.laurent import LaurentPoly
@@ -121,20 +125,29 @@ class TestTables:
         assert "e|2,1" not in obj["entries"]
         assert obj["entries"]["e|2"] == {"1": 1}
 
-    @pytest.mark.parametrize("spec", ["A3", "B3"])
-    def test_invkl_is_the_antispherical_family_at_empty_i(self, capsys, spec):
-        """Soergel's identity n^ = h^ at I = empty, read through the two
-        decode paths: rows of the regular columns, and ``block_terms`` of
-        the quotient's columns."""
-        code, out, _ = run_cli(capsys, "invkl", "--group", spec,
-                               "--format", "json")
+    @pytest.mark.parametrize("spec,cap,family", [
+        pytest.param("A3", None, "invkl", id="A3"),
+        pytest.param("B3", None, "invkl", id="B3"),
+        pytest.param("Aff-A2", 8, "invkl", id="Aff-A2-8"),
+        pytest.param("A3", None, "kl", id="A3-kl"),
+        pytest.param("B3", None, "kl", id="B3-kl"),
+        pytest.param("Aff-A2", 8, "kl", id="Aff-A2-8-kl"),
+    ])
+    def test_invkl_is_the_antispherical_family_at_empty_i(self, capsys, spec,
+                                                           cap, family):
+        """At I = empty the antispherical module is the regular one: b_x by
+        the mu route equals d_x by the bar-invariance pass, and Soergel's
+        identity gives n^ = h^.  Both tables print through the one
+        printer, one pair per y <= x."""
+        argv = ["--group", spec] + ([] if cap is None else ["--cap", str(cap)])
+        code, out, _ = run_cli(capsys, family, *argv, "--format", "json")
         assert code == 0
         regular = json.loads(out)["entries"]
-        group = get_group(spec)
+        group = get_group(spec, cap)
         assert len(regular) == sum(len(group.downset(x)) for x in group)
-        code, out, _ = run_cli(capsys, "parabolic", "--group", spec,
+        code, out, _ = run_cli(capsys, "parabolic", *argv,
                                "--parabolic", "none", "--flavor",
-                               "antispherical", "--family", "invkl",
+                               "antispherical", "--family", family,
                                "--format", "json")
         assert code == 0
         assert json.loads(out)["entries"] == regular
@@ -199,6 +212,23 @@ class TestScanCommand:
         assert code == 0
         assert lines[0] == "z,y,x,lhs,rhs,witness_exponent"
         assert len(lines) == 3
+
+    def test_scan_is_the_suite_check(self, capsys):
+        """``kllab scan`` and the suite fill a scan check the same way:
+        count, violations, status and the mandate note."""
+        code, out, _ = run_cli(capsys, "scan", "--name", "spherical",
+                               "--group", "A3", "--parabolic", "1,2",
+                               "--format", "json")
+        assert code == 0
+        scan = json.loads(out)
+        assert scan["notes"] == [
+            "mandated consecutive chain triples: 2/2 present"]
+        code, out, _ = run_cli(capsys, "suite", "--group", "A3",
+                               "--parabolic", "1,2", "--format", "json")
+        assert code == 0
+        (check,) = [c for c in json.loads(out)["checks"]
+                    if c["check"] == "scan-spherical" and c["I"] == [1, 2]]
+        assert check == scan
 
     def test_classical_rejects_parabolic(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--name", "classical",
@@ -410,3 +440,28 @@ class TestErrorsAndIO:
         target = tmp_path / f"table.{fmt}"
         assert main(argv + ["--out", str(target)]) == 0
         assert target.read_text() == out
+
+
+def test_commands_do_not_load_numpy_ma():
+    """No command needs ``numpy.ma``, which a plain ``np.unique`` or
+    ``np.union1d`` imports under numpy 2 at a cost to every process; a
+    fresh interpreter runs a suite and an affine scan without it.
+    Skipped where importing numpy alone loads it."""
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import numpy
+        if "numpy.ma" in sys.modules:
+            sys.exit(3)
+        from kllab.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["suite", "--group", "H3"]) == 0
+            assert main(["scan", "--name", "inverse", "--group", "Aff-A2",
+                         "--cap", "13"]) == 0
+        sys.exit("numpy.ma" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(kllab.__file__))
+    code = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": src}).returncode
+    if code == 3:
+        pytest.skip("importing numpy alone loads numpy.ma")
+    assert code == 0
