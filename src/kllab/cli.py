@@ -25,6 +25,8 @@ import itertools
 import json
 import sys
 
+import numpy as np
+
 from .coxeter import (
     CapExceededError, CoxeterSpecError, GroupTable, ResourceLimitError,
     SettingError, parse_word, render_word,
@@ -83,8 +85,9 @@ class _Output:
             text += "\n"
         self._write("w", lambda fh: fh.write(text))
 
-    def emit_json(self, obj) -> None:
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    def emit_json(self, obj, sort_keys: bool = True) -> None:
+        chunks = json.JSONEncoder(indent=2,
+                                  sort_keys=sort_keys).iterencode(obj)
 
         def write(fh):      # the encoder's chunks, a few thousand at a time
             while piece := "".join(itertools.islice(chunks, 4096)):
@@ -143,15 +146,38 @@ def _cmd_info(args, out: _Output) -> int:
     return 0
 
 
-def _table_entries(group, triples, fmt: str, cell=poly_csv,
-                   value=LaurentPoly.to_json_dict):
-    """Shared rendering for all table commands, in the one form ``fmt``
-    prints: JSON entries, streamed csv rows, or a list of (y, x, entry)
-    text rows to align; each element's word is rendered once."""
+class _SortedEntries(dict):
+    """The JSON entries "word(y)|word(x)" of the id pairs (ys[k], xs[k]),
+    ``values(part)`` giving the values of the pairs at positions ``part``,
+    built as an encoder without ``sort_keys`` reaches them in ``items()``.
+    They come in the key order ``sort_keys`` gives: no word holds "|", so
+    the order of word(y) + "|", then of word(x).  The dict's own storage
+    stays empty."""
+
+    def __init__(self, group, ys: np.ndarray, xs: np.ndarray, values):
+        self.words = [render_word(el.word) for el in group]
+        rank_y, rank_x = (np.argsort(np.argsort(np.array(keys))) for keys in (
+            [w + "|" for w in self.words], self.words))
+        self.order = np.lexsort((rank_x[xs], rank_y[ys]))
+        self.ys, self.xs, self.values = ys, xs, values
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def items(self):
+        words = self.words
+        for lo in range(0, len(self.order), 1024):
+            part = self.order[lo:lo + 1024]
+            yield from zip([f"{words[y]}|{words[x]}" for y, x in zip(
+                self.ys[part].tolist(), self.xs[part].tolist())],
+                self.values(part))
+
+
+def _table_entries(group, triples, fmt: str, cell=poly_csv):
+    """Shared rendering for the text and csv tables: streamed csv rows, or
+    a list of (y, x, entry) text rows to align; each element's word is
+    rendered once."""
     words = [render_word(el.word) for el in group]
-    if fmt == "json":
-        return {f"{words[y.index]}|{words[x.index]}": value(p)
-                for y, x, p in triples}
     if fmt == "csv":
         return ([words[y.index], words[x.index], str(y.length),
                  str(x.length), cell(p)] for y, x, p in triples)
@@ -166,7 +192,8 @@ def _emit_table(args, out: _Output, command: str, entries,
         obj = {"command": command, "group": args.group, "cap": args.cap,
                "entries": entries}
         obj.update(meta or {})
-        out.emit_json(obj)
+        # the entries stream in key order, and every other dict is sorted
+        out.emit_json(dict(sorted(obj.items())), sort_keys=False)
     elif out.fmt == "csv":
         out.emit_csv(["y", "x", "len_y", "len_x", "poly"] + (extra_cols or []),
                      (row + (extra_vals or []) for row in entries))
@@ -183,13 +210,25 @@ def _emit_table(args, out: _Output, command: str, entries,
     return 0
 
 
-def _column_pairs(table, inverse: bool):
-    """(y, x, polynomial) over the nonzero rows of the canonical or the
-    inverse column of each basis element x of the table, in id order."""
+def _column_entries(table, inverse: bool, fmt: str):
+    """The entries of the nonzero rows y of the canonical or the inverse
+    column of each basis element x of the table, in the form ``fmt``
+    prints."""
+    group = table.group
     column = table.inverse_column if inverse else table.canonical_block
-    for x in table.basis:
-        yield from ((y, x, p) for y, p in block_terms(
-            table.group, column(x)).items())
+    if fmt == "json":
+        rows = [r[np.diff(r, prepend=-1) != 0]    # terms() come by row
+                for r in (column(x).terms()[0] for x in table.basis)]
+        ys, xs = np.concatenate(rows), np.repeat(
+            [x.index for x in table.basis], [len(r) for r in rows])
+        poly, el = (table.inverse_kl_poly if inverse else table.kl_poly,
+                    group.elements)
+        return _SortedEntries(group, ys, xs, lambda part: [
+            dict(sorted(poly(el[y], el[x]).to_json_dict().items()))
+            for y, x in zip(ys[part].tolist(), xs[part].tolist())])
+    return _table_entries(group, ((y, x, p) for x in table.basis
+                                  for y, p in block_terms(
+                                      group, column(x)).items()), fmt)
 
 
 def _cmd_kl(args, out: _Output, inverse: bool) -> int:
@@ -202,8 +241,7 @@ def _cmd_kl(args, out: _Output, inverse: bool) -> int:
     if not inverse and args.mu:
         return _cmd_mu(args, out, table)
     return _emit_table(args, out, "invkl" if inverse else "kl",
-                       _table_entries(group, _column_pairs(table, inverse),
-                                      out.fmt))
+                       _column_entries(table, inverse, out.fmt))
 
 
 def _cmd_mu(args, out: _Output, table: KLTable) -> int:
@@ -221,11 +259,17 @@ def _cmd_mu(args, out: _Output, table: KLTable) -> int:
                 if m or out.fmt != "text":  # text lists the nonzero mu only
                     yield y, x, m
 
-    entries = _table_entries(group, mus(), out.fmt, str, int)
-    if out.fmt == "json":
-        out.emit_json({"command": "mu", "group": args.group,
-                       "cap": args.cap, "entries": entries})
-    elif out.fmt == "csv":
+    if out.fmt == "json":       # every pair y <= x, in the order mus() gives
+        ids = [group.downset_ids(x) for x in group]
+        mu = np.fromiter((m for _, _, m in mus()), object)
+        out.emit_json({"cap": args.cap, "command": "mu", "entries": (
+            _SortedEntries(group, np.concatenate(ids), np.repeat(
+                np.arange(len(group)), [len(i) for i in ids]),
+                lambda part: mu[part].tolist())), "group": args.group},
+            sort_keys=False)
+        return 0
+    entries = _table_entries(group, mus(), out.fmt, str)
+    if out.fmt == "csv":
         out.emit_csv(["y", "x", "len_y", "len_x", "mu"], entries)
     else:
         lines = [f"mu: group {args.group}, "
@@ -243,8 +287,7 @@ def _cmd_parabolic(args, out: _Output) -> int:
     subset_text = _subset_text(subset)
     return _emit_table(
         args, out, f"parabolic-{args.family}",
-        _table_entries(group, _column_pairs(table, args.family == "invkl"),
-                       out.fmt),
+        _column_entries(table, args.family == "invkl", out.fmt),
         extra_cols=["flavor", "I"], extra_vals=[args.flavor, subset_text],
         meta={"flavor": args.flavor, "I": sorted(t + 1 for t in subset),
               "family": args.family})

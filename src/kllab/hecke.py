@@ -30,7 +30,8 @@ the block kernel over the blocks of bar(delta_z), which never touches mu.
 Inverse polynomials, by the recursion delta_x = delta_{x'} (b_s - v), and
 the inversion identity come from ``kernel.ColumnTable``, the table core it
 shares with the parabolic tables.  Everything is memoized and all tables
-are built in increasing length order, so dependencies always exist.
+are built one length level at a time, a chunk of each level per stacked
+step, so dependencies always exist.
 
 Each b_x is kept once as its nonzero terms (``Block``), each bar(delta_x)
 as a block over downset(x) memoized on the group table, and each inverse
@@ -50,8 +51,9 @@ import numpy as np
 from .coxeter import Element, GroupTable, RIGHT
 from .kernel import (
     INT64_LIMIT, Block, ColumnTable, InverseColumn, InvariantError,
-    Batch, add_blocks, bar_invariant_blocks, batched, block_row,
-    block_sums, block_terms, dense_block, row_poly, row_positions,
+    Batch, slot_sums, add_blocks, bar_invariant_blocks, batched, block_row,
+    block_sums, block_terms, dense_blocks, prefix_levels, row_poly,
+    split_by_dtype, stack_terms,
 )
 from .laurent import LaurentPoly
 
@@ -200,7 +202,13 @@ _DELTA_E = Block(np.zeros(1, np.intp), np.zeros(1, np.intp),
 
 
 def bar_block(group: GroupTable, x: Element) -> Block:
-    """bar(delta_x) as a block over downset(x); memoized on the group table.
+    """bar(delta_x) as a block over downset(x), by ``bar_blocks``."""
+    return bar_blocks(group, [x])[0]
+
+
+def bar_blocks(group: GroupTable, xs) -> list[Block]:
+    """bar(delta_x) for each x of ``xs`` as a block over downset(x);
+    memoized on the group table.
 
     bar(delta_s) = delta_s + v - v^{-1} and bar is multiplicative, so along
     the canonical word x = x's, by the quadratic relation,
@@ -208,59 +216,66 @@ def bar_block(group: GroupTable, x: Element) -> Block:
         bar(delta_x) = bar(delta_{x'}) (delta_s + v - v^{-1})
                      = sum_y p_y (delta_{ys} + [ys > y] (v - v^{-1}) delta_y)
 
-    over the terms p_y delta_y of bar(delta_{x'}).  Missing prefixes are
-    built shortest first, without recursion.
+    over the terms p_y delta_y of bar(delta_{x'}).  The missing blocks and
+    their missing prefixes are built one length level at a time, a chunk
+    of each level per ``_times_generator`` step, without recursion.
     """
     memo = vars(group).setdefault("_hecke_bar_blocks", {0: _DELTA_E})
-    for i in group.missing_prefixes(x, memo):
-        memo[i] = _bar_step(group, group.elements[i], memo)
-    return memo[x.index]
+
+    def run(chunk):
+        prev = [memo[group.prefix(x)[0].index] for x in chunk]
+        # each entry receives at most three terms of the previous block
+        exact = [3 * b.row_norm >= INT64_LIMIT for b in prev]
+        if any(exact) and not all(exact):
+            return split_by_dtype(chunk, exact, run)
+        ids = [group.downset_ids(x) for x in chunk]
+        top = chunk[0].length
+        acc = np.zeros((sum(map(len, ids)), 2 * top + 1),
+                       dtype=object if exact[0] else np.int64)
+        _times_generator(group, chunk, Batch(group, chunk, ids),
+                         stack_terms(prev), top, acc, up=((1, 1), (-1, -1)))
+        return dense_blocks(ids, acc, top)
+    for level in prefix_levels(group, xs, memo):
+        for x, block in batched(group, level, lambda x: 2 * x.length + 1,
+                                run):
+            memo[x.index] = block
+    return [memo[x.index] for x in xs]
 
 
-def _bar_step(group: GroupTable, x: Element, memo: dict) -> Block:
-    prefix, s = group.prefix(x)
-    prev = memo[prefix.index]
-    # each entry receives at most three terms of the previous block
-    dtype = np.int64 if 3 * prev.row_norm < INT64_LIMIT else object
-    ids = group.downset_ids(x)
-    dense = _times_generator(group, x, ids, prev, s, x.length, dtype,
-                             up=((1, 1), (-1, -1)))
-    return dense_block(ids, dense, x.length)
-
-
-def _times_generator(group: GroupTable, x: Element, ids: np.ndarray,
-                     prev: Block, s: int, offset: int, dtype, up, down=(),
-                     out=None):
-    """``prev`` (delta_s + c) for x = x's, ``prev`` a block over
-    downset(x'), as a dense array over the sorted ``ids`` of downset(x)
-    whose column j holds exponent j - offset, computed in ``dtype`` (and
-    added into ``out`` when given).
+def _times_generator(group: GroupTable, xs: list[Element], batch: Batch,
+                     prev, offset: int, acc: np.ndarray, up, down=()):
+    """Add the product of column k of ``prev`` by (delta_s + c) into the
+    rows of column k of ``acc``, for each x = xs[k] = x's, whose column
+    of ``batch`` holds the sorted ids of downset(x): ``prev`` are the
+    ``stack_terms`` of the blocks over each downset(x'), and column j of
+    ``acc`` holds the exponent j - offset.
 
     delta_y delta_s is delta_{ys}, plus (v^{-1} - v) delta_y if ys < y, so
     each term p delta_y moves unshifted to row ys and stays in row y
     times the (shift, coef) terms ``up`` if ys > y, ``down`` if ys < y.
     """
-    where = row_positions(ids, x)
-    src, dst = prev.rows, group.right[prev.rows, s]
-    pos_src = where.take(src, mode="clip")[prev.at]
-    pos_dst = where.take(dst, mode="clip")[prev.at]
-    if min(pos_src.min(), pos_dst.min()) < 0:
+    slot, src, exps, values = prev
+    dst = group.right[src, np.array([group.prefix(x)[1] for x in xs])[slot]]
+    pos_src, pos_dst = batch.locate(slot, src), batch.locate(slot, dst)
+    off = (pos_src < 0) | (pos_dst < 0)
+    if off.any():
+        x = xs[slot[off.argmax()]]
         raise InvariantError(f"the product at {x!r} leaves downset({x!r})")
-    width = offset + x.length + 1
-    dense = np.zeros((len(ids), width), dtype=dtype) if out is None else out
-    cols, values = prev.exps + offset, prev.values.astype(dtype)
-    dense[pos_dst, cols] += values
-    rising = (dst > src)[prev.at]
+    width = acc.shape[1]
+    cols, values = exps + offset, values.astype(acc.dtype)
+    acc[pos_dst, cols] += values
+    rising = dst > src
     for mask, shifts in ((rising, up), (~rising, down)):
         for shift, coef in shifts:
             cells = cols[mask] + shift
             # numpy would wrap a negative column silently
-            if len(cells) and (cells.min() < 0 or cells.max() >= width):
+            off = (cells < 0) | (cells >= width)
+            if off.any():
+                x = xs[slot[mask][off.argmax()]]
                 raise InvariantError(
                     f"the product at {x!r} has a term outside exponents "
                     f"[{-offset}, {x.length}]")
-            dense[pos_src[mask], cells] += coef * values[mask]
-    return dense
+            acc[pos_src[mask], cells] += coef * values[mask]
 
 
 def bar_delta(table: GroupTable, x: Element) -> HeckeElt:
@@ -332,51 +347,37 @@ class KLTable(ColumnTable):
         """b_z for the zs, all of one length, by the mu-recursion: for
         z = z's with s lengthening, b_{z'} b_s, a dense array over
         downset(z) x [0, l(z)], is b_z plus sum_{ys<y} mu(y, z') b_y,
-        mu(y, z') the v^1 term of row y of b_{z'}.  The mu-multiples of
-        all the zs are one sum of blocks.
+        mu(y, z') the v^1 term of row y of b_{z'}.  The products of all
+        the zs are one ``_times_generator`` step and their mu-multiples
+        one sum of blocks.
         """
         group, memo = self.group, self._b_blocks
+        prev = [memo[group.prefix(z)[0].index] for z in zs]
+        terms = stack_terms(prev)
+        slot, y, e, c = terms
+        s = np.array([group.prefix(z)[1] for z in zs])
+        k = np.flatnonzero((e == 1) & group.right_descents[y, s[slot]])
+        lower, which = np.unique(y[k], return_inverse=True)
+        blocks = [memo[v] for v in lower.tolist()]
+        # an entry gets two terms of b_{z'} and one of each mu-multiple
+        norms = np.array([b.row_norm for b in prev + blocks], dtype=object)
+        exact = 2 * norms[:len(zs)] + slot_sums(len(zs), slot[k], np.abs(
+            c[k].astype(object)) * norms[len(zs):][which]) >= INT64_LIMIT
+        if exact.any() and not exact.all():
+            return split_by_dtype(zs, exact, self._b_steps)
         ids = [group.downset_ids(z) for z in zs]
-        steps = []
-        for z in zs:
-            prefix, s = group.prefix(z)
-            prev = memo[prefix.index]
-            k = np.flatnonzero((prev.exps == 1)
-                               & group.right_descents[prev.rows, s][prev.at])
-            ys, mus = prev.rows[prev.at[k]], prev.values[k]
-            # an entry gets two terms of b_{z'} and one of each mu-multiple
-            bound = 2 * prev.row_norm + sum(
-                abs(m) * memo[y].row_norm
-                for y, m in zip(ys.tolist(), mus.tolist()))
-            steps.append((s, prev, ys, mus,
-                          np.int64 if bound < INT64_LIMIT else object))
-        dtypes = {st[4] for st in steps}
-        if len(dtypes) > 1:     # the int64 and the exact-int zs apart
-            got = {}
-            for dtype in dtypes:
-                part = [z for z, st in zip(zs, steps) if st[4] is dtype]
-                got.update(zip(part, self._b_steps(part)))
-            return [got[z] for z in zs]
         batch = Batch(group, zs, ids)
-        acc = np.zeros((len(batch.ids), zs[0].length + 1), dtype=dtypes.pop())
-        for z, rows, part, (s, prev, _, _, dtype) in zip(
-                zs, ids, batch.split(acc), steps):
-            _times_generator(group, z, rows, prev, s, 0, dtype,
-                             up=((1, 1),), down=((-1, 1),), out=part)
-        _, _, ys, mus, _ = zip(*steps)
-        slot = np.repeat(np.arange(len(zs)), [len(y) for y in ys])
-        y = np.concatenate(ys)
-        lower, which = np.unique(y, return_inverse=True)
-        add_blocks(acc, batch.locate, slot, which, np.zeros(len(y), np.intp),
-                   -np.concatenate(mus).astype(acc.dtype),
-                   [memo[v] for v in lower.tolist()],
-                   lambda k: f"the block of {group.elements[y[k]]!r} has a "
-                             f"term outside the rows of {zs[slot[k]]!r}")
-        blocks = [dense_block(rows, part)
-                  for rows, part in zip(ids, batch.split(acc))]
-        for z, block in zip(zs, blocks):
-            self._validate_triangular(block, z)
-        return blocks
+        acc = np.zeros((len(batch.ids), zs[0].length + 1),
+                       dtype=object if exact[0] else np.int64)
+        _times_generator(group, zs, batch, terms, 0, acc, up=((1, 1),),
+                         down=((-1, 1),))
+        add_blocks(acc, batch.locate, slot[k], which, 0 * k,
+                   -c[k].astype(acc.dtype), blocks,
+                   lambda j: f"the block of {group.elements[y[k[j]]]!r} has a "
+                             f"term outside the rows of {zs[slot[k[j]]]!r}")
+        out = dense_blocks(ids, acc)
+        self._validate_triangular(zs, out)
+        return out
 
     def kl_basis_element(self, x: Element) -> HeckeElt:
         """b_x, decoded from ``b_block``."""
@@ -397,24 +398,31 @@ class KLTable(ColumnTable):
             group = self.group
             ((_, block),) = bar_invariant_blocks(
                 group, [x], group.downset_ids, lambda z: bar_block(group, z))
-            self._validate_triangular(block, x)
+            self._validate_triangular([x], [block])
             got = self._b_solve[x.index] = HeckeElt.from_block(group, block)
         return got
 
-    def _validate_triangular(self, block: Block, x: Element) -> None:
-        """The row of x must be exactly 1 and every other row lie in
-        vZ>=0[v]."""
-        own = block.at == len(block.rows) - 1
-        if (block.rows[-1:].tolist() != [x.index]
-                or block.exps[own].tolist() != [0]
-                or block.values[own].tolist() != [1]):
+    def _validate_triangular(self, xs: list[Element], blocks) -> None:
+        """In the block of each x, the row of x must be exactly 1 and every
+        other row lie in vZ>=0[v]; the first x that fails raises."""
+        n = len(xs)
+        slot, y, e, c = stack_terms(blocks)
+        own = y == np.array([x.index for x in xs])[slot]
+        # no id above x is a row, so the row of x, when there, is last
+        unit = (np.bincount(slot[own], minlength=n) == 1) & (np.bincount(
+            slot[own & (e == 0) & (c == 1)], minlength=n) == 1)
+        bad = ~own & ((c < 0) | (e < 1))
+        first = min(int(np.argmin(unit)) if not unit.all() else n,
+                    int(slot[bad.argmax()]) if bad.any() else n)
+        if first == n:
+            return
+        x = xs[first]
+        if not unit[first]:
             raise InvariantError(f"b at {x!r} not unitriangular")
-        bad = np.flatnonzero(~own & ((block.values < 0) | (block.exps < 1)))
-        if len(bad):
-            y = int(block.rows[block.at[bad[0]]])
-            raise InvariantError(
-                f"coefficient of {self.group.elements[y]!r} in b at {x!r} "
-                f"outside vZ>=0[v]: {block_row(block, y)}")
+        row = int(y[bad.argmax()])
+        raise InvariantError(
+            f"coefficient of {self.group.elements[row]!r} in b at {x!r} "
+            f"outside vZ>=0[v]: {block_row(blocks[first], row)}")
 
     def bar_invariance(self, xs):
         """For each x of ``xs`` in order, whether bar(b_x) == b_x: the sum
@@ -429,7 +437,7 @@ class KLTable(ColumnTable):
             z = np.concatenate([b.rows[b.at] for b in blocks]
                                + [[x.index for x in chunk]])
             zs, which = np.unique(z[:-n], return_inverse=True)
-            bars = [bar_block(group, elements[y]) for y in zs.tolist()]
+            bars = bar_blocks(group, [elements[y] for y in zs.tolist()])
             slot = np.r_[np.repeat(np.arange(n), [b.size for b in blocks]),
                          :n]
             sums = block_sums(
@@ -457,15 +465,17 @@ class KLTable(ColumnTable):
             raise InvariantError(f"negative mu({y!r},{x!r}) = {m}")
         return m
 
-    def _check_column(self, x: Element, col: InverseColumn) -> None:
-        """Every h^{y,x} must be nonnegative."""
-        negative = np.flatnonzero((col.coeffs < 0).any(axis=1))
-        if len(negative):
-            pos = negative[-1]
-            raise InvariantError(
-                f"negative inverse polynomial at "
-                f"({self.group.elements[col.rows[pos]]!r},{x!r}): "
-                f"{row_poly(col.coeffs[pos])}")
+    def _check_columns(self, columns) -> None:
+        """Every h^{y,x} must be nonnegative; in the first column with a
+        negative one, the highest such y is named."""
+        for x, col in columns:
+            negative = np.flatnonzero((col.coeffs < 0).any(axis=1))
+            if len(negative):
+                pos = negative[-1]
+                raise InvariantError(
+                    f"negative inverse polynomial at "
+                    f"({self.group.elements[col.rows[pos]]!r},{x!r}): "
+                    f"{row_poly(col.coeffs[pos])}")
 
     # -- identity checks ------------------------------------------------------
 

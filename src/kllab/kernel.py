@@ -20,10 +20,14 @@ on it take a chunk of columns at a time (``batched``):
 
 A chunk of columns and a scatter piece hold about ``CELL_BUDGET`` cells;
 an error in a chunk is raised as the first failing column raises it
-alone.  ``ColumnTable``, the table core of the regular module and its
+alone.  The prefix recursions (inverse columns here, b_x and bar(delta_x)
+in ``hecke``) run one length level at a time (``prefix_levels``): the
+columns of a chunk of the level take one stacked step from their
+prefixes' columns, and ``dense_blocks`` cuts the result into blocks once
+per chunk; a lone request walks its missing prefixes as one-column
+levels.  ``ColumnTable``, the table core of the regular module and its
 quotients, builds the inverse column of x = x's from the column of x' by
-one step of the recursion m_x = m_{x'} (b_s - v), and checks the
-inversion identity.
+the recursion m_x = m_{x'} (b_s - v), and checks the inversion identity.
 
 Arithmetic is int64 under a bound on coefficient size, per column.  A
 column whose bound would reach 2^62 is redone by the same code with
@@ -34,6 +38,8 @@ exact range check.
 
 from __future__ import annotations
 
+from collections import ChainMap
+from itertools import groupby
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -108,21 +114,29 @@ def max_abs(block: np.ndarray) -> int:
     return max(-int(block.min()), int(block.max())) if block.size else 0
 
 
-def dense_block(ids: np.ndarray, dense: np.ndarray, offset: int = 0) -> Block:
-    """The nonzero terms of ``dense``, whose row i is element ``ids[i]``
-    and whose column j is the exponent j - offset."""
+def dense_blocks(ids: list[np.ndarray], dense: np.ndarray,
+                 offset: int = 0) -> list[Block]:
+    """The nonzero terms of each column of ``dense`` as a ``Block``: its
+    rows are the sorted ``ids`` of the columns end to end (``Batch``), and
+    its column j holds the exponent j - offset.  The whole array is cut
+    once; each column's values are narrowed, and its row norm taken, on
+    their own."""
+    exact = dense.dtype == object
     i, j = np.nonzero(dense)
-    keep, at = np.unique(i, return_inverse=True)
     values = dense[i, j]
-    values = (exact_array(values.tolist()) if values.dtype == object
-              else narrow(values.astype(np.int64)))
-    sums = np.abs(dense[keep].astype(object if dense.dtype == object
-                                     else np.int64))
-    if sums.dtype != object and max_abs(sums) * dense.shape[1] >= INT64_LIMIT:
-        sums = sums.astype(object)
-    norm = int(sums.sum(axis=1).max()) if len(keep) else 0
-    return Block(ids[keep], at.astype(np.intp), (j - offset).astype(np.intp),
-                 values, norm)
+    new = np.diff(i, prepend=-1) != 0       # the first term of each row
+    keep, at = i[new], np.cumsum(new) - 1
+    size = np.abs(values if exact or max_abs(values) * dense.shape[1]
+                  < INT64_LIMIT else values.astype(object))
+    sums = np.add.reduceat(size, np.flatnonzero(new)) if len(i) else size
+    start = np.cumsum([0] + [len(rows) for rows in ids])
+    t, r = np.searchsorted(i, start), np.searchsorted(keep, start)
+    return [Block(rows[keep[r[k]:r[k + 1]] - start[k]],
+                  at[t[k]:t[k + 1]] - r[k], j[t[k]:t[k + 1]] - offset,
+                  exact_array(values[t[k]:t[k + 1]].tolist()) if exact
+                  else narrow(values[t[k]:t[k + 1]]),
+                  int(sums[r[k]:r[k + 1]].max(initial=0)))
+            for k, rows in enumerate(ids)]
 
 
 def block_terms(group: GroupTable, block) -> dict[Element, LaurentPoly]:
@@ -193,7 +207,6 @@ class Batch:
         self.ids, self.start = np.concatenate(ids), np.cumsum([0] + sizes)
         self.top, self.slot = self.start[1:] - 1, np.repeat(
             np.arange(len(xs)), sizes)
-        self.lengths = group.lengths[self.ids]
         # the row_positions of each column, end to end
         self._cap = np.array([x.index + 1 for x in xs], dtype=np.intp)
         self._base = np.cumsum(self._cap + 1) - self._cap - 1
@@ -208,6 +221,15 @@ class Batch:
     def split(self, rows: np.ndarray) -> list[np.ndarray]:
         """``rows`` (one entry per row) cut into the columns."""
         return [rows[a:b] for a, b in zip(self.start[:-1], self.start[1:])]
+
+
+def stack_terms(blocks) -> tuple[np.ndarray, ...]:
+    """The terms of ``blocks`` end to end: the block, row id, exponent and
+    value of each, as arrays."""
+    slot = np.repeat(np.arange(len(blocks)), [b.size for b in blocks])
+    rows, exps, values = (np.concatenate(p) for p in zip(
+        *[b.terms() for b in blocks]))
+    return slot, rows, exps, values
 
 
 def add_blocks(acc: np.ndarray, locate, slot: np.ndarray, block: np.ndarray,
@@ -256,11 +278,14 @@ def add_blocks(acc: np.ndarray, locate, slot: np.ndarray, block: np.ndarray,
         raise InvariantError(fault(bad))
 
 
-def _slot_sums(n: int, slot: np.ndarray, amounts: np.ndarray) -> np.ndarray:
-    """Exact sums of ``amounts`` per slot, as Python ints."""
-    out = np.zeros(n, dtype=object)
-    np.add.at(out, slot, amounts.astype(object))
-    return out
+def slot_sums(n: int, slot: np.ndarray, amounts: np.ndarray) -> np.ndarray:
+    """Exact sums of the nonnegative ``amounts`` per slot, as Python ints;
+    in int64 when no sum can reach INT64_LIMIT."""
+    exact = amounts.dtype == object or max_abs(amounts) * len(
+        amounts) >= INT64_LIMIT
+    out = np.zeros(n, dtype=object if exact else np.int64)
+    np.add.at(out, slot, amounts)
+    return out.astype(object)
 
 
 def block_sums(group: GroupTable, xs: list[Element], ids, width: int,
@@ -271,7 +296,7 @@ def block_sums(group: GroupTable, xs: list[Element], ids, width: int,
     ``ids`` of its column and ``width`` exponent columns.  Each x whose
     sum |coef| * norms[block] stays below INT64_LIMIT is summed in int64,
     the others in exact ints, as a lone x would be."""
-    exact = _slot_sums(len(xs), slot, np.abs(coef) * np.array(
+    exact = slot_sums(len(xs), slot, np.abs(coef) * np.array(
         norms, dtype=object)[block]) >= INT64_LIMIT
     out = [None] * len(xs)
     for dtype, mine in ((np.int64, ~exact), (object, exact)):
@@ -318,6 +343,29 @@ def batched(group: GroupTable, xs, width: Callable[[Element], int], run):
         yield from zip(chunk, got)
 
 
+def prefix_levels(group: GroupTable, xs, known) -> list[list[Element]]:
+    """The prefixes of the canonical words of ``xs`` (xs included) that
+    are not keys of ``known``, as length levels, shortest first: the
+    prefix of each one is in ``known`` or in the level before."""
+    seen: dict[int, None] = {}
+    both = ChainMap(known, seen)
+    for x in xs:
+        seen.update(dict.fromkeys(group.missing_prefixes(x, both)))
+    elements = group.elements
+    return [[elements[i] for i in level] for _, level in groupby(
+        sorted(seen), lambda i: elements[i].length)]
+
+
+def split_by_dtype(xs: list, exact, run) -> list:
+    """``run`` on the xs whose ``exact`` flag is off (int64) and on the
+    others (exact ints) apart, the results in the order of xs: a level
+    step whose columns need both dtypes."""
+    parts = [[x for x, e in zip(xs, exact) if e == f] for f in (0, 1)]
+    got = dict(zip(parts[0] + parts[1], [r for p in parts if p
+                                          for r in run(p)]))
+    return [got[x] for x in xs]
+
+
 def _bar_solve_chunk(group: GroupTable, xs: list[Element], ids,
                      bar_of: Callable[[Element], Block], dtype,
                      limit) -> list[Block]:
@@ -343,15 +391,16 @@ def _bar_solve_chunk(group: GroupTable, xs: list[Element], ids,
     out = np.zeros((len(batch.ids), top + 1), dtype=dtype)
     alive, bound = np.ones(len(xs), bool), np.zeros(len(xs), dtype=object)
     order = np.argsort(-batch.ids)          # ids follow length
+    lengths = group.lengths[batch.ids]
     for rows in np.split(order, np.flatnonzero(
-            np.diff(batch.lengths[order])) + 1):
+            np.diff(lengths[order])) + 1):
         rows = rows[alive[batch.slot[rows]]]
         slot = batch.slot[rows]
         own = rows == batch.top[slot]
         coef = acc[rows, top:]
         skew = ~own & (coef != -acc[rows, top::-1]).any(axis=1)
         high = ~own & ((coef[:, 1:] != 0) & (np.arange(1, top + 1) > (
-            batch.lengths[batch.top[slot]] - batch.lengths[rows])[:, None])
+            lengths[batch.top[slot]] - lengths[rows])[:, None])
         ).any(axis=1)
         # a lone column takes its rows from the top: those above its first
         # failing row are still scattered, so a stray among them comes first
@@ -364,7 +413,7 @@ def _bar_solve_chunk(group: GroupTable, xs: list[Element], ids,
         # fetched from the top down, as a lone column meets them
         bars = [bar_of(elements[z]) for z in zs[::-1].tolist()][::-1]
         if limit is not None:
-            bound += _slot_sums(len(xs), slot[has], size[has] * np.array(
+            bound += slot_sums(len(xs), slot[has], size[has] * np.array(
                 [b.row_norm for b in bars], dtype=object)[which])
             alive &= bound < limit
         i, e = np.nonzero(coef[:cut])
@@ -394,8 +443,8 @@ def _bar_solve_chunk(group: GroupTable, xs: list[Element], ids,
     exact = iter(_bar_solve_chunk(group, [xs[k] for k in redo],
                                   [ids[k] for k in redo], bar_of, object, None)
                  if redo else ())
-    return [dense_block(ids[k], part) if alive[k] else next(exact)
-            for k, part in enumerate(batch.split(out))]
+    return [block if live else next(exact)
+            for block, live in zip(dense_blocks(ids, out), alive)]
 
 
 def bar_invariant_blocks(group: GroupTable, xs, ids_of, bar_of):
@@ -410,7 +459,7 @@ def bar_invariant_blocks(group: GroupTable, xs, ids_of, bar_of):
 
 
 def kronecker_failures(group: GroupTable, xs: list[Element], ids, blocks,
-                       column_of: Callable[[Element], InverseColumn]
+                       columns_of: Callable[[list], list[InverseColumn]]
                        ) -> list[frozenset[int]]:
     """For each x of a chunk, the ids y among ``ids`` (the rows of its
     column) at which
@@ -418,15 +467,13 @@ def kronecker_failures(group: GroupTable, xs: list[Element], ids, blocks,
         sum_z (-1)^{l(z)-l(y)} h^{y,z} h_{z,x}
 
     differs from the Kronecker delta, h_{z,x} read from ``blocks`` (the
-    canonical element of x) and h^{y,z} from ``column_of(z)``: one batched
-    sum per chunk, whose bound for x is sum |h_{z,x}| max|h^{.,z}|.
+    canonical element of x) and h^{y,z} from ``columns_of(zs)``: one
+    batched sum per chunk, whose bound for x is sum |h_{z,x}| max|h^{.,z}|.
     """
     elements = group.elements
-    slot = np.repeat(np.arange(len(xs)), [b.size for b in blocks])
-    z = np.concatenate([b.rows[b.at] for b in blocks])
-    e = np.concatenate([b.exps for b in blocks])
+    slot, z, e, values = stack_terms(blocks)
     zs, which = np.unique(z, return_inverse=True)
-    cols = [column_of(elements[y]) for y in zs.tolist()]
+    cols = columns_of([elements[y] for y in zs.tolist()])
     width = max(x.length for x in xs) + 1
     window = np.array([x.length for x in xs])[slot] + 1 - np.array(
         [col.coeffs.shape[1] for col in cols])[which]
@@ -444,9 +491,8 @@ def kronecker_failures(group: GroupTable, xs: list[Element], ids, blocks,
     # reports it in entry order after any stray row of an earlier column
     sums = block_sums(
         group, xs, ids, width, slot, which, np.where(outside, -width, e),
-        np.concatenate([b.values for b in blocks]) * (1 - 2 * (
-            group.lengths[z] % 2)), cols, [max_abs(c.coeffs) for c in cols],
-        fault)
+        values * (1 - 2 * (group.lengths[z] % 2)), cols,
+        [max_abs(c.coeffs) for c in cols], fault)
     failures = []
     for x, rows, acc in zip(xs, ids, sums):
         acc[-1, 0] -= 1 - 2 * (x.length % 2)     # the row of x is signed
@@ -461,8 +507,10 @@ class ColumnTable:
 
     A subclass supplies ``column_ids(x)``, the sorted ids of the basis
     elements below x (x last), and ``canonical_block(x)``, the block of
-    the canonical element of x; it may check each new column in
-    ``_check_column``.  ``basis`` lists the basis elements in id order,
+    the canonical element of x; it may check the new columns in
+    ``_check_columns``.  The inverse columns are built by length levels,
+    reading mu from one flat per-id store filled from the canonical
+    blocks.  ``basis`` lists the basis elements in id order,
     ``mask`` flags their ids, and ``spherical`` picks the wall rule.
     """
 
@@ -474,89 +522,141 @@ class ColumnTable:
         self.spherical = spherical
         self._inv_cols: dict[int, InverseColumn] = {0: InverseColumn(
             np.zeros(1, np.intp), np.broadcast_to(np.int8(1), (1, 1)))}
-        self._mu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # mu(y, z) for each z read so far, in one flat store: z's entries
+        # are mu_y and mu_value[start:end], (start, end) = mu_span[z], and
+        # end is -1 while z is unread; the arrays double when they grow
+        self._mu_span = np.full((len(group), 2), -1, np.intp)
+        self._mu_y = np.zeros(0, np.intp)
+        self._mu_value = np.zeros(0, np.int64)
+        self._mu_size = 0
         self._kronecker: dict[int, frozenset[int]] = {}
 
     def inverse_column(self, x: Element) -> InverseColumn:
         """The inverse polynomials at (y, x) for every basis element y <= x,
-        by steps up from the longest stored prefix of x; only the column of
-        x is stored, and ``build_all`` asks in id order."""
+        by ``inverse_columns``."""
         got = self._inv_cols.get(x.index)
-        if got is None:
-            group, elements = self.group, self.group.elements
-            chain = group.missing_prefixes(x, self._inv_cols)
-            got = self._inv_cols[group.prefix(elements[chain[0]])[0].index]
-            for i in chain:
-                got = self._inverse_step(elements[i], got)
-            self._check_column(x, got)
-            self._inv_cols[x.index] = got
-        return got
+        return got if got is not None else self.inverse_columns([x])[0]
 
-    def _inverse_step(self, x: Element, prev: InverseColumn) -> InverseColumn:
-        """The column of x = x's from ``prev``, the column of x', by
-        m_x = m_{x'} (b_s - v).
+    def inverse_columns(self, xs) -> list[InverseColumn]:
+        """The inverse columns of ``xs``.  The missing ones and the missing
+        prefixes they step up from are built one length level at a time,
+        a chunk per ``_inverse_steps``, so a lone x walks its prefixes as
+        one-column levels; only the columns of xs are checked and stored."""
+        stored, want, prev = self._inv_cols, {x.index for x in xs}, {}
+
+        def run(chunk):
+            cols = self._inverse_steps(chunk, known)
+            self._check_columns([(x, col) for x, col in zip(chunk, cols)
+                                 if x.index in want])
+            return cols
+        for level in prefix_levels(self.group, xs, stored):
+            known, prev = ChainMap(prev, stored), {}
+            for x, col in batched(self.group, level, lambda x: x.length + 2,
+                                  run):
+                prev[x.index] = col
+                if x.index in want:
+                    stored[x.index] = col
+        return [stored[x.index] for x in xs]
+
+    def _inverse_steps(self, xs: list[Element], known) -> list[InverseColumn]:
+        """The columns of ``xs``, all of one length, each x = x's from
+        ``known[x'.index]``, the column of x', by m_x = m_{x'} (b_s - v),
+        in one stacked step.
 
         c_z b_s is c_{zs} + sum mu(y, z) c_y if zs > z is a basis element,
         (v + v^{-1}) c_z if zs < z, and across a wall (zs no basis element)
         the mu sum alone, or (v + v^{-1}) c_z if ``spherical``.  The sum
         runs over ys < y, and in the spherical flavor also over ys off the
         basis; mu(y, z) is the v^1 term of row y of the block of c_z.  In
-        the stored signs, row z of ``prev`` sends h^{z,x'} to row zs if zs
-        is a basis element above z, and v h^{z,x'} to row z plus mu(y, z)
-        h^{z,x'} to row y if there is a mu sum, else -v^{-1} h^{z,x'} to
-        row z; the v^{-1} terms must cancel.  No entry exceeds max|prev|
-        (2 + sum |mu|), the bound that picks int64, or exact ints at
-        INT64_LIMIT.
+        the stored signs, row z of the column of x' sends h^{z,x'} to row
+        zs if zs is a basis element above z, and v h^{z,x'} to row z plus
+        mu(y, z) h^{z,x'} to row y if there is a mu sum, else
+        -v^{-1} h^{z,x'} to row z; the v^{-1} terms must cancel.  No entry
+        of the column of x exceeds max|column of x'| (2 + sum |mu|), the
+        bound that picks int64, or exact ints at INT64_LIMIT.
         """
         group = self.group
-        s = group.prefix(x)[1]
-        nz = np.flatnonzero(prev.coeffs.any(axis=1))
-        z = prev.rows[nz]
+        pre = [group.prefix(x) for x in xs]
+        prev = [known[p.index] for p, _ in pre]
+        sizes = [len(c.rows) for c in prev]
+        h = np.concatenate([c.coeffs for c in prev])
+        lo, hi = (f.reduceat(f.reduce(h, axis=1), np.cumsum(sizes) - sizes)
+                  .astype(object) for f in (np.minimum, np.maximum))
+        nz = h.any(axis=1)
+        slot = np.repeat(np.arange(len(xs)), sizes)[nz]
+        z, h = np.concatenate([c.rows for c in prev])[nz], h[nz]
+        s = np.array([t for _, t in pre], np.intp)[slot]
         zs = group.right[z, s]
         moves = (zs > z) & self.mask[zs]
         lifts = (zs > z) & (self.mask[zs] | (not self.spherical))
-        ys, mus, src = self._mu_terms(z[lifts].tolist(), s)
-        bound = max_abs(prev.coeffs) * (2 + sum(map(abs, mus.tolist())))
-        dtype = np.int64 if bound < INT64_LIMIT else object
-        h = prev.coeffs[nz].astype(dtype)
-        ids = self.column_ids(x)
-        where = row_positions(ids, x)
-        at_z, at_zs, at_y = where[z], where[zs[moves]], where.take(
-            ys, mode="clip")
+        ys, mus, src = self._mu_terms(z, s, lifts)
+        exact = np.maximum(-lo, hi) * (2 + slot_sums(
+            len(xs), slot[src], np.abs(mus))) >= INT64_LIMIT
+        if exact.any() and not exact.all():
+            return split_by_dtype(xs, exact, lambda part: (
+                self._inverse_steps(part, known)))
+        dtype = object if exact[0] else np.int64
+        if object in (h.dtype, dtype):  # int64 sums take narrow h as it is
+            h = h.astype(dtype)
+        ids = [self.column_ids(x) for x in xs]
+        batch = Batch(group, xs, ids)
+        at_y = batch.locate(slot[src], ys)
         if at_y.min(initial=0) < 0:
+            x = xs[slot[src[np.argmax(at_y < 0)]]]
             raise InvariantError(f"a mu term at {x!r} leaves its rows")
         # column j holds exponent j - 1; each row z stays exactly once
-        dense = np.zeros((len(ids), x.length + 2), dtype=dtype)
+        at_z = batch.locate(slot, z)
+        dense = np.zeros((len(batch.ids), xs[0].length + 2), dtype=dtype)
         dense[at_z[lifts], 2:] = h[lifts]
-        dense[at_z[~lifts], :-2] = -h[~lifts]
-        dense[at_zs, 1:-1] += h[moves]
-        np.add.at(dense[:, 1:-1], at_y,
-                  mus.astype(dtype)[:, None] * h[lifts][src])
-        if dense[:, 0].any():
-            y = group.elements[ids[np.flatnonzero(dense[:, 0])[0]]]
+        dense[at_z[~lifts], :-2] = -h[~lifts].astype(dtype)
+        dense[batch.locate(slot[moves], zs[moves]), 1:-1] += h[moves]
+        np.add.at(dense[:, 1:-1], at_y, mus.astype(dtype)[:, None] * h[src])
+        low = np.flatnonzero(dense[:, 0])
+        if len(low):
+            y, x = group.elements[batch.ids[low[0]]], xs[batch.slot[low[0]]]
             raise InvariantError(
                 f"inverse polynomial at ({y!r},{x!r}) has a v^-1 term")
-        coeffs = dense[:, 1:] if dtype is object else narrow(dense[:, 1:])
-        coeffs.flags.writeable = False
-        return InverseColumn(ids, coeffs)
+        cols = [InverseColumn(rows, part if dtype is object else narrow(part))
+                for rows, part in zip(ids, batch.split(dense[:, 1:]))]
+        for col in cols:
+            col.coeffs.flags.writeable = False
+        return cols
 
-    def _mu_terms(self, zs: list[int], s: int):
-        """(y, mu(y, z), k) for each z = zs[k] and each y of its mu sum
-        under b_s, as arrays; the mu entries of z are read once."""
-        for z in zs:
-            if z not in self._mu:
-                block = self.canonical_block(self.group.elements[z])
-                one = block.exps == 1
-                self._mu[z] = block.rows[block.at[one]], block.values[one]
-        parts = [self._mu[z] for z in zs] or [(np.zeros(0, np.intp),) * 2]
-        ys, mus = (np.concatenate(p) for p in zip(*parts))
-        src = np.repeat(np.arange(len(parts)), [len(p[0]) for p in parts])
-        yss = self.group.right[ys, s]
+    def _mu_terms(self, z: np.ndarray, s: np.ndarray, lifts: np.ndarray):
+        """(y, mu(y, z), k) for each z = z[k] with ``lifts[k]`` and each y
+        of its mu sum under b_s, s = s[k], as arrays, from the flat store;
+        a z is read from its canonical block the first time."""
+        z, s, span = z[lifts], s[lifts], self._mu_span
+        new = z[span[z, 1] < 0]
+        if len(new):
+            new = np.sort(new)
+            new = new[np.diff(new, prepend=-1) != 0]
+            slot, y, e, c = stack_terms(self.canonical_blocks(
+                [self.group.elements[i] for i in new.tolist()]))
+            one, size = np.flatnonzero(e == 1), self._mu_size
+            end = size + np.cumsum(np.bincount(slot[one], minlength=len(new)))
+            span[new, 0], span[new, 1] = np.r_[size, end[:-1]], end
+            dtype = np.result_type(self._mu_value, c)
+            if end[-1] > len(self._mu_y) or dtype != self._mu_value.dtype:
+                grow = max(end[-1], 2 * len(self._mu_y)) - len(self._mu_y)
+                self._mu_y = np.r_[self._mu_y, np.zeros(grow, np.intp)]
+                self._mu_value = np.r_[self._mu_value.astype(dtype),
+                                       np.zeros(grow, dtype)]
+            self._mu_y[size:end[-1]], self._mu_value[size:end[-1]] = (
+                y[one], c[one])
+            self._mu_size = end[-1]
+        count = span[z, 1] - span[z, 0]
+        src = np.repeat(np.flatnonzero(lifts), count)
+        at = np.arange(len(src)) + np.repeat(
+            span[z, 0] - np.cumsum(count) + count, count)
+        ys, mus = self._mu_y[at], self._mu_value[at]
+        yss = self.group.right[ys, s.repeat(count)]
         keep = (yss < ys) | (self.spherical & ~self.mask[yss])
         return ys[keep], mus[keep], src[keep]
 
-    def _check_column(self, x: Element, col: InverseColumn) -> None:
-        """Raise InvariantError when a new column breaks a theorem."""
+    def _check_columns(self, columns) -> None:
+        """Raise InvariantError when a new column of the (x, column) pairs
+        breaks a theorem, as the first such x alone raises it."""
 
     def kl_poly(self, y: Element, x: Element) -> LaurentPoly:
         """The coefficient of y in the canonical element of x: h_{y,x}, or
@@ -588,7 +688,7 @@ class ColumnTable:
         def run(chunk):
             return kronecker_failures(
                 self.group, chunk, [self.column_ids(x) for x in chunk],
-                self.canonical_blocks(chunk), self.inverse_column)
+                self.canonical_blocks(chunk), self.inverse_columns)
         todo = batched(self.group, [x for x in dict.fromkeys(xs)
                                     if x.index not in self._kronecker],
                        lambda x: x.length + 1, run)
@@ -611,5 +711,4 @@ class ColumnTable:
         class serves is a pure read.
         """
         self.canonical_blocks(self.basis)
-        for x in self.basis:
-            self.inverse_column(x)
+        self.inverse_columns(self.basis)

@@ -48,7 +48,7 @@ from .hecke import (
 )
 from .kernel import (
     INT64_LIMIT, Block, ColumnTable, InvariantError, bar_invariant_blocks,
-    dense_block, row_poly, row_positions,
+    dense_blocks, row_poly, row_positions,
 )
 from .laurent import LaurentPoly
 
@@ -145,7 +145,7 @@ class ParabolicContext:
                 f"projected bar(delta) at {x!r} leaves its window")
         dense = np.zeros((len(ids), 2 * top + 1), dtype=dtype)
         np.add.at(dense, (pos, exps + top), values)
-        got = self._bar_rep[x.index] = dense_block(ids, dense, top)
+        got = self._bar_rep[x.index] = dense_blocks([ids], dense, top)[0]
         return got
 
 
@@ -232,7 +232,8 @@ class ParabolicKLTable(ColumnTable):
 
     def canonical_block(self, x: Element) -> Block:
         """The block of c_x or d_x, by ``canonical_blocks``."""
-        return self.canonical_blocks([x])[0]
+        got = self._canonical.get(x.index)
+        return got if got is not None else self.canonical_blocks([x])[0]
 
     def canonical_blocks(self, xs) -> list[Block]:
         """The blocks of c_x or d_x for ``xs`` by the bar-invariance pass,

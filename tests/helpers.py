@@ -24,7 +24,7 @@ from kllab.coxeter import (
 from kllab.hecke import HeckeElt, KLTable, mult_delta_gen
 from kllab import kernel
 from kllab.kernel import (
-    Block, InvariantError, block_terms, dense_block, exact_array, max_abs,
+    Block, InvariantError, block_terms, dense_blocks, exact_array, max_abs,
     narrow, row_positions,
 )
 from kllab.laurent import LaurentPoly
@@ -469,7 +469,7 @@ def reference_bar_invariant_block(group, x, ids, bar_of) -> Block:
             or out[:-1, 0].any()):
         raise InvariantError(
             f"canonical element at {x!r} not unitriangular over vZ[v]")
-    return dense_block(ids, out)
+    return dense_blocks([ids], out)[0]
 
 
 def reference_kronecker_failures(group, x, ids, block, column_of):

@@ -411,6 +411,18 @@ class TestErrorsAndIO:
         assert text.startswith("y,x,len_y,len_x,poly\n")
         assert len(text.strip().split("\n")) == 20
 
+    @pytest.mark.parametrize("argv", [
+        ["kl", "--group", "B3"], ["kl", "--mu", "--group", "B3"],
+        ["parabolic", "--group", "B3", "--parabolic", "1", "--flavor",
+         "spherical"], ["invkl", "--group", "Aff-A2", "--cap", "9"]])
+    def test_json_tables_come_in_key_order(self, capsys, argv):
+        """A JSON table, streamed entry by entry, is byte for byte the
+        one string of json.dumps(indent=2, sort_keys=True)."""
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2,
+                                 sort_keys=True) + "\n"
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_streamed_output_is_the_one_string(self, tmp_path, monkeypatch,
                                                 fmt):

@@ -214,9 +214,11 @@ class TestKLBasis:
         dtypes = []
         times_generator = hecke._times_generator
 
-        def spy(*args, **kwargs):
-            dtypes.append(args[6])
-            return times_generator(*args, **kwargs)
+        def spy(group, xs, batch, prev, offset, acc, *args, **kwargs):
+            # the dtype of one level step's array
+            dtypes.append(object if acc.dtype == object else np.int64)
+            return times_generator(group, xs, batch, prev, offset, acc,
+                                   *args, **kwargs)
 
         monkeypatch.setattr(hecke, "INT64_LIMIT", 8)
         monkeypatch.setattr(hecke, "_times_generator", spy)

@@ -229,20 +229,21 @@ def test_exact_fallback_under_a_small_limit(monkeypatch):
     and redo the column in exact ints, with the same results."""
     for module in (kernel, hecke, parabolic):
         monkeypatch.setattr(module, "INT64_LIMIT", 8)
-    dtypes = {"_bar_solve_chunk": [], "_inverse_step": []}
+    dtypes = {"_bar_solve_chunk": [], "_inverse_steps": []}
 
     def bar_spy(*args, _solve=kernel._bar_solve_chunk):
         dtypes["_bar_solve_chunk"].append(args[-2])
         return _solve(*args)
 
-    def step_spy(self, x, prev, _step=kernel.ColumnTable._inverse_step):
-        col = _step(self, x, prev)
+    def step_spy(self, xs, known, _step=kernel.ColumnTable._inverse_steps):
+        cols = _step(self, xs, known)
         # an int64 step is stored narrowed
-        dtypes["_inverse_step"].append(
-            object if col.coeffs.dtype == object else np.int64)
-        return col
+        dtypes["_inverse_steps"].extend(
+            object if col.coeffs.dtype == object else np.int64
+            for col in cols)
+        return cols
     monkeypatch.setattr(kernel, "_bar_solve_chunk", bar_spy)
-    monkeypatch.setattr(kernel.ColumnTable, "_inverse_step", step_spy)
+    monkeypatch.setattr(kernel.ColumnTable, "_inverse_steps", step_spy)
     group = GroupTable(get_group("B3").matrix)
     for subset in ((), (1,)):
         for flavor in FLAVORS:
