@@ -28,8 +28,8 @@ import sys
 import numpy as np
 
 from .coxeter import (
-    CapExceededError, CoxeterSpecError, GroupTable, ResourceLimitError,
-    SettingError, parse_word, render_word,
+    CapExceededError, CoxeterSpecError, ResourceLimitError, SettingError,
+    parse_word, render_word,
 )
 from .hecke import InvariantError, KLTable
 from .kernel import block_terms

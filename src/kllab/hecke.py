@@ -51,9 +51,9 @@ import numpy as np
 from .coxeter import Element, GroupTable, RIGHT
 from .kernel import (
     INT64_LIMIT, Block, ColumnTable, InverseColumn, InvariantError,
-    Batch, slot_sums, add_blocks, bar_invariant_blocks, batched, block_row,
-    block_sums, block_terms, dense_blocks, prefix_levels, row_poly,
-    split_by_dtype, stack_terms,
+    Batch, add_blocks, bar_invariant_blocks, batched, block_row, block_sums,
+    block_terms, dense_blocks, exact_total, prefix_levels, row_poly,
+    stack_terms,
 )
 from .laurent import LaurentPoly
 
@@ -225,13 +225,11 @@ def bar_blocks(group: GroupTable, xs) -> list[Block]:
     def run(chunk):
         prev = [memo[group.prefix(x)[0].index] for x in chunk]
         # each entry receives at most three terms of the previous block
-        exact = [3 * b.row_norm >= INT64_LIMIT for b in prev]
-        if any(exact) and not all(exact):
-            return split_by_dtype(chunk, exact, run)
+        exact = 3 * max(b.row_norm for b in prev) >= INT64_LIMIT
         ids = [group.downset_ids(x) for x in chunk]
         top = chunk[0].length
         acc = np.zeros((sum(map(len, ids)), 2 * top + 1),
-                       dtype=object if exact[0] else np.int64)
+                       dtype=object if exact else np.int64)
         _times_generator(group, chunk, Batch(group, chunk, ids),
                          stack_terms(prev), top, acc, up=((1, 1), (-1, -1)))
         return dense_blocks(ids, acc, top)
@@ -360,15 +358,13 @@ class KLTable(ColumnTable):
         lower, which = np.unique(y[k], return_inverse=True)
         blocks = [memo[v] for v in lower.tolist()]
         # an entry gets two terms of b_{z'} and one of each mu-multiple
-        norms = np.array([b.row_norm for b in prev + blocks], dtype=object)
-        exact = 2 * norms[:len(zs)] + slot_sums(len(zs), slot[k], np.abs(
-            c[k].astype(object)) * norms[len(zs):][which]) >= INT64_LIMIT
-        if exact.any() and not exact.all():
-            return split_by_dtype(zs, exact, self._b_steps)
+        norms = np.array([b.row_norm for b in blocks], dtype=object)
+        exact = 2 * max(b.row_norm for b in prev) + exact_total(
+            np.abs(c[k].astype(object)) * norms[which]) >= INT64_LIMIT
         ids = [group.downset_ids(z) for z in zs]
         batch = Batch(group, zs, ids)
         acc = np.zeros((len(batch.ids), zs[0].length + 1),
-                       dtype=object if exact[0] else np.int64)
+                       dtype=object if exact else np.int64)
         _times_generator(group, zs, batch, terms, 0, acc, up=((1, 1),),
                          down=((-1, 1),))
         add_blocks(acc, batch.locate, slot[k], which, 0 * k,

@@ -16,7 +16,7 @@ on it take a chunk of columns at a time (``batched``):
 - ``bar_invariant_blocks``: canonical elements from the blocks of
   bar(m_z), one length level of every column of the chunk per step;
 - ``kronecker_failures``: the inversion identity of whole columns;
-- ``block_sums``: any other sum of blocks, one array per dtype.
+- ``block_sums``: any other sum of blocks.
 
 A chunk of columns and a scatter piece hold about ``CELL_BUDGET`` cells;
 an error in a chunk is raised as the first failing column raises it
@@ -29,11 +29,12 @@ levels.  ``ColumnTable``, the table core of the regular module and its
 quotients, builds the inverse column of x = x's from the column of x' by
 the recursion m_x = m_{x'} (b_s - v), and checks the inversion identity.
 
-Arithmetic is int64 under a bound on coefficient size, per column.  A
-column whose bound would reach 2^62 is redone by the same code with
-``dtype=object`` (exact Python ints), so no result ever depends on
-wrapping.  Stored values move to a narrower integer dtype only after an
-exact range check.
+Arithmetic is int64 under a bound on coefficient size, one decision per
+chunk: the bound is the exact total over the chunk, never below the
+bound of any of its columns.  A chunk whose bound would reach 2^62 runs
+whole, by the same code, with ``dtype=object`` (exact Python ints), so
+no result ever depends on wrapping.  Stored values move to a narrower
+integer dtype only after an exact range check.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .laurent import LaurentPoly
 
 _ZERO = LaurentPoly.zero()
 
-#: an int64 pass gives a column up when its coefficient bound reaches this
+#: a batched pass runs a chunk in exact ints when its bound reaches this
 INT64_LIMIT = 1 << 62
 
 #: about the most array cells a batched pass holds at once: the dense sums
@@ -278,14 +279,9 @@ def add_blocks(acc: np.ndarray, locate, slot: np.ndarray, block: np.ndarray,
         raise InvariantError(fault(bad))
 
 
-def slot_sums(n: int, slot: np.ndarray, amounts: np.ndarray) -> np.ndarray:
-    """Exact sums of the nonnegative ``amounts`` per slot, as Python ints;
-    in int64 when no sum can reach INT64_LIMIT."""
-    exact = amounts.dtype == object or max_abs(amounts) * len(
-        amounts) >= INT64_LIMIT
-    out = np.zeros(n, dtype=object if exact else np.int64)
-    np.add.at(out, slot, amounts)
-    return out.astype(object)
+def exact_total(amounts: np.ndarray) -> int:
+    """The sum of ``amounts`` as an exact Python int."""
+    return sum(amounts.tolist())
 
 
 def block_sums(group: GroupTable, xs: list[Element], ids, width: int,
@@ -293,23 +289,16 @@ def block_sums(group: GroupTable, xs: list[Element], ids, width: int,
                coef: np.ndarray, blocks: list, norms: list[int],
                fault) -> list[np.ndarray]:
     """For each x of ``xs``, the dense sum of ``add_blocks`` over the rows
-    ``ids`` of its column and ``width`` exponent columns.  Each x whose
-    sum |coef| * norms[block] stays below INT64_LIMIT is summed in int64,
-    the others in exact ints, as a lone x would be."""
-    exact = slot_sums(len(xs), slot, np.abs(coef) * np.array(
-        norms, dtype=object)[block]) >= INT64_LIMIT
-    out = [None] * len(xs)
-    for dtype, mine in ((np.int64, ~exact), (object, exact)):
-        keep, sel = np.flatnonzero(mine), np.flatnonzero(mine[slot])
-        if len(keep):
-            batch = Batch(group, [xs[k] for k in keep], [ids[k] for k in keep])
-            acc = np.zeros((len(batch.ids), width), dtype=dtype)
-            add_blocks(acc, batch.locate, (np.cumsum(mine) - 1)[slot[sel]],
-                       block[sel], shift[sel], coef[sel].astype(dtype),
-                       blocks, lambda k: fault(sel[k]))
-            for k, part in zip(keep, batch.split(acc)):
-                out[k] = part
-    return out
+    ``ids`` of its column and ``width`` exponent columns.  The chunk is
+    summed in int64 when the total of |coef| * norms[block] over all its
+    entries stays below INT64_LIMIT, and in exact ints otherwise."""
+    dtype = object if exact_total(np.abs(coef) * np.array(
+        norms, dtype=object)[block]) >= INT64_LIMIT else np.int64
+    batch = Batch(group, xs, ids)
+    acc = np.zeros((len(batch.ids), width), dtype=dtype)
+    add_blocks(acc, batch.locate, slot, block, shift, coef.astype(dtype),
+               blocks, fault)
+    return batch.split(acc)
 
 
 def chunks(xs, cost: Callable[[Element], int]) -> list[list[Element]]:
@@ -356,22 +345,12 @@ def prefix_levels(group: GroupTable, xs, known) -> list[list[Element]]:
         sorted(seen), lambda i: elements[i].length)]
 
 
-def split_by_dtype(xs: list, exact, run) -> list:
-    """``run`` on the xs whose ``exact`` flag is off (int64) and on the
-    others (exact ints) apart, the results in the order of xs: a level
-    step whose columns need both dtypes."""
-    parts = [[x for x, e in zip(xs, exact) if e == f] for f in (0, 1)]
-    got = dict(zip(parts[0] + parts[1], [r for p in parts if p
-                                          for r in run(p)]))
-    return [got[x] for x in xs]
-
-
 def _bar_solve_chunk(group: GroupTable, xs: list[Element], ids,
-                     bar_of: Callable[[Element], Block], dtype,
-                     limit) -> list[Block]:
+                     bar_of: Callable[[Element], Block], dtype
+                     ) -> list[Block]:
     """The canonical elements of a chunk of xs over their sorted ``ids``
-    (x last), in ``dtype`` under ``limit``; an x whose bound reaches it is
-    redone in exact ints.
+    (x last), in ``dtype``; an int64 chunk whose bound reaches
+    INT64_LIMIT is redone whole in exact ints.
 
     Write the element of x as sum_z n_z m_z with n_x = 1.  Bar-invariance
     says that for every row y, a_y = sum_{z > y} bar(n_z) r_{y,z} equals
@@ -383,18 +362,18 @@ def _bar_solve_chunk(group: GroupTable, xs: list[Element], ids,
     from the top: it checks the level's sums, reads off its n_y and adds
     bar(n_y) times the block of bar(m_y) into all rows in one scatter.  At
     the end ``acc`` is bar of the result, which must equal it.  The bound
-    of x grows by max|n_y| times the row norm of bar(m_y) for each row.
+    of the chunk grows by max|n_y| times the row norm of bar(m_y) for
+    each row of each column.
     """
     elements, batch = group.elements, Batch(group, xs, ids)
     top = max(x.length for x in xs)
     acc = np.zeros((len(batch.ids), 2 * top + 1), dtype=dtype)
     out = np.zeros((len(batch.ids), top + 1), dtype=dtype)
-    alive, bound = np.ones(len(xs), bool), np.zeros(len(xs), dtype=object)
+    bound = 0
     order = np.argsort(-batch.ids)          # ids follow length
     lengths = group.lengths[batch.ids]
     for rows in np.split(order, np.flatnonzero(
             np.diff(lengths[order])) + 1):
-        rows = rows[alive[batch.slot[rows]]]
         slot = batch.slot[rows]
         own = rows == batch.top[slot]
         coef = acc[rows, top:]
@@ -412,10 +391,11 @@ def _bar_solve_chunk(group: GroupTable, xs: list[Element], ids,
         zs, which = np.unique(batch.ids[rows[has]], return_inverse=True)
         # fetched from the top down, as a lone column meets them
         bars = [bar_of(elements[z]) for z in zs[::-1].tolist()][::-1]
-        if limit is not None:
-            bound += slot_sums(len(xs), slot[has], size[has] * np.array(
+        if dtype is not object:
+            bound += exact_total(size[has] * np.array(
                 [b.row_norm for b in bars], dtype=object)[which])
-            alive &= bound < limit
+            if bound >= INT64_LIMIT:
+                return _bar_solve_chunk(group, xs, ids, bar_of, object)
         i, e = np.nonzero(coef[:cut])
         out[rows[i], e] = coef[i, e]
         block = np.zeros(cut, np.intp)
@@ -430,21 +410,15 @@ def _bar_solve_chunk(group: GroupTable, xs: list[Element], ids,
                 f"bar-invariance solve at {x!r}: the coefficient of {z!r} "
                 + ("is not antisymmetric" if skew[cut] else
                    f"has a term above degree {x.length - z.length}"))
-    for x, rows, a, n, live in zip(xs, ids, batch.split(acc),
-                                   batch.split(out), alive):
-        if live and (a[:, :top].any() or (a[:, top:] != n).any()):
+    for x, rows, a, n in zip(xs, ids, batch.split(acc), batch.split(out)):
+        if a[:, :top].any() or (a[:, top:] != n).any():
             raise InvariantError("bar-invariance solve produced a "
                                  f"non-self-dual element at {x!r}")
-        if live and (rows[-1] != x.index or n[-1, 0] != 1
-                     or n[-1, 1:].any() or n[:-1, 0].any()):
+        if (rows[-1] != x.index or n[-1, 0] != 1 or n[-1, 1:].any()
+                or n[:-1, 0].any()):
             raise InvariantError(
                 f"canonical element at {x!r} not unitriangular over vZ[v]")
-    redo = [k for k in range(len(xs)) if not alive[k]]
-    exact = iter(_bar_solve_chunk(group, [xs[k] for k in redo],
-                                  [ids[k] for k in redo], bar_of, object, None)
-                 if redo else ())
-    return [block if live else next(exact)
-            for block, live in zip(dense_blocks(ids, out), alive)]
+    return dense_blocks(ids, out)
 
 
 def bar_invariant_blocks(group: GroupTable, xs, ids_of, bar_of):
@@ -455,7 +429,7 @@ def bar_invariant_blocks(group: GroupTable, xs, ids_of, bar_of):
     """
     return batched(group, xs, lambda x: 3 * x.length + 2, lambda chunk: (
         _bar_solve_chunk(group, chunk, [ids_of(x) for x in chunk], bar_of,
-                         np.int64, INT64_LIMIT)))
+                         np.int64)))
 
 
 def kronecker_failures(group: GroupTable, xs: list[Element], ids, blocks,
@@ -468,7 +442,8 @@ def kronecker_failures(group: GroupTable, xs: list[Element], ids, blocks,
 
     differs from the Kronecker delta, h_{z,x} read from ``blocks`` (the
     canonical element of x) and h^{y,z} from ``columns_of(zs)``: one
-    batched sum per chunk, whose bound for x is sum |h_{z,x}| max|h^{.,z}|.
+    batched sum per chunk, whose bound is the total over its columns of
+    sum |h_{z,x}| max|h^{.,z}|.
     """
     elements = group.elements
     slot, z, e, values = stack_terms(blocks)
@@ -572,16 +547,15 @@ class ColumnTable:
         zs if zs is a basis element above z, and v h^{z,x'} to row z plus
         mu(y, z) h^{z,x'} to row y if there is a mu sum, else
         -v^{-1} h^{z,x'} to row z; the v^{-1} terms must cancel.  No entry
-        of the column of x exceeds max|column of x'| (2 + sum |mu|), the
-        bound that picks int64, or exact ints at INT64_LIMIT.
+        of the column of x exceeds max|column of x'| (2 + sum |mu|); the
+        step runs in exact ints when that bound, with the max and the sum
+        taken over the whole chunk, reaches INT64_LIMIT.
         """
         group = self.group
         pre = [group.prefix(x) for x in xs]
         prev = [known[p.index] for p, _ in pre]
         sizes = [len(c.rows) for c in prev]
         h = np.concatenate([c.coeffs for c in prev])
-        lo, hi = (f.reduceat(f.reduce(h, axis=1), np.cumsum(sizes) - sizes)
-                  .astype(object) for f in (np.minimum, np.maximum))
         nz = h.any(axis=1)
         slot = np.repeat(np.arange(len(xs)), sizes)[nz]
         z, h = np.concatenate([c.rows for c in prev])[nz], h[nz]
@@ -590,12 +564,8 @@ class ColumnTable:
         moves = (zs > z) & self.mask[zs]
         lifts = (zs > z) & (self.mask[zs] | (not self.spherical))
         ys, mus, src = self._mu_terms(z, s, lifts)
-        exact = np.maximum(-lo, hi) * (2 + slot_sums(
-            len(xs), slot[src], np.abs(mus))) >= INT64_LIMIT
-        if exact.any() and not exact.all():
-            return split_by_dtype(xs, exact, lambda part: (
-                self._inverse_steps(part, known)))
-        dtype = object if exact[0] else np.int64
+        dtype = object if max_abs(h) * (2 + exact_total(np.abs(
+            mus))) >= INT64_LIMIT else np.int64
         if object in (h.dtype, dtype):  # int64 sums take narrow h as it is
             h = h.astype(dtype)
         ids = [self.column_ids(x) for x in xs]

@@ -79,10 +79,9 @@ def _chunks_seen(monkeypatch) -> list:
     """Record (dtype, xs) of every call of the batched solver."""
     seen = []
 
-    def spy(group, xs, ids, bar_of, dtype, limit,
-            _solve=kernel._bar_solve_chunk):
+    def spy(group, xs, ids, bar_of, dtype, _solve=kernel._bar_solve_chunk):
         seen.append((dtype, list(xs)))
-        return _solve(group, xs, ids, bar_of, dtype, limit)
+        return _solve(group, xs, ids, bar_of, dtype)
     monkeypatch.setattr(kernel, "_bar_solve_chunk", spy)
     return seen
 
@@ -150,9 +149,9 @@ def test_the_first_of_two_faults_in_one_level():
 
 
 def test_one_x_of_a_chunk_past_the_bound(monkeypatch):
-    """With the limit just above every row norm seen by all but one x of
-    a chunk, only that x is redone in exact ints, with the reference's
-    result."""
+    """With the limit just above the bound of every x but one, the chunk
+    holding that x is redone whole in exact ints, and every block is
+    still the reference's."""
     group = get_group("B3")
     ctx = ParabolicContext(group, (), ANTISPHERICAL)
     reps = list(ctx.reps)
@@ -174,4 +173,5 @@ def test_one_x_of_a_chunk_past_the_bound(monkeypatch):
         assert same_block(got, expected[x.index]), x
     chunk = next(xs for dtype, xs in seen if top in xs)
     assert len(chunk) > 1
-    assert [xs for dtype, xs in seen if dtype is object] == [[top]]
+    assert (np.int64, chunk) in seen and (object, chunk) in seen
+    assert [xs for dtype, xs in seen if top in xs] == [chunk, chunk]

@@ -11,7 +11,7 @@ import textwrap
 import pytest
 
 import kllab
-from kllab import cli
+from kllab import cli, hecke, kernel, parabolic
 from kllab.cli import main, poly_csv
 from kllab.laurent import LaurentPoly
 from helpers import bruhat_leq_oracle, get_group, get_kl, poly
@@ -477,3 +477,26 @@ def test_commands_do_not_load_numpy_ma():
     if code == 3:
         pytest.skip("importing numpy alone loads numpy.ma")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--group", "B3"],
+    ["suite", "--group", "Aff-A2", "--cap", "8"],
+    ["invkl", "--group", "B3", "--format", "json"],
+    ["scan", "--name", "classical", "--group", "B3"],
+])
+def test_output_is_the_same_across_the_exact_fallback(monkeypatch, capsys,
+                                                      argv):
+    """With the int64 limit at 8, chunks run in exact ints (and some int64
+    chunks are redone in them); stdout and the exit code do not change."""
+    expected = run_cli(capsys, *argv)[:2]
+    dtypes = []
+
+    def spy(*args, _solve=kernel._bar_solve_chunk):
+        dtypes.append(args[-1])
+        return _solve(*args)
+    monkeypatch.setattr(kernel, "_bar_solve_chunk", spy)
+    for module in (kernel, hecke, parabolic):
+        monkeypatch.setattr(module, "INT64_LIMIT", 8)
+    assert run_cli(capsys, *argv)[:2] == expected
+    assert argv[0] != "suite" or object in dtypes

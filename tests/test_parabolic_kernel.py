@@ -232,7 +232,7 @@ def test_exact_fallback_under_a_small_limit(monkeypatch):
     dtypes = {"_bar_solve_chunk": [], "_inverse_steps": []}
 
     def bar_spy(*args, _solve=kernel._bar_solve_chunk):
-        dtypes["_bar_solve_chunk"].append(args[-2])
+        dtypes["_bar_solve_chunk"].append(args[-1])
         return _solve(*args)
 
     def step_spy(self, xs, known, _step=kernel.ColumnTable._inverse_steps):
