@@ -23,6 +23,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -472,6 +473,12 @@ def main(argv=None) -> int:
         return 2
     except (CapExceededError, ResourceLimitError, InvariantError,
             FlavorMismatchError) as exc:
+        _emit_error(exc)
+        return 1
+    except BrokenPipeError as exc:
+        # the reader closed stdout: the flush at exit goes to the null device
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
         _emit_error(exc)
         return 1
 

@@ -23,10 +23,10 @@ h^{y,x} with alternating signs:
     b_x = sum_y h_{y,x} delta_y
     delta_x = sum_y (-1)^{l(x)-l(y)} h^{y,x} b_y
 
-``KLTable`` computes b_x two independent ways: the production route is the
-length recursion b_{x's} = b_{x'} b_s - sum mu(y,x') b_y over y with ys < y,
-run on integer blocks, and the oracle route is the bar-invariance pass of
-the block kernel over the blocks of bar(delta_z), which never touches mu.
+``KLTable`` computes b_x by the length recursion b_{x's} = b_{x'} b_s -
+sum mu(y,x') b_y over y with ys < y, on integer blocks; its oracle, which
+never touches mu, is ``parabolic.ParabolicKLTable`` with I empty, the
+bar-invariance pass over the blocks of bar(delta_z).
 Inverse polynomials, by the recursion delta_x = delta_{x'} (b_s - v), and
 the inversion identity come from ``kernel.ColumnTable``, the table core it
 shares with the parabolic tables.  Everything is memoized and all tables
@@ -51,9 +51,8 @@ import numpy as np
 from .coxeter import Element, GroupTable, RIGHT
 from .kernel import (
     INT64_LIMIT, Block, ColumnTable, InverseColumn, InvariantError,
-    Batch, add_blocks, bar_invariant_blocks, batched, block_row, block_sums,
-    block_terms, dense_blocks, exact_total, prefix_levels, row_poly,
-    stack_terms,
+    Batch, add_blocks, batched, block_row, block_terms, dense_blocks,
+    exact_total, prefix_levels, row_poly, stack_terms,
 )
 from .laurent import LaurentPoly
 
@@ -301,7 +300,8 @@ class KLTable(ColumnTable):
     """Kazhdan-Lusztig data over one enumerated group table.
 
     Memoizes the canonical basis elements b_x as blocks (the mu route,
-    ``b_block``; the oracle route is kept apart); the inverse polynomial
+    ``b_block``; the bar-invariance solve that checks them is the
+    antispherical ``ParabolicKLTable`` with I empty); the inverse polynomial
     columns and the inversion-identity sums come from ``ColumnTable``,
     whose columns here must be nonnegative.  All queries are safe after
     ``build_all``; lazy use is also fine single-threaded.
@@ -310,7 +310,6 @@ class KLTable(ColumnTable):
     def __init__(self, group: GroupTable):
         super().__init__(group, group, np.ones(len(group), bool))
         self._b_blocks: dict[int, Block] = {0: _DELTA_E}
-        self._b_solve: dict[int, HeckeElt] = {}
 
     def column_ids(self, x: Element) -> np.ndarray:
         return self.group.downset_ids(x)
@@ -379,25 +378,6 @@ class KLTable(ColumnTable):
         """b_x, decoded from ``b_block``."""
         return HeckeElt.from_block(self.group, self.b_block(x))
 
-    # -- canonical basis, oracle route -------------------------------------
-
-    def kl_basis_element_bar_solve(self, x: Element) -> HeckeElt:
-        """b_x as the unique bar-invariant unitriangular element above x.
-
-        The kernel's bar-invariance pass over the blocks of bar(delta_z)
-        for z in downset(x), decoded; the regular module is the quotient
-        with I empty.  Entirely independent of the mu route: it never
-        reads a b block, mult_b_gen or mu, and no column needs another.
-        """
-        got = self._b_solve.get(x.index)
-        if got is None:
-            group = self.group
-            ((_, block),) = bar_invariant_blocks(
-                group, [x], group.downset_ids, lambda z: bar_block(group, z))
-            self._validate_triangular([x], [block])
-            got = self._b_solve[x.index] = HeckeElt.from_block(group, block)
-        return got
-
     def _validate_triangular(self, xs: list[Element], blocks) -> None:
         """In the block of each x, the row of x must be exactly 1 and every
         other row lie in vZ>=0[v]; the first x that fails raises."""
@@ -419,38 +399,6 @@ class KLTable(ColumnTable):
         raise InvariantError(
             f"coefficient of {self.group.elements[row]!r} in b at {x!r} "
             f"outside vZ>=0[v]: {block_row(blocks[first], row)}")
-
-    def bar_invariance(self, xs):
-        """For each x of ``xs`` in order, whether bar(b_x) == b_x: the sum
-        over the terms of b_x of bar(h_{z,x}) bar(delta_z), minus b_x, one
-        batched sum of blocks per chunk, must vanish."""
-        group = self.group
-        elements = group.elements
-
-        def run(chunk):
-            blocks = [self.b_block(x) for x in chunk]
-            n, top = len(chunk), max(x.length for x in chunk)
-            z = np.concatenate([b.rows[b.at] for b in blocks]
-                               + [[x.index for x in chunk]])
-            zs, which = np.unique(z[:-n], return_inverse=True)
-            bars = bar_blocks(group, [elements[y] for y in zs.tolist()])
-            slot = np.r_[np.repeat(np.arange(n), [b.size for b in blocks]),
-                         :n]
-            sums = block_sums(
-                group, chunk, [group.downset_ids(x) for x in chunk],
-                2 * top + 1, slot, np.r_[which, len(bars):len(bars) + n],
-                top - np.concatenate([b.exps for b in blocks] + [[0] * n]),
-                np.concatenate([b.values for b in blocks] + [[-1] * n]),
-                bars + blocks, [b.row_norm for b in bars + blocks],
-                lambda k: f"the block of {elements[z[k]]!r} has a term "
-                          f"outside the rows of {chunk[slot[k]]!r}")
-            return [not acc.any() for acc in sums]
-        return (ok for _, ok in batched(
-            group, xs, lambda x: 2 * x.length + 1, run))
-
-    def is_bar_invariant(self, x: Element) -> bool:
-        """bar(b_x) == b_x, by ``bar_invariance``."""
-        return next(self.bar_invariance([x]))
 
     # -- polynomials --------------------------------------------------------
 

@@ -28,7 +28,9 @@ from kllab.kernel import (
     narrow, row_positions,
 )
 from kllab.laurent import LaurentPoly
-from kllab.parabolic import ParabolicContext, ParabolicElt, project
+from kllab.parabolic import (
+    ANTISPHERICAL, ParabolicContext, ParabolicElt, ParabolicKLTable, project,
+)
 from kllab.verify import Violation
 
 
@@ -66,6 +68,14 @@ def get_group(spec: str, cap: int | None = None) -> GroupTable:
 @functools.lru_cache(maxsize=None)
 def get_kl(spec: str, cap: int | None = None) -> KLTable:
     return KLTable(get_group(spec, cap))
+
+
+def solved_b(group: GroupTable, x) -> HeckeElt:
+    """b_x by the bar-invariance solve, the oracle of the mu route: the
+    block of x in the antispherical table with I empty, decoded over the
+    group."""
+    table = ParabolicKLTable(ParabolicContext(group, (), ANTISPHERICAL))
+    return HeckeElt.from_block(group, table.canonical_block(x))
 
 
 def poly(pairs: dict[int, int]) -> LaurentPoly:

@@ -386,6 +386,22 @@ class TestErrorsAndIO:
         assert code == 1
         assert json.loads(err)["error"] == "ResourceLimitError"
 
+    def test_closed_pipe_exits_1_with_json_error(self):
+        """A reader that takes 10 bytes of a long table and closes the
+        pipe: exit 1 and the JSON error on stderr, with no traceback."""
+        src = os.path.dirname(os.path.dirname(kllab.__file__))
+        with subprocess.Popen(
+                [sys.executable, "-m", "kllab.cli", "invkl", "--group", "B4",
+                 "--format", "csv"], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src}) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "BrokenPipeError"
+
     @pytest.mark.parametrize("value", ["abc", "-1", "0", "2.5", ""])
     def test_bad_max_elements_env_exits_2_before_enumerating(
             self, capsys, monkeypatch, value):

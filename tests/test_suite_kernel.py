@@ -8,6 +8,8 @@ and render the same, and a passing suite decodes nothing.  Random Coxeter
 matrices of rank <= 3 must pass every check of the whole suite.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +31,7 @@ from kllab.verify import (
 )
 from helpers import (
     get_group, poly, reference_rouquier_shadow, reference_scan_classical,
-    reference_scan_inverse, reference_scan_parabolic, store_b,
+    reference_scan_inverse, reference_scan_parabolic, solved_b, store_b,
 )
 from test_kernel import relabelled_matrix_file
 
@@ -337,6 +339,57 @@ def test_suite_builds_one_empty_subset_table(monkeypatch):
     assert ("scan-spherical", [], SPHERICAL) in labels
 
 
+def test_suite_bar_invariance_sees_a_broken_b(monkeypatch):
+    """One b block of A3 broken after the build: the bar-invariance check,
+    which compares the b blocks with those of the I empty table, fails at
+    exactly that x."""
+    group = get_group("A3")
+    x = group.element((0, 1, 0))
+
+    class BrokenB(KLTable):
+        def build_all(self):
+            super().build_all()
+            terms = dict(self.kl_basis_element(x).terms)
+            terms[group.identity] = terms[group.identity] + poly({2: 1})
+            store_b(self, x, terms)
+    monkeypatch.setattr(verify, "KLTable", BrokenB)
+    report = run_identity_suite("A3", [()], group=group)
+    (check,) = [c for c in report.checks if c.check == "bar-invariance"]
+    assert not check.passed
+    assert check.failures == [f"bar(b) != b at {x!r}"]
+    assert check.pairs_checked == len(group)
+
+
+@pytest.mark.parametrize("subsets", [[(), (0,)], [(0,)], [(0,), ()]],
+                         ids=str)
+def test_suite_solves_the_empty_quotient_once(monkeypatch, subsets):
+    """Each x of the I empty quotient is solved once, for the
+    bar-invariance check, whether and wherever subsets lists I empty.  The
+    table is released before a later subset is solved, unless I empty is
+    still to come."""
+    group = get_group("A3")
+    solved, alive, empty_tables = [], [], weakref.WeakSet()
+
+    def spy(*args, _solve=kernel._bar_solve_chunk):
+        _, xs, _, bar_of, _ = args
+        if bar_of.__self__.subset:
+            alive.append(len(empty_tables))
+        else:
+            solved.extend(x.index for x in xs)
+        return _solve(*args)
+
+    class Tracked(ParabolicKLTable):
+        def __init__(self, context):
+            super().__init__(context)
+            if not context.subset:
+                empty_tables.add(self)
+    monkeypatch.setattr(kernel, "_bar_solve_chunk", spy)
+    monkeypatch.setattr(verify, "ParabolicKLTable", Tracked)
+    assert run_identity_suite("A3", subsets, group=group).passed
+    assert sorted(solved) == list(range(len(group)))
+    assert set(alive) == {int(() in subsets[1:])}
+
+
 _BONDS = st.sampled_from([2, 3, 4, 5, 6, 7, INFINITY])
 _CHECKS = {
     "positivity-kl", "positivity-invkl", "mu-nonnegative", "parity",
@@ -362,5 +415,4 @@ def test_random_matrices_pass_the_whole_suite(rank, bonds, cap):
             assert check.violations == [], check.check
     table = KLTable(group)
     for x in group:
-        assert table.kl_basis_element(x) == \
-            table.kl_basis_element_bar_solve(x), x
+        assert table.kl_basis_element(x) == solved_b(group, x), x
