@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import os
@@ -450,6 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    stdout = sys.stdout
+    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        # python -u: a raw write cut short by a closed pipe passes silently
+        sys.stdout = open(stdout.fileno(), "w", encoding=stdout.encoding,
+                          errors=stdout.errors, closefd=False)
     try:
         out = _Output(args.format, args.out)
         if args.command == "info":

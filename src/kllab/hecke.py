@@ -233,8 +233,8 @@ def bar_blocks(group: GroupTable, xs) -> list[Block]:
                          stack_terms(prev), top, acc, up=((1, 1), (-1, -1)))
         return dense_blocks(ids, acc, top)
     for level in prefix_levels(group, xs, memo):
-        for x, block in batched(group, level, lambda x: 2 * x.length + 1,
-                                run):
+        for x, block in batched(level, group.downset_ids,
+                                lambda x: 2 * x.length + 1, run):
             memo[x.index] = block
     return [memo[x.index] for x in xs]
 
@@ -335,7 +335,7 @@ class KLTable(ColumnTable):
         todo = [group.elements[z] for z in np.flatnonzero(need).tolist()
                 if z not in memo]
         for _, level in groupby(todo, lambda z: z.length):
-            for z, block in batched(group, list(level),
+            for z, block in batched(list(level), group.downset_ids,
                                     lambda z: 2 * z.length + 2, self._b_steps):
                 memo[z.index] = block
         return [memo[x.index] for x in xs]

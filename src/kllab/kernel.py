@@ -39,6 +39,7 @@ integer dtype only after an exact range check.
 
 from __future__ import annotations
 
+import copy
 from collections import ChainMap
 from itertools import groupby
 from typing import Callable, NamedTuple
@@ -189,15 +190,6 @@ class InverseColumn(NamedTuple):
 # the batched passes
 # ----------------------------------------------------------------------
 
-def row_positions(ids: np.ndarray, x: Element) -> np.ndarray:
-    """Position of each id in the sorted ``ids`` (all <= x.index), -1 for
-    any other id; ``take(..., mode="clip")`` on the result maps every id
-    above x.index to the -1 in its last slot."""
-    where = np.full(x.index + 2, -1, dtype=np.intp)
-    where[ids] = np.arange(len(ids))
-    return where
-
-
 class Batch:
     """The columns of several x stacked as the rows of one array: column
     k, of x = ``xs[k]``, holds rows ``start[k]:start[k + 1]``, the sorted
@@ -208,7 +200,7 @@ class Batch:
         self.ids, self.start = np.concatenate(ids), np.cumsum([0] + sizes)
         self.top, self.slot = self.start[1:] - 1, np.repeat(
             np.arange(len(xs)), sizes)
-        # the row_positions of each column, end to end
+        # per column, the row of each id up to x and -1 at x.index + 1
         self._cap = np.array([x.index + 1 for x in xs], dtype=np.intp)
         self._base = np.cumsum(self._cap + 1) - self._cap - 1
         self._where = np.full(int(self._cap.sum()) + len(xs), -1, np.intp)
@@ -315,14 +307,13 @@ def chunks(xs, cost: Callable[[Element], int]) -> list[list[Element]]:
     return out
 
 
-def batched(group: GroupTable, xs, width: Callable[[Element], int], run):
+def batched(xs, rows, width: Callable[[Element], int], run):
     """(x, run(chunk)[i]) for each x of ``xs`` in order, ``run`` taking
-    the ``chunks`` whose columns (|downset(x)| rows times ``width(x)``)
-    and id tables hold about CELL_BUDGET cells.  A chunk that raises is
-    redone one x at a time, so the error raised is the first failing x's,
-    worded as its lone request words it."""
-    for chunk in chunks(xs, lambda x: len(group.downset_ids(x)) * width(x)
-                        + x.index + 2):
+    the ``chunks`` whose columns (the ids ``rows(x)`` of the column of x
+    times ``width(x)``) and id tables hold about CELL_BUDGET cells.  A
+    chunk that raises is redone one x at a time, so the error raised is
+    the first failing x's, worded as its lone request words it."""
+    for chunk in chunks(xs, lambda x: len(rows(x)) * width(x) + x.index + 2):
         try:
             got = run(chunk)
         except (InvariantError, ValueError):    # a column's own errors
@@ -427,7 +418,7 @@ def bar_invariant_blocks(group: GroupTable, xs, ids_of, bar_of):
     given ``bar_of(z)``, the block of bar(m_z), by one batched pass per
     chunk.  Raises InvariantError when the pass finds no such element.
     """
-    return batched(group, xs, lambda x: 3 * x.length + 2, lambda chunk: (
+    return batched(xs, ids_of, lambda x: 3 * x.length + 2, lambda chunk: (
         _bar_solve_chunk(group, chunk, [ids_of(x) for x in chunk], bar_of,
                          np.int64)))
 
@@ -526,8 +517,8 @@ class ColumnTable:
             return cols
         for level in prefix_levels(self.group, xs, stored):
             known, prev = ChainMap(prev, stored), {}
-            for x, col in batched(self.group, level, lambda x: x.length + 2,
-                                  run):
+            for x, col in batched(level, self.column_ids,
+                                  lambda x: x.length + 2, run):
                 prev[x.index] = col
                 if x.index in want:
                     stored[x.index] = col
@@ -624,6 +615,14 @@ class ColumnTable:
         keep = (yss < ys) | (self.spherical & ~self.mask[yss])
         return ys[keep], mus[keep], src[keep]
 
+    def adopt(self, other: "ColumnTable") -> None:
+        """Copy the inverse columns, Kronecker failure sets and mu store of
+        ``other``, a table of the same basis and wall rule whose canonical
+        blocks are this table's: the same code gives the same results."""
+        for name in ("_inv_cols", "_kronecker", "_mu_span", "_mu_y",
+                     "_mu_value", "_mu_size"):
+            setattr(self, name, copy.copy(getattr(other, name)))
+
     def _check_columns(self, columns) -> None:
         """Raise InvariantError when a new column of the (x, column) pairs
         breaks a theorem, as the first such x alone raises it."""
@@ -659,9 +658,9 @@ class ColumnTable:
             return kronecker_failures(
                 self.group, chunk, [self.column_ids(x) for x in chunk],
                 self.canonical_blocks(chunk), self.inverse_columns)
-        todo = batched(self.group, [x for x in dict.fromkeys(xs)
-                                    if x.index not in self._kronecker],
-                       lambda x: x.length + 1, run)
+        todo = batched([x for x in dict.fromkeys(xs)
+                        if x.index not in self._kronecker],
+                       self.column_ids, lambda x: x.length + 1, run)
         for x in xs:
             if x.index not in self._kronecker:
                 self._kronecker[x.index] = next(todo)[1]

@@ -12,9 +12,10 @@ The bar involution descends to both modules, and each carries a canonical
 basis (c_x spherical, d_x antispherical) uniquely pinned by bar-invariance
 plus a unitriangular expansion with off-diagonal coefficients in vZ[v].
 Here the canonical bases are produced directly by the kernel's
-bar-invariance pass over the projected blocks of bar(delta_x); no
-mu-style recursion and no projection of b_x is used.  The four coefficient
-families mirror the non-parabolic ones:
+bar-invariance pass over the blocks of bar(delta_x), projected a chunk
+of representatives per pass (``ParabolicContext.bar_blocks``); no
+mu-style recursion and no projection of b_x is used.  The four
+coefficient families mirror the non-parabolic ones:
 
     c_x = sum_y m_{y,x} delta_y    delta_x = sum_y (-1)^{l(x)-l(y)} m^{y,x} c_y
     d_x = sum_y n_{y,x} delta_y    delta_x = sum_y (-1)^{l(x)-l(y)} n^{y,x} d_y
@@ -40,15 +41,17 @@ canonical elements are stored as blocks, decoded only when a caller asks.
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 
 from .coxeter import Element, GroupTable
 from .hecke import (
-    _VINV_MINUS_V, HeckeElt, KLTable, _accum, bar_block, bar_element,
+    _VINV_MINUS_V, HeckeElt, KLTable, _accum, bar_blocks, bar_element,
 )
 from .kernel import (
-    INT64_LIMIT, Block, ColumnTable, InvariantError, bar_invariant_blocks,
-    dense_blocks, row_poly, row_positions,
+    INT64_LIMIT, Batch, Block, ColumnTable, InvariantError,
+    bar_invariant_blocks, chunks, dense_blocks, row_poly, stack_terms,
 )
 from .laurent import LaurentPoly
 
@@ -110,43 +113,51 @@ class ParabolicContext:
         return got
 
     def bar_block(self, x: Element) -> Block:
-        """bar(m_x) = 1 (x) bar(delta_x) as a block over the representatives
-        below x, exponents in [-l(x), l(x)]; memoized.
-
-        Each term p delta_w of bar(delta_x), with w = u y split as in
-        ``coset_decomposition``, goes to p scalar^{l(u)} m_y.
-        """
+        """bar(m_x) as a block, by ``bar_blocks``."""
         got = self._bar_rep.get(x.index)
-        if got is not None:
-            return got
-        full = bar_block(self.group, x)
-        if not self.subset:
-            self._bar_rep[x.index] = full
-            return full
+        return got if got is not None else self.bar_blocks([x])[0]
+
+    def bar_blocks(self, xs) -> list[Block]:
+        """bar(m_x) = 1 (x) bar(delta_x) for each x of ``xs`` as a block
+        over the representatives below x, exponents in [-l(x), l(x)];
+        memoized.  Each term p delta_w of bar(delta_x), w = u y split as in
+        ``coset_decomposition``, goes to p scalar^{l(u)} m_y, a chunk of xs
+        per pass: one ``Batch.locate``, ``np.add.at`` and ``dense_blocks``
+        over its stacked terms.  A chunk's dense cells and eight cells per
+        term fill about CELL_BUDGET; it runs in int64 unless some x's term
+        count times row norm reaches INT64_LIMIT."""
+        memo, group = self._bar_rep, self.group
+        todo = [x for x in dict.fromkeys(xs) if x.index not in memo]
+        full = dict(zip(todo, bar_blocks(group, todo)))
+        if not self.subset:         # the regular module: bar(delta_x)
+            memo.update((x.index, block) for x, block in full.items())
+            todo = []
         reps, u_lengths = self._split
-        w = full.rows[full.at]
-        k = u_lengths[w]
-        # an entry sums at most every term of bar(delta_x)
-        dtype = (np.int64 if len(full.values) * full.row_norm < INT64_LIMIT
-                 else object)
-        values = full.values.astype(dtype)
-        if self.flavor == SPHERICAL:
-            exps = full.exps - k
-        else:
-            exps = full.exps + k
-            odd = k % 2 == 1
-            values[odd] = -values[odd]
-        top = x.length
-        ids = self.downset_ids(x)
-        pos = row_positions(ids, x).take(reps[w], mode="clip")
-        if len(exps) and (exps.min() < -top or exps.max() > top
-                          or pos.min() < 0):
-            raise InvariantError(
-                f"projected bar(delta) at {x!r} leaves its window")
-        dense = np.zeros((len(ids), 2 * top + 1), dtype=dtype)
-        np.add.at(dense, (pos, exps + top), values)
-        got = self._bar_rep[x.index] = dense_blocks([ids], dense, top)[0]
-        return got
+        anti = self.flavor == ANTISPHERICAL
+        for chunk in chunks(todo, lambda x: len(self.downset_ids(x)) * (
+                2 * x.length + 1) + 8 * full[x].size + x.index + 2):
+            slot, w, exps, values = stack_terms([full[x] for x in chunk])
+            values = values.astype(np.int64 if max(
+                full[x].size * full[x].row_norm for x in chunk) < INT64_LIMIT
+                else object)
+            # scalar^{l(u)} is v^{-l(u)}, or (-v)^{l(u)} if antispherical
+            k = u_lengths[w]
+            exps = exps + (k if anti else -k)
+            values[anti & (k % 2 == 1)] *= -1
+            ids = [self.downset_ids(x) for x in chunk]
+            pos = Batch(group, chunk, ids).locate(slot, reps[w])
+            lengths = np.array([x.length for x in chunk])
+            off = (pos < 0) | (np.abs(exps) > lengths[slot])
+            if off.any():
+                x = chunk[slot[off.argmax()]]
+                raise InvariantError(
+                    f"projected bar(delta) at {x!r} leaves its window")
+            top = int(lengths.max())
+            dense = np.zeros((sum(map(len, ids)), 2 * top + 1), values.dtype)
+            np.add.at(dense, (pos, exps + top), values)
+            memo.update(zip([x.index for x in chunk],
+                            dense_blocks(ids, dense, top)))
+        return [memo[x.index] for x in xs]
 
 
 def project(h: HeckeElt, context: ParabolicContext) -> HeckeElt:
@@ -241,12 +252,16 @@ class ParabolicKLTable(ColumnTable):
 
         The pass runs over the representatives below each x, from the
         blocks of bar(m_z) alone; uniqueness of the basis makes the result
-        independent of every choice made there.
+        independent of every choice made there.  First one ``bar_blocks``
+        call projects the bar(m_z) of every z below the missing xs.
         """
+        todo = [x for x in dict.fromkeys(xs) if x.index not in self._canonical]
+        below = np.zeros(len(self.group), bool)
+        for x in todo:
+            below[self.column_ids(x)] = True
+        self.context.bar_blocks(list(compress(self.group.elements, below)))
         for x, block in bar_invariant_blocks(
-                self.group, [x for x in dict.fromkeys(xs)
-                             if x.index not in self._canonical],
-                self.column_ids, self.context.bar_block):
+                self.group, todo, self.column_ids, self.context.bar_block):
             self._canonical[x.index] = block
         return [self._canonical[x.index] for x in xs]
 

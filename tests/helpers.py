@@ -21,15 +21,16 @@ import numpy as np
 from kllab.coxeter import (
     Element, GroupTable, canonical_form, parse_coxeter_spec,
 )
-from kllab.hecke import HeckeElt, KLTable, mult_delta_gen
+from kllab.hecke import HeckeElt, KLTable, bar_block, mult_delta_gen
 from kllab import kernel
 from kllab.kernel import (
     Block, InvariantError, block_terms, dense_blocks, exact_array, max_abs,
-    narrow, row_positions,
+    narrow,
 )
 from kllab.laurent import LaurentPoly
 from kllab.parabolic import (
-    ANTISPHERICAL, ParabolicContext, ParabolicElt, ParabolicKLTable, project,
+    ANTISPHERICAL, SPHERICAL, ParabolicContext, ParabolicElt,
+    ParabolicKLTable, project,
 )
 from kllab.verify import Violation
 
@@ -412,6 +413,46 @@ def reference_scan_parabolic(ref: ReferenceParabolic):
 
 class _Overflow(Exception):
     pass
+
+
+def row_positions(ids: np.ndarray, x) -> np.ndarray:
+    """Position of each id in the sorted ``ids`` (all <= x.index), -1 for
+    any other id; ``take(..., mode="clip")`` on the result maps every id
+    above x.index to the -1 in its last slot."""
+    where = np.full(x.index + 2, -1, dtype=np.intp)
+    where[ids] = np.arange(len(ids))
+    return where
+
+
+def reference_projected_bar(ctx: ParabolicContext, x) -> Block:
+    """bar(m_x) projected from the block of bar(delta_x) for x alone: each
+    term p delta_w, w = u y, goes to p scalar^{l(u)} m_y."""
+    full = bar_block(ctx.group, x)
+    if not ctx.subset:
+        return full
+    reps, u_lengths = ctx._split
+    w = full.rows[full.at]
+    k = u_lengths[w]
+    # an entry sums at most every term of bar(delta_x)
+    dtype = (np.int64 if len(full.values) * full.row_norm < kernel.INT64_LIMIT
+             else object)
+    values = full.values.astype(dtype)
+    if ctx.flavor == SPHERICAL:
+        exps = full.exps - k
+    else:
+        exps = full.exps + k
+        odd = k % 2 == 1
+        values[odd] = -values[odd]
+    top = x.length
+    ids = ctx.downset_ids(x)
+    pos = row_positions(ids, x).take(reps[w], mode="clip")
+    if len(exps) and (exps.min() < -top or exps.max() > top
+                      or pos.min() < 0):
+        raise InvariantError(
+            f"projected bar(delta) at {x!r} leaves its window")
+    dense = np.zeros((len(ids), 2 * top + 1), dtype=dtype)
+    np.add.at(dense, (pos, exps + top), values)
+    return dense_blocks([ids], dense, top)[0]
 
 
 def _add_scaled(acc, where, x, z, block, shifts, coefs):

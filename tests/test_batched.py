@@ -1,11 +1,12 @@
 """The batched passes against the per-element references.
 
-Every canonical block of every quotient, and every Kronecker failure set,
-must equal the per-element pass of ``helpers`` field by field, both with
-the cell budget at its default and at its minimum, where every x is a
-chunk of its own and every scatter piece holds one entry.  A fault in
-the middle of a multi-x chunk must raise the message the per-element
-pass raises, and the exact fallback must pick out single columns.
+Every canonical block of every quotient, every projected bar(m_x), and
+every Kronecker failure set must equal the per-element pass of
+``helpers`` field by field, both with the cell budget at its default and
+at its minimum, where every x is a chunk of its own and every scatter
+piece holds one entry.  A fault in the middle of a multi-x chunk must
+raise the message the per-element pass raises, and the exact fallback
+must pick out single columns.
 """
 
 import functools
@@ -14,14 +15,15 @@ import itertools
 import numpy as np
 import pytest
 
-from kllab import kernel
+from kllab import hecke, kernel, parabolic
+from kllab.coxeter import GroupTable, parse_coxeter_spec
 from kllab.kernel import InvariantError, block_terms
 from kllab.parabolic import (
     ANTISPHERICAL, SPHERICAL, ParabolicContext, ParabolicKLTable,
 )
 from helpers import (
     get_group, poly, reference_bar_invariant_block,
-    reference_kronecker_failures, terms_block,
+    reference_kronecker_failures, reference_projected_bar, terms_block,
 )
 
 FLAVORS = (SPHERICAL, ANTISPHERICAL)
@@ -75,6 +77,67 @@ def test_batched_passes_match_the_references(monkeypatch, spec, cap,
             assert got == failures, (subset, flavor)
 
 
+def _projection_chunks(monkeypatch) -> list:
+    """Record the chunks of xs that ``bar_blocks`` projects."""
+    seen = []
+
+    def spy(xs, cost, _chunks=kernel.chunks):
+        got = _chunks(xs, cost)
+        seen.extend(got)
+        return got
+    monkeypatch.setattr(parabolic, "chunks", spy)
+    return seen
+
+
+@pytest.mark.parametrize("budget", ["default", "minimum"])
+@pytest.mark.parametrize("spec,cap", [("A3", None), ("B3", None),
+                                      ("H3", None), ("Aff-A2", 8)])
+def test_projected_bars_match_the_per_x_projection(monkeypatch, spec, cap,
+                                                   budget):
+    """Each representative's bar(m_x), projected in chunks by
+    ``bar_blocks``, is the per-x projection's: rows, at, exponents,
+    values with their dtype, and row norm."""
+    if budget == "minimum":
+        monkeypatch.setattr(kernel, "CELL_BUDGET", 1)
+    seen = _projection_chunks(monkeypatch)
+    group = get_group(spec, cap)
+    for subset in subsets(group.matrix.rank):
+        for flavor in FLAVORS:
+            ctx = ParabolicContext(group, subset, flavor)
+            for x, got in zip(ctx.reps, ctx.bar_blocks(ctx.reps)):
+                expected = reference_projected_bar(ctx, x)
+                assert same_block(got, expected), (subset, flavor, x)
+                assert got.rows.dtype == expected.rows.dtype
+    sizes = {len(chunk) for chunk in seen}
+    assert (sizes == {1}) if budget == "minimum" else (max(sizes) > 1)
+
+
+def test_projected_term_outside_the_window(monkeypatch):
+    """Two bar(delta_x) with a term above v^{l(x)}: projecting every
+    representative raises the first one's error, worded as the per-x
+    projection of that x alone words it."""
+    seen = _projection_chunks(monkeypatch)
+    group = GroupTable(parse_coxeter_spec("B3"))    # its memo is broken here
+    ctx = ParabolicContext(group, (1,), ANTISPHERICAL)
+    reps = list(ctx.reps)
+    hecke.bar_blocks(group, reps)
+    memo = vars(group)["_hecke_bar_blocks"]
+    x1, x2 = reps[len(reps) // 2], reps[len(reps) // 2 + 1]
+    for x in (x1, x2):
+        terms = block_terms(group, memo[x.index])
+        terms[x] = terms[x] + poly({x.length + 1: 1})
+        memo[x.index] = terms_block(
+            sorted((y.index, p) for y, p in terms.items()))
+    with pytest.raises(InvariantError) as expected:
+        reference_projected_bar(ParabolicContext(group, (1,), ANTISPHERICAL),
+                                x1)
+    assert repr(x1) in str(expected.value)
+    with pytest.raises(InvariantError) as raised:
+        ctx.bar_blocks(reps)
+    assert str(raised.value) == str(expected.value)
+    assert any(x1 in chunk and x2 in chunk for chunk in seen)
+
+
 def _chunks_seen(monkeypatch) -> list:
     """Record (dtype, xs) of every call of the batched solver."""
     seen = []
@@ -124,6 +187,23 @@ def test_fault_in_a_multi_x_chunk(monkeypatch, edit, message):
     assert any(failing in xs and len(xs) > 1 for _, xs in seen)
     # the columns before it are stored, as lone requests store them
     assert all(x.index in table._canonical for x in reps if x < failing)
+
+
+def test_quotient_chunks_are_costed_by_their_own_rows(monkeypatch):
+    """A quotient column costs its representatives below x, not all of
+    downset(x): under a budget between the two costs of the 12 columns
+    of H3 with I = {1, 2}, the solve takes them in one chunk."""
+    ctx = ParabolicContext(get_group("H3"), (0, 1), ANTISPHERICAL)
+
+    def cost(rows):
+        return sum(len(rows(x)) * (3 * x.length + 2) + x.index + 2
+                   for x in ctx.reps)
+    budget = 4096
+    assert cost(ctx.downset_ids) < budget < cost(ctx.group.downset_ids)
+    monkeypatch.setattr(kernel, "CELL_BUDGET", budget)
+    seen = _chunks_seen(monkeypatch)
+    ParabolicKLTable(ctx).canonical_blocks(ctx.reps)
+    assert [xs for _, xs in seen] == [list(ctx.reps)]
 
 
 def test_the_first_of_two_faults_in_one_level():

@@ -402,6 +402,23 @@ class TestErrorsAndIO:
         assert "Traceback" not in err
         assert json.loads(err)["error"] == "BrokenPipeError"
 
+    def test_closed_pipe_unbuffered_exits_1_with_json_error(self):
+        """With PYTHONUNBUFFERED=1 the text table goes out in one raw write,
+        which a reader that takes 10 bytes cuts short: still exit 1 and the
+        JSON error, not a truncated table passed off as success."""
+        src = os.path.dirname(os.path.dirname(kllab.__file__))
+        with subprocess.Popen(
+                [sys.executable, "-m", "kllab.cli", "kl", "--group", "B4"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src,
+                     "PYTHONUNBUFFERED": "1"}) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "BrokenPipeError"
+
     @pytest.mark.parametrize("value", ["abc", "-1", "0", "2.5", ""])
     def test_bad_max_elements_env_exits_2_before_enumerating(
             self, capsys, monkeypatch, value):

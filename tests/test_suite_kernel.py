@@ -273,9 +273,9 @@ def test_passing_suite_decodes_nothing(monkeypatch):
 
 
 def test_empty_subset_scanned_once(monkeypatch):
-    """With I empty both flavor scans read one table, whose triples are
-    scanned once: classical, inverse, then one scan at I empty and two at
-    each singleton.  Both checks report the one result."""
+    """With I empty both flavor scans read the regular table's inverse
+    scan, since the I empty table took its columns: classical, inverse,
+    then two scans at each singleton.  Both checks report that result."""
     calls = []
 
     def spy(*args, _scan=verify._scan_triples, **kwargs):
@@ -283,11 +283,49 @@ def test_empty_subset_scanned_once(monkeypatch):
         return _scan(*args, **kwargs)
     monkeypatch.setattr(verify, "_scan_triples", spy)
     report = run_identity_suite("H3", [(), (0,), (1,), (2,)])
-    assert report.passed and len(calls) == 9
+    assert report.passed and len(calls) == 8
+    (inverse,) = [c for c in report.checks if c.check == "scan-inverse"]
     anti, sph = [c for c in report.checks if not c.subset
                  and c.check in ("scan-antispherical", "scan-spherical")]
-    assert anti.pairs_checked == sph.pairs_checked > 0
-    assert anti.violations is sph.violations
+    assert anti.pairs_checked == sph.pairs_checked == inverse.pairs_checked
+    assert inverse.pairs_checked > 0
+    assert anti.violations is sph.violations is inverse.violations
+
+
+def _builders(monkeypatch) -> list:
+    """Record (pass, table) of every inverse-column step and Kronecker
+    sum."""
+    tables = []
+
+    def steps(self, *args, _steps=kernel.ColumnTable._inverse_steps):
+        tables.append(("steps", self))
+        return _steps(self, *args)
+
+    def sums(*args, _sums=kernel.kronecker_failures):
+        tables.append(("sums", args[-1].__self__))
+        return _sums(*args)
+    monkeypatch.setattr(kernel.ColumnTable, "_inverse_steps", steps)
+    monkeypatch.setattr(kernel, "kronecker_failures", sums)
+    return tables
+
+
+def _empty_subset_passes(tables) -> list:
+    return [(p, t) for p, t in tables if isinstance(t, ParabolicKLTable)
+            and not t.context.subset]
+
+
+def test_empty_subset_adopts_the_regular_columns(monkeypatch):
+    """When bar-invariance passes, the I empty table builds no inverse
+    column and no Kronecker sum of its own: it reports the regular
+    table's, and the singletons still build theirs."""
+    tables = _builders(monkeypatch)
+    report = run_identity_suite("A3", [(), (0,)])
+    assert report.passed
+    assert _empty_subset_passes(tables) == []
+    for kind in ("steps", "sums"):
+        assert any(p == kind and isinstance(t, KLTable) for p, t in tables)
+        assert any(p == kind and isinstance(t, ParabolicKLTable)
+                   and t.context.subset for p, t in tables)
 
 
 def _same_arrays(a: tuple, b: tuple) -> bool:
@@ -353,11 +391,19 @@ def test_suite_bar_invariance_sees_a_broken_b(monkeypatch):
             terms[group.identity] = terms[group.identity] + poly({2: 1})
             store_b(self, x, terms)
     monkeypatch.setattr(verify, "KLTable", BrokenB)
+    tables = _builders(monkeypatch)
     report = run_identity_suite("A3", [()], group=group)
     (check,) = [c for c in report.checks if c.check == "bar-invariance"]
     assert not check.passed
     assert check.failures == [f"bar(b) != b at {x!r}"]
     assert check.pairs_checked == len(group)
+    # so the I empty table builds its own columns and sums, and scans them
+    passes = _empty_subset_passes(tables)
+    assert {p for p, _ in passes} == {"steps", "sums"}
+    assert len({id(t) for _, t in passes}) == 1
+    (inverse,) = [c for c in report.checks if c.check == "scan-inverse"]
+    anti = [c for c in report.checks if c.check == "scan-antispherical"]
+    assert anti[0].violations is not inverse.violations
 
 
 @pytest.mark.parametrize("subsets", [[(), (0,)], [(0,)], [(0,), ()]],
