@@ -33,8 +33,9 @@ shares with the parabolic tables.  Everything is memoized and all tables
 are built one length level at a time, a chunk of each level per stacked
 step, so dependencies always exist.
 
-Each b_x is kept once as its nonzero terms (``Block``), each bar(delta_x)
-as a block over downset(x) memoized on the group table, and each inverse
+Each b_x is kept once as its nonzero terms (``Block``), each bar(m_x) as
+a block over the basis below x memoized on its space (``bar_blocks``, one
+recursion for the regular module and every quotient), and each inverse
 column as a dense block over the sorted ids of downset(x)
 (``InverseColumn``); see ``kernel`` for the passes and their overflow
 guard.  ``HeckeElt`` arithmetic (``mult_b_gen`` among it) is library API
@@ -195,84 +196,109 @@ def mult_b_gen(h: HeckeElt, s: int, side: str = RIGHT) -> HeckeElt:
     return HeckeElt._clean(table, _accum({}, terms()))
 
 
-#: delta_e over downset(e) = {e}; it is both bar(delta_e) and b_e
+#: delta_e over downset(e) = {e}; it is bar(m_e) in every module and b_e
 _DELTA_E = Block(np.zeros(1, np.intp), np.zeros(1, np.intp),
                  np.zeros(1, np.intp), np.ones(1, np.int8), 1)
 
 
-def bar_block(group: GroupTable, x: Element) -> Block:
-    """bar(delta_x) as a block over downset(x), by ``bar_blocks``."""
-    return bar_blocks(group, [x])[0]
+def _bar_memo(space) -> dict[int, Block]:
+    """The blocks of bar(m_x) built so far in the space, keyed by id."""
+    return vars(space).setdefault("_hecke_bar_blocks", {0: _DELTA_E})
 
 
-def bar_blocks(group: GroupTable, xs) -> list[Block]:
-    """bar(delta_x) for each x of ``xs`` as a block over downset(x);
-    memoized on the group table.
+def bar_block(space, x: Element) -> Block:
+    """bar(m_x) as a block over ``space.downset_ids(x)``, by
+    ``bar_blocks``."""
+    got = _bar_memo(space).get(x.index)
+    return got if got is not None else bar_blocks(space, [x])[0]
+
+
+def bar_blocks(space, xs) -> list[Block]:
+    """bar(m_x) for each x of ``xs`` as a block over ``space.downset_ids(x)``
+    with exponents in [-l(x), l(x)], memoized on the space: bar(delta_x)
+    when the space is the group table, bar(m_x) over the representatives
+    below x when it is a ``parabolic.ParabolicContext``.
 
     bar(delta_s) = delta_s + v - v^{-1} and bar is multiplicative, so along
-    the canonical word x = x's, by the quadratic relation,
+    the canonical word x = x's, whose prefix x' is again a representative,
 
-        bar(delta_x) = bar(delta_{x'}) (delta_s + v - v^{-1})
-                     = sum_y p_y (delta_{ys} + [ys > y] (v - v^{-1}) delta_y)
+        bar(m_x) = bar(m_{x'}) (delta_s + v - v^{-1})
+                 = sum_y p_y (m_y delta_s + (v - v^{-1}) m_y)
 
-    over the terms p_y delta_y of bar(delta_{x'}).  The missing blocks and
-    their missing prefixes are built one length level at a time, a chunk
-    of each level per ``_times_generator`` step, without recursion.
+    over the terms p_y m_y of bar(m_{x'}).  In a quotient, where ys is no
+    representative it is ty for some t in I (Deodhar's lemma), m_y delta_s
+    is the flavor's scalar times m_y, and p_y stays in row y times scalar +
+    v - v^{-1}: v if spherical, -v^{-1} if antispherical.  The missing
+    blocks and their missing prefixes are built one length level at a
+    time, a chunk of each level per ``_times_generator`` step, without
+    recursion.
     """
-    memo = vars(group).setdefault("_hecke_bar_blocks", {0: _DELTA_E})
+    group, memo = _group(space), _bar_memo(space)
+    mask, wall = None, ()
+    if space is not group:
+        mask = space.rep_mask
+        wall = tuple((space.scalar - _VINV_MINUS_V).items())
 
     def run(chunk):
         prev = [memo[group.prefix(x)[0].index] for x in chunk]
         # each entry receives at most three terms of the previous block
         exact = 3 * max(b.row_norm for b in prev) >= INT64_LIMIT
-        ids = [group.downset_ids(x) for x in chunk]
+        ids = [space.downset_ids(x) for x in chunk]
         top = chunk[0].length
         acc = np.zeros((sum(map(len, ids)), 2 * top + 1),
                        dtype=object if exact else np.int64)
         _times_generator(group, chunk, Batch(group, chunk, ids),
-                         stack_terms(prev), top, acc, up=((1, 1), (-1, -1)))
+                         stack_terms(prev), top, acc, up=((1, 1), (-1, -1)),
+                         mask=mask, wall=wall)
         return dense_blocks(ids, acc, top)
     for level in prefix_levels(group, xs, memo):
-        for x, block in batched(level, group.downset_ids,
+        for x, block in batched(level, space.downset_ids,
                                 lambda x: 2 * x.length + 1, run):
             memo[x.index] = block
     return [memo[x.index] for x in xs]
 
 
 def _times_generator(group: GroupTable, xs: list[Element], batch: Batch,
-                     prev, offset: int, acc: np.ndarray, up, down=()):
+                     prev, offset: int, acc: np.ndarray, up, down=(),
+                     mask=None, wall=()):
     """Add the product of column k of ``prev`` by (delta_s + c) into the
     rows of column k of ``acc``, for each x = xs[k] = x's, whose column
-    of ``batch`` holds the sorted ids of downset(x): ``prev`` are the
-    ``stack_terms`` of the blocks over each downset(x'), and column j of
-    ``acc`` holds the exponent j - offset.
+    of ``batch`` holds the sorted ids of the basis elements below x:
+    ``prev`` are the ``stack_terms`` of the blocks of each x', and column
+    j of ``acc`` holds the exponent j - offset.
 
     delta_y delta_s is delta_{ys}, plus (v^{-1} - v) delta_y if ys < y, so
     each term p delta_y moves unshifted to row ys and stays in row y
     times the (shift, coef) terms ``up`` if ys > y, ``down`` if ys < y.
+    Where ``mask`` (the representatives of a quotient) does not hold ys,
+    the term does not move and stays in row y times ``wall`` instead.
     """
     slot, src, exps, values = prev
     dst = group.right[src, np.array([group.prefix(x)[1] for x in xs])[slot]]
+    across = (np.zeros(len(src), bool) if mask is None
+              else (dst >= 0) & ~mask[dst])
     pos_src, pos_dst = batch.locate(slot, src), batch.locate(slot, dst)
-    off = (pos_src < 0) | (pos_dst < 0)
+    off = (pos_src < 0) | ((pos_dst < 0) & ~across)
     if off.any():
         x = xs[slot[off.argmax()]]
         raise InvariantError(f"the product at {x!r} leaves downset({x!r})")
     width = acc.shape[1]
     cols, values = exps + offset, values.astype(acc.dtype)
-    acc[pos_dst, cols] += values
     rising = dst > src
-    for mask, shifts in ((rising, up), (~rising, down)):
+    for rows, keep, shifts in ((pos_dst, ~across, ((0, 1),)),
+                               (pos_src, rising & ~across, up),
+                               (pos_src, ~rising, down),
+                               (pos_src, across, wall)):
         for shift, coef in shifts:
-            cells = cols[mask] + shift
+            cells = cols[keep] + shift
             # numpy would wrap a negative column silently
             off = (cells < 0) | (cells >= width)
             if off.any():
-                x = xs[slot[mask][off.argmax()]]
+                x = xs[slot[keep][off.argmax()]]
                 raise InvariantError(
                     f"the product at {x!r} has a term outside exponents "
                     f"[{-offset}, {x.length}]")
-            acc[pos_src[mask], cells] += coef * values[mask]
+            acc[rows[keep], cells] += coef * values[keep]
 
 
 def bar_delta(table: GroupTable, x: Element) -> HeckeElt:
@@ -283,16 +309,14 @@ def bar_delta(table: GroupTable, x: Element) -> HeckeElt:
 def bar_element(h: HeckeElt) -> HeckeElt:
     """The bar involution of the element's module: v -> v^{-1} on
     coefficients, and each basis vector to its bar, read as a block from
-    the space (``bar_block`` in the regular module, the context's
-    projected block in a quotient)."""
+    the space by ``bar_block``."""
     space = h.space
     group = _group(space)
     out: dict[Element, LaurentPoly] = {}
     for x, p in h.terms.items():
-        block = bar_block(group, x) if space is group else space.bar_block(x)
         pb = p.bar()
-        _accum(out, ((y, q * pb)
-                     for y, q in block_terms(group, block).items()))
+        _accum(out, ((y, q * pb) for y, q in block_terms(
+            group, bar_block(space, x)).items()))
     return HeckeElt._clean(space, out)
 
 

@@ -20,8 +20,8 @@ on it take a chunk of columns at a time (``batched``):
 
 A chunk of columns and a scatter piece hold about ``CELL_BUDGET`` cells;
 an error in a chunk is raised as the first failing column raises it
-alone.  The prefix recursions (inverse columns here, b_x and bar(delta_x)
-in ``hecke``) run one length level at a time (``prefix_levels``): the
+alone.  The prefix recursions (inverse columns here, b_x and bar(m_x) in
+``hecke``) run one length level at a time (``prefix_levels``): the
 columns of a chunk of the level take one stacked step from their
 prefixes' columns, and ``dense_blocks`` cuts the result into blocks once
 per chunk; a lone request walks its missing prefixes as one-column
@@ -74,8 +74,8 @@ class Block(NamedTuple):
     of the cap.  ``row_norm`` is the largest sum of absolute values over
     one row, as an exact int.
 
-    Canonical elements have exponents in [0, l(x)]; bar(delta_x) and its
-    projections to a quotient have exponents in [-l(x), l(x)].
+    Canonical elements have exponents in [0, l(x)]; bar(m_x), in the
+    regular module or in a quotient, has exponents in [-l(x), l(x)].
     """
 
     rows: np.ndarray

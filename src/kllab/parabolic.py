@@ -12,10 +12,11 @@ The bar involution descends to both modules, and each carries a canonical
 basis (c_x spherical, d_x antispherical) uniquely pinned by bar-invariance
 plus a unitriangular expansion with off-diagonal coefficients in vZ[v].
 Here the canonical bases are produced directly by the kernel's
-bar-invariance pass over the blocks of bar(delta_x), projected a chunk
-of representatives per pass (``ParabolicContext.bar_blocks``); no
-mu-style recursion and no projection of b_x is used.  The four
-coefficient families mirror the non-parabolic ones:
+bar-invariance pass over the blocks of bar(m_x), which ``hecke.bar_blocks``
+builds in the module itself by the regular module's recursion, with the
+flavor's scalar across a wall; no mu-style recursion and no projection of
+b_x or of bar(delta_x) is used.  The four coefficient families mirror the
+non-parabolic ones:
 
     c_x = sum_y m_{y,x} delta_y    delta_x = sum_y (-1)^{l(x)-l(y)} m^{y,x} c_y
     d_x = sum_y n_{y,x} delta_y    delta_x = sum_y (-1)^{l(x)-l(y)} n^{y,x} d_y
@@ -41,17 +42,18 @@ canonical elements are stored as blocks, decoded only when a caller asks.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import compress
 
 import numpy as np
 
 from .coxeter import Element, GroupTable
 from .hecke import (
-    _VINV_MINUS_V, HeckeElt, KLTable, _accum, bar_blocks, bar_element,
+    _VINV_MINUS_V, HeckeElt, KLTable, _accum, bar_block, bar_blocks,
+    bar_element,
 )
 from .kernel import (
-    INT64_LIMIT, Batch, Block, ColumnTable, InvariantError,
-    bar_invariant_blocks, chunks, dense_blocks, row_poly, stack_terms,
+    Block, ColumnTable, InvariantError, bar_invariant_blocks, row_poly,
 )
 from .laurent import LaurentPoly
 
@@ -82,27 +84,20 @@ class ParabolicContext:
         # scalar by which delta_t (t in I) acts on the rank-1 module
         self.scalar = (LaurentPoly.v(-1) if flavor == SPHERICAL
                        else LaurentPoly.v(1, -1))
-        # w = u x for every id w, as the ids of x and l(u): for a left
-        # descent t of w in I, w = t (tw) splits like tw with one more
-        # letter in u, and tw has the smaller id
-        isub = sorted(self.subset)
-        tw = np.where(group.left_descents[:, isub], group.left[:, isub],
-                      -1).max(axis=1, initial=-1).tolist()
-        reps, u_lengths = list(range(len(group))), [0] * len(group)
-        for w, u in enumerate(tw):
-            if u >= 0:
-                reps[w], u_lengths[w] = reps[u], u_lengths[u] + 1
-        self._split = np.array(reps, np.intp), np.array(u_lengths, np.intp)
         self._down_ids: dict[int, np.ndarray] = {}
-        self._bar_rep: dict[int, Block] = {}
 
     def is_rep(self, x: Element) -> bool:
         return bool(self.rep_mask[x.index])
 
     def coset_decomposition(self, w: Element) -> tuple[Element, int]:
-        """The representative x and l(u) from the splitting w = u * x."""
-        reps, u_lengths = self._split
-        return self.group.elements[reps.item(w.index)], u_lengths.item(w.index)
+        """The representative x and l(u) from the splitting w = u * x: for
+        a left descent t of w in I, w = t (tw) splits like tw with one more
+        letter in u."""
+        group, i, k = self.group, w.index, 0
+        while (t := next((t for t in self.subset
+                          if group.left_descents.item(i, t)), None)) is not None:
+            i, k = group.left.item(i, t), k + 1
+        return group.elements[i], k
 
     def downset_ids(self, x: Element) -> np.ndarray:
         """The ids of the representatives y <= x, ascending; memoized."""
@@ -111,53 +106,6 @@ class ParabolicContext:
             ids = self.group.downset_ids(x)
             got = self._down_ids[x.index] = ids[self.rep_mask[ids]]
         return got
-
-    def bar_block(self, x: Element) -> Block:
-        """bar(m_x) as a block, by ``bar_blocks``."""
-        got = self._bar_rep.get(x.index)
-        return got if got is not None else self.bar_blocks([x])[0]
-
-    def bar_blocks(self, xs) -> list[Block]:
-        """bar(m_x) = 1 (x) bar(delta_x) for each x of ``xs`` as a block
-        over the representatives below x, exponents in [-l(x), l(x)];
-        memoized.  Each term p delta_w of bar(delta_x), w = u y split as in
-        ``coset_decomposition``, goes to p scalar^{l(u)} m_y, a chunk of xs
-        per pass: one ``Batch.locate``, ``np.add.at`` and ``dense_blocks``
-        over its stacked terms.  A chunk's dense cells and eight cells per
-        term fill about CELL_BUDGET; it runs in int64 unless some x's term
-        count times row norm reaches INT64_LIMIT."""
-        memo, group = self._bar_rep, self.group
-        todo = [x for x in dict.fromkeys(xs) if x.index not in memo]
-        full = dict(zip(todo, bar_blocks(group, todo)))
-        if not self.subset:         # the regular module: bar(delta_x)
-            memo.update((x.index, block) for x, block in full.items())
-            todo = []
-        reps, u_lengths = self._split
-        anti = self.flavor == ANTISPHERICAL
-        for chunk in chunks(todo, lambda x: len(self.downset_ids(x)) * (
-                2 * x.length + 1) + 8 * full[x].size + x.index + 2):
-            slot, w, exps, values = stack_terms([full[x] for x in chunk])
-            values = values.astype(np.int64 if max(
-                full[x].size * full[x].row_norm for x in chunk) < INT64_LIMIT
-                else object)
-            # scalar^{l(u)} is v^{-l(u)}, or (-v)^{l(u)} if antispherical
-            k = u_lengths[w]
-            exps = exps + (k if anti else -k)
-            values[anti & (k % 2 == 1)] *= -1
-            ids = [self.downset_ids(x) for x in chunk]
-            pos = Batch(group, chunk, ids).locate(slot, reps[w])
-            lengths = np.array([x.length for x in chunk])
-            off = (pos < 0) | (np.abs(exps) > lengths[slot])
-            if off.any():
-                x = chunk[slot[off.argmax()]]
-                raise InvariantError(
-                    f"projected bar(delta) at {x!r} leaves its window")
-            top = int(lengths.max())
-            dense = np.zeros((sum(map(len, ids)), 2 * top + 1), values.dtype)
-            np.add.at(dense, (pos, exps + top), values)
-            memo.update(zip([x.index for x in chunk],
-                            dense_blocks(ids, dense, top)))
-        return [memo[x.index] for x in xs]
 
 
 def project(h: HeckeElt, context: ParabolicContext) -> HeckeElt:
@@ -253,15 +201,16 @@ class ParabolicKLTable(ColumnTable):
         The pass runs over the representatives below each x, from the
         blocks of bar(m_z) alone; uniqueness of the basis makes the result
         independent of every choice made there.  First one ``bar_blocks``
-        call projects the bar(m_z) of every z below the missing xs.
+        call builds the bar(m_z) of every z below the missing xs.
         """
         todo = [x for x in dict.fromkeys(xs) if x.index not in self._canonical]
         below = np.zeros(len(self.group), bool)
         for x in todo:
             below[self.column_ids(x)] = True
-        self.context.bar_blocks(list(compress(self.group.elements, below)))
+        bar_blocks(self.context, list(compress(self.group.elements, below)))
         for x, block in bar_invariant_blocks(
-                self.group, todo, self.column_ids, self.context.bar_block):
+                self.group, todo, self.column_ids,
+                partial(bar_block, self.context)):
             self._canonical[x.index] = block
         return [self._canonical[x.index] for x in xs]
 

@@ -21,7 +21,9 @@ import numpy as np
 from kllab.coxeter import (
     Element, GroupTable, canonical_form, parse_coxeter_spec,
 )
-from kllab.hecke import HeckeElt, KLTable, bar_block, mult_delta_gen
+from kllab.hecke import (
+    HeckeElt, KLTable, _bar_memo, bar_block, bar_blocks, mult_delta_gen,
+)
 from kllab import kernel
 from kllab.kernel import (
     Block, InvariantError, block_terms, dense_blocks, exact_array, max_abs,
@@ -424,13 +426,29 @@ def row_positions(ids: np.ndarray, x) -> np.ndarray:
     return where
 
 
+@functools.lru_cache(maxsize=None)
+def coset_split(group: GroupTable, subset) -> tuple[np.ndarray, np.ndarray]:
+    """For every id w, the id of the representative x and l(u) in the
+    splitting w = u x over the generators ``subset``: for a left descent
+    t of w in the subset, w = t (tw) splits like tw, which has the smaller
+    id, with one more letter in u."""
+    isub = sorted(subset)
+    tw = np.where(group.left_descents[:, isub], group.left[:, isub],
+                  -1).max(axis=1, initial=-1).tolist()
+    reps, u_lengths = list(range(len(group))), [0] * len(group)
+    for w, u in enumerate(tw):
+        if u >= 0:
+            reps[w], u_lengths[w] = reps[u], u_lengths[u] + 1
+    return np.array(reps, np.intp), np.array(u_lengths, np.intp)
+
+
 def reference_projected_bar(ctx: ParabolicContext, x) -> Block:
     """bar(m_x) projected from the block of bar(delta_x) for x alone: each
     term p delta_w, w = u y, goes to p scalar^{l(u)} m_y."""
     full = bar_block(ctx.group, x)
     if not ctx.subset:
         return full
-    reps, u_lengths = ctx._split
+    reps, u_lengths = coset_split(ctx.group, ctx.subset)
     w = full.rows[full.at]
     k = u_lengths[w]
     # an entry sums at most every term of bar(delta_x)
@@ -453,6 +471,18 @@ def reference_projected_bar(ctx: ParabolicContext, x) -> Block:
     dense = np.zeros((len(ids), 2 * top + 1), dtype=dtype)
     np.add.at(dense, (pos, exps + top), values)
     return dense_blocks([ids], dense, top)[0]
+
+
+def replace_bar_terms(ctx: ParabolicContext, z, edit) -> None:
+    """Build bar(m_y) of every representative, then store bar(m_z) again
+    after ``edit`` changed its decoded terms.  The recursion reads the
+    blocks it stores, so a block broken before the blocks above it were
+    built would spread to them."""
+    bar_blocks(ctx, ctx.reps)
+    terms = block_terms(ctx.group, bar_block(ctx, z))
+    edit(terms)
+    _bar_memo(ctx)[z.index] = terms_block(
+        sorted((y.index, p) for y, p in terms.items()))
 
 
 def _add_scaled(acc, where, x, z, block, shifts, coefs):

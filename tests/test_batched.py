@@ -1,6 +1,7 @@
 """The batched passes against the per-element references.
 
-Every canonical block of every quotient, every projected bar(m_x), and
+Every canonical block of every quotient, every bar(m_x) of the prefix
+recursion against the projection of bar(delta_x), and
 every Kronecker failure set must equal the per-element pass of
 ``helpers`` field by field, both with the cell budget at its default and
 at its minimum, where every x is a chunk of its own and every scatter
@@ -15,15 +16,14 @@ import itertools
 import numpy as np
 import pytest
 
-from kllab import hecke, kernel, parabolic
-from kllab.coxeter import GroupTable, parse_coxeter_spec
-from kllab.kernel import InvariantError, block_terms
+from kllab import hecke, kernel
+from kllab.kernel import InvariantError
 from kllab.parabolic import (
     ANTISPHERICAL, SPHERICAL, ParabolicContext, ParabolicKLTable,
 )
 from helpers import (
     get_group, poly, reference_bar_invariant_block,
-    reference_kronecker_failures, reference_projected_bar, terms_block,
+    reference_kronecker_failures, reference_projected_bar, replace_bar_terms,
 )
 
 FLAVORS = (SPHERICAL, ANTISPHERICAL)
@@ -47,8 +47,9 @@ def references(spec: str, cap, subset, flavor):
     """Per-element canonical blocks and Kronecker failure sets, the latter
     over the per-element blocks and the recursion's inverse columns."""
     ctx = ParabolicContext(get_group(spec, cap), subset, flavor)
+    bar_of = functools.partial(hecke.bar_block, ctx)
     blocks = {x.index: reference_bar_invariant_block(
-        ctx.group, x, ctx.downset_ids(x), ctx.bar_block) for x in ctx.reps}
+        ctx.group, x, ctx.downset_ids(x), bar_of) for x in ctx.reps}
     table = ParabolicKLTable(ctx)
     table._canonical.update(blocks)
     table.build_all()
@@ -77,34 +78,35 @@ def test_batched_passes_match_the_references(monkeypatch, spec, cap,
             assert got == failures, (subset, flavor)
 
 
-def _projection_chunks(monkeypatch) -> list:
-    """Record the chunks of xs that ``bar_blocks`` projects."""
+def _recursion_chunks(monkeypatch) -> list:
+    """Record the chunk of xs of every step of the bar recursion."""
     seen = []
 
-    def spy(xs, cost, _chunks=kernel.chunks):
-        got = _chunks(xs, cost)
-        seen.extend(got)
-        return got
-    monkeypatch.setattr(parabolic, "chunks", spy)
+    def spy(group, xs, *args, _step=hecke._times_generator, **kwargs):
+        seen.append(list(xs))
+        return _step(group, xs, *args, **kwargs)
+    monkeypatch.setattr(hecke, "_times_generator", spy)
     return seen
 
 
 @pytest.mark.parametrize("budget", ["default", "minimum"])
 @pytest.mark.parametrize("spec,cap", [("A3", None), ("B3", None),
-                                      ("H3", None), ("Aff-A2", 8)])
+                                      ("H3", None), ("D4", None),
+                                      ("Aff-A2", 8), ("I2(inf)", 12)])
 def test_projected_bars_match_the_per_x_projection(monkeypatch, spec, cap,
                                                    budget):
-    """Each representative's bar(m_x), projected in chunks by
-    ``bar_blocks``, is the per-x projection's: rows, at, exponents,
-    values with their dtype, and row norm."""
+    """Each representative's bar(m_x), built by the recursion of
+    ``bar_blocks`` in chunks of each length level, is the per-x
+    projection of bar(delta_x): rows, at, exponents, values with their
+    dtype, and row norm."""
     if budget == "minimum":
         monkeypatch.setattr(kernel, "CELL_BUDGET", 1)
-    seen = _projection_chunks(monkeypatch)
+    seen = _recursion_chunks(monkeypatch)
     group = get_group(spec, cap)
     for subset in subsets(group.matrix.rank):
         for flavor in FLAVORS:
             ctx = ParabolicContext(group, subset, flavor)
-            for x, got in zip(ctx.reps, ctx.bar_blocks(ctx.reps)):
+            for x, got in zip(ctx.reps, hecke.bar_blocks(ctx, ctx.reps)):
                 expected = reference_projected_bar(ctx, x)
                 assert same_block(got, expected), (subset, flavor, x)
                 assert got.rows.dtype == expected.rows.dtype
@@ -113,27 +115,35 @@ def test_projected_bars_match_the_per_x_projection(monkeypatch, spec, cap,
 
 
 def test_projected_term_outside_the_window(monkeypatch):
-    """Two bar(delta_x) with a term above v^{l(x)}: projecting every
-    representative raises the first one's error, worded as the per-x
-    projection of that x alone words it."""
-    seen = _projection_chunks(monkeypatch)
-    group = GroupTable(parse_coxeter_spec("B3"))    # its memo is broken here
+    """Two prefix blocks bar(m_p) with a term at v^{l(p) + 1}: their
+    products by delta_s + v - v^{-1} leave [-l(x), l(x)], and building a
+    whole length level raises the first x's error, worded as a lone
+    request for that x words it."""
+    group = get_group("B3")
     ctx = ParabolicContext(group, (1,), ANTISPHERICAL)
-    reps = list(ctx.reps)
-    hecke.bar_blocks(group, reps)
-    memo = vars(group)["_hecke_bar_blocks"]
-    x1, x2 = reps[len(reps) // 2], reps[len(reps) // 2 + 1]
-    for x in (x1, x2):
-        terms = block_terms(group, memo[x.index])
-        terms[x] = terms[x] + poly({x.length + 1: 1})
-        memo[x.index] = terms_block(
-            sorted((y.index, p) for y, p in terms.items()))
+    length = max(x.length for x in ctx.reps) // 2 + 1
+    level = [x for x in ctx.reps if x.length == length]
+    p1, p2 = sorted({group.prefix(x)[0] for x in level})[:2]
+
+    def edit(p):
+        return lambda terms: terms.update({p: terms[p] + poly(
+            {p.length + 1: 1})})
+    lone = ParabolicContext(group, (1,), ANTISPHERICAL)
+    for c in (ctx, lone):
+        for p in (p1, p2):
+            replace_bar_terms(c, p, edit(p))
+    # bar_blocks(ctx, ctx.reps) above built every block: clear the level
+    for c in (ctx, lone):
+        for x in level:
+            del hecke._bar_memo(c)[x.index]
+    x1, x2 = [x for x in level if group.prefix(x)[0] in (p1, p2)][:2]
     with pytest.raises(InvariantError) as expected:
-        reference_projected_bar(ParabolicContext(group, (1,), ANTISPHERICAL),
-                                x1)
+        hecke.bar_block(lone, x1)
     assert repr(x1) in str(expected.value)
+    assert "outside exponents" in str(expected.value)
+    seen = _recursion_chunks(monkeypatch)
     with pytest.raises(InvariantError) as raised:
-        ctx.bar_blocks(reps)
+        hecke.bar_blocks(ctx, level)
     assert str(raised.value) == str(expected.value)
     assert any(x1 in chunk and x2 in chunk for chunk in seen)
 
@@ -165,15 +175,14 @@ def test_fault_in_a_multi_x_chunk(monkeypatch, edit, message):
     z = reps[len(reps) // 2]
     # a representative above z, so no row of the column of z
     stray = next(w for w in reps if w.length > z.length)
-    terms = block_terms(group, ctx.bar_block(z))
-    edit(terms, group.identity, stray)
-    ctx._bar_rep[z.index] = terms_block(
-        sorted((y.index, p) for y, p in terms.items() if p))
+    replace_bar_terms(ctx, z, lambda terms: edit(terms, group.identity,
+                                                 stray))
     expected = failing = None
     for x in reps:
         try:
             reference_bar_invariant_block(group, x, ctx.downset_ids(x),
-                                          ctx.bar_block)
+                                          functools.partial(
+                                              hecke.bar_block, ctx))
         except InvariantError as exc:
             expected, failing = str(exc), x
             break
@@ -215,13 +224,11 @@ def test_the_first_of_two_faults_in_one_level():
     stray = next(w for w in group if w.length == 6)
     z1, z2 = [z for z in group.downset(x) if z.length == 3][:2]
     for z in (z1, z2):
-        terms = block_terms(group, ctx.bar_block(z))
-        terms[stray] = poly({1: 1, -1: -1})
-        ctx._bar_rep[z.index] = terms_block(
-            sorted((y.index, p) for y, p in terms.items()))
+        replace_bar_terms(ctx, z, lambda terms: terms.update(
+            {stray: poly({1: 1, -1: -1})}))
     with pytest.raises(InvariantError) as expected:
         reference_bar_invariant_block(group, x, ctx.downset_ids(x),
-                                      ctx.bar_block)
+                                      functools.partial(hecke.bar_block, ctx))
     assert repr(z2) in str(expected.value)
     with pytest.raises(InvariantError) as raised:
         ParabolicKLTable(ctx).canonical_block(x)
@@ -235,13 +242,14 @@ def test_one_x_of_a_chunk_past_the_bound(monkeypatch):
     group = get_group("B3")
     ctx = ParabolicContext(group, (), ANTISPHERICAL)
     reps = list(ctx.reps)
+    bar_of = functools.partial(hecke.bar_block, ctx)
     expected = {x.index: reference_bar_invariant_block(
-        group, x, ctx.downset_ids(x), ctx.bar_block) for x in reps}
+        group, x, ctx.downset_ids(x), bar_of) for x in reps}
     bounds = {}
     for x in reps:
         bounds[x.index] = sum(
             max(map(abs, b.values[b.rows[b.at] == y].tolist()))
-            * ctx.bar_block(group.elements[y]).row_norm
+            * bar_of(group.elements[y]).row_norm
             for b in [expected[x.index]] for y in b.rows.tolist())
     top = max(reps, key=lambda x: bounds[x.index])
     others = max(v for k, v in bounds.items() if k != top.index)

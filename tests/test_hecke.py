@@ -246,6 +246,8 @@ class TestMuRouteChecks:
          r"outside exponents \[0, 3\]"),       # a constant term, ys < y
         ({(0, 1): {0: 2}, (0,): {1: 1}, (1,): {1: 1}, (): {2: 1}},
          "not unitriangular"),                  # a wrong diagonal
+        ({(0, 1): {0: 1}, (0,): {1: 1, 4: 1}, (1,): {1: 1}, (): {2: 1}},
+         r"outside exponents \[0, 3\]"),       # moved past v^3, ys < y
     ])
     def test_broken_block_raises_at_the_next_step(self, terms, message):
         table = KLTable(get_group("A2"))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kllab import hecke, kernel, parabolic
+from kllab import hecke, kernel
 from kllab.coxeter import (
     INFINITY, CoxeterMatrix, GroupTable, parse_coxeter_spec,
 )
@@ -31,8 +31,10 @@ from kllab.verify import (
 )
 from helpers import (
     ReferenceParabolic, get_group, get_kl, poly, reference_inversion_identity,
-    reference_scan_parabolic, solved_b, terms_block,
+    reference_projected_bar, reference_scan_parabolic, replace_bar_terms,
+    solved_b,
 )
+from test_batched import same_block
 from test_kernel import assert_columns_match_reference, relabelled_matrix_file
 
 FLAVORS = (SPHERICAL, ANTISPHERICAL)
@@ -164,15 +166,6 @@ class TestBlockChecks:
         assert mismatch[:2] == (g.identity, x)
 
 
-def _replace_bar_terms(ctx: ParabolicContext, z, edit) -> None:
-    """Store bar(m_z) again after ``edit`` changed its decoded terms."""
-    group = ctx.group
-    terms = block_terms(group, ctx.bar_block(z))
-    edit(terms)
-    ctx._bar_rep[z.index] = terms_block(
-        sorted((y.index, p) for y, p in terms.items() if p))
-
-
 class TestInjectedFaults:
     """A2 with I = {1}: the representatives are e < s2 < s2s1."""
 
@@ -193,7 +186,7 @@ class TestInjectedFaults:
         def edit(terms):
             terms[self.e] = terms.get(self.e, LaurentPoly.zero()) \
                 + poly({1: 1})
-        _replace_bar_terms(self.ctx, self.top, edit)
+        replace_bar_terms(self.ctx, self.top, edit)
         with pytest.raises(InvariantError, match="not antisymmetric"):
             self.solve()
 
@@ -202,14 +195,14 @@ class TestInjectedFaults:
 
         def edit(terms):
             terms[stray] = poly({1: 1, -1: -1})
-        _replace_bar_terms(self.ctx, self.top, edit)
+        replace_bar_terms(self.ctx, self.top, edit)
         with pytest.raises(InvariantError, match="outside the rows"):
             self.solve()
 
     def test_non_self_dual_result(self):
         def edit(terms):
             terms[self.top] = terms[self.top] + poly({1: 1, -1: -1})
-        _replace_bar_terms(self.ctx, self.top, edit)
+        replace_bar_terms(self.ctx, self.top, edit)
         with pytest.raises(InvariantError, match="non-self-dual"):
             self.solve()
 
@@ -217,7 +210,7 @@ class TestInjectedFaults:
 def test_exact_fallback_under_a_small_limit(monkeypatch):
     """With the int64 limit at 8 every pass must give its int64 attempt up
     and redo the column in exact ints, with the same results."""
-    for module in (kernel, hecke, parabolic):
+    for module in (kernel, hecke):
         monkeypatch.setattr(module, "INT64_LIMIT", 8)
     dtypes = {"_bar_solve_chunk": [], "_inverse_steps": []}
 
@@ -280,7 +273,10 @@ def test_random_rank3_matrices(bonds, cap, subset):
     a, b, c = bonds
     group = GroupTable(CoxeterMatrix([[1, a, b], [a, 1, c], [b, c, 1]]), cap)
     for flavor in FLAVORS:
-        assert_matches_reference(ParabolicContext(group, subset, flavor))
+        ctx = ParabolicContext(group, subset, flavor)
+        for x, got in zip(ctx.reps, hecke.bar_blocks(ctx, ctx.reps)):
+            assert same_block(got, reference_projected_bar(ctx, x)), x
+        assert_matches_reference(ctx)
     anti = ParabolicKLTable(ParabolicContext(group, subset, ANTISPHERICAL))
     assert scan_monotonicity_antispherical(anti)[1] == []
     assert check_soergel_identification(anti, KLTable(group)) == []
