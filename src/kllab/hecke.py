@@ -4,7 +4,7 @@ The Hecke algebra of a Coxeter system and its modules, in standard bases.
 An element of a module is a sparse vector over the interned group
 elements, ``HeckeElt``: a map Element -> LaurentPoly.  Its space is the
 ``GroupTable`` for the regular module, with basis {delta_x}, or a
-``parabolic.ParabolicContext`` for an induced module, with basis {m_x}
+``kernel.ParabolicContext`` for an induced module, with basis {m_x}
 over the minimal coset representatives; the regular module is the
 antispherical module with I empty, so one element type, one arithmetic
 and one bar function (``bar_element``, reading bar(m_x) from the space)
@@ -23,15 +23,16 @@ h^{y,x} with alternating signs:
     b_x = sum_y h_{y,x} delta_y
     delta_x = sum_y (-1)^{l(x)-l(y)} h^{y,x} b_y
 
-``KLTable`` computes b_x by the length recursion b_{x's} = b_{x'} b_s -
-sum mu(y,x') b_y over y with ys < y, on integer blocks; its oracle, which
-never touches mu, is ``parabolic.ParabolicKLTable`` with I empty, the
-bar-invariance pass over the blocks of bar(delta_z).
+``KLTable`` is the table of the quotient with I empty, whose basis is
+the whole group.  It computes b_x by the length recursion b_{x's} =
+b_{x'} b_s - sum mu(y,x') b_y over y with ys < y, on integer blocks; its
+oracle, which never touches mu, is ``parabolic.ParabolicKLTable`` with I
+empty, the bar-invariance pass over the blocks of bar(delta_z).
 Inverse polynomials, by the recursion delta_x = delta_{x'} (b_s - v), and
-the inversion identity come from ``kernel.ColumnTable``, the table core it
-shares with the parabolic tables.  Everything is memoized and all tables
-are built one length level at a time, a chunk of each level per stacked
-step, so dependencies always exist.
+the inversion identity come from ``kernel.ColumnTable``, the table core of
+every module.  Everything is memoized and all tables are built one length
+level at a time, a chunk of each level per stacked step, so dependencies
+always exist.
 
 Each b_x is kept once as its nonzero terms (``Block``), each bar(m_x) as
 a block over the basis below x memoized on its space (``bar_blocks``, one
@@ -49,11 +50,12 @@ from itertools import groupby
 
 import numpy as np
 
+from . import kernel
 from .coxeter import Element, GroupTable, RIGHT
 from .kernel import (
-    INT64_LIMIT, Block, ColumnTable, InverseColumn, InvariantError,
-    Batch, add_blocks, batched, block_row, block_terms, dense_blocks,
-    exact_total, prefix_levels, row_poly, stack_terms,
+    ANTISPHERICAL, Block, ColumnTable, InverseColumn, InvariantError, Batch,
+    ParabolicContext, add_blocks, batched, block_row, block_terms,
+    dense_blocks, exact_total, prefix_levels, row_poly, stack_terms,
 )
 from .laurent import LaurentPoly
 
@@ -217,7 +219,7 @@ def bar_blocks(space, xs) -> list[Block]:
     """bar(m_x) for each x of ``xs`` as a block over ``space.downset_ids(x)``
     with exponents in [-l(x), l(x)], memoized on the space: bar(delta_x)
     when the space is the group table, bar(m_x) over the representatives
-    below x when it is a ``parabolic.ParabolicContext``.
+    below x when it is a ``kernel.ParabolicContext``.
 
     bar(delta_s) = delta_s + v - v^{-1} and bar is multiplicative, so along
     the canonical word x = x's, whose prefix x' is again a representative,
@@ -242,12 +244,12 @@ def bar_blocks(space, xs) -> list[Block]:
     def run(chunk):
         prev = [memo[group.prefix(x)[0].index] for x in chunk]
         # each entry receives at most three terms of the previous block
-        exact = 3 * max(b.row_norm for b in prev) >= INT64_LIMIT
+        exact = 3 * max(b.row_norm for b in prev) >= kernel.INT64_LIMIT
         ids = [space.downset_ids(x) for x in chunk]
         top = chunk[0].length
         acc = np.zeros((sum(map(len, ids)), 2 * top + 1),
                        dtype=object if exact else np.int64)
-        _times_generator(group, chunk, Batch(group, chunk, ids),
+        _times_generator(group, chunk, Batch(chunk, ids),
                          stack_terms(prev), top, acc, up=((1, 1), (-1, -1)),
                          mask=mask, wall=wall)
         return dense_blocks(ids, acc, top)
@@ -323,35 +325,31 @@ def bar_element(h: HeckeElt) -> HeckeElt:
 class KLTable(ColumnTable):
     """Kazhdan-Lusztig data over one enumerated group table.
 
+    The table of ``context``, the antispherical quotient with I empty.
     Memoizes the canonical basis elements b_x as blocks (the mu route,
     ``b_block``; the bar-invariance solve that checks them is the
-    antispherical ``ParabolicKLTable`` with I empty); the inverse polynomial
-    columns and the inversion-identity sums come from ``ColumnTable``,
-    whose columns here must be nonnegative.  All queries are safe after
-    ``build_all``; lazy use is also fine single-threaded.
+    antispherical ``ParabolicKLTable`` with I empty, over a context of its
+    own); the inverse polynomial columns and the inversion-identity sums
+    come from ``ColumnTable``, whose columns here must be nonnegative.
+    All queries are safe after ``build_all``; lazy use is also fine
+    single-threaded.
     """
 
     def __init__(self, group: GroupTable):
-        super().__init__(group, group, np.ones(len(group), bool))
-        self._b_blocks: dict[int, Block] = {0: _DELTA_E}
-
-    def column_ids(self, x: Element) -> np.ndarray:
-        return self.group.downset_ids(x)
+        super().__init__(ParabolicContext(group, (), ANTISPHERICAL))
+        self._canonical[0] = _DELTA_E
 
     # -- canonical basis, production route --------------------------------
 
-    def b_block(self, x: Element) -> Block:
-        """The nonzero terms of b_x; exponents lie in [0, l(x)]."""
-        return self._b_blocks.get(x.index) or self.canonical_blocks([x])[0]
-
-    canonical_block = b_block
+    #: the nonzero terms of b_x; exponents lie in [0, l(x)]
+    b_block = ColumnTable.canonical_block
 
     def canonical_blocks(self, xs) -> list[Block]:
         """The blocks of b_x for ``xs``.  Every block ``_b_steps`` reads
         at z lies in downset(z) and is shorter than z, so building the
         missing part of each downset one length at a time meets each one
         first and needs no recursion."""
-        memo, group = self._b_blocks, self.group
+        memo, group = self._canonical, self.group
         need = np.zeros(len(group), bool)
         for x in xs:
             if x.index not in memo:
@@ -372,7 +370,7 @@ class KLTable(ColumnTable):
         the zs are one ``_times_generator`` step and their mu-multiples
         one sum of blocks.
         """
-        group, memo = self.group, self._b_blocks
+        group, memo = self.group, self._canonical
         prev = [memo[group.prefix(z)[0].index] for z in zs]
         terms = stack_terms(prev)
         slot, y, e, c = terms
@@ -383,9 +381,9 @@ class KLTable(ColumnTable):
         # an entry gets two terms of b_{z'} and one of each mu-multiple
         norms = np.array([b.row_norm for b in blocks], dtype=object)
         exact = 2 * max(b.row_norm for b in prev) + exact_total(
-            np.abs(c[k].astype(object)) * norms[which]) >= INT64_LIMIT
+            np.abs(c[k].astype(object)) * norms[which]) >= kernel.INT64_LIMIT
         ids = [group.downset_ids(z) for z in zs]
-        batch = Batch(group, zs, ids)
+        batch = Batch(zs, ids)
         acc = np.zeros((len(batch.ids), zs[0].length + 1),
                        dtype=object if exact else np.int64)
         _times_generator(group, zs, batch, terms, 0, acc, up=((1, 1),),

@@ -25,9 +25,12 @@ alone.  The prefix recursions (inverse columns here, b_x and bar(m_x) in
 columns of a chunk of the level take one stacked step from their
 prefixes' columns, and ``dense_blocks`` cuts the result into blocks once
 per chunk; a lone request walks its missing prefixes as one-column
-levels.  ``ColumnTable``, the table core of the regular module and its
-quotients, builds the inverse column of x = x's from the column of x' by
-the recursion m_x = m_{x'} (b_s - v), and checks the inversion identity.
+levels.  A module is a ``ParabolicContext``: a quotient ^I W and a
+flavor, the regular module being the quotient with I empty.
+``ColumnTable``, the table core of every module, reads its basis and
+wall rule from one, builds the inverse column of x = x's from the column
+of x' by the recursion m_x = m_{x'} (b_s - v), and checks the inversion
+identity.
 
 Arithmetic is int64 under a bound on coefficient size, one decision per
 chunk: the bound is the exact total over the chunk, never below the
@@ -39,7 +42,6 @@ integer dtype only after an exact range check.
 
 from __future__ import annotations
 
-import copy
 from collections import ChainMap
 from itertools import groupby
 from typing import Callable, NamedTuple
@@ -195,7 +197,7 @@ class Batch:
     k, of x = ``xs[k]``, holds rows ``start[k]:start[k + 1]``, the sorted
     ids of its basis elements below x, x last (row ``top[k]``)."""
 
-    def __init__(self, group: GroupTable, xs: list[Element], ids):
+    def __init__(self, xs: list[Element], ids):
         sizes = [len(i) for i in ids]
         self.ids, self.start = np.concatenate(ids), np.cumsum([0] + sizes)
         self.top, self.slot = self.start[1:] - 1, np.repeat(
@@ -276,17 +278,16 @@ def exact_total(amounts: np.ndarray) -> int:
     return sum(amounts.tolist())
 
 
-def block_sums(group: GroupTable, xs: list[Element], ids, width: int,
-               slot: np.ndarray, block: np.ndarray, shift: np.ndarray,
-               coef: np.ndarray, blocks: list, norms: list[int],
-               fault) -> list[np.ndarray]:
+def block_sums(xs: list[Element], ids, width: int, slot: np.ndarray,
+               block: np.ndarray, shift: np.ndarray, coef: np.ndarray,
+               blocks: list, norms: list[int], fault) -> list[np.ndarray]:
     """For each x of ``xs``, the dense sum of ``add_blocks`` over the rows
     ``ids`` of its column and ``width`` exponent columns.  The chunk is
     summed in int64 when the total of |coef| * norms[block] over all its
     entries stays below INT64_LIMIT, and in exact ints otherwise."""
     dtype = object if exact_total(np.abs(coef) * np.array(
         norms, dtype=object)[block]) >= INT64_LIMIT else np.int64
-    batch = Batch(group, xs, ids)
+    batch = Batch(xs, ids)
     acc = np.zeros((len(batch.ids), width), dtype=dtype)
     add_blocks(acc, batch.locate, slot, block, shift, coef.astype(dtype),
                blocks, fault)
@@ -356,7 +357,7 @@ def _bar_solve_chunk(group: GroupTable, xs: list[Element], ids,
     of the chunk grows by max|n_y| times the row norm of bar(m_y) for
     each row of each column.
     """
-    elements, batch = group.elements, Batch(group, xs, ids)
+    elements, batch = group.elements, Batch(xs, ids)
     top = max(x.length for x in xs)
     acc = np.zeros((len(batch.ids), 2 * top + 1), dtype=dtype)
     out = np.zeros((len(batch.ids), top + 1), dtype=dtype)
@@ -456,7 +457,7 @@ def kronecker_failures(group: GroupTable, xs: list[Element], ids, blocks,
     # a term outside the window is sent off the array, where add_blocks
     # reports it in entry order after any stray row of an earlier column
     sums = block_sums(
-        group, xs, ids, width, slot, which, np.where(outside, -width, e),
+        xs, ids, width, slot, which, np.where(outside, -width, e),
         values * (1 - 2 * (group.lengths[z] % 2)), cols,
         [max_abs(c.coeffs) for c in cols], fault)
     failures = []
@@ -466,36 +467,96 @@ def kronecker_failures(group: GroupTable, xs: list[Element], ids, blocks,
     return failures
 
 
+SPHERICAL = "spherical"
+ANTISPHERICAL = "antispherical"
+
+
+class ParabolicContext:
+    """A quotient ^I W with a flavor fixing how delta_t acts for t in I;
+    with I empty, the regular module."""
+
+    def __init__(self, group: GroupTable, subset, flavor: str):
+        if flavor not in (SPHERICAL, ANTISPHERICAL):
+            raise ValueError(f"unknown flavor {flavor!r}")
+        self.group = group
+        self.subset = frozenset(subset)
+        self.flavor = flavor
+        self.reps = group.min_coset_reps(self.subset)
+        self.rep_mask = np.zeros(len(group), dtype=bool)
+        self.rep_mask[[r.index for r in self.reps]] = True
+        # scalar by which delta_t (t in I) acts on the rank-1 module
+        self.scalar = (LaurentPoly.v(-1) if flavor == SPHERICAL
+                       else LaurentPoly.v(1, -1))
+        self._down_ids: dict[int, np.ndarray] = {}
+
+    def is_rep(self, x: Element) -> bool:
+        return bool(self.rep_mask[x.index])
+
+    def coset_decomposition(self, w: Element) -> tuple[Element, int]:
+        """The representative x and l(u) from the splitting w = u * x: for
+        a left descent t of w in I, w = t (tw) splits like tw with one more
+        letter in u."""
+        group, i, k = self.group, w.index, 0
+        while (t := next((t for t in self.subset
+                          if group.left_descents.item(i, t)), None)) is not None:
+            i, k = group.left.item(i, t), k + 1
+        return group.elements[i], k
+
+    def downset_ids(self, x: Element) -> np.ndarray:
+        """The ids of the representatives y <= x, ascending; memoized, and
+        with I empty the group's own arrays."""
+        if not self.subset:
+            return self.group.downset_ids(x)
+        got = self._down_ids.get(x.index)
+        if got is None:
+            ids = self.group.downset_ids(x)
+            got = self._down_ids[x.index] = ids[self.rep_mask[ids]]
+        return got
+
+
 class ColumnTable:
     """The inverse columns of one module over its canonical basis, and the
     inversion identity on them: the core of ``KLTable`` (the regular
-    module) and ``ParabolicKLTable`` (a quotient).
+    module, the quotient with I empty) and ``ParabolicKLTable`` (any
+    quotient).
 
-    A subclass supplies ``column_ids(x)``, the sorted ids of the basis
-    elements below x (x last), and ``canonical_block(x)``, the block of
-    the canonical element of x; it may check the new columns in
-    ``_check_columns``.  The inverse columns are built by length levels,
-    reading mu from one flat per-id store filled from the canonical
-    blocks.  ``basis`` lists the basis elements in id order,
-    ``mask`` flags their ids, and ``spherical`` picks the wall rule.
+    The basis, its mask and the wall rule come from the table's
+    ``ParabolicContext``; the rows of the column of x are
+    ``column_ids(x)``, the sorted ids of the basis elements below x (x
+    last).  A subclass supplies ``canonical_blocks(xs)``, which fills
+    ``_canonical`` with the blocks of the canonical elements, and may
+    check the new columns in ``_check_columns``.  The inverse columns are
+    built by length levels, reading mu from one flat per-id store filled
+    from the canonical blocks.
     """
 
-    def __init__(self, group: GroupTable, basis, mask: np.ndarray,
-                 spherical: bool = False):
-        self.group = group
-        self.basis = basis
-        self.mask = mask
-        self.spherical = spherical
+    def __init__(self, context: ParabolicContext):
+        self.context, self.group = context, context.group
+        self.basis, self.mask = context.reps, context.rep_mask
+        self.spherical = context.flavor == SPHERICAL
+        self._canonical: dict[int, Block] = {}
         self._inv_cols: dict[int, InverseColumn] = {0: InverseColumn(
             np.zeros(1, np.intp), np.broadcast_to(np.int8(1), (1, 1)))}
         # mu(y, z) for each z read so far, in one flat store: z's entries
         # are mu_y and mu_value[start:end], (start, end) = mu_span[z], and
         # end is -1 while z is unread; the arrays double when they grow
-        self._mu_span = np.full((len(group), 2), -1, np.intp)
+        self._mu_span = np.full((len(self.group), 2), -1, np.intp)
         self._mu_y = np.zeros(0, np.intp)
         self._mu_value = np.zeros(0, np.int64)
         self._mu_size = 0
         self._kronecker: dict[int, frozenset[int]] = {}
+
+    def column_ids(self, x: Element) -> np.ndarray:
+        """The ids of the basis elements y <= x; x must be one."""
+        if not self.context.is_rep(x):
+            raise ValueError(f"{x!r} is not a minimal coset representative")
+        return self.context.downset_ids(x)
+
+    def canonical_block(self, x: Element) -> Block:
+        """The block of the canonical element of x, by
+        ``canonical_blocks``."""
+        got = self._canonical.get(x.index)
+        return got if got is not None else self.canonical_blocks([x])[0]
 
     def inverse_column(self, x: Element) -> InverseColumn:
         """The inverse polynomials at (y, x) for every basis element y <= x,
@@ -560,7 +621,7 @@ class ColumnTable:
         if object in (h.dtype, dtype):  # int64 sums take narrow h as it is
             h = h.astype(dtype)
         ids = [self.column_ids(x) for x in xs]
-        batch = Batch(group, xs, ids)
+        batch = Batch(xs, ids)
         at_y = batch.locate(slot[src], ys)
         if at_y.min(initial=0) < 0:
             x = xs[slot[src[np.argmax(at_y < 0)]]]
@@ -615,14 +676,6 @@ class ColumnTable:
         keep = (yss < ys) | (self.spherical & ~self.mask[yss])
         return ys[keep], mus[keep], src[keep]
 
-    def adopt(self, other: "ColumnTable") -> None:
-        """Copy the inverse columns, Kronecker failure sets and mu store of
-        ``other``, a table of the same basis and wall rule whose canonical
-        blocks are this table's: the same code gives the same results."""
-        for name in ("_inv_cols", "_kronecker", "_mu_span", "_mu_y",
-                     "_mu_value", "_mu_size"):
-            setattr(self, name, copy.copy(getattr(other, name)))
-
     def _check_columns(self, columns) -> None:
         """Raise InvariantError when a new column of the (x, column) pairs
         breaks a theorem, as the first such x alone raises it."""
@@ -639,11 +692,6 @@ class ColumnTable:
         if pos == len(col.rows) or col.rows[pos] != y.index:
             return _ZERO
         return row_poly(col.coeffs[pos])
-
-    def canonical_blocks(self, xs) -> list[Block]:
-        """The canonical blocks of ``xs``; a subclass may solve the
-        missing ones in batches."""
-        return [self.canonical_block(x) for x in xs]
 
     def inversion_failures(self, xs):
         """For each x of ``xs`` in order, the ids y of its column where

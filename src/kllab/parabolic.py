@@ -31,11 +31,12 @@ inversion identity of each table is what checks the recursion itself.
 Elements of the induced module are ``hecke.HeckeElt`` vectors whose space
 is the ``ParabolicContext`` (``ParabolicElt`` is the same class), so their
 arithmetic and the bar involution (``bar_parabolic`` is ``bar_element``)
-are the regular module's.  ``ParabolicKLTable`` shares its inverse
-columns and inversion checks with ``KLTable`` through
-``kernel.ColumnTable``, supplying the representatives as basis and the
-flavor's wall rule: across a wall, b_s sends d_z to sum mu(y, z) d_y and
-c_z to (v + v^{-1}) c_z.  Tables are keyed by ``Element.index``: the rows
+are the regular module's.  ``ParabolicKLTable``, like ``KLTable`` (the
+quotient with I empty), is a ``kernel.ColumnTable`` over its context,
+which ``kernel`` defines and this module re-exports with the flavors; the
+context supplies the representatives as basis and the flavor's wall
+rule: across a wall, b_s sends d_z to sum mu(y, z) d_y and c_z to
+(v + v^{-1}) c_z.  Tables are keyed by ``Element.index``: the rows
 of the column of x are the sorted ids of the representatives below x, and
 canonical elements are stored as blocks, decoded only when a caller asks.
 """
@@ -53,12 +54,9 @@ from .hecke import (
     bar_element,
 )
 from .kernel import (
-    Block, ColumnTable, InvariantError, bar_invariant_blocks, row_poly,
+    ANTISPHERICAL, SPHERICAL, Block, ColumnTable, InvariantError,
+    ParabolicContext, bar_invariant_blocks, row_poly,
 )
-from .laurent import LaurentPoly
-
-SPHERICAL = "spherical"
-ANTISPHERICAL = "antispherical"
 
 #: an element of an induced module is a HeckeElt over its context
 ParabolicElt = HeckeElt
@@ -67,45 +65,6 @@ ParabolicElt = HeckeElt
 class FlavorMismatchError(ValueError):
     """A spherical table was supplied where an antispherical one is needed,
     or vice versa."""
-
-
-class ParabolicContext:
-    """A quotient ^I W with a flavor fixing how delta_t acts for t in I."""
-
-    def __init__(self, group: GroupTable, subset, flavor: str):
-        if flavor not in (SPHERICAL, ANTISPHERICAL):
-            raise ValueError(f"unknown flavor {flavor!r}")
-        self.group = group
-        self.subset = frozenset(subset)
-        self.flavor = flavor
-        self.reps = group.min_coset_reps(self.subset)
-        self.rep_mask = np.zeros(len(group), dtype=bool)
-        self.rep_mask[[r.index for r in self.reps]] = True
-        # scalar by which delta_t (t in I) acts on the rank-1 module
-        self.scalar = (LaurentPoly.v(-1) if flavor == SPHERICAL
-                       else LaurentPoly.v(1, -1))
-        self._down_ids: dict[int, np.ndarray] = {}
-
-    def is_rep(self, x: Element) -> bool:
-        return bool(self.rep_mask[x.index])
-
-    def coset_decomposition(self, w: Element) -> tuple[Element, int]:
-        """The representative x and l(u) from the splitting w = u * x: for
-        a left descent t of w in I, w = t (tw) splits like tw with one more
-        letter in u."""
-        group, i, k = self.group, w.index, 0
-        while (t := next((t for t in self.subset
-                          if group.left_descents.item(i, t)), None)) is not None:
-            i, k = group.left.item(i, t), k + 1
-        return group.elements[i], k
-
-    def downset_ids(self, x: Element) -> np.ndarray:
-        """The ids of the representatives y <= x, ascending; memoized."""
-        got = self._down_ids.get(x.index)
-        if got is None:
-            ids = self.group.downset_ids(x)
-            got = self._down_ids[x.index] = ids[self.rep_mask[ids]]
-        return got
 
 
 def project(h: HeckeElt, context: ParabolicContext) -> HeckeElt:
@@ -172,27 +131,10 @@ class ParabolicKLTable(ColumnTable):
     blocks, both over ``column_ids(x)``, the representatives below x.
     """
 
-    def __init__(self, context: ParabolicContext):
-        super().__init__(context.group, context.reps, context.rep_mask,
-                         context.flavor == SPHERICAL)
-        self.context = context
-        self._canonical: dict[int, Block] = {}
-
-    def column_ids(self, x: Element) -> np.ndarray:
-        """The ids of the representatives y <= x; x must be one."""
-        if not self.context.is_rep(x):
-            raise ValueError(f"{x!r} is not a minimal coset representative")
-        return self.context.downset_ids(x)
-
     def canonical_basis_element(self, x: Element) -> HeckeElt:
         """c_x (spherical) or d_x (antispherical), decoded from
         ``canonical_block``."""
         return HeckeElt.from_block(self.context, self.canonical_block(x))
-
-    def canonical_block(self, x: Element) -> Block:
-        """The block of c_x or d_x, by ``canonical_blocks``."""
-        got = self._canonical.get(x.index)
-        return got if got is not None else self.canonical_blocks([x])[0]
 
     def canonical_blocks(self, xs) -> list[Block]:
         """The blocks of c_x or d_x for ``xs`` by the bar-invariance pass,

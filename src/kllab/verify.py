@@ -177,19 +177,10 @@ def scan_monotonicity_inverse(table: KLTable) -> tuple[int, ViolationRecord]:
     """All triples violating the inverse-polynomial monotonicity.
 
     Returns (triples_checked, violations); the theorem predicts an empty
-    record for every Coxeter system.
+    record for every Coxeter system.  The regular module is the quotient
+    with I empty, where the flavors agree.
     """
-    return _scan_columns(table)
-
-
-def _scan_columns(table) -> tuple[int, ViolationRecord]:
-    """The triple kernel over the inverse columns of the whole basis of a
-    ``KLTable`` or ``ParabolicKLTable``, built first."""
-    table.build_all()
-    xs = list(table.basis)
-    cols = [table.inverse_column(x) for x in xs]
-    return _scan_triples(table.group, xs, [col.rows for col in cols],
-                         [col.coeffs for col in cols])
+    return _scan_parabolic(table, ANTISPHERICAL)
 
 
 def scan_monotonicity_classical(table: KLTable
@@ -209,7 +200,7 @@ def scan_monotonicity_classical(table: KLTable
         k = np.arange(len(chunk))
         # a negative exponent is sent off the store, where it raises
         return np.concatenate(block_sums(
-            group, chunk, [group.downset_ids(x) for x in chunk],
+            chunk, [group.downset_ids(x) for x in chunk],
             chunk[-1].length + 1, k, k, 0 * k, 1 + 0 * k, [b._replace(
                 exps=np.where(b.exps < 0, -1, b.exps + group.lengths[
                     b.rows[b.at]])) for b in blocks],
@@ -313,12 +304,18 @@ def _scan_triples(group, xs, rows, coeffs=None, dense=None):
     return count, ViolationRecord(elements, parts)
 
 
-def _scan_parabolic(ptable: ParabolicKLTable, flavor: str):
-    ctx = ptable.context
+def _scan_parabolic(table, flavor: str) -> tuple[int, ViolationRecord]:
+    """The triple kernel over the inverse columns of the whole basis of a
+    table of the flavor's module, built first."""
+    ctx = table.context
     if ctx.flavor != flavor and ctx.subset:     # I empty: one module
         raise FlavorMismatchError(
             f"scan needs a {flavor} table, got {ctx.flavor}")
-    return _scan_columns(ptable)
+    table.build_all()
+    xs = list(table.basis)
+    cols = [table.inverse_column(x) for x in xs]
+    return _scan_triples(table.group, xs, [col.rows for col in cols],
+                         [col.coeffs for col in cols])
 
 
 def scan_monotonicity_antispherical(ptable: ParabolicKLTable):
@@ -460,7 +457,7 @@ def rouquier_shadows(table: KLTable, xs):
         zs, which = np.unique(ys, return_inverse=True)
         lower = [table.b_block(elements[y]) for y in zs.tolist()]
         sums = block_sums(
-            group, chunk, [col.rows for col in cols],
+            chunk, [col.rows for col in cols],
             max(x.length for x in chunk) + 1, slot, which, exps,
             mults * (1 - 2 * (exps % 2)), lower, [b.row_norm for b in lower],
             lambda k: f"the block of {elements[ys[k]]!r} has a term "
@@ -598,7 +595,8 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
     table.build_all()
     # the regular module is the quotient with I empty, whose table solves
     # for the one bar-invariant delta_x + vZ[v] lower terms from the blocks
-    # of bar(delta_z) alone: b_x is bar-invariant iff its terms are those
+    # of bar(delta_z) alone: b_x is bar-invariant iff its terms are those.
+    # Its own context holds those blocks, so they go with the oracle
     oracle = ParabolicKLTable(ParabolicContext(group, (), ANTISPHERICAL))
     report = SuiteReport(group=spec, cap=cap)
     subsets = [frozenset(s) for s in subsets]
@@ -709,15 +707,15 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
                             expected_violations=flavor == SPHERICAL),
                 lambda res: scan_into(res, scanned(scanner), ptable))
 
-    # a subset's tables are released when its checks return; the oracle
-    # serves the first I empty of subsets, or is released here.  If each b
-    # block equals its block, it takes the regular columns, sums and scan
-    reuse = {frozenset(): oracle} if frozenset() in subsets else {}
-    if reuse and all(c.passed for c in report.checks
-                     if c.check == "bar-invariance"):
-        oracle.adopt(table)
-        if table in scans:
-            scans[oracle] = scans[table]
+    # I empty is the regular module: if each b block equals the oracle's,
+    # the table serves it with the columns, sums and scan it has, else the
+    # oracle does.  The oracle is released here or after the first I empty
+    # of subsets, a subset's tables when its checks return
+    reuse = {}
+    if frozenset() in subsets:
+        same = all(c.passed for c in report.checks
+                   if c.check == "bar-invariance")
+        reuse[frozenset()] = table if same else oracle
     del oracle
     for subset in subsets:
         quotient_checks(subset, reuse.pop(subset, None) or ParabolicKLTable(

@@ -59,7 +59,7 @@ def terms_block(terms) -> Block:
 
 def store_b(table: KLTable, x, terms: dict) -> None:
     """Store b_x in ``table`` as the Element -> LaurentPoly ``terms``."""
-    table._b_blocks[x.index] = terms_block(
+    table._canonical[x.index] = terms_block(
         sorted((y.index, p) for y, p in terms.items()))
 
 

@@ -11,7 +11,7 @@ import textwrap
 import pytest
 
 import kllab
-from kllab import cli, hecke, kernel
+from kllab import cli, kernel
 from kllab.cli import main, poly_csv
 from kllab.laurent import LaurentPoly
 from helpers import bruhat_leq_oracle, get_group, get_kl, poly
@@ -529,7 +529,6 @@ def test_output_is_the_same_across_the_exact_fallback(monkeypatch, capsys,
         dtypes.append(args[-1])
         return _solve(*args)
     monkeypatch.setattr(kernel, "_bar_solve_chunk", spy)
-    for module in (kernel, hecke):
-        monkeypatch.setattr(module, "INT64_LIMIT", 8)
+    monkeypatch.setattr(kernel, "INT64_LIMIT", 8)
     assert run_cli(capsys, *argv)[:2] == expected
     assert argv[0] != "suite" or object in dtypes

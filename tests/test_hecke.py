@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kllab import hecke
+from kllab import hecke, kernel
 from kllab.coxeter import CapExceededError
 from kllab.hecke import (
     HeckeElt, InvariantError, KLTable, bar_delta, bar_element, mult_b_gen,
@@ -223,7 +223,7 @@ class TestKLBasis:
             return times_generator(group, xs, batch, prev, offset, acc,
                                    *args, **kwargs)
 
-        monkeypatch.setattr(hecke, "INT64_LIMIT", 8)
+        monkeypatch.setattr(kernel, "INT64_LIMIT", 8)
         monkeypatch.setattr(hecke, "_times_generator", spy)
         table = KLTable(get_group("B3"))
         g = table.group
@@ -257,7 +257,7 @@ class TestMuRouteChecks:
         with pytest.raises(InvariantError, match=message) as err:
             table.b_block(g.element((0, 1, 0)))
         assert "<1,2,1>" in str(err.value)
-        assert g.element((0, 1, 0)).index not in table._b_blocks
+        assert g.element((0, 1, 0)).index not in table._canonical
 
 
 def b_along_word(table: KLTable, word) -> HeckeElt:

@@ -180,7 +180,7 @@ def test_b_fault_in_a_level(monkeypatch):
     with pytest.raises(InvariantError) as expected:
         for x in group:
             lone.b_block(x)
-    failing = next(x for x in group if x.index not in lone._b_blocks)
+    failing = next(x for x in group if x.index not in lone._canonical)
     seen = _chunks(monkeypatch, KLTable, "_b_steps")
     table = KLTable(group)
     corrupt(table)

@@ -210,8 +210,7 @@ class TestInjectedFaults:
 def test_exact_fallback_under_a_small_limit(monkeypatch):
     """With the int64 limit at 8 every pass must give its int64 attempt up
     and redo the column in exact ints, with the same results."""
-    for module in (kernel, hecke):
-        monkeypatch.setattr(module, "INT64_LIMIT", 8)
+    monkeypatch.setattr(kernel, "INT64_LIMIT", 8)
     dtypes = {"_bar_solve_chunk": [], "_inverse_steps": []}
 
     def bar_spy(*args, _solve=kernel._bar_solve_chunk):
@@ -281,3 +280,16 @@ def test_random_rank3_matrices(bonds, cap, subset):
     assert scan_monotonicity_antispherical(anti)[1] == []
     assert check_soergel_identification(anti, KLTable(group)) == []
     assert_columns_match_reference(KLTable(group))
+
+
+@pytest.mark.parametrize("spec,cap", [("H3", None), ("Aff-A2", 8)])
+def test_empty_subset_reads_the_group_downsets(spec, cap):
+    """With I empty, a context of either flavor and the regular table hand
+    out the group's own downset arrays, not copies of them."""
+    group = get_group(spec, cap)
+    contexts = [ParabolicContext(group, (), flavor) for flavor in FLAVORS]
+    table = KLTable(group)
+    for x in group:
+        ids = group.downset_ids(x)
+        assert all(ctx.downset_ids(x) is ids for ctx in contexts), x
+        assert table.column_ids(x) is ids, x

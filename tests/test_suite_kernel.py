@@ -274,7 +274,7 @@ def test_passing_suite_decodes_nothing(monkeypatch):
 
 def test_empty_subset_scanned_once(monkeypatch):
     """With I empty both flavor scans read the regular table's inverse
-    scan, since the I empty table took its columns: classical, inverse,
+    scan, since the regular table serves I empty: classical, inverse,
     then two scans at each singleton.  Both checks report that result."""
     calls = []
 
@@ -315,9 +315,9 @@ def _empty_subset_passes(tables) -> list:
 
 
 def test_empty_subset_adopts_the_regular_columns(monkeypatch):
-    """When bar-invariance passes, the I empty table builds no inverse
-    column and no Kronecker sum of its own: it reports the regular
-    table's, and the singletons still build theirs."""
+    """When bar-invariance passes, no I empty quotient table builds an
+    inverse column or a Kronecker sum: the regular table serves I empty
+    with its own, and the singletons still build theirs."""
     tables = _builders(monkeypatch)
     report = run_identity_suite("A3", [(), (0,)])
     assert report.passed
@@ -377,13 +377,9 @@ def test_suite_builds_one_empty_subset_table(monkeypatch):
     assert ("scan-spherical", [], SPHERICAL) in labels
 
 
-def test_suite_bar_invariance_sees_a_broken_b(monkeypatch):
-    """One b block of A3 broken after the build: the bar-invariance check,
-    which compares the b blocks with those of the I empty table, fails at
-    exactly that x."""
-    group = get_group("A3")
-    x = group.element((0, 1, 0))
-
+def _break_b(monkeypatch, group, x) -> None:
+    """Make the suite's regular table break the block of b_x after its
+    build, adding v^2 at the identity."""
     class BrokenB(KLTable):
         def build_all(self):
             super().build_all()
@@ -391,6 +387,15 @@ def test_suite_bar_invariance_sees_a_broken_b(monkeypatch):
             terms[group.identity] = terms[group.identity] + poly({2: 1})
             store_b(self, x, terms)
     monkeypatch.setattr(verify, "KLTable", BrokenB)
+
+
+def test_suite_bar_invariance_sees_a_broken_b(monkeypatch):
+    """One b block of A3 broken after the build: the bar-invariance check,
+    which compares the b blocks with those of the I empty table, fails at
+    exactly that x."""
+    group = get_group("A3")
+    x = group.element((0, 1, 0))
+    _break_b(monkeypatch, group, x)
     tables = _builders(monkeypatch)
     report = run_identity_suite("A3", [()], group=group)
     (check,) = [c for c in report.checks if c.check == "bar-invariance"]
@@ -406,13 +411,17 @@ def test_suite_bar_invariance_sees_a_broken_b(monkeypatch):
     assert anti[0].violations is not inverse.violations
 
 
-@pytest.mark.parametrize("subsets", [[(), (0,)], [(0,)], [(0,), ()]],
-                         ids=str)
-def test_suite_solves_the_empty_quotient_once(monkeypatch, subsets):
+@pytest.mark.parametrize("subsets,broken", [
+    pytest.param(subsets, broken, id=str(subsets) + "-broken" * broken)
+    for subsets, broken in (([(), (0,)], False), ([(0,)], False),
+                            ([(0,), ()], False), ([(0,), ()], True))])
+def test_suite_solves_the_empty_quotient_once(monkeypatch, subsets, broken):
     """Each x of the I empty quotient is solved once, for the
-    bar-invariance check, whether and wherever subsets lists I empty.  The
-    table is released before a later subset is solved, unless I empty is
-    still to come."""
+    bar-invariance check, whether and wherever subsets lists I empty.
+    When the check passes, the regular table serves I empty and the
+    oracle is released before any subset is solved.  With a broken b the
+    oracle stays alive while (0,) is solved, then serves I empty and
+    builds its own columns and sums."""
     group = get_group("A3")
     solved, alive, empty_tables = [], [], weakref.WeakSet()
 
@@ -431,9 +440,14 @@ def test_suite_solves_the_empty_quotient_once(monkeypatch, subsets):
                 empty_tables.add(self)
     monkeypatch.setattr(kernel, "_bar_solve_chunk", spy)
     monkeypatch.setattr(verify, "ParabolicKLTable", Tracked)
-    assert run_identity_suite("A3", subsets, group=group).passed
+    if broken:
+        _break_b(monkeypatch, group, group.element((0, 1, 0)))
+    tables = _builders(monkeypatch)
+    assert run_identity_suite("A3", subsets, group=group).passed != broken
     assert sorted(solved) == list(range(len(group)))
-    assert set(alive) == {int(() in subsets[1:])}
+    assert set(alive) == {int(broken)}
+    assert {p for p, _ in _empty_subset_passes(tables)} == (
+        {"steps", "sums"} if broken else set())
 
 
 _BONDS = st.sampled_from([2, 3, 4, 5, 6, 7, INFINITY])
