@@ -13,12 +13,11 @@ from .hecke import (
 from .laurent import LaurentPoly, leq_coefficientwise
 from .parabolic import (
     ANTISPHERICAL, SPHERICAL, FlavorMismatchError, ParabolicContext,
-    ParabolicElt, ParabolicKLTable, act_delta_gen, bar_parabolic,
-    check_soergel_identification, project,
+    ParabolicKLTable, act_delta_gen, check_soergel_identification, project,
 )
 from .verify import (
     CapRequiredError, RouquierTable, SuiteReport, Violation, build_group,
-    rouquier_multiplicities, rouquier_shadow_ok, run_identity_suite,
+    rouquier_multiplicities, rouquier_shadows, run_identity_suite,
     scan_monotonicity_antispherical, scan_monotonicity_classical,
     scan_monotonicity_inverse, scan_monotonicity_spherical,
 )
@@ -29,14 +28,13 @@ __all__ = [
     "ANTISPHERICAL", "CapExceededError", "CapRequiredError", "CoxeterMatrix",
     "CoxeterSpecError", "Element", "FlavorMismatchError", "GroupTable",
     "HeckeElt", "INFINITY", "InvariantError", "KLTable", "LaurentPoly",
-    "ParabolicContext", "ParabolicElt", "ParabolicKLTable",
-    "ResourceLimitError", "RouquierTable", "SPHERICAL", "SettingError",
-    "SuiteReport",
-    "Violation", "act_delta_gen", "bar_element", "bar_parabolic",
-    "build_group", "canonical_form", "check_soergel_identification",
+    "ParabolicContext", "ParabolicKLTable", "ResourceLimitError",
+    "RouquierTable", "SPHERICAL", "SettingError", "SuiteReport",
+    "Violation", "act_delta_gen", "bar_element", "build_group",
+    "canonical_form", "check_soergel_identification",
     "leq_coefficientwise", "mult_b_gen", "mult_delta_gen",
     "parse_coxeter_spec", "project", "rouquier_multiplicities",
-    "rouquier_shadow_ok", "run_identity_suite",
+    "rouquier_shadows", "run_identity_suite",
     "scan_monotonicity_antispherical", "scan_monotonicity_classical",
     "scan_monotonicity_inverse", "scan_monotonicity_spherical",
     "__version__",

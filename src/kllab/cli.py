@@ -80,7 +80,10 @@ class _Output:
         self.fmt = fmt
         self.out_path = out_path
         if out_path:  # fail before computing; keep an existing file
+            new = not os.path.lexists(out_path)
             self._write("a", lambda fh: None)
+            if new:  # and leave no file behind a failed run
+                os.remove(out_path)
 
     def emit(self, text: str) -> None:
         if not text.endswith("\n"):
@@ -115,10 +118,6 @@ class _Output:
             raise OutputPathError(
                 f"cannot write output file {self.out_path!r}: "
                 f"{exc.strerror}") from None
-
-
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +251,7 @@ def _cmd_mu(args, out: _Output, table: KLTable) -> int:
     def mus():
         for x in group:
             # mu(y, x) is the v^1 term of row y of b_x, nonnegative once built
-            block = table.b_block(x)
+            block = table.canonical_block(x)
             one = block.exps == 1
             mu = dict(zip(block.rows[block.at[one]].tolist(),
                           block.values[one].tolist()))
@@ -490,8 +489,9 @@ def main(argv=None) -> int:
 
 
 def _emit_error(exc: Exception) -> None:
-    sys.stderr.write(_json_dump({
-        "error": type(exc).__name__, "message": str(exc)}) + "\n")
+    sys.stderr.write(json.dumps({
+        "error": type(exc).__name__, "message": str(exc)},
+        indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -389,9 +389,6 @@ class Element:
     def word(self) -> tuple[int, ...]:
         return self.group.word(self.index)
 
-    def sort_key(self) -> int:
-        return self.index
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Element) and self.index == other.index
 

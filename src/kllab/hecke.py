@@ -5,11 +5,11 @@ An element of a module is a sparse vector over the interned group
 elements, ``HeckeElt``: a map Element -> LaurentPoly.  Its space is the
 ``GroupTable`` for the regular module, with basis {delta_x}, or a
 ``kernel.ParabolicContext`` for an induced module, with basis {m_x}
-over the minimal coset representatives; the regular module is the
-antispherical module with I empty, so one element type, one arithmetic
-and one bar function (``bar_element``, reading bar(m_x) from the space)
-serve both.  The defining relations of the algebra are the quadratic
-relation
+over the minimal coset representatives; ``HeckeElt.standard(space, x)``
+is delta_x or m_x.  The regular module is the antispherical module with
+I empty, so one element type, one arithmetic and one bar function
+(``bar_element``, reading bar(m_x) from the space) serve both.  The
+defining relations of the algebra are the quadratic relation
 
     (delta_s + v)(delta_s - v^{-1}) = 0
 
@@ -102,8 +102,6 @@ class HeckeElt:
             raise ValueError(f"{x!r} is not a minimal coset representative")
         return HeckeElt(space, {x: _ONE})
 
-    delta = standard
-
     def coefficient(self, x: Element) -> LaurentPoly:
         return self.terms.get(x, LaurentPoly.zero())
 
@@ -123,7 +121,7 @@ class HeckeElt:
 
     def top_term(self) -> tuple[Element, LaurentPoly]:
         """The term with the (length, word)-largest index."""
-        x = max(self.terms, key=Element.sort_key)
+        x = max(self.terms)
         return x, self.terms[x]
 
     def __bool__(self) -> bool:
@@ -136,7 +134,7 @@ class HeckeElt:
     def __repr__(self) -> str:
         basis = "d" if isinstance(self.space, GroupTable) else "dI"
         parts = [f"({p})*{basis}[{x!r}]" for x, p in sorted(
-            self.terms.items(), key=lambda kv: kv[0].sort_key())]
+            self.terms.items(), key=lambda kv: kv[0].index)]
         return "HeckeElt(" + (" + ".join(parts) or "0") + ")"
 
 
@@ -303,11 +301,6 @@ def _times_generator(group: GroupTable, xs: list[Element], batch: Batch,
             acc[rows[keep], cells] += coef * values[keep]
 
 
-def bar_delta(table: GroupTable, x: Element) -> HeckeElt:
-    """bar(delta_x), decoded from ``bar_block``."""
-    return HeckeElt.from_block(table, bar_block(table, x))
-
-
 def bar_element(h: HeckeElt) -> HeckeElt:
     """The bar involution of the element's module: v -> v^{-1} on
     coefficients, and each basis vector to its bar, read as a block from
@@ -326,10 +319,11 @@ class KLTable(ColumnTable):
     """Kazhdan-Lusztig data over one enumerated group table.
 
     The table of ``context``, the antispherical quotient with I empty.
-    Memoizes the canonical basis elements b_x as blocks (the mu route,
-    ``b_block``; the bar-invariance solve that checks them is the
-    antispherical ``ParabolicKLTable`` with I empty, over a context of its
-    own); the inverse polynomial columns and the inversion-identity sums
+    Memoizes the canonical basis elements b_x as blocks of their nonzero
+    terms, with exponents in [0, l(x)] (the mu route, ``canonical_block``;
+    the bar-invariance solve that checks them is the antispherical
+    ``ParabolicKLTable`` with I empty, over a context of its own); the
+    inverse polynomial columns and the inversion-identity sums
     come from ``ColumnTable``, whose columns here must be nonnegative.
     All queries are safe after ``build_all``; lazy use is also fine
     single-threaded.
@@ -340,9 +334,6 @@ class KLTable(ColumnTable):
         self._canonical[0] = _DELTA_E
 
     # -- canonical basis, production route --------------------------------
-
-    #: the nonzero terms of b_x; exponents lie in [0, l(x)]
-    b_block = ColumnTable.canonical_block
 
     def canonical_blocks(self, xs) -> list[Block]:
         """The blocks of b_x for ``xs``.  Every block ``_b_steps`` reads
@@ -397,8 +388,8 @@ class KLTable(ColumnTable):
         return out
 
     def kl_basis_element(self, x: Element) -> HeckeElt:
-        """b_x, decoded from ``b_block``."""
-        return HeckeElt.from_block(self.group, self.b_block(x))
+        """b_x, decoded from ``canonical_block``."""
+        return HeckeElt.from_block(self.group, self.canonical_block(x))
 
     def _validate_triangular(self, xs: list[Element], blocks) -> None:
         """In the block of each x, the row of x must be exactly 1 and every

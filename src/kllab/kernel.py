@@ -432,7 +432,7 @@ def kronecker_failures(group: GroupTable, xs: list[Element], ids, blocks,
 
         sum_z (-1)^{l(z)-l(y)} h^{y,z} h_{z,x}
 
-    differs from the Kronecker delta, h_{z,x} read from ``blocks`` (the
+    differs from [y = x], h_{z,x} read from ``blocks`` (the
     canonical element of x) and h^{y,z} from ``columns_of(zs)``: one
     batched sum per chunk, whose bound is the total over its columns of
     sum |h_{z,x}| max|h^{.,z}|.
@@ -698,7 +698,7 @@ class ColumnTable:
 
             sum_z (-1)^{l(z)-l(y)} (inverse at (y, z)) (canonical at (z, x))
 
-        over basis elements z in [y, x] differs from the Kronecker delta.
+        over basis elements z in [y, x] differs from [y = x].
         The sums of a chunk of columns are one batched pass, computed on
         first query and kept.
         """

@@ -28,15 +28,14 @@ package never assumes that identity, it recomputes both sides and compares
 recursion of ``kernel.ColumnTable`` over independent canonical bases; the
 inversion identity of each table is what checks the recursion itself.
 
-Elements of the induced module are ``hecke.HeckeElt`` vectors whose space
-is the ``ParabolicContext`` (``ParabolicElt`` is the same class), so their
-arithmetic and the bar involution (``bar_parabolic`` is ``bar_element``)
-are the regular module's.  ``ParabolicKLTable``, like ``KLTable`` (the
-quotient with I empty), is a ``kernel.ColumnTable`` over its context,
-which ``kernel`` defines and this module re-exports with the flavors; the
-context supplies the representatives as basis and the flavor's wall
-rule: across a wall, b_s sends d_z to sum mu(y, z) d_y and c_z to
-(v + v^{-1}) c_z.  Tables are keyed by ``Element.index``: the rows
+Elements of the induced module are ``hecke.HeckeElt`` vectors over the
+``ParabolicContext``, with the regular module's arithmetic and bar
+involution, ``hecke.bar_element``.  ``ParabolicKLTable``, like
+``KLTable`` (the quotient with I empty), is a ``kernel.ColumnTable`` over
+its context, which ``kernel`` defines and this module re-exports with the
+flavors; the context supplies the representatives as basis and the
+flavor's wall rule: across a wall, b_s sends d_z to sum mu(y, z) d_y and
+c_z to (v + v^{-1}) c_z.  Tables are keyed by ``Element.index``: the rows
 of the column of x are the sorted ids of the representatives below x, and
 canonical elements are stored as blocks, decoded only when a caller asks.
 """
@@ -51,16 +50,11 @@ import numpy as np
 from .coxeter import Element, GroupTable
 from .hecke import (
     _VINV_MINUS_V, HeckeElt, KLTable, _accum, bar_block, bar_blocks,
-    bar_element,
 )
 from .kernel import (
     ANTISPHERICAL, SPHERICAL, Block, ColumnTable, InvariantError,
     ParabolicContext, bar_invariant_blocks, row_poly,
 )
-
-#: an element of an induced module is a HeckeElt over its context
-ParabolicElt = HeckeElt
-
 
 class FlavorMismatchError(ValueError):
     """A spherical table was supplied where an antispherical one is needed,
@@ -118,10 +112,6 @@ def _has_left_descent_in(table: GroupTable, word: tuple[int, ...],
     """Whether the reduced ``word``, which lies beyond the cap, has a left
     descent in ``subset``; decided on words."""
     return any(len(table.canonical((t,) + word)) < len(word) for t in subset)
-
-
-#: the bar involution reads bar(m_x) from the element's context
-bar_parabolic = bar_element
 
 
 class ParabolicKLTable(ColumnTable):

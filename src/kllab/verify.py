@@ -196,7 +196,7 @@ def scan_monotonicity_classical(table: KLTable
     group = table.group
 
     def dense(chunk):
-        blocks = [table.b_block(x) for x in chunk]
+        blocks = [table.canonical_block(x) for x in chunk]
         k = np.arange(len(chunk))
         # a negative exponent is sent off the store, where it raises
         return np.concatenate(block_sums(
@@ -391,7 +391,7 @@ class RouquierTable:
 
     def rows(self) -> list[tuple[Element, int, int]]:
         return sorted(((y, i, m) for (y, i), m in self.mult.items()),
-                      key=lambda r: (r[0].sort_key(), r[1]))
+                      key=lambda r: (r[0].index, r[1]))
 
     def generating_poly(self, y: Element) -> LaurentPoly:
         return LaurentPoly({i: m for (z, i), m in self.mult.items() if z == y})
@@ -431,19 +431,15 @@ def _check_multiplicities(x: Element, rows, exps, values) -> None:
         raise InvariantError(f"negative multiplicity at ({y!r},{x!r},{exp})")
 
 
-def rouquier_shadow_ok(table: KLTable, x: Element) -> bool:
-    """Grothendieck check: the alternating sum re-expands to delta_x.
+def rouquier_shadows(table: KLTable, xs):
+    """Grothendieck check for each x of ``xs`` in order: whether the
+    alternating sum re-expands to delta_x.
 
     Checks the multiplicities as ``rouquier_multiplicities`` does, then
     sums (-1)^i m^i_y v^i b_y over the blocks of b_y into one dense array
-    over downset(x) and compares it with the standard basis element.
+    over downset(x) and compares it with the standard basis element, as
+    one batched sum of blocks per chunk.
     """
-    return next(rouquier_shadows(table, [x]))
-
-
-def rouquier_shadows(table: KLTable, xs):
-    """``rouquier_shadow_ok`` for each x of ``xs`` in order, as one
-    batched sum of blocks per chunk."""
     group = table.group
     elements = group.elements
 
@@ -455,7 +451,7 @@ def rouquier_shadows(table: KLTable, xs):
         ys, exps, mults = (np.concatenate(p) for p in zip(*parts))
         slot = np.repeat(np.arange(len(chunk)), [len(p[0]) for p in parts])
         zs, which = np.unique(ys, return_inverse=True)
-        lower = [table.b_block(elements[y]) for y in zs.tolist()]
+        lower = [table.canonical_block(elements[y]) for y in zs.tolist()]
         sums = block_sums(
             chunk, [col.rows for col in cols],
             max(x.length for x in chunk) + 1, slot, which, exps,
@@ -649,21 +645,21 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
 
     for name, body in [
         ("positivity-kl", lambda res: term_rows(
-            res, table.b_block, lambda x, y, e, c: (c < 0) | (e < 0),
+            res, table.canonical_block, lambda x, y, e, c: (c < 0) | (e < 0),
             table.kl_poly, lambda y, x, h: f"h at ({y!r},{x!r}) = {h}")),
         ("positivity-invkl", lambda res: term_rows(
             res, table.inverse_column, lambda x, y, e, c: c < 0,
             table.inverse_kl_poly,
             lambda y, x, h: f"h^ at ({y!r},{x!r}) = {h}")),
         ("mu-nonnegative", lambda res: term_rows(
-            res, table.b_block, lambda x, y, e, c: (c < 0) & (e == 1),
+            res, table.canonical_block, lambda x, y, e, c: (c < 0) & (e == 1),
             table.kl_poly, lambda y, x, h: f"mu({y!r},{x!r}) < 0")),
         ("parity", lambda res: term_rows(
             res, table.inverse_column,
             lambda x, y, e, c: _wrong_parity(x, y, e), table.inverse_kl_poly,
             lambda y, x, h: f"parity at ({y!r},{x!r})")),
         ("bar-invariance", lambda res: per_element(res, (
-            all(map(np.array_equal, table.b_block(x).terms(), b.terms()))
+            all(map(np.array_equal, table.canonical_block(x).terms(), b.terms()))
             for x, b in zip(group, oracle.canonical_blocks(group.elements))),
             lambda x: f"bar(b) != b at {x!r}")),
         ("inversion-identity", lambda res: inversion(

@@ -18,9 +18,7 @@ import itertools
 
 import numpy as np
 
-from kllab.coxeter import (
-    Element, GroupTable, canonical_form, parse_coxeter_spec,
-)
+from kllab.coxeter import GroupTable, canonical_form, parse_coxeter_spec
 from kllab.hecke import (
     HeckeElt, KLTable, _bar_memo, bar_block, bar_blocks, mult_delta_gen,
 )
@@ -31,8 +29,7 @@ from kllab.kernel import (
 )
 from kllab.laurent import LaurentPoly
 from kllab.parabolic import (
-    ANTISPHERICAL, SPHERICAL, ParabolicContext, ParabolicElt,
-    ParabolicKLTable, project,
+    ANTISPHERICAL, SPHERICAL, ParabolicContext, ParabolicKLTable, project,
 )
 from kllab.verify import Violation
 
@@ -225,7 +222,7 @@ def reference_inverse_column(table: KLTable, x) -> dict:
     remainder = {x: LaurentPoly.one()}
     col = {}
     while remainder:
-        z = max(remainder, key=Element.sort_key)
+        z = max(remainder)
         c = remainder[z]
         col[z] = c if (x.length - z.length) % 2 == 0 else -c
         for y, p in table.kl_basis_element(z).terms.items():
@@ -315,7 +312,7 @@ def reference_rouquier_shadow(table: KLTable, x) -> bool:
         signed = LaurentPoly({e: (m if e % 2 == 0 else -m)
                               for e, m in coeffs.items()})
         acc = acc + table.kl_basis_element(y).scaled(signed)
-    return acc == HeckeElt.delta(table.group, x)
+    return acc == HeckeElt.standard(table.group, x)
 
 
 @functools.lru_cache(maxsize=None)
@@ -323,7 +320,7 @@ def reference_bar_delta(group: GroupTable, x) -> HeckeElt:
     """bar(delta_x) = bar(delta_{x'}) (delta_s + v - v^{-1}) along the
     canonical word, in LaurentPoly arithmetic."""
     if not x.word:
-        return HeckeElt.delta(group, x)
+        return HeckeElt.standard(group, x)
     prev = reference_bar_delta(group, group.element(x.word[:-1]))
     return (mult_delta_gen(prev, x.word[-1])
             + prev.scaled(LaurentPoly({1: 1, -1: -1})))
@@ -339,19 +336,19 @@ class ReferenceParabolic:
         self._canonical: dict = {}
         self._inverse: dict = {}
 
-    def bar(self, m: ParabolicElt) -> ParabolicElt:
+    def bar(self, m: HeckeElt) -> HeckeElt:
         ctx = self.context
-        out = ParabolicElt.zero(ctx)
+        out = HeckeElt.zero(ctx)
         for x, p in m.terms.items():
             bar_x = project(reference_bar_delta(ctx.group, x), ctx)
             out = out + bar_x.scaled(p.bar())
         return out
 
-    def canonical(self, x) -> ParabolicElt:
+    def canonical(self, x) -> HeckeElt:
         got = self._canonical.get(x)
         if got is not None:
             return got
-        b = ParabolicElt.standard(self.context, x)
+        b = HeckeElt.standard(self.context, x)
         diff = self.bar(b) - b
         while diff:
             y, a = diff.top_term()
@@ -367,10 +364,10 @@ class ReferenceParabolic:
         got = self._inverse.get(x)
         if got is not None:
             return got
-        remainder = dict(ParabolicElt.standard(self.context, x).terms)
+        remainder = dict(HeckeElt.standard(self.context, x).terms)
         col = {}
         while remainder:
-            z = max(remainder, key=Element.sort_key)
+            z = max(remainder)
             c = remainder[z]
             col[z] = c if (x.length - z.length) % 2 == 0 else -c
             for y, p in self.canonical(z).terms.items():

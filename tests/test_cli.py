@@ -359,6 +359,18 @@ class TestErrorsAndIO:
                              "--out", str(target))
         assert code == 2 and target.read_text() == "old\n"
 
+    @pytest.mark.parametrize("argv,expected", [
+        (["info", "--group", "X9"], 2),
+        (["rouquier", "--group", "Aff-A1", "--cap", "2", "--element",
+          "1,2,1"], 1),
+    ])
+    def test_failed_run_leaves_no_new_out_file(self, capsys, tmp_path, argv,
+                                               expected):
+        target = tmp_path / "new.txt"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert code == expected and out == ""
+        assert not target.exists()
+
     def test_bad_subset_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--name", "spherical",
                                "--group", "A2", "--parabolic", "9")

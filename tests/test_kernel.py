@@ -13,7 +13,9 @@ import pytest
 
 from kllab import kernel
 from kllab.coxeter import GroupTable, parse_coxeter_spec
-from kllab.hecke import InverseColumn, InvariantError, KLTable, bar_delta
+from kllab.hecke import (
+    HeckeElt, InverseColumn, InvariantError, KLTable, bar_element,
+)
 from kllab.kernel import block_terms
 from kllab.laurent import LaurentPoly
 from kllab.verify import scan_monotonicity_classical, scan_monotonicity_inverse
@@ -243,7 +245,7 @@ def test_deep_elements_need_no_recursion():
     try:
         down = group.downset(x)
         b = table.kl_basis_element(x)
-        bar = bar_delta(group, x)
+        bar = bar_element(HeckeElt.standard(group, x))
         col = table.inverse_column(x)
     finally:
         sys.setrecursionlimit(old)

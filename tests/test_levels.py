@@ -120,7 +120,7 @@ def _negative_mu(table: KLTable) -> None:
     z, y, terms = next(
         (z, y, terms) for w, s in map(g.prefix, g) if w.length == 3
         for z in g.downset(w) if g.right[z.index, s] > z.index
-        for terms in [block_terms(g, table.b_block(z))]
+        for terms in [block_terms(g, table.canonical_block(z))]
         for y, h in terms.items()
         if h.coefficient(1) and g.right[y.index, s] < y.index)
     terms[y] = terms[y] + poly({1: -9 - terms[y].coefficient(1)})
@@ -172,14 +172,14 @@ def test_b_fault_in_a_level(monkeypatch):
     z = next(w for w in group if w.length == 3)
 
     def corrupt(table):
-        terms = block_terms(group, KLTable(group).b_block(z))
+        terms = block_terms(group, KLTable(group).canonical_block(z))
         terms[group.identity] = poly({2: -1})
         store_b(table, z, terms)
     lone = KLTable(group)
     corrupt(lone)
     with pytest.raises(InvariantError) as expected:
         for x in group:
-            lone.b_block(x)
+            lone.canonical_block(x)
     failing = next(x for x in group if x.index not in lone._canonical)
     seen = _chunks(monkeypatch, KLTable, "_b_steps")
     table = KLTable(group)

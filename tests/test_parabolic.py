@@ -21,8 +21,7 @@ from kllab.hecke import HeckeElt, bar_element, mult_delta_gen
 from kllab.laurent import LaurentPoly
 from kllab.parabolic import (
     ANTISPHERICAL, SPHERICAL, FlavorMismatchError, ParabolicContext,
-    ParabolicElt, ParabolicKLTable, act_delta_gen, bar_parabolic,
-    check_soergel_identification, project,
+    ParabolicKLTable, act_delta_gen, check_soergel_identification, project,
 )
 from helpers import get_group, get_kl, poly
 
@@ -50,20 +49,20 @@ class TestProjection:
         ctx = ctx_of("A2", {0}, ANTISPHERICAL)
         g = ctx.group
         s2 = g.element((1,))
-        assert project(HeckeElt.delta(g, s2), ctx) == \
-            ParabolicElt.standard(ctx, s2)
+        assert project(HeckeElt.standard(g, s2), ctx) == \
+            HeckeElt.standard(ctx, s2)
 
     def test_subset_generator_antispherical(self):
         ctx = ctx_of("A2", {0}, ANTISPHERICAL)
         g = ctx.group
-        out = project(HeckeElt.delta(g, g.element((0,))), ctx)
-        assert out == ParabolicElt(ctx, {g.identity: poly({1: -1})})
+        out = project(HeckeElt.standard(g, g.element((0,))), ctx)
+        assert out == HeckeElt(ctx, {g.identity: poly({1: -1})})
 
     def test_subset_generator_spherical(self):
         ctx = ctx_of("A2", {0}, SPHERICAL)
         g = ctx.group
-        out = project(HeckeElt.delta(g, g.element((0,))), ctx)
-        assert out == ParabolicElt(ctx, {g.identity: poly({-1: 1})})
+        out = project(HeckeElt.standard(g, g.element((0,))), ctx)
+        assert out == HeckeElt(ctx, {g.identity: poly({-1: 1})})
 
     def test_longer_coset_factor(self):
         # w = s1 s2 s1 = (s1 s2) * s1? no: with I = {1}, w0 = u * x with
@@ -71,8 +70,8 @@ class TestProjection:
         ctx = ctx_of("A2", {0}, ANTISPHERICAL)
         g = ctx.group
         w0 = g.element((0, 1, 0))
-        out = project(HeckeElt.delta(g, w0), ctx)
-        assert out == ParabolicElt(ctx, {g.element((1, 0)): poly({1: -1})})
+        out = project(HeckeElt.standard(g, w0), ctx)
+        assert out == HeckeElt(ctx, {g.element((1, 0)): poly({1: -1})})
 
     def test_coset_decomposition_lengths_add(self):
         for flavor in (SPHERICAL, ANTISPHERICAL):
@@ -87,24 +86,24 @@ class TestAction:
     def test_case_lengthening_inside_quotient(self):
         ctx = ctx_of("A2", {0}, ANTISPHERICAL)
         g = ctx.group
-        out = act_delta_gen(ParabolicElt.standard(ctx, g.identity), 1)
-        assert out == ParabolicElt.standard(ctx, g.element((1,)))
+        out = act_delta_gen(HeckeElt.standard(ctx, g.identity), 1)
+        assert out == HeckeElt.standard(ctx, g.element((1,)))
 
     def test_case_leaving_quotient(self):
         ctx = ctx_of("A2", {0}, ANTISPHERICAL)
         g = ctx.group
-        out = act_delta_gen(ParabolicElt.standard(ctx, g.identity), 0)
-        assert out == ParabolicElt(ctx, {g.identity: poly({1: -1})})
+        out = act_delta_gen(HeckeElt.standard(ctx, g.identity), 0)
+        assert out == HeckeElt(ctx, {g.identity: poly({1: -1})})
         sph = ctx_of("A2", {0}, SPHERICAL)
-        out = act_delta_gen(ParabolicElt.standard(sph, g.identity), 0)
-        assert out == ParabolicElt(sph, {g.identity: poly({-1: 1})})
+        out = act_delta_gen(HeckeElt.standard(sph, g.identity), 0)
+        assert out == HeckeElt(sph, {g.identity: poly({-1: 1})})
 
     def test_case_shortening_inside_quotient(self):
         ctx = ctx_of("A2", {0}, ANTISPHERICAL)
         g = ctx.group
         s2 = g.element((1,))
-        out = act_delta_gen(ParabolicElt.standard(ctx, s2), 1)
-        assert out == ParabolicElt(
+        out = act_delta_gen(HeckeElt.standard(ctx, s2), 1)
+        assert out == HeckeElt(
             ctx, {g.identity: ONE, s2: poly({-1: 1, 1: -1})})
 
     @pytest.mark.parametrize("spec", ["A2", "B2"])
@@ -115,7 +114,7 @@ class TestAction:
             for flavor in (SPHERICAL, ANTISPHERICAL):
                 ctx = ParabolicContext(g, subset, flavor)
                 for w in g:
-                    h = HeckeElt.delta(g, w)
+                    h = HeckeElt.standard(g, w)
                     for s in range(rank):
                         assert project(mult_delta_gen(h, s), ctx) == \
                             act_delta_gen(project(h, ctx), s)
@@ -124,8 +123,8 @@ class TestAction:
 class TestBar:
     def test_bar_fixes_standard_identity(self):
         ctx = ctx_of("A2", {0}, ANTISPHERICAL)
-        m = ParabolicElt.standard(ctx, ctx.group.identity)
-        assert bar_parabolic(m) == m
+        m = HeckeElt.standard(ctx, ctx.group.identity)
+        assert bar_element(m) == m
 
     @settings(max_examples=25, deadline=None)
     @given(st.dictionaries(st.integers(0, 3),
@@ -136,9 +135,9 @@ class TestBar:
     def test_bar_is_involution(self, coeffs, flavor):
         ctx = ctx_of("B2", {0}, flavor)
         reps = ctx.reps
-        m = ParabolicElt(ctx, {reps[i]: LaurentPoly(c)
-                               for i, c in coeffs.items()})
-        assert bar_parabolic(bar_parabolic(m)) == m
+        m = HeckeElt(ctx, {reps[i]: LaurentPoly(c)
+                           for i, c in coeffs.items()})
+        assert bar_element(bar_element(m)) == m
 
     @settings(max_examples=30, deadline=None)
     @given(st.dictionaries(st.integers(0, 23),
@@ -161,19 +160,19 @@ class TestBar:
 
     def test_bar_independent_of_word_route(self):
         # recompute bar(delta_x) along brute-forced alternative reduced
-        # words and project; all routes agree with bar_parabolic
+        # words and project; all routes agree with bar_element
         g = get_group("B2")
         vminus = poly({1: 1, -1: -1})
         for flavor in (SPHERICAL, ANTISPHERICAL):
             ctx = ParabolicContext(g, {1}, flavor)
             for x in ctx.reps:
-                expected = bar_parabolic(ParabolicElt.standard(ctx, x))
+                expected = bar_element(HeckeElt.standard(ctx, x))
                 words = [w for w in itertools.product(range(2),
                                                       repeat=x.length)
                          if g.canonical(w) == x.word]
                 assert words
                 for word in words:
-                    acc = HeckeElt.delta(g, g.identity)
+                    acc = HeckeElt.standard(g, g.identity)
                     for s in word:
                         acc = mult_delta_gen(acc, s) + acc.scaled(vminus)
                     assert project(acc, ctx) == expected
@@ -182,8 +181,8 @@ class TestBar:
         # antispherical A2, I={1}: bar(dI_{s2}) = dI_{s2} + (v - v^{-1}) dI_e
         ctx = ctx_of("A2", {0}, ANTISPHERICAL)
         g = ctx.group
-        out = bar_parabolic(ParabolicElt.standard(ctx, g.element((1,))))
-        assert out == ParabolicElt(
+        out = bar_element(HeckeElt.standard(ctx, g.element((1,))))
+        assert out == HeckeElt(
             ctx, {g.element((1,)): ONE, g.identity: poly({1: 1, -1: -1})})
 
 
@@ -193,18 +192,18 @@ class TestCanonicalBasis:
             tab = ParabolicKLTable(ctx_of("A2", {0}, flavor))
             e = tab.context.group.identity
             assert tab.canonical_basis_element(e) == \
-                ParabolicElt.standard(tab.context, e)
+                HeckeElt.standard(tab.context, e)
 
     def test_a2_hand_values(self):
         g = get_group("A2")
         s2, s21 = g.element((1,)), g.element((1, 0))
         anti = ParabolicKLTable(ParabolicContext(g, {0}, ANTISPHERICAL))
-        assert anti.canonical_basis_element(s2) == ParabolicElt(
+        assert anti.canonical_basis_element(s2) == HeckeElt(
             anti.context, {s2: ONE, g.identity: V})
-        assert anti.canonical_basis_element(s21) == ParabolicElt(
+        assert anti.canonical_basis_element(s21) == HeckeElt(
             anti.context, {s21: ONE, s2: V})
         sph = ParabolicKLTable(ParabolicContext(g, {0}, SPHERICAL))
-        assert sph.canonical_basis_element(s21) == ParabolicElt(
+        assert sph.canonical_basis_element(s21) == HeckeElt(
             sph.context, {s21: ONE, s2: V, g.identity: poly({2: 1})})
 
     @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3"])
@@ -215,7 +214,7 @@ class TestCanonicalBasis:
                 tab = ParabolicKLTable(ParabolicContext(g, subset, flavor))
                 for x in tab.context.reps:
                     d = tab.canonical_basis_element(x)
-                    assert bar_parabolic(d) == d
+                    assert bar_element(d) == d
                     assert d.coefficient(x) == ONE
                     for y, p in d.terms.items():
                         if y != x:
@@ -327,7 +326,7 @@ class TestContextValidation:
     def test_standard_requires_representative(self):
         ctx = ctx_of("A2", {0}, ANTISPHERICAL)
         with pytest.raises(ValueError):
-            ParabolicElt.standard(ctx, ctx.group.element((0,)))
+            HeckeElt.standard(ctx, ctx.group.element((0,)))
 
     def test_table_requires_representative(self):
         tab = ParabolicKLTable(ctx_of("A2", {0}, ANTISPHERICAL))

@@ -25,7 +25,7 @@ from kllab.parabolic import (
     ANTISPHERICAL, SPHERICAL, ParabolicContext, ParabolicKLTable,
 )
 from kllab.verify import (
-    rouquier_multiplicities, rouquier_shadow_ok, run_identity_suite,
+    rouquier_multiplicities, rouquier_shadows, run_identity_suite,
     scan_monotonicity_antispherical, scan_monotonicity_classical,
     scan_monotonicity_inverse, scan_monotonicity_spherical,
 )
@@ -38,7 +38,7 @@ from test_kernel import relabelled_matrix_file
 
 def assert_shadow_matches_reference(table: KLTable) -> None:
     for x in table.group:
-        assert rouquier_shadow_ok(table, x), x
+        assert next(rouquier_shadows(table, [x])), x
         assert reference_rouquier_shadow(table, x), x
 
 
@@ -87,7 +87,7 @@ class TestShadowFaults:
     def test_wrong_coefficient_is_false(self):
         _with_entries(self.table, self.x, [((0, 2), 3, 3)])
         assert not reference_rouquier_shadow(self.table, self.x)
-        assert not rouquier_shadow_ok(self.table, self.x)
+        assert not next(rouquier_shadows(self.table, [self.x]))
 
     @pytest.mark.parametrize("edits,message", [
         ([((0, 2), 2, 1)],
@@ -104,7 +104,8 @@ class TestShadowFaults:
     ])
     def test_bad_terms_raise_the_old_messages(self, edits, message):
         _with_entries(self.table, self.x, edits)
-        for check in (reference_rouquier_shadow, rouquier_shadow_ok,
+        for check in (reference_rouquier_shadow,
+                      lambda t, x: next(rouquier_shadows(t, [x])),
                       rouquier_multiplicities):
             assert _raised(check, self.table, self.x) == message
 
@@ -125,7 +126,7 @@ def test_shadow_exact_fallback_under_a_small_limit(monkeypatch):
     assert np.dtype(object) in seen and np.dtype(np.int64) in seen
     x = table.group.element(TestShadowFaults.word)
     _with_entries(table, x, [((0, 2), 3, 3)])
-    assert not rouquier_shadow_ok(table, x)
+    assert not next(rouquier_shadows(table, [x]))
 
 
 def test_suite_column_checks_report_failing_rows(monkeypatch):
