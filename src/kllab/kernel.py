@@ -15,8 +15,10 @@ on it take a chunk of columns at a time (``batched``):
 
 - ``bar_invariant_blocks``: canonical elements from the blocks of
   bar(m_z), one length level of every column of the chunk per step;
-- ``kronecker_failures``: the inversion identity of whole columns;
-- ``block_sums``: any other sum of blocks.
+- ``alternating_failures``: the inversion identity of whole columns in
+  either orientation, canonical blocks over inverse columns (the
+  Kronecker sums) or inverse columns over canonical blocks (the Rouquier
+  shadow).
 
 A chunk of columns and a scatter piece hold about ``CELL_BUDGET`` cells;
 an error in a chunk is raised as the first failing column raises it
@@ -153,11 +155,14 @@ def block_terms(group: GroupTable, block) -> dict[Element, LaurentPoly]:
     return {elements[y]: LaurentPoly(p) for y, p in polys.items()}
 
 
-def block_row(block: Block, y: int) -> LaurentPoly:
-    """The coefficient of the element with id y, decoded."""
+def block_row(block, y: int) -> LaurentPoly:
+    """The coefficient of the element with id y in a ``Block`` or an
+    ``InverseColumn``, decoded."""
     pos = int(np.searchsorted(block.rows, y))
     if pos == len(block.rows) or block.rows[pos] != y:
         return _ZERO
+    if isinstance(block, InverseColumn):
+        return row_poly(block.coeffs[pos])
     lo, hi = np.searchsorted(block.at, [pos, pos + 1]).tolist()
     return LaurentPoly(zip(block.exps[lo:hi].tolist(),
                            block.values[lo:hi].tolist()))
@@ -276,22 +281,6 @@ def add_blocks(acc: np.ndarray, locate, slot: np.ndarray, block: np.ndarray,
 def exact_total(amounts: np.ndarray) -> int:
     """The sum of ``amounts`` as an exact Python int."""
     return sum(amounts.tolist())
-
-
-def block_sums(xs: list[Element], ids, width: int, slot: np.ndarray,
-               block: np.ndarray, shift: np.ndarray, coef: np.ndarray,
-               blocks: list, norms: list[int], fault) -> list[np.ndarray]:
-    """For each x of ``xs``, the dense sum of ``add_blocks`` over the rows
-    ``ids`` of its column and ``width`` exponent columns.  The chunk is
-    summed in int64 when the total of |coef| * norms[block] over all its
-    entries stays below INT64_LIMIT, and in exact ints otherwise."""
-    dtype = object if exact_total(np.abs(coef) * np.array(
-        norms, dtype=object)[block]) >= INT64_LIMIT else np.int64
-    batch = Batch(xs, ids)
-    acc = np.zeros((len(batch.ids), width), dtype=dtype)
-    add_blocks(acc, batch.locate, slot, block, shift, coef.astype(dtype),
-               blocks, fault)
-    return batch.split(acc)
 
 
 def chunks(xs, cost: Callable[[Element], int]) -> list[list[Element]]:
@@ -424,47 +413,55 @@ def bar_invariant_blocks(group: GroupTable, xs, ids_of, bar_of):
                          np.int64)))
 
 
-def kronecker_failures(group: GroupTable, xs: list[Element], ids, blocks,
-                       columns_of: Callable[[list], list[InverseColumn]]
-                       ) -> list[frozenset[int]]:
+def alternating_failures(group: GroupTable, xs: list[Element], ids, outer,
+                         inner_of: Callable[[list], list], stray: str
+                         ) -> list[frozenset[int]]:
     """For each x of a chunk, the ids y among ``ids`` (the rows of its
     column) at which
 
-        sum_z (-1)^{l(z)-l(y)} h^{y,z} h_{z,x}
+        sum_z (-1)^{l(z)} c v^e (inner column of z)
 
-    differs from [y = x], h_{z,x} read from ``blocks`` (the
-    canonical element of x) and h^{y,z} from ``columns_of(zs)``: one
-    batched sum per chunk, whose bound is the total over its columns of
-    sum |h_{z,x}| max|h^{.,z}|.
+    over the terms c v^e, in row z, of ``outer`` (the outer column of x)
+    differs from (-1)^{l(x)} [y = x]: one batched sum per chunk.  The
+    inner columns ``inner_of(zs)`` are blocks or inverse columns, and the
+    bound of the chunk is the total of |c| times the row norm of a block
+    or the largest entry of an inverse column.  A term outside the window
+    [0, l(x) - l(z)] raises, and so does a term of an inner column off
+    the rows of x (``stray.format(z, x)``) or off the exponents [0, l(x)],
+    whichever columns share the chunk.
     """
-    elements = group.elements
-    slot, z, e, values = stack_terms(blocks)
+    elements, lengths = group.elements, group.lengths
+    slot, z, e, values = stack_terms(outer)
     zs, which = np.unique(z, return_inverse=True)
-    cols = columns_of([elements[y] for y in zs.tolist()])
-    width = max(x.length for x in xs) + 1
-    window = np.array([x.length for x in xs])[slot] + 1 - np.array(
-        [col.coeffs.shape[1] for col in cols])[which]
+    inner = inner_of([elements[y] for y in zs.tolist()])
+    norm = np.array([b.row_norm if isinstance(b, Block) else
+                     max_abs(b.coeffs) for b in inner], dtype=object)
+    reach = np.array([b.exps.max(initial=0) if isinstance(b, Block) else
+                      b.coeffs.shape[1] - 1 for b in inner], np.intp)
+    tops = np.array([x.length for x in xs])
+    window = tops[slot] - lengths[z]
     outside = (e < 0) | (e > window)
+    coef = values * (1 - 2 * (lengths[z] % 2))
+    dtype = object if exact_total(
+        np.abs(coef) * norm[which]) >= INT64_LIMIT else np.int64
 
     def fault(k):
-        x, y = xs[slot[k]], elements[z[k]]
-        if outside[k] and np.isin(cols[which[k]].terms()[0],
+        x, zk = xs[slot[k]], elements[z[k]]
+        if outside[k] and np.isin(inner[which[k]].terms()[0],
                                   ids[slot[k]]).all():
-            return (f"coefficient of {y!r} at {x!r} has a term outside the "
+            return (f"coefficient of {zk!r} at {x!r} has a term outside the "
                     f"window [0, {window[k]}]")
-        return (f"the inverse column of {y!r} has a row outside the rows "
-                f"of {x!r}")
-    # a term outside the window is sent off the array, where add_blocks
-    # reports it in entry order after any stray row of an earlier column
-    sums = block_sums(
-        xs, ids, width, slot, which, np.where(outside, -width, e),
-        values * (1 - 2 * (group.lengths[z] % 2)), cols,
-        [max_abs(c.coeffs) for c in cols], fault)
-    failures = []
-    for x, rows, acc in zip(xs, ids, sums):
-        acc[-1, 0] -= 1 - 2 * (x.length % 2)     # the row of x is signed
-        failures.append(frozenset(rows[acc.any(axis=1)].tolist()))
-    return failures
+        return stray.format(zk, x)
+    batch, width = Batch(xs, ids), int(tops.max()) + 1
+    acc = np.zeros((len(batch.ids), width), dtype=dtype)
+    # a term off its window or reaching past l(x) is sent off the array,
+    # where add_blocks reports it in entry order after earlier stray rows
+    add_blocks(acc, batch.locate, slot, which, np.where(
+        outside | (e + reach[which] > tops[slot]), -width, e),
+        coef.astype(dtype), inner, fault)
+    acc[batch.top, 0] -= (1 - 2 * (tops % 2)).astype(dtype)  # (-1)^{l(x)}
+    return [frozenset(rows[a.any(axis=1)].tolist())
+            for rows, a in zip(ids, batch.split(acc))]
 
 
 SPHERICAL = "spherical"
@@ -687,11 +684,7 @@ class ColumnTable:
 
     def inverse_kl_poly(self, y: Element, x: Element) -> LaurentPoly:
         """The inverse polynomial at (y, x); zero unless y <= x."""
-        col = self.inverse_column(x)
-        pos = int(np.searchsorted(col.rows, y.index))
-        if pos == len(col.rows) or col.rows[pos] != y.index:
-            return _ZERO
-        return row_poly(col.coeffs[pos])
+        return block_row(self.inverse_column(x), y.index)
 
     def inversion_failures(self, xs):
         """For each x of ``xs`` in order, the ids y of its column where
@@ -703,9 +696,11 @@ class ColumnTable:
         first query and kept.
         """
         def run(chunk):
-            return kronecker_failures(
+            return alternating_failures(
                 self.group, chunk, [self.column_ids(x) for x in chunk],
-                self.canonical_blocks(chunk), self.inverse_columns)
+                self.canonical_blocks(chunk), self.inverse_columns,
+                "the inverse column of {0!r} has a row outside the rows of "
+                "{1!r}")
         todo = batched([x for x in dict.fromkeys(xs)
                         if x.index not in self._kronecker],
                        self.column_ids, lambda x: x.length + 1, run)

@@ -48,7 +48,7 @@ from .coxeter import (
 )
 from .hecke import InvariantError, KLTable
 from .kernel import (
-    batched, block_sums, block_terms, chunks, row_poly,
+    Batch, batched, block_terms, chunks, row_poly, stack_terms,
 )
 from .laurent import LaurentPoly
 from .parabolic import (
@@ -62,8 +62,7 @@ class CapRequiredError(ValueError):
     given is negative."""
 
 
-def build_group(spec: str, cap: int | None = None,
-                max_elements: int | None = None) -> GroupTable:
+def build_group(spec: str, cap: int | None = None) -> GroupTable:
     """Group table from a spec string, demanding a cap for infinite groups."""
     if cap is not None and cap < 0:
         raise CapRequiredError(f"length cap must be >= 0, got {cap}")
@@ -71,7 +70,7 @@ def build_group(spec: str, cap: int | None = None,
     if cap is None and not matrix.is_finite():
         raise CapRequiredError(
             f"group {spec!r} is infinite: a length cap is required")
-    return GroupTable(matrix, cap, max_elements)
+    return GroupTable(matrix, cap)
 
 
 # ----------------------------------------------------------------------
@@ -187,26 +186,28 @@ def scan_monotonicity_classical(table: KLTable
                                 ) -> tuple[int, ViolationRecord]:
     """All triples violating classical monotonicity of h_{y,x}.
 
-    The triple kernel over b_x made dense on downset(x) for a run of xs
-    by one block sum, row z shifted up by l(z), so that v^{l(y)-l(z)}
-    h_{y,x} lines up with h_{z,x}; a term of b_x at a negative exponent
-    or past the dense width raises InvariantError.
+    The triple kernel over b_x made dense on downset(x) for a run of xs,
+    in the blocks' own dtype: each term of b_x is written to its one cell,
+    row z at slot e + l(z), so that v^{l(y)-l(z)} h_{y,x} lines up with
+    h_{z,x}.  A term at e < 0, off downset(x) or with e + l(z) > l(x)
+    raises InvariantError.
     """
     table.build_all()
     group = table.group
 
     def dense(chunk):
-        blocks = [table.canonical_block(x) for x in chunk]
-        k = np.arange(len(chunk))
-        # a negative exponent is sent off the store, where it raises
-        return np.concatenate(block_sums(
-            chunk, [group.downset_ids(x) for x in chunk],
-            chunk[-1].length + 1, k, k, 0 * k, 1 + 0 * k, [b._replace(
-                exps=np.where(b.exps < 0, -1, b.exps + group.lengths[
-                    b.rows[b.at]])) for b in blocks],
-            [b.row_norm for b in blocks], lambda j: (
-                f"the block of {chunk[j]!r} has a term outside the rows of "
-                f"{chunk[j]!r}")))
+        batch = Batch(chunk, [group.downset_ids(x) for x in chunk])
+        slot, z, e, values = stack_terms(table.canonical_blocks(chunk))
+        pos, at = batch.locate(slot, z), e + group.lengths[z]
+        off = (pos < 0) | (e < 0) | (at > np.array(
+            [x.length for x in chunk])[slot])
+        if off.any():
+            x = chunk[slot[off.argmax()]]
+            raise InvariantError(f"the block of {x!r} has a term outside "
+                                 f"the rows of {x!r}")
+        store = np.zeros((len(batch.ids), chunk[-1].length + 1), values.dtype)
+        store[pos, at] = values
+        return store
     return _scan_triples(group, list(group), [
         group.downset_ids(x) for x in group], dense=dense)
 
@@ -435,32 +436,23 @@ def rouquier_shadows(table: KLTable, xs):
     """Grothendieck check for each x of ``xs`` in order: whether the
     alternating sum re-expands to delta_x.
 
-    Checks the multiplicities as ``rouquier_multiplicities`` does, then
-    sums (-1)^i m^i_y v^i b_y over the blocks of b_y into one dense array
-    over downset(x) and compares it with the standard basis element, as
-    one batched sum of blocks per chunk.
+    Checks the multiplicities as ``rouquier_multiplicities`` does.  With
+    the parities right, (-1)^i = (-1)^{l(x)-l(y)} for each m^i_y, so the
+    alternating sum of the m^i_y v^i b_y is delta_x exactly when the
+    inversion identity holds the other way round: one
+    ``kernel.alternating_failures`` pass per chunk, the inverse column of
+    x over the blocks of b_y.
     """
     group = table.group
-    elements = group.elements
 
     def run(chunk):
-        cols = [table.inverse_column(x) for x in chunk]
-        parts = [col.terms() for col in cols]
-        for x, part in zip(chunk, parts):
-            _check_multiplicities(x, *part)
-        ys, exps, mults = (np.concatenate(p) for p in zip(*parts))
-        slot = np.repeat(np.arange(len(chunk)), [len(p[0]) for p in parts])
-        zs, which = np.unique(ys, return_inverse=True)
-        lower = [table.canonical_block(elements[y]) for y in zs.tolist()]
-        sums = block_sums(
-            chunk, [col.rows for col in cols],
-            max(x.length for x in chunk) + 1, slot, which, exps,
-            mults * (1 - 2 * (exps % 2)), lower, [b.row_norm for b in lower],
-            lambda k: f"the block of {elements[ys[k]]!r} has a term "
-                      f"outside the rows of {chunk[slot[k]]!r}")
-        for acc in sums:
-            acc[-1, 0] -= 1
-        return [not acc.any() for acc in sums]
+        cols = table.inverse_columns(chunk)
+        for x, col in zip(chunk, cols):
+            _check_multiplicities(x, *col.terms())
+        return [not failing for failing in kernel.alternating_failures(
+            group, chunk, [col.rows for col in cols], cols,
+            table.canonical_blocks,
+            "the block of {0!r} has a term outside the rows of {1!r}")]
     return (ok for _, ok in batched(xs, group.downset_ids,
                                     lambda x: x.length + 1, run))
 
@@ -576,7 +568,6 @@ def scan_into(res: CheckResult, scanner, table) -> None:
 
 
 def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
-                       max_elements: int | None = None,
                        group: GroupTable | None = None) -> SuiteReport:
     """Run every identity check and every scan over one group.
 
@@ -586,7 +577,7 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
     internal error is captured as a failed check rather than propagating.
     """
     if group is None:
-        group = build_group(spec, cap, max_elements)
+        group = build_group(spec, cap)
     table = KLTable(group)
     table.build_all()
     # the regular module is the quotient with I empty, whose table solves

@@ -97,22 +97,50 @@ def _replace_column(table, x, rows, coeffs) -> None:
     table._inv_cols[x.index] = InverseColumn(rows, coeffs)
 
 
-@pytest.mark.parametrize("value", [1000, -1000])
-def test_int16_column_among_int8_columns(value):
-    """One int16 column among int8 ones: the store takes int16, so a
-    coefficient out of the int8 range is compared and decoded whole."""
-    group = get_group("B3")
-    table = KLTable(group)
-    table.build_all()
-    x = group.element((0, 1, 2))
+def _int16_column(table, x, value):
+    """The v^1 entry of the identity's row in the column of x set to
+    ``value``."""
     col = table.inverse_column(x)
     coeffs = col.coeffs.astype(np.int16)
     coeffs[0, 1] = value
     _replace_column(table, x, col.rows, coeffs)
-    assert {table.inverse_column(w).coeffs.dtype for w in group} == {
+    return [table.inverse_column(w).coeffs.dtype for w in table.group]
+
+
+def _int16_block(table, x, value):
+    """h_{1,x} = v^2 of x = 1,2,3 set to ``value`` v^2."""
+    block = table.canonical_block(x)
+    values = block.values.astype(np.int16)
+    values[block.rows[block.at] == table.group.element((0,)).index] = value
+    table._canonical[x.index] = block._replace(values=values)
+    return [table.canonical_block(w).values.dtype for w in table.group]
+
+
+INT16_INPUTS = {
+    "inverse": (_int16_column, scan_monotonicity_inverse,
+                reference_scan_inverse),
+    "classical": (_int16_block, scan_monotonicity_classical,
+                  reference_scan_classical),
+}
+
+
+@pytest.mark.parametrize("value,family", [
+    (1000, "inverse"), (-1000, "inverse"),
+    (1000, "classical"), (-1000, "classical"),
+], ids=["1000", "-1000", "classical:1000", "classical:-1000"])
+def test_int16_column_among_int8_columns(value, family):
+    """One int16 column (an inverse column, or the block of b_x) among
+    int8 ones: the store takes int16, so a coefficient out of the int8
+    range is compared and decoded whole."""
+    store, scan, reference = INT16_INPUTS[family]
+    group = get_group("B3")
+    table = KLTable(group)
+    table.build_all()
+    x = group.element((0, 1, 2))
+    assert set(store(table, x, value)) == {
         np.dtype(np.int8), np.dtype(np.int16)}
-    got = scan_monotonicity_inverse(table)
-    assert_violations_match(got, reference_scan_inverse(table))
+    got = scan(table)
+    assert_violations_match(got, reference(table))
     assert any(value in [c for side in (v.lhs, v.rhs) for _, c in side.items()]
                for v in got[1])
 
@@ -160,6 +188,27 @@ def test_classical_scan_raises_on_a_negative_exponent():
     x = group.element((0, 1, 2))
     terms = dict(table.kl_basis_element(x).terms)
     terms[group.element((1,))] = terms[group.element((1,))] + poly({-1: 1})
+    store_b(table, x, terms)
+    with pytest.raises(InvariantError) as info:
+        scan_monotonicity_classical(table)
+    assert str(info.value) == (f"the block of {x!r} has a term outside the "
+                               f"rows of {x!r}")
+
+
+@pytest.mark.parametrize("budget", ["default", "minimum"])
+def test_classical_scan_raises_above_the_degree_bound(monkeypatch, budget):
+    """v^3 added to h_{2,x}, x = 1,2,3, whose degree bound is
+    l(x) - l(2) = 2: the term lies past slot l(x) of the column of x, and
+    the scan raises whether or not x shares its store with longer
+    columns."""
+    if budget == "minimum":
+        monkeypatch.setattr(kernel, "CELL_BUDGET", 1)
+    group = get_group("B3")
+    table = KLTable(group)
+    table.build_all()
+    x = group.element((0, 1, 2))
+    terms = dict(table.kl_basis_element(x).terms)
+    terms[group.element((1,))] = terms[group.element((1,))] + poly({3: 1})
     store_b(table, x, terms)
     with pytest.raises(InvariantError) as info:
         scan_monotonicity_classical(table)

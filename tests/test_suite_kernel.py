@@ -110,18 +110,50 @@ class TestShadowFaults:
             assert _raised(check, self.table, self.x) == message
 
 
+    def _raise_alike(self, x, expected, xs=None) -> None:
+        """A lone request for x and one for ``xs`` (the whole group by
+        default), where x shares a chunk with longer columns, raise
+        ``expected``."""
+        assert _raised(lambda t, x: next(rouquier_shadows(t, [x])),
+                       self.table, x) == expected
+        assert _raised(lambda t, x: list(rouquier_shadows(t, xs or t.group)),
+                       self.table, x) == expected
+
+    def test_term_outside_the_window_raises_in_any_chunk(self):
+        """v^5 at y = 1,3 has the right parity and sign but lies outside
+        [0, l(x) - l(y)] = [0, 3]."""
+        self.table.build_all()
+        _with_entries(self.table, self.x, [((0, 2), 5, 1)])
+        self._raise_alike(self.x, "coefficient of <1,3> at <1,2,3,2,1> has "
+                                  "a term outside the window [0, 3]")
+
+    def test_block_term_past_the_column_raises_in_any_chunk(self):
+        """v^3 added to the identity's row of b_z, z = 1,3: in the column
+        of z the term reaches v^3, past l(z) = 2.  The column shares its
+        chunk with that of 2,3,2,3, which is not above z."""
+        self.table.build_all()
+        g = self.table.group
+        z = g.element((0, 2))
+        terms = dict(self.table.kl_basis_element(z).terms)
+        terms[g.identity] = terms[g.identity] + poly({3: 1})
+        store_b(self.table, z, terms)
+        self._raise_alike(z, "the block of <1,3> has a term outside the "
+                             "rows of <1,3>", [z, g.element((1, 2, 1, 2))])
+
+
 def test_shadow_exact_fallback_under_a_small_limit(monkeypatch):
     """With the int64 limit at 8 the shadow sums of long elements run in
     exact ints and give the same answers."""
     monkeypatch.setattr(kernel, "INT64_LIMIT", 8)
     seen = []
-
-    def spy(*args, _sums=verify.block_sums):
-        sums = _sums(*args)
-        seen.extend(acc.dtype for acc in sums)
-        return sums
-    monkeypatch.setattr(verify, "block_sums", spy)
     table = KLTable(GroupTable(get_group("B3").matrix))
+    table.build_all()
+
+    def spy(acc, *args, _add=kernel.add_blocks):
+        seen.append(acc.dtype)
+        return _add(acc, *args)
+    # the tables are built, so the shadow sums are the scatter's callers
+    monkeypatch.setattr(kernel, "add_blocks", spy)
     assert_shadow_matches_reference(table)
     assert np.dtype(object) in seen and np.dtype(np.int64) in seen
     x = table.group.element(TestShadowFaults.word)
@@ -302,11 +334,13 @@ def _builders(monkeypatch) -> list:
         tables.append(("steps", self))
         return _steps(self, *args)
 
-    def sums(*args, _sums=kernel.kronecker_failures):
-        tables.append(("sums", args[-1].__self__))
+    def sums(*args, _sums=kernel.alternating_failures):
+        inner_of = args[4]      # inverse columns: a Kronecker sum
+        if inner_of.__func__ is kernel.ColumnTable.inverse_columns:
+            tables.append(("sums", inner_of.__self__))
         return _sums(*args)
     monkeypatch.setattr(kernel.ColumnTable, "_inverse_steps", steps)
-    monkeypatch.setattr(kernel, "kronecker_failures", sums)
+    monkeypatch.setattr(kernel, "alternating_failures", sums)
     return tables
 
 
