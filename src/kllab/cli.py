@@ -214,8 +214,11 @@ def _emit_table(args, out: _Output, command: str, entries,
 def _column_entries(table, inverse: bool, fmt: str):
     """The entries of the nonzero rows y of the canonical or the inverse
     column of each basis element x of the table, in the form ``fmt``
-    prints."""
+    prints, each table built whole before the output streams."""
     group = table.group
+    table.canonical_blocks(table.basis)
+    if inverse:
+        table.inverse_columns(table.basis)
     column = table.inverse_column if inverse else table.canonical_block
     if fmt == "json":
         rows = [r[np.diff(r, prepend=-1) != 0]    # terms() come by row
@@ -235,10 +238,6 @@ def _column_entries(table, inverse: bool, fmt: str):
 def _cmd_kl(args, out: _Output, inverse: bool) -> int:
     group = build_group(args.group, args.cap)
     table = KLTable(group)
-    if inverse:     # every table is computed before the output streams
-        table.build_all()
-    else:
-        table.canonical_blocks(group)
     if not inverse and args.mu:
         return _cmd_mu(args, out, table)
     return _emit_table(args, out, "invkl" if inverse else "kl",
@@ -247,6 +246,7 @@ def _cmd_kl(args, out: _Output, inverse: bool) -> int:
 
 def _cmd_mu(args, out: _Output, table: KLTable) -> int:
     group = table.group
+    table.canonical_blocks(group)
 
     def mus():
         for x in group:
@@ -284,7 +284,6 @@ def _cmd_parabolic(args, out: _Output) -> int:
     group = build_group(args.group, args.cap)
     subset = _subset_parse(args.parabolic, group.matrix.rank)
     table = ParabolicKLTable(ParabolicContext(group, subset, args.flavor))
-    table.build_all()
     subset_text = _subset_text(subset)
     return _emit_table(
         args, out, f"parabolic-{args.family}",

@@ -484,7 +484,6 @@ class ParabolicContext:
         # scalar by which delta_t (t in I) acts on the rank-1 module
         self.scalar = (LaurentPoly.v(-1) if flavor == SPHERICAL
                        else LaurentPoly.v(1, -1))
-        self._down_ids: dict[int, np.ndarray] = {}
 
     def is_rep(self, x: Element) -> bool:
         return bool(self.rep_mask[x.index])
@@ -500,15 +499,10 @@ class ParabolicContext:
         return group.elements[i], k
 
     def downset_ids(self, x: Element) -> np.ndarray:
-        """The ids of the representatives y <= x, ascending; memoized, and
-        with I empty the group's own arrays."""
-        if not self.subset:
-            return self.group.downset_ids(x)
-        got = self._down_ids.get(x.index)
-        if got is None:
-            ids = self.group.downset_ids(x)
-            got = self._down_ids[x.index] = ids[self.rep_mask[ids]]
-        return got
+        """The ids of the representatives y <= x, ascending: with I empty
+        the group's own array, else filtered from it on each call."""
+        ids = self.group.downset_ids(x)
+        return ids[self.rep_mask[ids]] if self.subset else ids
 
 
 class ColumnTable:

@@ -23,9 +23,10 @@ pair of rows of an aligned coefficient store, compared slot by slot, in
 pieces of about ``CELL_BUDGET`` cells.  Triples go by x in id order
 (length, then ShortLex), then y, then z, so reports are deterministic and
 diffable.  The scans run in one thread: a thread pool made them slower.
-A scan returns its violations as a ``ViolationRecord``: integer arrays,
-a few bytes per failing triple, from which a ``Violation`` is built and
-decoded only when it is read, so a spherical scan may find millions of
+A scan returns its violations as a ``ViolationRecord``: the ids of each
+failing triple and its witness exponent, a few bytes each, whose two
+sides are read from the family's tables by the inequality above only
+when a ``Violation`` is built, so a spherical scan may find millions of
 violations while a text report renders 20 per check and JSON streams.
 ``scan_into`` fills a scan check for ``kllab scan`` and the suite alike,
 and the suite's four row checks are one helper over ``terms()`` arrays.
@@ -108,12 +109,11 @@ class ViolationRecord(Sequence):
     """The violations of a scan, in scan order, held as integer arrays.
 
     Each part is (arrays, sides).  The arrays give, per violation, the
-    ids of z, y and x, the witness exponent and the two side rows (lo
-    row, hi row, gap), each in the narrowest dtype that holds it;
-    ``sides(y, x, gap)`` gives the blocks (lower, upper) the rows are
-    read from.  An item is a ``Violation`` of v^gap (row lo of lower) and
-    row hi of upper, built when it is read and not kept, so the record is
-    read-only and a report that renders 20 violations builds 20.
+    ids of z, y and x and the witness exponent, each in the narrowest
+    dtype that holds it; ``sides(z, y, x)`` gives its (lhs, rhs), read
+    from the tables the scan compared.  An item is a ``Violation``, built
+    when it is read and not kept, so the record is read-only and a report
+    that renders 20 violations builds 20.
     """
 
     def __init__(self, elements=(), parts=()):
@@ -149,12 +149,10 @@ class ViolationRecord(Sequence):
 
     __hash__ = None
 
-    def _build(self, sides, z, y, x, exp, lo, hi, gap) -> Violation:
+    def _build(self, sides, z, y, x, exp) -> Violation:
         elements = self._elements
-        lower, upper = sides(y, x, gap)
         return Violation(elements[z], elements[y], elements[x],
-                         row_poly(lower[lo]).shift(gap), row_poly(upper[hi]),
-                         exp)
+                         *sides(z, y, x), exp)
 
     def has_triple(self, z: Element, y: Element, x: Element) -> bool:
         """Whether (z, y, x) is a violation, read off the id arrays."""
@@ -190,10 +188,11 @@ def scan_monotonicity_classical(table: KLTable
     in the blocks' own dtype: each term of b_x is written to its one cell,
     row z at slot e + l(z), so that v^{l(y)-l(z)} h_{y,x} lines up with
     h_{z,x}.  A term at e < 0, off downset(x) or with e + l(z) > l(x)
-    raises InvariantError.
+    raises InvariantError.  Only the b blocks are built, all of them
+    first; a violation reads its two sides from them.
     """
-    table.build_all()
-    group = table.group
+    group, el = table.group, table.group.elements
+    table.canonical_blocks(group)
 
     def dense(chunk):
         batch = Batch(chunk, [group.downset_ids(x) for x in chunk])
@@ -209,10 +208,12 @@ def scan_monotonicity_classical(table: KLTable
         store[pos, at] = values
         return store
     return _scan_triples(group, list(group), [
-        group.downset_ids(x) for x in group], dense=dense)
+        group.downset_ids(x) for x in group], lambda z, y, x: (
+            table.kl_poly(el[y], el[x]).shift(el[y].length - el[z].length),
+            table.kl_poly(el[z], el[x])), dense=dense)
 
 
-def _scan_triples(group, xs, rows, coeffs=None, dense=None):
+def _scan_triples(group, xs, rows, sides, coeffs=None, dense=None):
     """(count, ViolationRecord) of a monotonicity scan: the triple kernel.
 
     The triples are (x, y, z), x in ``xs``, y in the sorted ``rows`` of x
@@ -225,8 +226,9 @@ def _scan_triples(group, xs, rows, coeffs=None, dense=None):
     of xs keep their pair arrays and position table, and pieces of their
     triples their index arrays and rows, within about CELL_BUDGET cells.
     A z that is no row of x raises InvariantError.  The violations of a
-    run of xs become one part of the record: rows of the columns of y and
-    x, or of the run's store, whose row z is read from slot l(z).
+    run of xs become one part of the record: the ids of z, y and x and
+    the witness, the first failing slot less the slot of exponent 0, with
+    ``sides(z, y, x)`` to read the two sides of the family's inequality.
     """
     elements, lengths = group.elements, group.lengths
     size = np.array([len(r) for r in rows])
@@ -241,10 +243,6 @@ def _scan_triples(group, xs, rows, coeffs=None, dense=None):
                          np.result_type(*[c.dtype for c in coeffs]))
         for c, f, w in zip(coeffs, first.tolist(), widths.tolist()):
             store[f:f + len(c), store.shape[1] - w:] = c
-        shift = store.shape[1] - widths
-
-        def sides(y, x, gap):
-            return coeffs[index[y]], coeffs[index[x]]
     count, parts = 0, []
     for chunk in chunks(xs, lambda x: size[index[x.index]] * (
             32 + (0 if dense is None else x.length + 1)) + x.index + 2):
@@ -288,18 +286,10 @@ def _scan_triples(group, xs, rows, coeffs=None, dense=None):
             t, slots, q = t[new], slots[new], np.searchsorted(
                 start, t0 + t[new], side="right") - 1
             z, y, x = z[t], ys[q], xid[slot[q]]
-            if dense is None:       # rows of the columns of y and x
-                yp, xp = index[y], c0 + slot[q]
-                zero = shift[xp]
-                found.append((z, y, x, slots - zero, lo[t] - first[yp],
-                              hi[t] - first[xp], shift[yp] - zero))
-            else:                   # rows of the store, row z from slot l(z)
-                zero = lengths[z]
-                found.append((z, y, x, slots - zero, lo[t], hi[t], -zero))
+            zero = (store.shape[1] - 1 - lengths[x] if dense is None
+                    else lengths[z])
+            found.append((z, y, x, slots - zero))
         if found:
-            if dense is not None:
-                def sides(y, x, gap, store=store):
-                    return store, store[:, -gap:]
             parts.append((tuple(_narrow(np.concatenate(a))
                                 for a in zip(*found)), sides))
     return count, ViolationRecord(elements, parts)
@@ -307,16 +297,23 @@ def _scan_triples(group, xs, rows, coeffs=None, dense=None):
 
 def _scan_parabolic(table, flavor: str) -> tuple[int, ViolationRecord]:
     """The triple kernel over the inverse columns of the whole basis of a
-    table of the flavor's module, built first."""
+    table of the flavor's module, built first.  A violation reads row z
+    of the columns of y and x, the first shifted by l(x) - l(y); the
+    kernel has checked that z is a row of both."""
     ctx = table.context
     if ctx.flavor != flavor and ctx.subset:     # I empty: one module
         raise FlavorMismatchError(
             f"scan needs a {flavor} table, got {ctx.flavor}")
     table.build_all()
-    xs = list(table.basis)
-    cols = [table.inverse_column(x) for x in xs]
-    return _scan_triples(table.group, xs, [col.rows for col in cols],
-                         [col.coeffs for col in cols])
+    el = table.group.elements
+    col = {x.index: table.inverse_column(x) for x in table.basis}
+
+    def row(z, c):
+        return row_poly(c.coeffs[c.rows.searchsorted(z)])
+    return _scan_triples(
+        table.group, list(table.basis), [c.rows for c in col.values()],
+        lambda z, y, x: (row(z, col[y]).shift(el[x].length - el[y].length),
+                         row(z, col[x])), [c.coeffs for c in col.values()])
 
 
 def scan_monotonicity_antispherical(ptable: ParabolicKLTable):

@@ -125,6 +125,15 @@ class TestTables:
         assert "e|2,1" not in obj["entries"]
         assert obj["entries"]["e|2"] == {"1": 1}
 
+    def test_parabolic_kl_family_builds_no_inverse_column(self, capsys,
+                                                           monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernel.ColumnTable, "inverse_columns",
+                            lambda *args: calls.append(args))
+        code, out, _ = run_cli(capsys, "parabolic", "--group", "B3",
+                               "--parabolic", "1", "--flavor", "spherical")
+        assert code == 0 and "parabolic-kl" in out and calls == []
+
     @pytest.mark.parametrize("spec,cap,family", [
         pytest.param("A3", None, "invkl", id="A3"),
         pytest.param("B3", None, "invkl", id="B3"),

@@ -195,6 +195,14 @@ def test_classical_scan_raises_on_a_negative_exponent():
                                f"rows of {x!r}")
 
 
+def test_classical_scan_builds_no_inverse_column():
+    """The classical scan reads the b_x blocks alone."""
+    table = KLTable(get_group("B3"))
+    count, record = scan_monotonicity_classical(table)
+    assert count > 0 and not record
+    assert set(table._inv_cols) == {0}
+
+
 @pytest.mark.parametrize("budget", ["default", "minimum"])
 def test_classical_scan_raises_above_the_degree_bound(monkeypatch, budget):
     """v^3 added to h_{2,x}, x = 1,2,3, whose degree bound is

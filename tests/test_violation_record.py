@@ -85,6 +85,8 @@ def test_arrays_take_the_narrowest_dtype():
     _, record = scan_monotonicity_spherical(spherical("H3", (0,)))
     for arrays, _ in record._parts:    # H3 has 120 elements
         assert [a.dtype.itemsize for a in arrays[:3]] == [1, 1, 1]
+        # the ids of z, y and x and the witness exponent, and nothing else
+        assert [a.dtype.itemsize for a in arrays] == [1, 1, 1, 1]
 
 
 def test_empty_record():
