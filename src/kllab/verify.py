@@ -18,18 +18,28 @@ is the chain arising from a type-A group modulo a type-A wall (I = all
 nodes but one path endpoint), every consecutive chain triple must appear
 among the violations.
 
-All four scans run one triple kernel, ``_scan_triples``: a triple is a
-pair of rows of an aligned coefficient store, compared slot by slot, in
-pieces of about ``CELL_BUDGET`` cells.  Triples go by x in id order
-(length, then ShortLex), then y, then z, so reports are deterministic and
-diffable.  The scans run in one thread: a thread pool made them slower.
-A scan returns its violations as a ``ViolationRecord``: the ids of each
-failing triple and its witness exponent, a few bytes each, whose two
-sides are read from the family's tables by the inequality above only
-when a ``Violation`` is built, so a spherical scan may find millions of
-violations while a text report renders 20 per check and JSON streams.
-``scan_into`` fills a scan check for ``kllab scan`` and the suite alike,
-and the suite's four row checks are one helper over ``terms()`` arrays.
+A scan decides every triple, but the three theorem scans compare only
+the cover triples unless one fails.  Intervals of W and of ^I W are
+graded (Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm. 2.2.6 and
+Thm. 2.5.5), so a chain of covers joins y to x (z to y, classically),
+and an inequality that holds on every cover triple holds on every
+triple, whatever the stored arrays hold.  The triple count a scan
+reports, ``checked=``, is the number of triples decided.  A failing
+cover triple, a z off the rows or an InvariantError runs the triple
+kernel, ``_scan_triples``, which finds and words the violations or the
+error; the spherical scan always runs it, as its violations are listed.
+In the kernel a triple is a pair of rows of an aligned coefficient
+store, compared slot by slot, in pieces of about ``CELL_BUDGET`` cells.
+Triples go by x in id order (length, then ShortLex), then y, then z, so
+reports are deterministic and diffable.  The scans run in one thread: a
+thread pool made them slower.  A scan returns its violations as a
+``ViolationRecord``: the ids of each failing triple and its witness
+exponent, a few bytes each, whose two sides are read from the family's
+tables by the inequality above only when a ``Violation`` is built, so a
+spherical scan may find millions of violations while a text report
+renders 20 per check and JSON streams.  ``scan_into`` fills a scan
+check for ``kllab scan`` and the suite alike, and the suite's four row
+checks are one helper over ``terms()`` arrays.
 """
 
 from __future__ import annotations
@@ -184,12 +194,14 @@ def scan_monotonicity_classical(table: KLTable
                                 ) -> tuple[int, ViolationRecord]:
     """All triples violating classical monotonicity of h_{y,x}.
 
-    The triple kernel over b_x made dense on downset(x) for a run of xs,
-    in the blocks' own dtype: each term of b_x is written to its one cell,
-    row z at slot e + l(z), so that v^{l(y)-l(z)} h_{y,x} lines up with
-    h_{z,x}.  A term at e < 0, off downset(x) or with e + l(z) > l(x)
-    raises InvariantError.  Only the b blocks are built, all of them
-    first; a violation reads its two sides from them.
+    Decided on the cover triples z < y <= x, z of length l(y) - 1, and
+    by the triple kernel if one fails.  Both compare b_x made dense on
+    downset(x) for a run of xs, in the blocks' own dtype: each term of b_x
+    is written to its one cell, row z at slot e + l(z), so that
+    v^{l(y)-l(z)} h_{y,x} lines up with h_{z,x}.  A term at e < 0, off
+    downset(x) or with e + l(z) > l(x) raises InvariantError.  Only the b
+    blocks are built, all of them first; a violation reads its two sides
+    from them.
     """
     group, el = table.group, table.group.elements
     table.canonical_blocks(group)
@@ -207,10 +219,103 @@ def scan_monotonicity_classical(table: KLTable
         store = np.zeros((len(batch.ids), chunk[-1].length + 1), values.dtype)
         store[pos, at] = values
         return store
-    return _scan_triples(group, list(group), [
-        group.downset_ids(x) for x in group], lambda z, y, x: (
+    xs, rows = list(group), [group.downset_ids(x) for x in group]
+
+    def full():
+        return _scan_triples(group, xs, rows, lambda z, y, x: (
             table.kl_poly(el[y], el[x]).shift(el[y].length - el[z].length),
             table.kl_poly(el[z], el[x])), dense=dense)
+    return _decided(group, xs, rows,
+                    lambda: _classical_covers_hold(group, rows, dense), full)
+
+
+def _decided(group, xs, rows, holds, full) -> tuple[int, ViolationRecord]:
+    """A theorem scan decided on its cover triples.  When ``holds()``
+    finds that every cover triple holds, every triple holds, since the
+    intervals of W and ^I W are graded: the scan is the count of all
+    triples, from the row counts, and an empty record.  A failing cover
+    triple, a z off the rows of x or an InvariantError runs ``full()``,
+    the triple kernel, whose record or error is the scan's."""
+    try:
+        clean = holds()
+    except InvariantError:
+        clean = False
+    if not clean:
+        return full()
+    size = np.zeros(len(group), np.int64)
+    size[[x.index for x in xs]] = [len(r) for r in rows]
+    return sum(int(size[r].sum()) for r in rows), ViolationRecord()
+
+
+def _pieces(m, width: int):
+    """(a, b) cuts of pairs a..b-1, pair k with ``m[k]`` triples of
+    ``width`` cells, about CELL_BUDGET cells a piece."""
+    start = np.cumsum(m) - m
+    cuts = np.flatnonzero(np.diff(start * (width + 8)
+                                  // kernel.CELL_BUDGET)) + 1
+    bounds = [0, *cuts.tolist(), len(m)] if len(m) else []
+    return zip(bounds, bounds[1:])
+
+
+def _inverse_covers_hold(group, xs, col) -> bool:
+    """Whether v h^{z,y} <= h^{z,x} for every x of ``xs``, every cover
+    y of x and every row z of the column of y, z being a row of the
+    column of x, and whether every row of x but x is such a z.  The
+    covers of x are the rows of its column at length l(x) - 1.  The
+    stored columns ``col`` are read a chunk of xs of one length at a
+    time, the chunk's columns stacked and its covers' rows in pieces."""
+    lengths = group.lengths
+    for _, level in itertools.groupby(xs, operator.attrgetter("length")):
+        for chunk in chunks(level, lambda x: col[x.index].coeffs.size
+                            + x.index + 2):
+            cols = [col[x.index] for x in chunk]
+            batch = Batch(chunk, [c.rows for c in cols])
+            hx = np.concatenate([c.coeffs for c in cols])
+            pair = np.flatnonzero(lengths[batch.ids] == chunk[0].length - 1)
+            covers = [col[y] for y in batch.ids[pair].tolist()]
+            m = [len(c.rows) for c in covers]
+            met = np.zeros(len(hx), bool)
+            met[batch.top] = True
+            for a, b in _pieces(m, hx.shape[1]):
+                part = covers[a:b]
+                hi = batch.locate(np.repeat(batch.slot[pair[a:b]], m[a:b]),
+                                  np.concatenate([c.rows for c in part]))
+                if hi.min(initial=0) < 0:
+                    return False
+                met[hi] = True
+                h = hx.take(hi, 0)
+                if (h[:, 0] < 0).any() or np.less(h[:, 1:], np.concatenate(
+                        [c.coeffs for c in part])).any():
+                    return False
+            if not met.all():
+                return False
+    return True
+
+
+def _classical_covers_hold(group, down, dense) -> bool:
+    """Whether v^{l(y)-l(z)} h_{y,x} <= h_{z,x} for every x, every y <= x
+    and every cover z of y: rows z and y of the store ``dense(chunk)`` of
+    a run of xs, as the triple kernel compares them.  ``down[y]`` are the
+    ids of downset(y); the covers of y are those at length l(y) - 1, rows
+    of x as y is."""
+    covers = [ids[np.searchsorted(group.lengths[ids], y.length - 1):-1]
+              for y, ids in zip(group, down)]
+    size = np.array([len(c) for c in covers])
+    begin, flat = np.cumsum(size) - size, np.concatenate(covers)
+    for chunk in chunks(group, lambda x: len(down[x.index]) * (
+            32 + x.length + 1) + x.index + 2):
+        store = dense(chunk)
+        batch = Batch(chunk, [down[x.index] for x in chunk])
+        m = size[batch.ids]
+        for a, b in _pieces(m, store.shape[1]):
+            n = m[a:b]
+            lo = np.repeat(np.arange(a, b), n)
+            z = flat[np.arange(len(lo)) + np.repeat(
+                begin[batch.ids[a:b]] - np.cumsum(n) + n, n)]
+            hi = batch.locate(batch.slot[lo], z)
+            if np.less(store.take(hi, 0), store.take(lo, 0)).any():
+                return False
+    return True
 
 
 def _scan_triples(group, xs, rows, sides, coeffs=None, dense=None):
@@ -296,24 +401,32 @@ def _scan_triples(group, xs, rows, sides, coeffs=None, dense=None):
 
 
 def _scan_parabolic(table, flavor: str) -> tuple[int, ViolationRecord]:
-    """The triple kernel over the inverse columns of the whole basis of a
-    table of the flavor's module, built first.  A violation reads row z
-    of the columns of y and x, the first shifted by l(x) - l(y); the
-    kernel has checked that z is a row of both."""
+    """The scan over the inverse columns of the whole basis of a table of
+    the flavor's module, built first: decided on the cover triples, but
+    for the spherical flavor, whose violations are listed by the triple
+    kernel.  A violation reads row z of the columns of y and x, the first
+    shifted by l(x) - l(y); the kernel has checked that z is a row of
+    both."""
     ctx = table.context
     if ctx.flavor != flavor and ctx.subset:     # I empty: one module
         raise FlavorMismatchError(
             f"scan needs a {flavor} table, got {ctx.flavor}")
     table.build_all()
-    el = table.group.elements
-    col = {x.index: table.inverse_column(x) for x in table.basis}
+    group, xs = table.group, list(table.basis)
+    col = {x.index: table.inverse_column(x) for x in xs}
+    rows, el = [c.rows for c in col.values()], group.elements
 
     def row(z, c):
         return row_poly(c.coeffs[c.rows.searchsorted(z)])
-    return _scan_triples(
-        table.group, list(table.basis), [c.rows for c in col.values()],
-        lambda z, y, x: (row(z, col[y]).shift(el[x].length - el[y].length),
-                         row(z, col[x])), [c.coeffs for c in col.values()])
+
+    def full():
+        return _scan_triples(group, xs, rows, lambda z, y, x: (
+            row(z, col[y]).shift(el[x].length - el[y].length),
+            row(z, col[x])), [c.coeffs for c in col.values()])
+    if flavor == SPHERICAL:
+        return full()
+    return _decided(group, xs, rows,
+                    lambda: _inverse_covers_hold(group, xs, col), full)
 
 
 def scan_monotonicity_antispherical(ptable: ParabolicKLTable):

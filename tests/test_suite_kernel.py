@@ -308,15 +308,18 @@ def test_passing_suite_decodes_nothing(monkeypatch):
 def test_empty_subset_scanned_once(monkeypatch):
     """With I empty both flavor scans read the regular table's inverse
     scan, since the regular table serves I empty: classical, inverse,
-    then two scans at each singleton.  Both checks report that result."""
+    then two scans at each singleton, the five theorem scans decided on
+    their cover triples and the three spherical ones by the triple
+    kernel.  Both checks report that result."""
     calls = []
-
-    def spy(*args, _scan=verify._scan_triples, **kwargs):
-        calls.append(args[0])
-        return _scan(*args, **kwargs)
-    monkeypatch.setattr(verify, "_scan_triples", spy)
+    for name in ("_decided", "_scan_triples"):
+        def spy(*args, _scan=getattr(verify, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _scan(*args, **kwargs)
+        monkeypatch.setattr(verify, name, spy)
     report = run_identity_suite("H3", [(), (0,), (1,), (2,)])
-    assert report.passed and len(calls) == 8
+    assert report.passed
+    assert sorted(calls) == ["_decided"] * 5 + ["_scan_triples"] * 3
     (inverse,) = [c for c in report.checks if c.check == "scan-inverse"]
     anti, sph = [c for c in report.checks if not c.subset
                  and c.check in ("scan-antispherical", "scan-spherical")]
