@@ -253,7 +253,7 @@ def _cmd_mu(args, out: _Output, table: KLTable) -> int:
             # mu(y, x) is the v^1 term of row y of b_x, nonnegative once built
             block = table.canonical_block(x)
             one = block.exps == 1
-            mu = dict(zip(block.rows[block.at[one]].tolist(),
+            mu = dict(zip(block.ids[one].tolist(),
                           block.values[one].tolist()))
             for y in group.downset(x):
                 m = mu.get(y.index, 0)

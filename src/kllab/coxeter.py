@@ -260,12 +260,10 @@ def parse_matrix_file(text: str) -> CoxeterMatrix:
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("rank"):
+    header = re.fullmatch(r"rank\s+([-+]?\d+)", lines[0]) if lines else None
+    if header is None:
         raise CoxeterSpecError("matrix file must start with 'rank N'")
-    try:
-        rank = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise CoxeterSpecError("matrix file must start with 'rank N'")
+    rank = int(header[1])
     if rank < 1:
         raise CoxeterSpecError("rank must be positive")
     bonds: dict[tuple[int, int], int] = {}

@@ -198,7 +198,7 @@ def mult_b_gen(h: HeckeElt, s: int, side: str = RIGHT) -> HeckeElt:
 
 #: delta_e over downset(e) = {e}; it is bar(m_e) in every module and b_e
 _DELTA_E = Block(np.zeros(1, np.intp), np.zeros(1, np.intp),
-                 np.zeros(1, np.intp), np.ones(1, np.int8), 1)
+                 np.ones(1, np.int8), 1)
 
 
 def _bar_memo(space) -> dict[int, Block]:

@@ -72,18 +72,16 @@ class Block(NamedTuple):
     """The nonzero coefficients of one module element, keyed by element id.
 
     Term k is ``values[k]`` v^``exps[k]`` in the row of element
-    ``rows[at[k]]``; ``rows`` is sorted and the terms are sorted by row.
-    Only nonzero terms are kept: on a long affine cap almost every row of
-    b_x is a single monomial, and a dense block would grow with the cube
-    of the cap.  ``row_norm`` is the largest sum of absolute values over
-    one row, as an exact int.
+    ``ids[k]``; the terms are sorted by row.  Only nonzero terms are kept:
+    on a long affine cap almost every row of b_x is a single monomial, and
+    a dense block would grow with the cube of the cap.  ``row_norm`` is
+    the largest sum of absolute values over one row, as an exact int.
 
     Canonical elements have exponents in [0, l(x)]; bar(m_x), in the
     regular module or in a quotient, has exponents in [-l(x), l(x)].
     """
 
-    rows: np.ndarray
-    at: np.ndarray
+    ids: np.ndarray
     exps: np.ndarray
     values: np.ndarray
     row_norm: int
@@ -94,7 +92,7 @@ class Block(NamedTuple):
 
     def terms(self):
         """Row id, exponent and value of each term, as arrays."""
-        return self.rows[self.at], self.exps, self.values
+        return self.ids, self.exps, self.values
 
 
 def exact_array(values: list[int]) -> np.ndarray:
@@ -131,18 +129,17 @@ def dense_blocks(ids: list[np.ndarray], dense: np.ndarray,
     i, j = np.nonzero(dense)
     values = dense[i, j]
     new = np.diff(i, prepend=-1) != 0       # the first term of each row
-    keep, at = i[new], np.cumsum(new) - 1
     size = np.abs(values if exact or max_abs(values) * dense.shape[1]
                   < INT64_LIMIT else values.astype(object))
     sums = np.add.reduceat(size, np.flatnonzero(new)) if len(i) else size
     start = np.cumsum([0] + [len(rows) for rows in ids])
-    t, r = np.searchsorted(i, start), np.searchsorted(keep, start)
-    return [Block(rows[keep[r[k]:r[k + 1]] - start[k]],
-                  at[t[k]:t[k + 1]] - r[k], j[t[k]:t[k + 1]] - offset,
+    t, r = np.searchsorted(i, start), np.searchsorted(i[new], start)
+    term_ids, exps = np.concatenate(ids)[i], j - offset
+    return [Block(term_ids[t[k]:t[k + 1]], exps[t[k]:t[k + 1]],
                   exact_array(values[t[k]:t[k + 1]].tolist()) if exact
                   else narrow(values[t[k]:t[k + 1]]),
                   int(sums[r[k]:r[k + 1]].max(initial=0)))
-            for k, rows in enumerate(ids)]
+            for k in range(len(ids))]
 
 
 def block_terms(group: GroupTable, block) -> dict[Element, LaurentPoly]:
@@ -158,14 +155,14 @@ def block_terms(group: GroupTable, block) -> dict[Element, LaurentPoly]:
 def block_row(block, y: int) -> LaurentPoly:
     """The coefficient of the element with id y in a ``Block`` or an
     ``InverseColumn``, decoded."""
+    if isinstance(block, Block):
+        lo, hi = np.searchsorted(block.ids, [y, y + 1]).tolist()
+        return LaurentPoly(zip(block.exps[lo:hi].tolist(),
+                               block.values[lo:hi].tolist()))
     pos = int(np.searchsorted(block.rows, y))
     if pos == len(block.rows) or block.rows[pos] != y:
         return _ZERO
-    if isinstance(block, InverseColumn):
-        return row_poly(block.coeffs[pos])
-    lo, hi = np.searchsorted(block.at, [pos, pos + 1]).tolist()
-    return LaurentPoly(zip(block.exps[lo:hi].tolist(),
-                           block.values[lo:hi].tolist()))
+    return row_poly(block.coeffs[pos])
 
 
 def row_poly(row: np.ndarray) -> LaurentPoly:

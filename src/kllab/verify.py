@@ -24,12 +24,14 @@ graded (Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm. 2.2.6 and
 Thm. 2.5.5), so a chain of covers joins y to x (z to y, classically),
 and an inequality that holds on every cover triple holds on every
 triple, whatever the stored arrays hold.  The triple count a scan
-reports, ``checked=``, is the number of triples decided.  A failing
-cover triple, a z off the rows or an InvariantError runs the triple
-kernel, ``_scan_triples``, which finds and words the violations or the
-error; the spherical scan always runs it, as its violations are listed.
-In the kernel a triple is a pair of rows of an aligned coefficient
-store, compared slot by slot, in pieces of about ``CELL_BUDGET`` cells.
+reports, ``checked=``, is the number of triples decided.  The classical
+cover triples are a call of the triple kernel, ``_scan_triples``, with
+the covers of each y as its zs.  A failing cover triple, a z off the
+rows or an InvariantError runs the kernel on all triples, which finds
+and words the violations or the error; the spherical scan always runs
+it, as its violations are listed.  In the kernel a triple is a pair of
+rows of an aligned coefficient store, compared slot by slot, in pieces
+of about ``CELL_BUDGET`` cells.
 Triples go by x in id order (length, then ShortLex), then y, then z, so
 reports are deterministic and diffable.  The scans run in one thread: a
 thread pool made them slower.  A scan returns its violations as a
@@ -194,20 +196,19 @@ def scan_monotonicity_classical(table: KLTable
                                 ) -> tuple[int, ViolationRecord]:
     """All triples violating classical monotonicity of h_{y,x}.
 
-    Decided on the cover triples z < y <= x, z of length l(y) - 1, and
-    by the triple kernel if one fails.  Both compare b_x made dense on
-    downset(x) for a run of xs, in the blocks' own dtype: each term of b_x
-    is written to its one cell, row z at slot e + l(z), so that
-    v^{l(y)-l(z)} h_{y,x} lines up with h_{z,x}.  A term at e < 0, off
-    downset(x) or with e + l(z) > l(x) raises InvariantError.  Only the b
-    blocks are built, all of them first; a violation reads its two sides
-    from them.
+    Decided by the triple kernel on the cover triples z < y <= x, z of
+    length l(y) - 1, and on all triples if one fails.  It compares b_x
+    made dense on downset(x) for a run of xs, in the blocks' own dtype:
+    each term of b_x is written to its one cell, row z at slot e + l(z),
+    so that v^{l(y)-l(z)} h_{y,x} lines up with h_{z,x}.  A term at
+    e < 0, off downset(x) or with e + l(z) > l(x) raises InvariantError.
+    Only the b blocks are built, all of them first; a violation reads its
+    two sides from them.
     """
     group, el = table.group, table.group.elements
     table.canonical_blocks(group)
 
-    def dense(chunk):
-        batch = Batch(chunk, [group.downset_ids(x) for x in chunk])
+    def dense(chunk, batch):
         slot, z, e, values = stack_terms(table.canonical_blocks(chunk))
         pos, at = batch.locate(slot, z), e + group.lengths[z]
         off = (pos < 0) | (e < 0) | (at > np.array(
@@ -221,12 +222,14 @@ def scan_monotonicity_classical(table: KLTable
         return store
     xs, rows = list(group), [group.downset_ids(x) for x in group]
 
-    def full():
+    def scan(zs=None):
         return _scan_triples(group, xs, rows, lambda z, y, x: (
             table.kl_poly(el[y], el[x]).shift(el[y].length - el[z].length),
-            table.kl_poly(el[z], el[x])), dense=dense)
-    return _decided(group, xs, rows,
-                    lambda: _classical_covers_hold(group, rows, dense), full)
+            table.kl_poly(el[z], el[x])), dense=dense, zs=zs)
+    # the covers of y: the ids of downset(y) at length l(y) - 1
+    covers = [ids[np.searchsorted(group.lengths[ids], y.length - 1):-1]
+              for y, ids in zip(group, rows)]
+    return _decided(group, xs, rows, lambda: not scan(covers)[1], scan)
 
 
 def _decided(group, xs, rows, holds, full) -> tuple[int, ViolationRecord]:
@@ -292,55 +295,35 @@ def _inverse_covers_hold(group, xs, col) -> bool:
     return True
 
 
-def _classical_covers_hold(group, down, dense) -> bool:
-    """Whether v^{l(y)-l(z)} h_{y,x} <= h_{z,x} for every x, every y <= x
-    and every cover z of y: rows z and y of the store ``dense(chunk)`` of
-    a run of xs, as the triple kernel compares them.  ``down[y]`` are the
-    ids of downset(y); the covers of y are those at length l(y) - 1, rows
-    of x as y is."""
-    covers = [ids[np.searchsorted(group.lengths[ids], y.length - 1):-1]
-              for y, ids in zip(group, down)]
-    size = np.array([len(c) for c in covers])
-    begin, flat = np.cumsum(size) - size, np.concatenate(covers)
-    for chunk in chunks(group, lambda x: len(down[x.index]) * (
-            32 + x.length + 1) + x.index + 2):
-        store = dense(chunk)
-        batch = Batch(chunk, [down[x.index] for x in chunk])
-        m = size[batch.ids]
-        for a, b in _pieces(m, store.shape[1]):
-            n = m[a:b]
-            lo = np.repeat(np.arange(a, b), n)
-            z = flat[np.arange(len(lo)) + np.repeat(
-                begin[batch.ids[a:b]] - np.cumsum(n) + n, n)]
-            hi = batch.locate(batch.slot[lo], z)
-            if np.less(store.take(hi, 0), store.take(lo, 0)).any():
-                return False
-    return True
-
-
-def _scan_triples(group, xs, rows, sides, coeffs=None, dense=None):
+def _scan_triples(group, xs, rows, sides, coeffs=None, dense=None,
+                  zs=None):
     """(count, ViolationRecord) of a monotonicity scan: the triple kernel.
 
     The triples are (x, y, z), x in ``xs``, y in the sorted ``rows`` of x
-    and z in the rows of y, in that order.  Each compares two rows of an
-    aligned store slot by slot and fails where the row of z in x (hi) is
-    below the other (lo).  Given the ``coeffs`` of xs, the store holds
-    them end to end, right-aligned, and lo is the row of z in y.  Given
-    ``dense`` (the classical scan), ``dense(chunk)`` is the store of a
-    run of xs, row z from slot l(z), and lo is the row of y in x.  Runs
-    of xs keep their pair arrays and position table, and pieces of their
-    triples their index arrays and rows, within about CELL_BUDGET cells.
-    A z that is no row of x raises InvariantError.  The violations of a
-    run of xs become one part of the record: the ids of z, y and x and
-    the witness, the first failing slot less the slot of exponent 0, with
-    ``sides(z, y, x)`` to read the two sides of the family's inequality.
+    and z in ``zs`` of y (each list in the order of ``xs``; by default the
+    rows of y), in that order.  Each compares two rows of an aligned store
+    slot by slot and fails where the row of z in x (hi) is below the other
+    (lo).  Given the ``coeffs`` of xs, the store holds them end to end,
+    right-aligned, and lo is the row of z in y.  Given ``dense`` (the
+    classical scan), ``dense(chunk, batch)`` is the store of a run of xs
+    over the rows of their ``Batch``, row z from slot l(z), and lo is the
+    row of y in x.  Runs of xs keep their ``Batch`` and pair arrays, and
+    pieces of their triples (``_pieces``) their index arrays and rows,
+    within about CELL_BUDGET cells.  A z that is no row of x raises
+    InvariantError.  The violations of a run of xs become one part of the
+    record: the ids of z, y and x and the witness, the first failing slot
+    less the slot of exponent 0, with ``sides(z, y, x)`` to read the two
+    sides of the family's inequality.
     """
     elements, lengths = group.elements, group.lengths
     size = np.array([len(r) for r in rows])
     first = np.cumsum(size) - size
     index = np.zeros(len(elements), np.intp)
     index[[x.index for x in xs]] = np.arange(len(xs))
-    ids = np.concatenate(rows, dtype=np.min_scalar_type(len(elements)),
+    zs = rows if zs is None else zs
+    m_of = np.array([len(z) for z in zs])
+    z0 = np.cumsum(m_of) - m_of
+    ids = np.concatenate(zs, dtype=np.min_scalar_type(len(elements)),
                          casting="unsafe")
     if dense is None:
         widths = np.array([c.shape[1] for c in coeffs])
@@ -352,45 +335,37 @@ def _scan_triples(group, xs, rows, sides, coeffs=None, dense=None):
     for chunk in chunks(xs, lambda x: size[index[x.index]] * (
             32 + (0 if dense is None else x.length + 1)) + x.index + 2):
         c0 = int(index[chunk[0].index])
-        p0, n = int(first[c0]), size[c0:c0 + len(chunk)]
-        row0, store = (0, store) if dense is None else (p0, dense(chunk))
-        ys, slot = ids[p0:p0 + int(n.sum())], np.repeat(np.arange(len(n)), n)
+        batch = Batch(chunk, rows[c0:c0 + len(chunk)])
+        row0, store = ((int(first[c0]), store) if dense is None
+                       else (0, dense(chunk, batch)))
+        ys, slot, found = batch.ids, batch.slot, []
         xid = np.array([x.index for x in chunk])
-        top, found = xid + 1, []
-        base = np.cumsum(top) - top
-        where = np.full(int(top.sum()), -1, np.int32)
-        where[base[slot] + ys] = own = np.arange(len(ys)) + p0 - row0
-        m = size[index[ys]]
+        m = m_of[index[ys]]
         start = np.concatenate(([0], np.cumsum(m)))
         count += int(start[-1])
-        # per pair (x, y): its first z less its first triple, the position
-        # table of x and the store row of y
-        pair = np.stack((first[index[ys]] - start[:-1], base[slot], own), 1)
-        cuts = np.flatnonzero(np.diff(start[:-1] * (store.shape[1] + 8)
-                                      // kernel.CELL_BUDGET)) + 1
-        for q0, q1 in zip([0, *cuts.tolist()], [*cuts.tolist(), len(ys)]):
-            t0 = int(start[q0])
-            at = np.repeat(pair[q0:q1], m[q0:q1], axis=0)
-            zidx = at[:, 0] + np.arange(t0, int(start[q1]))
+        # per pair (x, y): its first z in ids less its first triple
+        skip = z0[index[ys]] - start[:-1]
+        for a, b in _pieces(m, store.shape[1]):
+            q = np.repeat(np.arange(a, b), m[a:b])      # each triple's pair
+            zidx = skip[q] + np.arange(int(start[a]), int(start[b]))
             z = ids.take(zidx)
-            hi = where.take(at[:, 1] + z)
-            lo = zidx if dense is None else at[:, 2]
-            if hi.min() < 0:
+            hi = batch.locate(slot[q], z)
+            if hi.min(initial=0) < 0:
                 t = int(np.argmax(hi < 0))
-                q = int(np.searchsorted(start, t0 + t, side="right")) - 1
                 raise InvariantError("scan triple {0!r} <= {1!r} <= {2!r}: "
                                      "{0!r} is no row of the column of {2!r}"
-                                     .format(elements[z[t]], elements[ys[q]],
-                                             chunk[slot[q]]))
-            bad = np.less(store.take(hi, 0), store.take(lo, 0))
+                                     .format(elements[z[t]],
+                                             elements[ys[q[t]]],
+                                             chunk[slot[q[t]]]))
+            lo = zidx if dense is None else q
+            bad = np.less(store.take(hi + row0, 0), store.take(lo, 0))
             if not bad.any():
                 continue
             # the first failing slot of each failing triple t
             t, slots = np.divmod(np.flatnonzero(bad), store.shape[1])
             new = np.flatnonzero(np.diff(t, prepend=-1))
-            t, slots, q = t[new], slots[new], np.searchsorted(
-                start, t0 + t[new], side="right") - 1
-            z, y, x = z[t], ys[q], xid[slot[q]]
+            t, slots = t[new], slots[new]
+            z, y, x = z[t], ys[q[t]], xid[slot[q[t]]]
             zero = (store.shape[1] - 1 - lengths[x] if dense is None
                     else lengths[z])
             found.append((z, y, x, slots - zero))

@@ -38,20 +38,17 @@ def terms_block(terms) -> Block:
     """The block of (id, LaurentPoly) pairs given in increasing id order;
     zero polynomials are left out.  Tests store hand-made or broken
     blocks with it."""
-    rows, at, exps, values, norm = [], [], [], [], 0
+    ids, exps, values, norm = [], [], [], 0
     for row, p in terms:
-        if not p:
-            continue
         size = 0
         for e, c in p.items():
-            at.append(len(rows))
+            ids.append(row)
             exps.append(e)
             values.append(c)
             size += abs(c)
-        rows.append(row)
         norm = max(norm, size)
-    return Block(np.array(rows, dtype=np.intp), np.array(at, dtype=np.intp),
-                 np.array(exps, dtype=np.intp), exact_array(values), norm)
+    return Block(np.array(ids, dtype=np.intp), np.array(exps, dtype=np.intp),
+                 exact_array(values), norm)
 
 
 def store_b(table: KLTable, x, terms: dict) -> None:
@@ -446,7 +443,7 @@ def reference_projected_bar(ctx: ParabolicContext, x) -> Block:
     if not ctx.subset:
         return full
     reps, u_lengths = coset_split(ctx.group, ctx.subset)
-    w = full.rows[full.at]
+    w = full.ids
     k = u_lengths[w]
     # an entry sums at most every term of bar(delta_x)
     dtype = (np.int64 if len(full.values) * full.row_norm < kernel.INT64_LIMIT
@@ -485,11 +482,10 @@ def replace_bar_terms(ctx: ParabolicContext, z, edit) -> None:
 def _add_scaled(acc, where, x, z, block, shifts, coefs):
     """acc[row, exp + shifts[k]] += coefs[k] * value over every term of
     ``block`` (the block of z) and every k."""
-    pos = where.take(block.rows, mode="clip")
+    pos = where.take(block.ids, mode="clip")
     if pos.min() < 0:
         raise InvariantError(
             f"the block of {z!r} has a term outside the rows of {x!r}")
-    pos = pos[block.at]
     for k, shift in enumerate(shifts):
         acc[pos, block.exps + shift] += block.values * coefs[k:k + 1]
 
@@ -556,9 +552,10 @@ def reference_kronecker_failures(group, x, ids, block, column_of):
     elements = group.elements
     top = x.length
     where = row_positions(ids, x)
-    rows, exps, values = (block.rows.tolist(), block.exps.tolist(),
+    rows, bounds = np.unique(block.ids, return_index=True)
+    rows, exps, values = (rows.tolist(), block.exps.tolist(),
                           block.values.tolist())
-    bounds = np.searchsorted(block.at, np.arange(len(rows) + 1)).tolist()
+    bounds = [*bounds.tolist(), len(values)]
     slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     columns = [column_of(elements[z]) for z in rows]
     bound = sum(sum(abs(c) for c in values[sl]) * max_abs(col.coeffs)

@@ -65,6 +65,8 @@ class TestParseSpec:
 
     @pytest.mark.parametrize("text", [
         "1 2 3\n",                 # missing rank line
+        "ranking 2\n1 2 3\n",      # header word other than 'rank'
+        "rank 2 7\n1 2 3\n",       # header with a third token
         "rank 2\n1 1 3\n",         # diagonal pair
         "rank 2\n1 2 1\n",         # order below 2
         "rank 2\n1 3 3\n",         # index out of range
