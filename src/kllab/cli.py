@@ -364,8 +364,9 @@ def _cmd_suite(args, out: _Output) -> int:
             subsets.insert(0, frozenset())
     else:
         subsets = [frozenset()] + [frozenset({t}) for t in range(rank)]
-    report = verify.run_identity_suite(args.group, subsets, args.cap,
-                                       group=group)
+    report = verify.run_identity_suite(
+        args.group, subsets, args.cap, group=group,
+        keep=None if out.fmt == "json" else 20)
     if out.fmt == "json":
         out.emit_json(report.to_json_obj())
     elif out.fmt == "csv":

@@ -18,7 +18,9 @@ on it take a chunk of columns at a time (``batched``):
 - ``alternating_failures``: the inversion identity of whole columns in
   either orientation, canonical blocks over inverse columns (the
   Kronecker sums) or inverse columns over canonical blocks (the Rouquier
-  shadow).
+  shadow).  A table keeps one shadow pass, which decides both
+  orientations; the Kronecker sums run only when it fails or raises, to
+  name the failing pairs.
 
 A chunk of columns and a scatter piece hold about ``CELL_BUDGET`` cells;
 an error in a chunk is raised as the first failing column raises it
@@ -32,7 +34,7 @@ flavor, the regular module being the quotient with I empty.
 ``ColumnTable``, the table core of every module, reads its basis and
 wall rule from one, builds the inverse column of x = x's from the column
 of x' by the recursion m_x = m_{x'} (b_s - v), and checks the inversion
-identity.
+identity (``inversion_holds``).
 
 Arithmetic is int64 under a bound on coefficient size, one decision per
 chunk: the bound is the exact total over the chunk, never below the
@@ -60,8 +62,11 @@ INT64_LIMIT = 1 << 62
 
 #: about the most array cells a batched pass holds at once: the dense sums
 #: of a chunk of columns with their id tables, the index arrays of a scatter
-#: piece or of a piece of scan triples; it keeps temporaries near 1 MB
-CELL_BUDGET = 1 << 15
+#: piece or of a piece of scan triples.  Each (chunk, length level) pays a
+#: fixed cost in numpy calls, which dominates rank 3-4.  2^16 halves the
+#: chunks of 2^15 for 0.5 MB of peak RSS on the H3 suite; 2^17 took 1.5 MB,
+#: near the benchmark's 5 % bound on that peak
+CELL_BUDGET = 1 << 16
 
 
 class InvariantError(RuntimeError):
@@ -425,7 +430,8 @@ def alternating_failures(group: GroupTable, xs: list[Element], ids, outer,
     or the largest entry of an inverse column.  A term outside the window
     [0, l(x) - l(z)] raises, and so does a term of an inner column off
     the rows of x (``stray.format(z, x)``) or off the exponents [0, l(x)],
-    whichever columns share the chunk.
+    whichever columns share the chunk.  A ``ColumnTable`` keeps its
+    shadow pass, which decides both orientations (``inversion_holds``).
     """
     elements, lengths = group.elements, group.lengths
     slot, z, e, values = stack_terms(outer)
@@ -533,6 +539,7 @@ class ColumnTable:
         self._mu_value = np.zeros(0, np.int64)
         self._mu_size = 0
         self._kronecker: dict[int, frozenset[int]] = {}
+        self._shadow: dict[int, frozenset[int]] = {}
 
     def column_ids(self, x: Element) -> np.ndarray:
         """The ids of the basis elements y <= x; x must be one."""
@@ -682,23 +689,56 @@ class ColumnTable:
 
             sum_z (-1)^{l(z)-l(y)} (inverse at (y, z)) (canonical at (z, x))
 
-        over basis elements z in [y, x] differs from [y = x].
-        The sums of a chunk of columns are one batched pass, computed on
-        first query and kept.
-        """
-        def run(chunk):
-            return alternating_failures(
+        over basis elements z in [y, x] differs from [y = x]: the
+        Kronecker sums, a batched pass per chunk, computed on first query
+        and kept."""
+        return self._passes(self._kronecker, xs, lambda chunk: (
+            alternating_failures(
                 self.group, chunk, [self.column_ids(x) for x in chunk],
                 self.canonical_blocks(chunk), self.inverse_columns,
                 "the inverse column of {0!r} has a row outside the rows of "
-                "{1!r}")
-        todo = batched([x for x in dict.fromkeys(xs)
-                        if x.index not in self._kronecker],
+                "{1!r}")))
+
+    def shadow_failures(self, xs, keep: bool = True):
+        """For each x of ``xs`` in order, the rows y of its stored inverse
+        column where sum_z (-1)^{l(z)} (inverse at (z, x)) (canonical
+        column of z) differs from (-1)^{l(x)} [y = x]: the shadow pass, a
+        batched pass per chunk, computed on first query and kept if
+        ``keep``."""
+        def run(chunk):
+            cols = self.inverse_columns(chunk)
+            return alternating_failures(
+                self.group, chunk, [c.rows for c in cols], cols,
+                self.canonical_blocks,
+                "the block of {0!r} has a term outside the rows of {1!r}")
+        return self._passes(self._shadow if keep else {}, xs, run)
+
+    def _passes(self, memo, xs, run):
+        """``memo[x.index]`` for each x of ``xs`` in order, the missing
+        ones by ``run`` over ``batched`` chunks, stored as they are read."""
+        todo = batched([x for x in dict.fromkeys(xs) if x.index not in memo],
                        self.column_ids, lambda x: x.length + 1, run)
         for x in xs:
-            if x.index not in self._kronecker:
-                self._kronecker[x.index] = next(todo)[1]
-            yield self._kronecker[x.index]
+            if x.index not in memo:
+                memo[x.index] = next(todo)[1]
+            yield memo[x.index]
+
+    def inversion_holds(self) -> bool:
+        """Whether the inversion identity holds on the whole basis, by one
+        shadow pass: no failing row or error, and each stored column of x
+        over ``column_ids(x)`` with at most l(x) + 1 exponents.  Then the
+        columns are triangular with exponents in [0, l(x) - l(z)], so
+        their inverse, the canonical blocks, is too, and the Kronecker
+        sums meet no stray term and vanish."""
+        try:
+            self.canonical_blocks(self.basis)
+            cols = self.inverse_columns(self.basis)
+            if any(self.shadow_failures(self.basis)):
+                return False
+        except Exception:       # the Kronecker sums word the error
+            return False
+        return all(c.coeffs.shape[1] <= x.length + 1 and np.array_equal(
+            c.rows, self.column_ids(x)) for x, c in zip(self.basis, cols))
 
     def check_inversion_identity(self, y: Element, x: Element) -> bool:
         """The Kronecker sum at (y, x): 1 when y = x and 0 otherwise, read

@@ -61,7 +61,7 @@ from .coxeter import (
 )
 from .hecke import InvariantError, KLTable
 from .kernel import (
-    Batch, batched, block_terms, chunks, row_poly, stack_terms,
+    Batch, block_terms, chunks, row_poly, stack_terms,
 )
 from .laurent import LaurentPoly
 from .parabolic import (
@@ -170,6 +170,19 @@ class ViolationRecord(Sequence):
         """Whether (z, y, x) is a violation, read off the id arrays."""
         return any(((a[0] == z.index) & (a[1] == y.index)
                     & (a[2] == x.index)).any() for a, _ in self._parts)
+
+
+class _Shown(list):
+    """The first violations of a record, built, under the record's length:
+    what a text or csv report reads of a scan check, holding none of the
+    tables the scan read."""
+
+    def __init__(self, record: ViolationRecord, n: int):
+        super().__init__(record[:n])
+        self.total = len(record)
+
+    def __len__(self) -> int:
+        return self.total
 
 
 def _narrow(a: np.ndarray) -> np.ndarray:
@@ -517,29 +530,23 @@ def _check_multiplicities(x: Element, rows, exps, values) -> None:
         raise InvariantError(f"negative multiplicity at ({y!r},{x!r},{exp})")
 
 
-def rouquier_shadows(table: KLTable, xs):
+def rouquier_shadows(table: KLTable, xs, keep: bool = False):
     """Grothendieck check for each x of ``xs`` in order: whether the
     alternating sum re-expands to delta_x.
 
-    Checks the multiplicities as ``rouquier_multiplicities`` does.  With
-    the parities right, (-1)^i = (-1)^{l(x)-l(y)} for each m^i_y, so the
-    alternating sum of the m^i_y v^i b_y is delta_x exactly when the
-    inversion identity holds the other way round: one
-    ``kernel.alternating_failures`` pass per chunk, the inverse column of
-    x over the blocks of b_y.
+    Checks the multiplicities of x first, as ``rouquier_multiplicities``
+    does.  With the parities right, (-1)^i = (-1)^{l(x)-l(y)} for each
+    m^i_y, so the alternating sum of the m^i_y v^i b_y is delta_x exactly
+    when the inversion identity holds the other way round: the table's
+    shadow pass (``ColumnTable.shadow_failures``), kept if ``keep``.
     """
-    group = table.group
-
-    def run(chunk):
-        cols = table.inverse_columns(chunk)
-        for x, col in zip(chunk, cols):
-            _check_multiplicities(x, *col.terms())
-        return [not failing for failing in kernel.alternating_failures(
-            group, chunk, [col.rows for col in cols], cols,
-            table.canonical_blocks,
-            "the block of {0!r} has a term outside the rows of {1!r}")]
-    return (ok for _, ok in batched(xs, group.downset_ids,
-                                    lambda x: x.length + 1, run))
+    shadows = table.shadow_failures(xs, keep)
+    for x in xs:
+        try:
+            failing = next(shadows)
+        finally:
+            _check_multiplicities(x, *table.inverse_column(x).terms())
+        yield not failing
 
 
 # ----------------------------------------------------------------------
@@ -569,8 +576,9 @@ class _JSONList(list):
 @dataclass
 class CheckResult:
     """One suite check.  ``violations`` is the record of a scan check (an
-    empty record otherwise); the text report builds at most 20 of its
-    violations, the JSON report every one, one at a time."""
+    empty record otherwise), or its first violations (``_Shown``); the
+    text report builds at most 20 of its violations, the JSON report
+    every one, one at a time."""
 
     check: str
     group: str
@@ -653,13 +661,16 @@ def scan_into(res: CheckResult, scanner, table) -> None:
 
 
 def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
-                       group: GroupTable | None = None) -> SuiteReport:
+                       group: GroupTable | None = None,
+                       keep: int | None = None) -> SuiteReport:
     """Run every identity check and every scan over one group.
 
     ``subsets`` lists the generator subsets (0-based) for the parabolic
     checks; the non-parabolic checks always run.  ``group``, when given,
-    is the already enumerated table of ``spec`` under ``cap``.  Any
-    internal error is captured as a failed check rather than propagating.
+    is the already enumerated table of ``spec`` under ``cap``.  Given
+    ``keep``, a scan check keeps only its first ``keep`` violations and
+    its count (``_Shown``).  Any internal error is captured as a failed
+    check rather than propagating.
     """
     if group is None:
         group = build_group(spec, cap)
@@ -673,6 +684,7 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
     report = SuiteReport(group=spec, cap=cap)
     subsets = [frozenset(s) for s in subsets]
     scans = weakref.WeakKeyDictionary()     # table -> its column scan
+    reuse = {}
 
     def scanned(scanner):
         return lambda t: scans.get(t) or scans.setdefault(t, scanner(t))
@@ -683,6 +695,8 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
         except Exception as exc:  # pragma: no cover - defensive capture
             result.passed = False
             result.failures.append(f"error: {type(exc).__name__}: {exc}")
+        if keep is not None and result.violations:
+            result.violations = _Shown(result.violations, keep)
         report.checks.append(result)
 
     def term_rows(res, column, failing, poly, message):
@@ -706,18 +720,18 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
                 res.failures.append(message(x))
 
     def inversion(res, ptable, message):
-        """One pair per row of each column of a table of any module; the
-        sums of a column are checked with its first pair."""
-        sums = ptable.inversion_failures(ptable.basis)
+        """One pair per row of each column of a table of any module, by
+        ``inversion_holds`` or else the Kronecker sums, those of a column
+        checked with its first pair."""
+        sums = (itertools.repeat(()) if ptable.inversion_holds()
+                else ptable.inversion_failures(ptable.basis))
         for x in ptable.basis:
-            ids = ptable.column_ids(x).tolist()
             res.pairs_checked += 1
             failures = next(sums)
-            res.pairs_checked += len(ids) - 1
-            for y in ids:
-                if y in failures:
-                    res.passed = False
-                    res.failures.append(message(group.elements[y], x))
+            res.pairs_checked += len(ptable.column_ids(x)) - 1
+            for y in sorted(failures):
+                res.passed = False
+                res.failures.append(message(group.elements[y], x))
 
     for name, body in [
         ("positivity-kl", lambda res: term_rows(
@@ -741,7 +755,7 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
         ("inversion-identity", lambda res: inversion(
             res, table, lambda y, x: f"inversion sum at ({y!r},{x!r})")),
         ("rouquier-shadow", lambda res: per_element(
-            res, rouquier_shadows(table, group),
+            res, rouquier_shadows(table, group, keep=True),
             lambda x: f"shadow at {x!r}")),
         ("scan-classical", lambda res: scan_into(
             res, scan_monotonicity_classical, table)),
@@ -749,6 +763,14 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
             res, scanned(scan_monotonicity_inverse), table)),
     ]:
         run(CheckResult(name, spec, cap=cap), body)
+        if name == "bar-invariance":
+            # I empty is the regular module: if each b block equals the
+            # oracle's, the table serves it, else the oracle does, which is
+            # released here or after that subset's checks
+            if frozenset() in subsets:
+                reuse[frozenset()] = (table if report.checks[-1].passed
+                                      else oracle)
+            del oracle
 
     def quotient_checks(subset, anti):
         one_based = sorted(t + 1 for t in subset)
@@ -779,16 +801,6 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
                             expected_violations=flavor == SPHERICAL),
                 lambda res: scan_into(res, scanned(scanner), ptable))
 
-    # I empty is the regular module: if each b block equals the oracle's,
-    # the table serves it with the columns, sums and scan it has, else the
-    # oracle does.  The oracle is released here or after the first I empty
-    # of subsets, a subset's tables when its checks return
-    reuse = {}
-    if frozenset() in subsets:
-        same = all(c.passed for c in report.checks
-                   if c.check == "bar-invariance")
-        reuse[frozenset()] = table if same else oracle
-    del oracle
     for subset in subsets:
         quotient_checks(subset, reuse.pop(subset, None) or ParabolicKLTable(
             ParabolicContext(group, subset, ANTISPHERICAL)))

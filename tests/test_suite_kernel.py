@@ -101,6 +101,9 @@ class TestShadowFaults:
          "parity-support failure at (<1,3>,<1,2,3,2,1>) exponent 2"),
         ([((0, 2), 1, -1), ((0, 2), 2, 1)],
          "negative multiplicity at (<1,3>,<1,2,3,2,1>,1)"),
+        # outside the window [0, 3] as well: the multiplicities come first
+        ([((0, 2), 4, 1)],
+         "parity-support failure at (<1,3>,<1,2,3,2,1>) exponent 4"),
     ])
     def test_bad_terms_raise_the_old_messages(self, edits, message):
         _with_entries(self.table, self.x, edits)
@@ -332,8 +335,9 @@ def test_empty_subset_scanned_once(monkeypatch):
 
 
 def _builders(monkeypatch) -> list:
-    """Record (pass, table) of every inverse-column step and Kronecker
-    sum."""
+    """Record (pass, table) of every inverse-column step and every
+    alternating sum of either orientation, the Kronecker sums or the
+    shadow pass, whose inner columns are its table's."""
     tables = []
 
     def steps(self, *args, _steps=kernel.ColumnTable._inverse_steps):
@@ -341,9 +345,10 @@ def _builders(monkeypatch) -> list:
         return _steps(self, *args)
 
     def sums(*args, _sums=kernel.alternating_failures):
-        inner_of = args[4]      # inverse columns: a Kronecker sum
-        if inner_of.__func__ is kernel.ColumnTable.inverse_columns:
-            tables.append(("sums", inner_of.__self__))
+        inner_of = args[4]      # inverse columns or canonical blocks
+        assert inner_of.__func__ in (kernel.ColumnTable.inverse_columns,
+                                     type(inner_of.__self__).canonical_blocks)
+        tables.append(("sums", inner_of.__self__))
         return _sums(*args)
     monkeypatch.setattr(kernel.ColumnTable, "_inverse_steps", steps)
     monkeypatch.setattr(kernel, "alternating_failures", sums)

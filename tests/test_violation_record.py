@@ -8,7 +8,9 @@ report builds each as the encoder reaches it, and the spherical mandate
 reads the id arrays.
 """
 
+import gc
 import json
+import types
 from collections.abc import Sequence
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 
 from kllab import kernel, verify
 from kllab.coxeter import render_word
-from kllab.hecke import KLTable
+from kllab.hecke import InverseColumn, KLTable
 from kllab.parabolic import (
     ANTISPHERICAL, SPHERICAL, ParabolicContext, ParabolicKLTable,
 )
@@ -219,3 +221,39 @@ def test_suite_fails_on_a_dropped_mandated_triple(monkeypatch):
     assert not sph.passed and sph.failures == [
         f"missing mandated violation ({render_word(z.word)},"
         f"{render_word(y.word)},{render_word(x.word)})"]
+
+
+def holds_a_column(root) -> bool:
+    """Whether an ``InverseColumn`` is reachable from ``root`` through
+    containers, kllab objects and closures."""
+    seen, todo = set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, InverseColumn):
+            return True
+        if isinstance(obj, types.FunctionType):
+            todo.extend(c.cell_contents for c in obj.__closure__ or ())
+        elif isinstance(obj, (list, tuple, dict, set, frozenset)) or (
+                type(obj).__module__.startswith("kllab")):
+            todo.extend(gc.get_referents(obj))
+    return False
+
+
+def test_suite_keeps_the_first_violations_for_text_and_csv():
+    """With ``keep`` each scan check holds its first violations and its
+    count, reads as the whole record reads in text and csv, and holds no
+    column of the tables it scanned."""
+    args = ("H3", [(), (0,), (1,), (2,)])
+    whole, kept = run_identity_suite(*args), run_identity_suite(*args,
+                                                                 keep=20)
+    assert kept.text_lines() == whole.text_lines()
+    shown = [c for c in kept.checks if c.violations]
+    assert len(shown) == 3
+    for c, w in zip(kept.checks, whole.checks):
+        assert len(c.violations) == len(w.violations)
+        if c.violations:
+            assert c.violations[:25] == w.violations[:20]
+    assert holds_a_column(whole) and not holds_a_column(kept)
