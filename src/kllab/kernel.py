@@ -63,9 +63,8 @@ INT64_LIMIT = 1 << 62
 #: about the most array cells a batched pass holds at once: the dense sums
 #: of a chunk of columns with their id tables, the index arrays of a scatter
 #: piece or of a piece of scan triples.  Each (chunk, length level) pays a
-#: fixed cost in numpy calls, which dominates rank 3-4.  2^16 halves the
-#: chunks of 2^15 for 0.5 MB of peak RSS on the H3 suite; 2^17 took 1.5 MB,
-#: near the benchmark's 5 % bound on that peak
+#: fixed cost in numpy calls, which dominates rank 3-4; 2^16 halves the
+#: chunks of 2^15 for 0.5 MB more peak RSS on the H3 suite
 CELL_BUDGET = 1 << 16
 
 
@@ -111,11 +110,7 @@ def exact_array(values: list[int]) -> np.ndarray:
 def narrow(block: np.ndarray) -> np.ndarray:
     """An int64 array in the narrowest dtype that holds its range exactly."""
     lo, hi = (int(block.min()), int(block.max())) if block.size else (0, 0)
-    for dtype in (np.int8, np.int16, np.int32):
-        info = np.iinfo(dtype)
-        if info.min <= lo and hi <= info.max:
-            return block.astype(dtype)
-    return block
+    return block.astype(np.min_scalar_type(min(lo, -1 - hi)), copy=False)
 
 
 def max_abs(block: np.ndarray) -> int:
@@ -243,39 +238,31 @@ def add_blocks(acc: np.ndarray, locate, slot: np.ndarray, block: np.ndarray,
     scatter of every sum of blocks.  ``locate`` gives the row of id y in
     column slot, or -1 (``Batch.locate``).
 
-    The entries go in block order, in pieces of about CELL_BUDGET // 8
-    terms (a piece holds about eight index arrays per term), and a piece
-    reads the terms of its own blocks only: one ``np.add.at`` each.
+    The entries go in order, in pieces of about CELL_BUDGET // 8 terms (a
+    piece holds about eight index arrays per term), a piece taking the
+    terms of each of its entries end to end: one ``np.add.at`` each.
     ``coef`` has the dtype of ``acc``.  The first entry k, in entry order,
     with a term off the rows of its column or off the columns of ``acc``
     raises InvariantError(fault(k)).
     """
     flat, width = acc.reshape(-1), acc.shape[1]
-    sizes = np.array([b.size for b in blocks], dtype=np.intp)
-    offset = np.cumsum(sizes) - sizes        # of each block, end to end
-    n = sizes[block]
-    piece = max(1, CELL_BUDGET // 8)
-    pieces = [slice(None)] if len(block) else []
-    if n.sum() > piece:
-        order = np.argsort(block)
-        start = np.cumsum(n[order]) - n[order]
-        pieces = np.split(order, np.flatnonzero(np.diff(start // piece)) + 1)
+    n = np.array([b.size for b in blocks], dtype=np.intp)[block]
     bad = len(block)
-    for k in pieces:
-        b0, b1 = int(block[k].min()), int(block[k].max()) + 1
+    pieces = np.split(np.arange(bad), np.flatnonzero(np.diff(
+        np.cumsum(n) // max(1, CELL_BUDGET // 8))) + 1)
+    for k in pieces if bad else []:
+        m, own = n[k], block[k].tolist()
+        terms = {b: blocks[b].terms() for b in set(own)}
         rows, exps, values = (np.concatenate(p) for p in zip(
-            *[b.terms() for b in blocks[b0:b1]]))
-        m = n[k]
-        t = np.arange(int(m.sum())) + np.repeat(
-            offset[block[k]] - offset[b0] - np.cumsum(m) + m, m)
-        k = np.arange(len(block))[k].repeat(m)
-        pos, cols = locate(slot[k], rows[t]), exps[t] + shift[k]
+            *map(terms.get, own)))
+        pos = locate(np.repeat(slot[k], m), rows)
+        cols = exps + np.repeat(shift[k], m)
         if pos.min(initial=0) < 0 or cols.min(initial=0) < 0 \
                 or cols.max(initial=0) >= width:
             off = (pos < 0) | (cols < 0) | (cols >= width)
-            bad = min(bad, int(k[off].min()))
+            bad = min(bad, int(k.repeat(m)[off].min()))
         else:
-            np.add.at(flat, pos * width + cols, values[t] * coef[k])
+            np.add.at(flat, pos * width + cols, values * coef[k].repeat(m))
     if bad < len(block):
         raise InvariantError(fault(bad))
 
@@ -699,19 +686,18 @@ class ColumnTable:
                 "the inverse column of {0!r} has a row outside the rows of "
                 "{1!r}")))
 
-    def shadow_failures(self, xs, keep: bool = True):
+    def shadow_failures(self, xs):
         """For each x of ``xs`` in order, the rows y of its stored inverse
         column where sum_z (-1)^{l(z)} (inverse at (z, x)) (canonical
         column of z) differs from (-1)^{l(x)} [y = x]: the shadow pass, a
-        batched pass per chunk, computed on first query and kept if
-        ``keep``."""
+        batched pass per chunk, computed on first query and kept."""
         def run(chunk):
             cols = self.inverse_columns(chunk)
             return alternating_failures(
                 self.group, chunk, [c.rows for c in cols], cols,
                 self.canonical_blocks,
                 "the block of {0!r} has a term outside the rows of {1!r}")
-        return self._passes(self._shadow if keep else {}, xs, run)
+        return self._passes(self._shadow, xs, run)
 
     def _passes(self, memo, xs, run):
         """``memo[x.index]`` for each x of ``xs`` in order, the missing
@@ -731,14 +717,14 @@ class ColumnTable:
         their inverse, the canonical blocks, is too, and the Kronecker
         sums meet no stray term and vanish."""
         try:
-            self.canonical_blocks(self.basis)
+            self.canonical_blocks(self.basis)   # in batches, before mu reads
             cols = self.inverse_columns(self.basis)
-            if any(self.shadow_failures(self.basis)):
-                return False
+            return not any(self.shadow_failures(self.basis)) and all(
+                c.coeffs.shape[1] <= x.length + 1
+                and np.array_equal(c.rows, self.column_ids(x))
+                for x, c in zip(self.basis, cols))
         except Exception:       # the Kronecker sums word the error
             return False
-        return all(c.coeffs.shape[1] <= x.length + 1 and np.array_equal(
-            c.rows, self.column_ids(x)) for x, c in zip(self.basis, cols))
 
     def check_inversion_identity(self, y: Element, x: Element) -> bool:
         """The Kronecker sum at (y, x): 1 when y = x and 0 otherwise, read

@@ -60,9 +60,7 @@ from .coxeter import (
     CoxeterMatrix, Element, GroupTable, parse_coxeter_spec, render_word,
 )
 from .hecke import InvariantError, KLTable
-from .kernel import (
-    Batch, block_terms, chunks, row_poly, stack_terms,
-)
+from .kernel import Batch, block_terms, chunks, row_poly, stack_terms
 from .laurent import LaurentPoly
 from .parabolic import (
     ANTISPHERICAL, SPHERICAL, FlavorMismatchError, ParabolicContext,
@@ -530,7 +528,7 @@ def _check_multiplicities(x: Element, rows, exps, values) -> None:
         raise InvariantError(f"negative multiplicity at ({y!r},{x!r},{exp})")
 
 
-def rouquier_shadows(table: KLTable, xs, keep: bool = False):
+def rouquier_shadows(table: KLTable, xs):
     """Grothendieck check for each x of ``xs`` in order: whether the
     alternating sum re-expands to delta_x.
 
@@ -538,9 +536,9 @@ def rouquier_shadows(table: KLTable, xs, keep: bool = False):
     does.  With the parities right, (-1)^i = (-1)^{l(x)-l(y)} for each
     m^i_y, so the alternating sum of the m^i_y v^i b_y is delta_x exactly
     when the inversion identity holds the other way round: the table's
-    shadow pass (``ColumnTable.shadow_failures``), kept if ``keep``.
+    shadow pass (``ColumnTable.shadow_failures``).
     """
-    shadows = table.shadow_failures(xs, keep)
+    shadows = table.shadow_failures(xs)
     for x in xs:
         try:
             failing = next(shadows)
@@ -599,14 +597,10 @@ class CheckResult:
                 "I": self.subset, "violations": _JSONList(self.violations)}
 
     def text_lines(self) -> list[str]:
-        label = self.check
-        if self.subset or self.flavor:
-            extra = []
-            if self.subset:
-                extra.append("I={" + ",".join(map(str, self.subset)) + "}")
-            if self.flavor:
-                extra.append(self.flavor)
-            label += " [" + " ".join(extra) + "]"
+        extra = (["I={" + ",".join(map(str, self.subset)) + "}"]
+                 if self.subset else [])
+        extra += [self.flavor] if self.flavor else []
+        label = self.check + (" [" + " ".join(extra) + "]" if extra else "")
         status = "PASS" if self.passed else "FAIL"
         line = f"{status} {label}: checked={self.pairs_checked}"
         if self.violations:
@@ -633,12 +627,8 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
     def to_json_obj(self) -> dict:
-        return {
-            "group": self.group,
-            "cap": self.cap,
-            "passed": self.passed,
-            "checks": [c.to_json_obj() for c in self.checks],
-        }
+        return {"group": self.group, "cap": self.cap, "passed": self.passed,
+                "checks": [c.to_json_obj() for c in self.checks]}
 
     def text_lines(self) -> list[str]:
         cap = "full" if self.cap is None else str(self.cap)
@@ -755,7 +745,7 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
         ("inversion-identity", lambda res: inversion(
             res, table, lambda y, x: f"inversion sum at ({y!r},{x!r})")),
         ("rouquier-shadow", lambda res: per_element(
-            res, rouquier_shadows(table, group, keep=True),
+            res, rouquier_shadows(table, group),
             lambda x: f"shadow at {x!r}")),
         ("scan-classical", lambda res: scan_into(
             res, scan_monotonicity_classical, table)),

@@ -58,7 +58,8 @@ class TestShadowMatchesReference:
 
 def _with_entries(table: KLTable, x, edits) -> None:
     """Replace the stored column of x by a copy with coefficient
-    (row of ``word``, ``exp``) set to ``value`` for each edit."""
+    (row of ``word``, ``exp``) set to ``value`` for each edit, and drop
+    the kept shadow pass of x."""
     g = table.group
     col = table.inverse_column(x)
     coeffs = col.coeffs.astype(np.int64)
@@ -66,6 +67,7 @@ def _with_entries(table: KLTable, x, edits) -> None:
         coeffs[int(np.searchsorted(col.rows, g.element(word).index)),
                exp] = value
     table._inv_cols[x.index] = InverseColumn(col.rows, coeffs)
+    table._shadow.pop(x.index, None)
 
 
 def _raised(check, table, x) -> str:
