@@ -53,9 +53,9 @@ import numpy as np
 from . import kernel
 from .coxeter import Element, GroupTable, RIGHT
 from .kernel import (
-    ANTISPHERICAL, Block, ColumnTable, InverseColumn, InvariantError, Batch,
-    ParabolicContext, add_blocks, batched, block_row, block_terms,
-    dense_blocks, exact_total, prefix_levels, row_poly, stack_terms,
+    ANTISPHERICAL, Block, ColumnTable, InvariantError, Batch, ParabolicContext,
+    add_blocks, batched, block_row, block_terms, dense_blocks, exact_total,
+    prefix_levels, row_poly, stack_terms,
 )
 from .laurent import LaurentPoly
 
@@ -239,18 +239,16 @@ def bar_blocks(space, xs) -> list[Block]:
         mask = space.rep_mask
         wall = tuple((space.scalar - _VINV_MINUS_V).items())
 
-    def run(chunk):
-        prev = [memo[group.prefix(x)[0].index] for x in chunk]
+    def run(batch):
+        prev = [memo[group.prefix(x)[0].index] for x in batch.xs]
         # each entry receives at most three terms of the previous block
         exact = 3 * max(b.row_norm for b in prev) >= kernel.INT64_LIMIT
-        ids = [space.downset_ids(x) for x in chunk]
-        top = chunk[0].length
-        acc = np.zeros((sum(map(len, ids)), 2 * top + 1),
+        top = batch.xs[0].length
+        acc = np.zeros((len(batch.ids), 2 * top + 1),
                        dtype=object if exact else np.int64)
-        _times_generator(group, chunk, Batch(chunk, ids),
-                         stack_terms(prev), top, acc, up=((1, 1), (-1, -1)),
-                         mask=mask, wall=wall)
-        return dense_blocks(ids, acc, top)
+        _times_generator(group, batch, stack_terms(prev), top, acc,
+                         up=((1, 1), (-1, -1)), mask=mask, wall=wall)
+        return dense_blocks(batch.rows, acc, top)
     for level in prefix_levels(group, xs, memo):
         for x, block in batched(level, space.downset_ids,
                                 lambda x: 2 * x.length + 1, run):
@@ -258,12 +256,11 @@ def bar_blocks(space, xs) -> list[Block]:
     return [memo[x.index] for x in xs]
 
 
-def _times_generator(group: GroupTable, xs: list[Element], batch: Batch,
-                     prev, offset: int, acc: np.ndarray, up, down=(),
-                     mask=None, wall=()):
+def _times_generator(group: GroupTable, batch: Batch, prev, offset: int,
+                     acc: np.ndarray, up, down=(), mask=None, wall=()):
     """Add the product of column k of ``prev`` by (delta_s + c) into the
-    rows of column k of ``acc``, for each x = xs[k] = x's, whose column
-    of ``batch`` holds the sorted ids of the basis elements below x:
+    rows of column k of ``acc``, for each x = ``batch.xs[k]`` = x's, whose
+    column of ``batch`` holds the sorted ids of the basis elements below x:
     ``prev`` are the ``stack_terms`` of the blocks of each x', and column
     j of ``acc`` holds the exponent j - offset.
 
@@ -274,6 +271,7 @@ def _times_generator(group: GroupTable, xs: list[Element], batch: Batch,
     the term does not move and stays in row y times ``wall`` instead.
     """
     slot, src, exps, values = prev
+    xs = batch.xs
     dst = group.right[src, np.array([group.prefix(x)[1] for x in xs])[slot]]
     across = (np.zeros(len(src), bool) if mask is None
               else (dst >= 0) & ~mask[dst])
@@ -353,15 +351,15 @@ class KLTable(ColumnTable):
                 memo[z.index] = block
         return [memo[x.index] for x in xs]
 
-    def _b_steps(self, zs: list[Element]) -> list[Block]:
-        """b_z for the zs, all of one length, by the mu-recursion: for
-        z = z's with s lengthening, b_{z'} b_s, a dense array over
-        downset(z) x [0, l(z)], is b_z plus sum_{ys<y} mu(y, z') b_y,
-        mu(y, z') the v^1 term of row y of b_{z'}.  The products of all
-        the zs are one ``_times_generator`` step and their mu-multiples
-        one sum of blocks.
+    def _b_steps(self, batch: Batch) -> list[Block]:
+        """b_z for the zs of a ``Batch``, all of one length, by the
+        mu-recursion: for z = z's with s lengthening, b_{z'} b_s, a dense
+        array over downset(z) x [0, l(z)], is b_z plus sum_{ys<y} mu(y, z')
+        b_y, mu(y, z') the v^1 term of row y of b_{z'}.  The products of
+        all the zs are one ``_times_generator`` step and their
+        mu-multiples one sum of blocks.
         """
-        group, memo = self.group, self._canonical
+        group, memo, zs = self.group, self._canonical, batch.xs
         prev = [memo[group.prefix(z)[0].index] for z in zs]
         terms = stack_terms(prev)
         slot, y, e, c = terms
@@ -373,17 +371,15 @@ class KLTable(ColumnTable):
         norms = np.array([b.row_norm for b in blocks], dtype=object)
         exact = 2 * max(b.row_norm for b in prev) + exact_total(
             np.abs(c[k].astype(object)) * norms[which]) >= kernel.INT64_LIMIT
-        ids = [group.downset_ids(z) for z in zs]
-        batch = Batch(zs, ids)
         acc = np.zeros((len(batch.ids), zs[0].length + 1),
                        dtype=object if exact else np.int64)
-        _times_generator(group, zs, batch, terms, 0, acc, up=((1, 1),),
+        _times_generator(group, batch, terms, 0, acc, up=((1, 1),),
                          down=((-1, 1),))
         add_blocks(acc, batch.locate, slot[k], which, 0 * k,
                    -c[k].astype(acc.dtype), blocks,
                    lambda j: f"the block of {group.elements[y[k[j]]]!r} has a "
                              f"term outside the rows of {zs[slot[k[j]]]!r}")
-        out = dense_blocks(ids, acc)
+        out = dense_blocks(batch.rows, acc)
         self._validate_triangular(zs, out)
         return out
 

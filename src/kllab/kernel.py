@@ -14,7 +14,7 @@ entries (x, z, e, c), with one ``np.add.at`` per piece.  The passes built
 on it take a chunk of columns at a time (``batched``):
 
 - ``bar_invariant_blocks``: canonical elements from the blocks of
-  bar(m_z), one length level of every column of the chunk per step;
+  bar(m_z) by id, one length level of every column of the chunk per step;
 - ``alternating_failures``: the inversion identity of whole columns in
   either orientation, canonical blocks over inverse columns (the
   Kronecker sums) or inverse columns over canonical blocks (the Rouquier
@@ -22,8 +22,11 @@ on it take a chunk of columns at a time (``batched``):
   orientations; the Kronecker sums run only when it fails or raises, to
   name the failing pairs.
 
-A chunk of columns and a scatter piece hold about ``CELL_BUDGET`` cells;
-an error in a chunk is raised as the first failing column raises it
+One chunker, ``chunks``, reads the rows of each column once and hands
+every pass its chunk as a ``Batch`` of about ``CELL_BUDGET`` cells: the
+xs, their rows and the table that locates a row in a column.  One cutter,
+``pieces``, cuts every scatter and scan into pieces of the same budget.
+An error in a chunk is raised as the first failing column raises it
 alone.  The prefix recursions (inverse columns here, b_x and bar(m_x) in
 ``hecke``) run one length level at a time (``prefix_levels``): the
 columns of a chunk of the level take one stacked step from their
@@ -195,13 +198,15 @@ class InverseColumn(NamedTuple):
 # ----------------------------------------------------------------------
 
 class Batch:
-    """The columns of several x stacked as the rows of one array: column
-    k, of x = ``xs[k]``, holds rows ``start[k]:start[k + 1]``, the sorted
-    ids of its basis elements below x, x last (row ``top[k]``)."""
+    """A chunk of columns stacked as the rows of one array: column k, of
+    x = ``xs[k]``, holds rows ``start[k]:start[k + 1]``, the sorted ids
+    ``rows[k]`` of its basis elements below x, x last (row ``top[k]``).
+    Every batched pass receives its chunk as one (``chunks``)."""
 
-    def __init__(self, xs: list[Element], ids):
-        sizes = [len(i) for i in ids]
-        self.ids, self.start = np.concatenate(ids), np.cumsum([0] + sizes)
+    def __init__(self, xs: list[Element], rows: list[np.ndarray]):
+        self.xs, self.rows = xs, rows
+        sizes = [len(r) for r in rows]
+        self.ids, self.start = np.concatenate(rows), np.cumsum([0] + sizes)
         self.top, self.slot = self.start[1:] - 1, np.repeat(
             np.arange(len(xs)), sizes)
         # per column, the row of each id up to x and -1 at x.index + 1
@@ -229,6 +234,16 @@ def stack_terms(blocks) -> tuple[np.ndarray, ...]:
     return slot, rows, exps, values
 
 
+def pieces(counts, cells: int):
+    """(a, b) bounds of the runs of entries a..b-1, in order, entry k
+    holding ``counts[k]`` items of ``cells`` cells each, about CELL_BUDGET
+    cells a run: the one cut of every scatter and every scan into pieces."""
+    start = np.cumsum(counts) - counts
+    cuts = np.flatnonzero(np.diff(start * cells // CELL_BUDGET)) + 1
+    bounds = [0, *cuts.tolist(), len(counts)] if len(counts) else []
+    return zip(bounds, bounds[1:])
+
+
 def add_blocks(acc: np.ndarray, locate, slot: np.ndarray, block: np.ndarray,
                shift: np.ndarray, coef: np.ndarray, blocks: list,
                fault: Callable[[int], str]) -> None:
@@ -238,31 +253,28 @@ def add_blocks(acc: np.ndarray, locate, slot: np.ndarray, block: np.ndarray,
     scatter of every sum of blocks.  ``locate`` gives the row of id y in
     column slot, or -1 (``Batch.locate``).
 
-    The entries go in order, in pieces of about CELL_BUDGET // 8 terms (a
-    piece holds about eight index arrays per term), a piece taking the
-    terms of each of its entries end to end: one ``np.add.at`` each.
-    ``coef`` has the dtype of ``acc``.  The first entry k, in entry order,
-    with a term off the rows of its column or off the columns of ``acc``
-    raises InvariantError(fault(k)).
+    The entries go in order, in ``pieces`` of about eight index arrays per
+    term, a piece taking the terms of each of its entries end to end: one
+    ``np.add.at`` each.  ``coef`` has the dtype of ``acc``.  The first
+    entry k, in entry order, with a term off the rows of its column or off
+    the columns of ``acc`` raises InvariantError(fault(k)).
     """
     flat, width = acc.reshape(-1), acc.shape[1]
     n = np.array([b.size for b in blocks], dtype=np.intp)[block]
     bad = len(block)
-    pieces = np.split(np.arange(bad), np.flatnonzero(np.diff(
-        np.cumsum(n) // max(1, CELL_BUDGET // 8))) + 1)
-    for k in pieces if bad else []:
-        m, own = n[k], block[k].tolist()
-        terms = {b: blocks[b].terms() for b in set(own)}
+    for a, b in pieces(n, 8):
+        m, own = n[a:b], block[a:b].tolist()
+        terms = {j: blocks[j].terms() for j in set(own)}
         rows, exps, values = (np.concatenate(p) for p in zip(
             *map(terms.get, own)))
-        pos = locate(np.repeat(slot[k], m), rows)
-        cols = exps + np.repeat(shift[k], m)
+        pos = locate(np.repeat(slot[a:b], m), rows)
+        cols = exps + np.repeat(shift[a:b], m)
         if pos.min(initial=0) < 0 or cols.min(initial=0) < 0 \
                 or cols.max(initial=0) >= width:
             off = (pos < 0) | (cols < 0) | (cols >= width)
-            bad = min(bad, int(k.repeat(m)[off].min()))
+            bad = min(bad, int(np.arange(a, b).repeat(m)[off].min()))
         else:
-            np.add.at(flat, pos * width + cols, values * coef[k].repeat(m))
+            np.add.at(flat, pos * width + cols, values * coef[a:b].repeat(m))
     if bad < len(block):
         raise InvariantError(fault(bad))
 
@@ -272,34 +284,40 @@ def exact_total(amounts: np.ndarray) -> int:
     return sum(amounts.tolist())
 
 
-def chunks(xs, cost: Callable[[Element], int]) -> list[list[Element]]:
-    """``xs`` in order, cut into runs whose ``cost`` sums to about
-    CELL_BUDGET cells, or one x alone."""
-    out, cells = [], CELL_BUDGET
+def chunks(xs, rows, width: Callable[[Element], int]):
+    """The ``Batch`` of each run of ``xs``, in order: the columns of a run,
+    ``rows(x)`` times ``width(x)`` cells each, and their id tables hold
+    about CELL_BUDGET cells, or it is one x alone.  ``rows`` is read once
+    per x."""
+    run, ids, cells = [], [], 0
     for x in xs:
-        c = cost(x)
-        if cells + c > CELL_BUDGET:
-            out.append([])
-            cells = 0
-        out[-1].append(x)
+        r = rows(x)
+        c = len(r) * width(x) + x.index + 2
+        if run and cells + c > CELL_BUDGET:
+            yield Batch(run, ids)
+            run, ids, cells = [], [], 0
+        run.append(x)
+        ids.append(r)
         cells += c
-    return out
+    if run:
+        yield Batch(run, ids)
 
 
 def batched(xs, rows, width: Callable[[Element], int], run):
-    """(x, run(chunk)[i]) for each x of ``xs`` in order, ``run`` taking
-    the ``chunks`` whose columns (the ids ``rows(x)`` of the column of x
-    times ``width(x)``) and id tables hold about CELL_BUDGET cells.  A
-    chunk that raises is redone one x at a time, so the error raised is
-    the first failing x's, worded as its lone request words it."""
-    for chunk in chunks(xs, lambda x: len(rows(x)) * width(x) + x.index + 2):
+    """(x, run(batch)[i]) for each x of ``xs`` in order, ``run`` taking the
+    ``Batch`` of each of the ``chunks``.  A chunk that raises is redone as
+    lone ``Batch``es, one x at a time, so the error raised is the first
+    failing x's, worded as its lone request words it."""
+    for batch in chunks(xs, rows, width):
         try:
-            got = run(chunk)
+            got = run(batch)
         except (InvariantError, ValueError):    # a column's own errors
-            if len(chunk) == 1:
+            if len(batch.xs) == 1:
                 raise
-            got = (run([x])[0] for x in chunk)     # lazily, in order
-        yield from zip(chunk, got)
+            got = (run(Batch([x], [r]))[0]         # lazily, in order
+                   for x, r in zip(batch.xs, batch.rows))
+        yield from zip(batch.xs, got)
+        del batch, got                  # before the next Batch is built
 
 
 def prefix_levels(group: GroupTable, xs, known) -> list[list[Element]]:
@@ -315,12 +333,12 @@ def prefix_levels(group: GroupTable, xs, known) -> list[list[Element]]:
         sorted(seen), lambda i: elements[i].length)]
 
 
-def _bar_solve_chunk(group: GroupTable, xs: list[Element], ids,
-                     bar_of: Callable[[Element], Block], dtype
+def _bar_solve_chunk(group: GroupTable, batch: Batch, bars, dtype
                      ) -> list[Block]:
-    """The canonical elements of a chunk of xs over their sorted ``ids``
-    (x last), in ``dtype``; an int64 chunk whose bound reaches
-    INT64_LIMIT is redone whole in exact ints.
+    """The canonical elements of the xs of a ``Batch`` over its rows, in
+    ``dtype``, given ``bars[z]``, the block of bar(m_z) for each id z of
+    the rows; an int64 chunk whose bound reaches INT64_LIMIT is redone
+    whole in exact ints.
 
     Write the element of x as sum_z n_z m_z with n_x = 1.  Bar-invariance
     says that for every row y, a_y = sum_{z > y} bar(n_z) r_{y,z} equals
@@ -335,7 +353,7 @@ def _bar_solve_chunk(group: GroupTable, xs: list[Element], ids,
     of the chunk grows by max|n_y| times the row norm of bar(m_y) for
     each row of each column.
     """
-    elements, batch = group.elements, Batch(xs, ids)
+    elements, xs = group.elements, batch.xs
     top = max(x.length for x in xs)
     acc = np.zeros((len(batch.ids), 2 * top + 1), dtype=dtype)
     out = np.zeros((len(batch.ids), top + 1), dtype=dtype)
@@ -359,19 +377,18 @@ def _bar_solve_chunk(group: GroupTable, xs: list[Element], ids,
         size = np.abs(coef[:cut]).max(axis=1, initial=0)
         has = np.flatnonzero(size)
         zs, which = np.unique(batch.ids[rows[has]], return_inverse=True)
-        # fetched from the top down, as a lone column meets them
-        bars = [bar_of(elements[z]) for z in zs[::-1].tolist()][::-1]
+        blocks = [bars[z] for z in zs.tolist()]
         if dtype is not object:
             bound += exact_total(size[has] * np.array(
-                [b.row_norm for b in bars], dtype=object)[which])
+                [b.row_norm for b in blocks], dtype=object)[which])
             if bound >= INT64_LIMIT:
-                return _bar_solve_chunk(group, xs, ids, bar_of, object)
+                return _bar_solve_chunk(group, batch, bars, object)
         i, e = np.nonzero(coef[:cut])
         out[rows[i], e] = coef[i, e]
         block = np.zeros(cut, np.intp)
         block[has] = which
         add_blocks(acc, batch.locate, slot[i], block[i], top - e, coef[i, e],
-                   bars, lambda k: (
+                   blocks, lambda k: (
                        f"the block of {elements[batch.ids[rows[i[k]]]]!r} has "
                        f"a term outside the rows of {xs[slot[i[k]]]!r}"))
         if cut < len(rows):
@@ -380,7 +397,7 @@ def _bar_solve_chunk(group: GroupTable, xs: list[Element], ids,
                 f"bar-invariance solve at {x!r}: the coefficient of {z!r} "
                 + ("is not antisymmetric" if skew[cut] else
                    f"has a term above degree {x.length - z.length}"))
-    for x, rows, a, n in zip(xs, ids, batch.split(acc), batch.split(out)):
+    for x, rows, a, n in zip(xs, batch.rows, *map(batch.split, (acc, out))):
         if a[:, :top].any() or (a[:, top:] != n).any():
             raise InvariantError("bar-invariance solve produced a "
                                  f"non-self-dual element at {x!r}")
@@ -388,25 +405,24 @@ def _bar_solve_chunk(group: GroupTable, xs: list[Element], ids,
                 or n[:-1, 0].any()):
             raise InvariantError(
                 f"canonical element at {x!r} not unitriangular over vZ[v]")
-    return dense_blocks(ids, out)
+    return dense_blocks(batch.rows, out)
 
 
-def bar_invariant_blocks(group: GroupTable, xs, ids_of, bar_of):
+def bar_invariant_blocks(group: GroupTable, xs, rows, bars):
     """(x, block) for each x of ``xs`` in order: the bar-invariant element
-    m_x + sum_{y < x} vZ[v] m_y over the sorted ``ids_of(x)`` (x last),
-    given ``bar_of(z)``, the block of bar(m_z), by one batched pass per
-    chunk.  Raises InvariantError when the pass finds no such element.
+    m_x + sum_{y < x} vZ[v] m_y over the sorted ``rows(x)`` (x last),
+    given ``bars``, the blocks of bar(m_z) by id z, by one batched pass
+    per chunk.  Raises InvariantError when the pass finds no such element.
     """
-    return batched(xs, ids_of, lambda x: 3 * x.length + 2, lambda chunk: (
-        _bar_solve_chunk(group, chunk, [ids_of(x) for x in chunk], bar_of,
-                         np.int64)))
+    return batched(xs, rows, lambda x: 3 * x.length + 2, lambda batch: (
+        _bar_solve_chunk(group, batch, bars, np.int64)))
 
 
-def alternating_failures(group: GroupTable, xs: list[Element], ids, outer,
+def alternating_failures(group: GroupTable, batch: Batch, outer,
                          inner_of: Callable[[list], list], stray: str
                          ) -> list[frozenset[int]]:
-    """For each x of a chunk, the ids y among ``ids`` (the rows of its
-    column) at which
+    """For each x of a ``Batch``, the ids y among the rows of its column
+    at which
 
         sum_z (-1)^{l(z)} c v^e (inner column of z)
 
@@ -420,7 +436,7 @@ def alternating_failures(group: GroupTable, xs: list[Element], ids, outer,
     whichever columns share the chunk.  A ``ColumnTable`` keeps its
     shadow pass, which decides both orientations (``inversion_holds``).
     """
-    elements, lengths = group.elements, group.lengths
+    elements, lengths, xs = group.elements, group.lengths, batch.xs
     slot, z, e, values = stack_terms(outer)
     zs, which = np.unique(z, return_inverse=True)
     inner = inner_of([elements[y] for y in zs.tolist()])
@@ -438,11 +454,11 @@ def alternating_failures(group: GroupTable, xs: list[Element], ids, outer,
     def fault(k):
         x, zk = xs[slot[k]], elements[z[k]]
         if outside[k] and np.isin(inner[which[k]].terms()[0],
-                                  ids[slot[k]]).all():
+                                  batch.rows[slot[k]]).all():
             return (f"coefficient of {zk!r} at {x!r} has a term outside the "
                     f"window [0, {window[k]}]")
         return stray.format(zk, x)
-    batch, width = Batch(xs, ids), int(tops.max()) + 1
+    width = int(tops.max()) + 1
     acc = np.zeros((len(batch.ids), width), dtype=dtype)
     # a term off its window or reaching past l(x) is sent off the array,
     # where add_blocks reports it in entry order after earlier stray rows
@@ -451,7 +467,7 @@ def alternating_failures(group: GroupTable, xs: list[Element], ids, outer,
         coef.astype(dtype), inner, fault)
     acc[batch.top, 0] -= (1 - 2 * (tops % 2)).astype(dtype)  # (-1)^{l(x)}
     return [frozenset(rows[a.any(axis=1)].tolist())
-            for rows, a in zip(ids, batch.split(acc))]
+            for rows, a in zip(batch.rows, batch.split(acc))]
 
 
 SPHERICAL = "spherical"
@@ -553,9 +569,9 @@ class ColumnTable:
         one-column levels; only the columns of xs are checked and stored."""
         stored, want, prev = self._inv_cols, {x.index for x in xs}, {}
 
-        def run(chunk):
-            cols = self._inverse_steps(chunk, known)
-            self._check_columns([(x, col) for x, col in zip(chunk, cols)
+        def run(batch):
+            cols = self._inverse_steps(batch, known)
+            self._check_columns([(x, col) for x, col in zip(batch.xs, cols)
                                  if x.index in want])
             return cols
         for level in prefix_levels(self.group, xs, stored):
@@ -567,10 +583,10 @@ class ColumnTable:
                     stored[x.index] = col
         return [stored[x.index] for x in xs]
 
-    def _inverse_steps(self, xs: list[Element], known) -> list[InverseColumn]:
-        """The columns of ``xs``, all of one length, each x = x's from
-        ``known[x'.index]``, the column of x', by m_x = m_{x'} (b_s - v),
-        in one stacked step.
+    def _inverse_steps(self, batch: Batch, known) -> list[InverseColumn]:
+        """The columns of the xs of a ``Batch``, all of one length, over its
+        rows, each x = x's from ``known[x'.index]``, the column of x', by
+        m_x = m_{x'} (b_s - v), in one stacked step.
 
         c_z b_s is c_{zs} + sum mu(y, z) c_y if zs > z is a basis element,
         (v + v^{-1}) c_z if zs < z, and across a wall (zs no basis element)
@@ -585,7 +601,7 @@ class ColumnTable:
         step runs in exact ints when that bound, with the max and the sum
         taken over the whole chunk, reaches INT64_LIMIT.
         """
-        group = self.group
+        group, xs = self.group, batch.xs
         pre = [group.prefix(x) for x in xs]
         prev = [known[p.index] for p, _ in pre]
         sizes = [len(c.rows) for c in prev]
@@ -602,8 +618,6 @@ class ColumnTable:
             mus))) >= INT64_LIMIT else np.int64
         if object in (h.dtype, dtype):  # int64 sums take narrow h as it is
             h = h.astype(dtype)
-        ids = [self.column_ids(x) for x in xs]
-        batch = Batch(xs, ids)
         at_y = batch.locate(slot[src], ys)
         if at_y.min(initial=0) < 0:
             x = xs[slot[src[np.argmax(at_y < 0)]]]
@@ -620,8 +634,8 @@ class ColumnTable:
             y, x = group.elements[batch.ids[low[0]]], xs[batch.slot[low[0]]]
             raise InvariantError(
                 f"inverse polynomial at ({y!r},{x!r}) has a v^-1 term")
-        cols = [InverseColumn(rows, part if dtype is object else narrow(part))
-                for rows, part in zip(ids, batch.split(dense[:, 1:]))]
+        cols = [InverseColumn(r, p if dtype is object else narrow(p))
+                for r, p in zip(batch.rows, batch.split(dense[:, 1:]))]
         for col in cols:
             col.coeffs.flags.writeable = False
         return cols
@@ -679,10 +693,10 @@ class ColumnTable:
         over basis elements z in [y, x] differs from [y = x]: the
         Kronecker sums, a batched pass per chunk, computed on first query
         and kept."""
-        return self._passes(self._kronecker, xs, lambda chunk: (
+        return self._passes(self._kronecker, xs, lambda batch: (
             alternating_failures(
-                self.group, chunk, [self.column_ids(x) for x in chunk],
-                self.canonical_blocks(chunk), self.inverse_columns,
+                self.group, batch, self.canonical_blocks(batch.xs),
+                self.inverse_columns,
                 "the inverse column of {0!r} has a row outside the rows of "
                 "{1!r}")))
 
@@ -690,11 +704,12 @@ class ColumnTable:
         """For each x of ``xs`` in order, the rows y of its stored inverse
         column where sum_z (-1)^{l(z)} (inverse at (z, x)) (canonical
         column of z) differs from (-1)^{l(x)} [y = x]: the shadow pass, a
-        batched pass per chunk, computed on first query and kept."""
-        def run(chunk):
-            cols = self.inverse_columns(chunk)
+        batched pass per chunk over the columns' own rows, computed on
+        first query and kept."""
+        def run(batch):
+            cols = self.inverse_columns(batch.xs)
             return alternating_failures(
-                self.group, chunk, [c.rows for c in cols], cols,
+                self.group, Batch(batch.xs, [c.rows for c in cols]), cols,
                 self.canonical_blocks,
                 "the block of {0!r} has a term outside the rows of {1!r}")
         return self._passes(self._shadow, xs, run)

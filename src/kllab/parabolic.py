@@ -42,14 +42,13 @@ canonical elements are stored as blocks, decoded only when a caller asks.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import compress
 
 import numpy as np
 
 from .coxeter import Element, GroupTable
 from .hecke import (
-    _VINV_MINUS_V, HeckeElt, KLTable, _accum, bar_block, bar_blocks,
+    _VINV_MINUS_V, HeckeElt, KLTable, _accum, _bar_memo, bar_blocks,
 )
 from .kernel import (
     ANTISPHERICAL, SPHERICAL, Block, ColumnTable, InvariantError,
@@ -133,16 +132,17 @@ class ParabolicKLTable(ColumnTable):
         The pass runs over the representatives below each x, from the
         blocks of bar(m_z) alone; uniqueness of the basis makes the result
         independent of every choice made there.  First one ``bar_blocks``
-        call builds the bar(m_z) of every z below the missing xs.
+        call builds the bar(m_z) of every representative z below the
+        missing xs into the context's memo, which the pass reads by id.
         """
         todo = [x for x in dict.fromkeys(xs) if x.index not in self._canonical]
         below = np.zeros(len(self.group), bool)
         for x in todo:
-            below[self.column_ids(x)] = True
-        bar_blocks(self.context, list(compress(self.group.elements, below)))
-        for x, block in bar_invariant_blocks(
-                self.group, todo, self.column_ids,
-                partial(bar_block, self.context)):
+            below[self.group.downset_ids(x)] = True
+        bar_blocks(self.context, list(compress(self.group.elements,
+                                               below & self.mask)))
+        for x, block in bar_invariant_blocks(self.group, todo, self.column_ids,
+                                             _bar_memo(self.context)):
             self._canonical[x.index] = block
         return [self._canonical[x.index] for x in xs]
 

@@ -55,12 +55,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernel
 from .coxeter import (
     CoxeterMatrix, Element, GroupTable, parse_coxeter_spec, render_word,
 )
 from .hecke import InvariantError, KLTable
-from .kernel import Batch, block_terms, chunks, row_poly, stack_terms
+from .kernel import block_terms, chunks, pieces, row_poly, stack_terms
 from .laurent import LaurentPoly
 from .parabolic import (
     ANTISPHERICAL, SPHERICAL, FlavorMismatchError, ParabolicContext,
@@ -219,7 +218,8 @@ def scan_monotonicity_classical(table: KLTable
     group, el = table.group, table.group.elements
     table.canonical_blocks(group)
 
-    def dense(chunk, batch):
+    def dense(batch):
+        chunk = batch.xs
         slot, z, e, values = stack_terms(table.canonical_blocks(chunk))
         pos, at = batch.locate(slot, z), e + group.lengths[z]
         off = (pos < 0) | (e < 0) | (at > np.array(
@@ -261,16 +261,6 @@ def _decided(group, xs, rows, holds, full) -> tuple[int, ViolationRecord]:
     return sum(int(size[r].sum()) for r in rows), ViolationRecord()
 
 
-def _pieces(m, width: int):
-    """(a, b) cuts of pairs a..b-1, pair k with ``m[k]`` triples of
-    ``width`` cells, about CELL_BUDGET cells a piece."""
-    start = np.cumsum(m) - m
-    cuts = np.flatnonzero(np.diff(start * (width + 8)
-                                  // kernel.CELL_BUDGET)) + 1
-    bounds = [0, *cuts.tolist(), len(m)] if len(m) else []
-    return zip(bounds, bounds[1:])
-
-
 def _inverse_covers_hold(group, xs, col) -> bool:
     """Whether v h^{z,y} <= h^{z,x} for every x of ``xs``, every cover
     y of x and every row z of the column of y, z being a row of the
@@ -279,18 +269,16 @@ def _inverse_covers_hold(group, xs, col) -> bool:
     stored columns ``col`` are read a chunk of xs of one length at a
     time, the chunk's columns stacked and its covers' rows in pieces."""
     lengths = group.lengths
-    for _, level in itertools.groupby(xs, operator.attrgetter("length")):
-        for chunk in chunks(level, lambda x: col[x.index].coeffs.size
-                            + x.index + 2):
-            cols = [col[x.index] for x in chunk]
-            batch = Batch(chunk, [c.rows for c in cols])
-            hx = np.concatenate([c.coeffs for c in cols])
-            pair = np.flatnonzero(lengths[batch.ids] == chunk[0].length - 1)
+    for top, level in itertools.groupby(xs, operator.attrgetter("length")):
+        for batch in chunks(level, lambda x: col[x.index].rows,
+                            lambda x: col[x.index].coeffs.shape[1]):
+            hx = np.concatenate([col[x.index].coeffs for x in batch.xs])
+            pair = np.flatnonzero(lengths[batch.ids] == top - 1)
             covers = [col[y] for y in batch.ids[pair].tolist()]
             m = [len(c.rows) for c in covers]
             met = np.zeros(len(hx), bool)
             met[batch.top] = True
-            for a, b in _pieces(m, hx.shape[1]):
+            for a, b in pieces(m, hx.shape[1] + 8):
                 part = covers[a:b]
                 hi = batch.locate(np.repeat(batch.slot[pair[a:b]], m[a:b]),
                                   np.concatenate([c.rows for c in part]))
@@ -316,10 +304,10 @@ def _scan_triples(group, xs, rows, sides, coeffs=None, dense=None,
     slot by slot and fails where the row of z in x (hi) is below the other
     (lo).  Given the ``coeffs`` of xs, the store holds them end to end,
     right-aligned, and lo is the row of z in y.  Given ``dense`` (the
-    classical scan), ``dense(chunk, batch)`` is the store of a run of xs
-    over the rows of their ``Batch``, row z from slot l(z), and lo is the
-    row of y in x.  Runs of xs keep their ``Batch`` and pair arrays, and
-    pieces of their triples (``_pieces``) their index arrays and rows,
+    classical scan), ``dense(batch)`` is the store of a run of xs over the
+    rows of their ``Batch``, row z from slot l(z), and lo is the row of y
+    in x.  Runs of xs (``chunks``) keep their ``Batch`` and pair arrays,
+    and pieces of their triples (``pieces``) their index arrays and rows,
     within about CELL_BUDGET cells.  A z that is no row of x raises
     InvariantError.  The violations of a run of xs become one part of the
     record: the ids of z, y and x and the witness, the first failing slot
@@ -343,12 +331,12 @@ def _scan_triples(group, xs, rows, sides, coeffs=None, dense=None,
         for c, f, w in zip(coeffs, first.tolist(), widths.tolist()):
             store[f:f + len(c), store.shape[1] - w:] = c
     count, parts = 0, []
-    for chunk in chunks(xs, lambda x: size[index[x.index]] * (
-            32 + (0 if dense is None else x.length + 1)) + x.index + 2):
+    for batch in chunks(xs, lambda x: rows[index[x.index]], lambda x: 32 + (
+            0 if dense is None else x.length + 1)):
+        chunk = batch.xs
         c0 = int(index[chunk[0].index])
-        batch = Batch(chunk, rows[c0:c0 + len(chunk)])
         row0, store = ((int(first[c0]), store) if dense is None
-                       else (0, dense(chunk, batch)))
+                       else (0, dense(batch)))
         ys, slot, found = batch.ids, batch.slot, []
         xid = np.array([x.index for x in chunk])
         m = m_of[index[ys]]
@@ -356,7 +344,7 @@ def _scan_triples(group, xs, rows, sides, coeffs=None, dense=None,
         count += int(start[-1])
         # per pair (x, y): its first z in ids less its first triple
         skip = z0[index[ys]] - start[:-1]
-        for a, b in _pieces(m, store.shape[1]):
+        for a, b in pieces(m, store.shape[1] + 8):
             q = np.repeat(np.arange(a, b), m[a:b])      # each triple's pair
             zidx = skip[q] + np.arange(int(start[a]), int(start[b]))
             z = ids.take(zidx)
@@ -664,8 +652,7 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
     """
     if group is None:
         group = build_group(spec, cap)
-    table = KLTable(group)
-    table.build_all()
+    table = KLTable(group)      # built by the first check, inside its capture
     # the regular module is the quotient with I empty, whose table solves
     # for the one bar-invariant delta_x + vZ[v] lower terms from the blocks
     # of bar(delta_z) alone: b_x is bar-invariant iff its terms are those.
@@ -724,7 +711,7 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
                 res.failures.append(message(group.elements[y], x))
 
     for name, body in [
-        ("positivity-kl", lambda res: term_rows(
+        ("positivity-kl", lambda res: table.build_all() or term_rows(
             res, table.canonical_block, lambda x, y, e, c: (c < 0) | (e < 0),
             table.kl_poly, lambda y, x, h: f"h at ({y!r},{x!r}) = {h}")),
         ("positivity-invkl", lambda res: term_rows(

@@ -82,9 +82,9 @@ def _recursion_chunks(monkeypatch) -> list:
     """Record the chunk of xs of every step of the bar recursion."""
     seen = []
 
-    def spy(group, xs, *args, _step=hecke._times_generator, **kwargs):
-        seen.append(list(xs))
-        return _step(group, xs, *args, **kwargs)
+    def spy(group, batch, *args, _step=hecke._times_generator, **kwargs):
+        seen.append(list(batch.xs))
+        return _step(group, batch, *args, **kwargs)
     monkeypatch.setattr(hecke, "_times_generator", spy)
     return seen
 
@@ -152,9 +152,9 @@ def _chunks_seen(monkeypatch) -> list:
     """Record (dtype, xs) of every call of the batched solver."""
     seen = []
 
-    def spy(group, xs, ids, bar_of, dtype, _solve=kernel._bar_solve_chunk):
-        seen.append((dtype, list(xs)))
-        return _solve(group, xs, ids, bar_of, dtype)
+    def spy(group, batch, bars, dtype, _solve=kernel._bar_solve_chunk):
+        seen.append((dtype, list(batch.xs)))
+        return _solve(group, batch, bars, dtype)
     monkeypatch.setattr(kernel, "_bar_solve_chunk", spy)
     return seen
 
@@ -263,3 +263,42 @@ def test_one_x_of_a_chunk_past_the_bound(monkeypatch):
     assert len(chunk) > 1
     assert (np.int64, chunk) in seen and (object, chunk) in seen
     assert [xs for dtype, xs in seen if top in xs] == [chunk, chunk]
+
+
+def test_rows_and_bars_are_read_once(monkeypatch):
+    """On a fresh quotient table the chunker reads the rows of each x once
+    per pass: once for its canonical block and once for its inverse
+    column.  The bar solve reads the blocks of bar(m_z) from the mapping
+    it is given, calling neither ``hecke._bar_memo`` nor
+    ``hecke.bar_block``."""
+    ctx = ParabolicContext(get_group("H3"), (0,), ANTISPHERICAL)
+    reads, solving, bar_reads = {}, [], []
+
+    def column_ids(self, x, _ids=kernel.ColumnTable.column_ids):
+        reads[x.index] = reads.get(x.index, 0) + 1
+        return _ids(self, x)
+
+    def solve(*args, _solve=kernel._bar_solve_chunk):
+        solving.append(args[1])
+        try:
+            return _solve(*args)
+        finally:
+            solving.pop()
+
+    def bar_spy(name):
+        def spy(*args, _read=getattr(hecke, name)):
+            if solving:
+                bar_reads.append(name)
+            return _read(*args)
+        return spy
+    monkeypatch.setattr(kernel.ColumnTable, "column_ids", column_ids)
+    monkeypatch.setattr(kernel, "_bar_solve_chunk", solve)
+    for name in ("_bar_memo", "bar_block"):
+        monkeypatch.setattr(hecke, name, bar_spy(name))
+    table = ParabolicKLTable(ctx)
+    table.canonical_blocks(ctx.reps)
+    assert reads == {x.index: 1 for x in ctx.reps}
+    reads.clear()
+    table.inverse_columns(ctx.reps)     # the identity's column is given
+    assert reads == {x.index: 1 for x in ctx.reps[1:]}
+    assert bar_reads == []

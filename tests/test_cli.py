@@ -542,14 +542,22 @@ def test_commands_do_not_load_numpy_ma():
 def test_output_is_the_same_across_the_exact_fallback(monkeypatch, capsys,
                                                       argv):
     """With the int64 limit at 8, chunks run in exact ints (and some int64
-    chunks are redone in them); stdout and the exit code do not change."""
+    chunks are redone in them); with the cell budget at 1, every chunk
+    holds one column.  Stdout and the exit code do not change."""
     expected = run_cli(capsys, *argv)[:2]
-    dtypes = []
+    dtypes, sizes = [], set()
 
     def spy(*args, _solve=kernel._bar_solve_chunk):
         dtypes.append(args[-1])
+        sizes.add(len(args[1].xs))
         return _solve(*args)
     monkeypatch.setattr(kernel, "_bar_solve_chunk", spy)
     monkeypatch.setattr(kernel, "INT64_LIMIT", 8)
     assert run_cli(capsys, *argv)[:2] == expected
     assert argv[0] != "suite" or object in dtypes
+    monkeypatch.undo()
+    monkeypatch.setattr(kernel, "_bar_solve_chunk", spy)
+    monkeypatch.setattr(kernel, "CELL_BUDGET", 1)
+    sizes.clear()
+    assert run_cli(capsys, *argv)[:2] == expected
+    assert sizes <= {1} and (argv[0] != "suite" or sizes)

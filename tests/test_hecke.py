@@ -217,10 +217,10 @@ class TestKLBasis:
         dtypes = []
         times_generator = hecke._times_generator
 
-        def spy(group, xs, batch, prev, offset, acc, *args, **kwargs):
+        def spy(group, batch, prev, offset, acc, *args, **kwargs):
             # the dtype of one level step's array
             dtypes.append(object if acc.dtype == object else np.int64)
-            return times_generator(group, xs, batch, prev, offset, acc,
+            return times_generator(group, batch, prev, offset, acc,
                                    *args, **kwargs)
 
         monkeypatch.setattr(kernel, "INT64_LIMIT", 8)

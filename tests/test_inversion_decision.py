@@ -46,9 +46,9 @@ def test_clean_suite_runs_one_shadow_pass_per_table(monkeypatch, spec, cap):
         return _sums(self, xs)
 
     def passes(*args, _pass=kernel.alternating_failures):
-        inner_of = args[4]
+        inner_of = args[3]
         if inner_of.__func__ is not kernel.ColumnTable.inverse_columns:
-            shadow[inner_of.__self__].extend(x.index for x in args[1])
+            shadow[inner_of.__self__].extend(x.index for x in args[1].xs)
         return _pass(*args)
     monkeypatch.setattr(kernel.ColumnTable, "inversion_failures", sums)
     monkeypatch.setattr(kernel, "alternating_failures", passes)

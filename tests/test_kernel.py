@@ -13,10 +13,8 @@ import pytest
 
 from kllab import kernel
 from kllab.coxeter import GroupTable, parse_coxeter_spec
-from kllab.hecke import (
-    HeckeElt, InverseColumn, InvariantError, KLTable, bar_element,
-)
-from kllab.kernel import block_terms
+from kllab.hecke import HeckeElt, InvariantError, KLTable, bar_element
+from kllab.kernel import InverseColumn, block_terms
 from kllab.laurent import LaurentPoly
 from kllab.verify import scan_monotonicity_classical, scan_monotonicity_inverse
 from helpers import (

@@ -92,9 +92,9 @@ def _steps(monkeypatch) -> list:
     seen = []
     for cls, name in ((KLTable, "_b_steps"),
                       (kernel.ColumnTable, "_inverse_steps")):
-        def spy(self, xs, *args, _step=getattr(cls, name)):
-            seen.append(entry := [len(xs), False])
-            got = _step(self, xs, *args)
+        def spy(self, batch, *args, _step=getattr(cls, name)):
+            seen.append(entry := [len(batch.xs), False])
+            got = _step(self, batch, *args)
             entry[1] = True
             return got
         monkeypatch.setattr(cls, name, spy)
@@ -105,9 +105,9 @@ def _chunks(monkeypatch, cls, name: str) -> list:
     """Record the xs of every call of the level step ``cls.name``."""
     seen, step = [], getattr(cls, name)
 
-    def spy(self, xs, *args):
-        seen.append(list(xs))
-        return step(self, xs, *args)
+    def spy(self, batch, *args):
+        seen.append(list(batch.xs))
+        return step(self, batch, *args)
     monkeypatch.setattr(cls, name, spy)
     return seen
 

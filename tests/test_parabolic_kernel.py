@@ -217,8 +217,9 @@ def test_exact_fallback_under_a_small_limit(monkeypatch):
         dtypes["_bar_solve_chunk"].append(args[-1])
         return _solve(*args)
 
-    def step_spy(self, xs, known, _step=kernel.ColumnTable._inverse_steps):
-        cols = _step(self, xs, known)
+    def step_spy(self, batch, known,
+                 _step=kernel.ColumnTable._inverse_steps):
+        cols = _step(self, batch, known)
         # an int64 step is stored narrowed
         dtypes["_inverse_steps"].extend(
             object if col.coeffs.dtype == object else np.int64

@@ -21,8 +21,8 @@ import pytest
 
 from kllab import kernel, verify
 from kllab.coxeter import CoxeterMatrix, GroupTable
-from kllab.hecke import InverseColumn, KLTable
-from kllab.kernel import InvariantError
+from kllab.hecke import KLTable
+from kllab.kernel import InverseColumn, InvariantError
 from kllab.parabolic import (
     ANTISPHERICAL, SPHERICAL, ParabolicContext, ParabolicKLTable,
 )

@@ -19,8 +19,8 @@ from kllab import cli, coxeter, hecke, kernel, laurent, parabolic, verify
 from kllab.coxeter import (
     INFINITY, CoxeterMatrix, GroupTable, parse_coxeter_spec,
 )
-from kllab.hecke import InverseColumn, KLTable
-from kllab.kernel import Block, InvariantError
+from kllab.hecke import KLTable
+from kllab.kernel import Block, InverseColumn, InvariantError
 from kllab.parabolic import (
     ANTISPHERICAL, SPHERICAL, ParabolicContext, ParabolicKLTable,
 )
@@ -347,7 +347,7 @@ def _builders(monkeypatch) -> list:
         return _steps(self, *args)
 
     def sums(*args, _sums=kernel.alternating_failures):
-        inner_of = args[4]      # inverse columns or canonical blocks
+        inner_of = args[3]      # inverse columns or canonical blocks
         assert inner_of.__func__ in (kernel.ColumnTable.inverse_columns,
                                      type(inner_of.__self__).canonical_blocks)
         tables.append(("sums", inner_of.__self__))
@@ -472,13 +472,14 @@ def test_suite_solves_the_empty_quotient_once(monkeypatch, subsets, broken):
     builds its own columns and sums."""
     group = get_group("A3")
     solved, alive, empty_tables = [], [], weakref.WeakSet()
+    solving = []            # the context of the table whose blocks are solved
 
     def spy(*args, _solve=kernel._bar_solve_chunk):
-        _, xs, _, bar_of, _ = args
-        if bar_of.args[0].subset:       # partial(hecke.bar_block, context)
+        _, batch, _, _ = args
+        if solving[-1].subset:
             alive.append(len(empty_tables))
         else:
-            solved.extend(x.index for x in xs)
+            solved.extend(x.index for x in batch.xs)
         return _solve(*args)
 
     class Tracked(ParabolicKLTable):
@@ -486,6 +487,10 @@ def test_suite_solves_the_empty_quotient_once(monkeypatch, subsets, broken):
             super().__init__(context)
             if not context.subset:
                 empty_tables.add(self)
+
+        def canonical_blocks(self, xs):
+            solving[:] = [self.context]
+            return super().canonical_blocks(xs)
     monkeypatch.setattr(kernel, "_bar_solve_chunk", spy)
     monkeypatch.setattr(verify, "ParabolicKLTable", Tracked)
     if broken:
@@ -496,6 +501,27 @@ def test_suite_solves_the_empty_quotient_once(monkeypatch, subsets, broken):
     assert set(alive) == {int(broken)}
     assert {p for p, _ in _empty_subset_passes(tables)} == (
         {"steps", "sums"} if broken else set())
+
+
+def test_a_failed_regular_build_is_a_failed_check(monkeypatch, capsys):
+    """An InvariantError raised while the suite builds the regular table
+    fails the first check, as a quotient's build error fails its check:
+    the suite returns its report, and ``kllab suite`` prints it and exits
+    1 with nothing on stderr."""
+    def check_columns(self, columns):
+        for x, _ in columns:
+            if x.length == 3:
+                raise InvariantError(f"injected at {x!r}")
+    monkeypatch.setattr(KLTable, "_check_columns", check_columns)
+    report = run_identity_suite("A3", [(), (0,)])
+    first = report.checks[0]
+    assert first.check == "positivity-kl" and not first.passed
+    assert first.failures[0].startswith("error: InvariantError: injected at")
+    assert not report.passed
+    assert cli.main(["suite", "--group", "A3"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("suite: group A3, cap full\nFAIL positivity-kl")
+    assert out.endswith("suite result: FAIL\n") and err == ""
 
 
 _BONDS = st.sampled_from([2, 3, 4, 5, 6, 7, INFINITY])

@@ -18,7 +18,8 @@ import pytest
 
 from kllab import kernel, verify
 from kllab.coxeter import render_word
-from kllab.hecke import InverseColumn, KLTable
+from kllab.hecke import KLTable
+from kllab.kernel import InverseColumn
 from kllab.parabolic import (
     ANTISPHERICAL, SPHERICAL, ParabolicContext, ParabolicKLTable,
 )
