@@ -54,7 +54,7 @@ from . import kernel
 from .coxeter import Element, GroupTable, RIGHT
 from .kernel import (
     ANTISPHERICAL, Block, ColumnTable, InvariantError, Batch, ParabolicContext,
-    add_blocks, batched, block_row, block_terms, dense_blocks, exact_total,
+    add_blocks, batched, block_terms, dense_blocks, exact_total,
     prefix_levels, row_poly, stack_terms,
 )
 from .laurent import LaurentPoly
@@ -379,35 +379,30 @@ class KLTable(ColumnTable):
                    -c[k].astype(acc.dtype), blocks,
                    lambda j: f"the block of {group.elements[y[k[j]]]!r} has a "
                              f"term outside the rows of {zs[slot[k[j]]]!r}")
-        out = dense_blocks(batch.rows, acc)
-        self._validate_triangular(zs, out)
-        return out
+        self._validate_triangular(batch, acc)
+        return dense_blocks(batch.rows, acc)
 
     def kl_basis_element(self, x: Element) -> HeckeElt:
         """b_x, decoded from ``canonical_block``."""
         return HeckeElt.from_block(self.group, self.canonical_block(x))
 
-    def _validate_triangular(self, xs: list[Element], blocks) -> None:
-        """In the block of each x, the row of x must be exactly 1 and every
-        other row lie in vZ>=0[v]; the first x that fails raises."""
-        n = len(xs)
-        slot, y, e, c = stack_terms(blocks)
-        own = y == np.array([x.index for x in xs])[slot]
-        # no id above x is a row, so the row of x, when there, is last
-        unit = (np.bincount(slot[own], minlength=n) == 1) & (np.bincount(
-            slot[own & (e == 0) & (c == 1)], minlength=n) == 1)
-        bad = ~own & ((c < 0) | (e < 1))
-        first = min(int(np.argmin(unit)) if not unit.all() else n,
-                    int(slot[bad.argmax()]) if bad.any() else n)
-        if first == n:
+    def _validate_triangular(self, batch: Batch, acc: np.ndarray) -> None:
+        """In the dense sums ``acc`` of the zs of a ``Batch``, column j
+        holding v^j, the row of each x must be exactly 1 and every other
+        row lie in vZ>=0[v]; the first x that fails raises."""
+        top = acc[batch.top]
+        unit = (top[:, 0] == 1) & (top[:, 1:] == 0).all(axis=1)
+        fail = (acc[:, 0] != 0) | (acc < 0).any(axis=1)
+        fail[batch.top] = ~unit
+        if not fail.any():
             return
-        x = xs[first]
-        if not unit[first]:
+        row = int(fail.argmax())
+        x = batch.xs[batch.slot[row]]
+        if not unit[batch.slot[row]]:
             raise InvariantError(f"b at {x!r} not unitriangular")
-        row = int(y[bad.argmax()])
         raise InvariantError(
-            f"coefficient of {self.group.elements[row]!r} in b at {x!r} "
-            f"outside vZ>=0[v]: {block_row(blocks[first], row)}")
+            f"coefficient of {self.group.elements[batch.ids[row]]!r} in b "
+            f"at {x!r} outside vZ>=0[v]: {row_poly(acc[row])}")
 
     # -- polynomials --------------------------------------------------------
 

@@ -36,8 +36,8 @@ levels.  A module is a ``ParabolicContext``: a quotient ^I W and a
 flavor, the regular module being the quotient with I empty.
 ``ColumnTable``, the table core of every module, reads its basis and
 wall rule from one, builds the inverse column of x = x's from the column
-of x' by the recursion m_x = m_{x'} (b_s - v), and checks the inversion
-identity (``inversion_holds``).
+of x' by m_x = m_{x'} (b_s - v), checks the inversion identity
+(``inversion_holds``) and holds the trust rule (``columns_hold``).
 
 Arithmetic is int64 under a bound on coefficient size, one decision per
 chunk: the bound is the exact total over the chunk, never below the
@@ -520,11 +520,11 @@ class ColumnTable:
     The basis, its mask and the wall rule come from the table's
     ``ParabolicContext``; the rows of the column of x are
     ``column_ids(x)``, the sorted ids of the basis elements below x (x
-    last).  A subclass supplies ``canonical_blocks(xs)``, which fills
-    ``_canonical`` with the blocks of the canonical elements, and may
-    check the new columns in ``_check_columns``.  The inverse columns are
-    built by length levels, reading mu from one flat per-id store filled
-    from the canonical blocks.
+    last), as ``columns_hold`` checks.  A subclass supplies
+    ``canonical_blocks(xs)``, which fills ``_canonical`` with the blocks
+    of the canonical elements, and may check the new columns in
+    ``_check_columns``.  The inverse columns are built by length levels,
+    reading mu from one flat per-id store filled from the canonical blocks.
     """
 
     def __init__(self, context: ParabolicContext):
@@ -704,13 +704,15 @@ class ColumnTable:
         """For each x of ``xs`` in order, the rows y of its stored inverse
         column where sum_z (-1)^{l(z)} (inverse at (z, x)) (canonical
         column of z) differs from (-1)^{l(x)} [y = x]: the shadow pass, a
-        batched pass per chunk over the columns' own rows, computed on
-        first query and kept."""
+        batched pass per chunk on its ``Batch``, or on the columns' own
+        rows where they differ, computed on first query and kept."""
         def run(batch):
             cols = self.inverse_columns(batch.xs)
+            rows = [c.rows for c in cols]
+            if not all(map(np.array_equal, rows, batch.rows)):
+                batch = Batch(batch.xs, rows)
             return alternating_failures(
-                self.group, Batch(batch.xs, [c.rows for c in cols]), cols,
-                self.canonical_blocks,
+                self.group, batch, cols, self.canonical_blocks,
                 "the block of {0!r} has a term outside the rows of {1!r}")
         return self._passes(self._shadow, xs, run)
 
@@ -724,20 +726,27 @@ class ColumnTable:
                 memo[x.index] = next(todo)[1]
             yield memo[x.index]
 
+    def columns_hold(self) -> bool:
+        """Whether every stored column, of a basis element x, has the rows
+        ``column_ids(x)`` and at most l(x) + 1 exponents: the one rule by
+        which the checks that read the stored columns trust them."""
+        elements = self.group.elements
+        return all(c.coeffs.shape[1] <= elements[x].length + 1
+                   and np.array_equal(c.rows, self.column_ids(elements[x]))
+                   for x, c in self._inv_cols.items())
+
     def inversion_holds(self) -> bool:
         """Whether the inversion identity holds on the whole basis, by one
-        shadow pass: no failing row or error, and each stored column of x
-        over ``column_ids(x)`` with at most l(x) + 1 exponents.  Then the
-        columns are triangular with exponents in [0, l(x) - l(z)], so
-        their inverse, the canonical blocks, is too, and the Kronecker
-        sums meet no stray term and vanish."""
+        shadow pass: no failing row or error, and the stored columns hold
+        (``columns_hold``).  Then the columns are triangular with
+        exponents in [0, l(x) - l(z)], so their inverse, the canonical
+        blocks, is too, and the Kronecker sums meet no stray term and
+        vanish."""
         try:
             self.canonical_blocks(self.basis)   # in batches, before mu reads
-            cols = self.inverse_columns(self.basis)
-            return not any(self.shadow_failures(self.basis)) and all(
-                c.coeffs.shape[1] <= x.length + 1
-                and np.array_equal(c.rows, self.column_ids(x))
-                for x, c in zip(self.basis, cols))
+            self.inverse_columns(self.basis)
+            return not any(self.shadow_failures(self.basis)) \
+                and self.columns_hold()
         except Exception:       # the Kronecker sums word the error
             return False
 

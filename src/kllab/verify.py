@@ -18,20 +18,20 @@ is the chain arising from a type-A group modulo a type-A wall (I = all
 nodes but one path endpoint), every consecutive chain triple must appear
 among the violations.
 
-A scan decides every triple, but the three theorem scans compare only
-the cover triples unless one fails.  Intervals of W and of ^I W are
-graded (Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm. 2.2.6 and
-Thm. 2.5.5), so a chain of covers joins y to x (z to y, classically),
-and an inequality that holds on every cover triple holds on every
-triple, whatever the stored arrays hold.  The triple count a scan
-reports, ``checked=``, is the number of triples decided.  The classical
-cover triples are a call of the triple kernel, ``_scan_triples``, with
-the covers of each y as its zs.  A failing cover triple, a z off the
-rows or an InvariantError runs the kernel on all triples, which finds
-and words the violations or the error; the spherical scan always runs
-it, as its violations are listed.  In the kernel a triple is a pair of
-rows of an aligned coefficient store, compared slot by slot, in pieces
-of about ``CELL_BUDGET`` cells.
+A scan decides every triple, but the three theorem scans compare only the
+cover triples unless one fails.  Intervals of W and of ^I W are graded
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, Thms. 2.2.6 and 2.5.5),
+so a chain of covers joins y to x (z to y, classically), and an
+inequality that holds on every cover triple holds on every triple, once
+the inverse columns have their true rows (``ColumnTable.columns_hold``).
+The triple count a scan reports, ``checked=``, is the number of triples
+decided.  The classical cover triples are a call of the triple kernel,
+``_scan_triples``, with the covers of each y as its zs.  A failing cover
+triple or rule, or an InvariantError, runs the kernel on all triples,
+which finds and words the violations or the error; the spherical scan
+always runs it, as its violations are listed.  In the kernel a triple is
+a pair of rows of an aligned coefficient store, compared slot by slot, in
+pieces of about ``CELL_BUDGET`` cells.
 Triples go by x in id order (length, then ShortLex), then y, then z, so
 reports are deterministic and diffable.  The scans run in one thread: a
 thread pool made them slower.  A scan returns its violations as a
@@ -248,8 +248,8 @@ def _decided(group, xs, rows, holds, full) -> tuple[int, ViolationRecord]:
     finds that every cover triple holds, every triple holds, since the
     intervals of W and ^I W are graded: the scan is the count of all
     triples, from the row counts, and an empty record.  A failing cover
-    triple, a z off the rows of x or an InvariantError runs ``full()``,
-    the triple kernel, whose record or error is the scan's."""
+    triple or trust rule, or an InvariantError, runs ``full()``, the
+    triple kernel, whose record or error is the scan's."""
     try:
         clean = holds()
     except InvariantError:
@@ -263,11 +263,11 @@ def _decided(group, xs, rows, holds, full) -> tuple[int, ViolationRecord]:
 
 def _inverse_covers_hold(group, xs, col) -> bool:
     """Whether v h^{z,y} <= h^{z,x} for every x of ``xs``, every cover
-    y of x and every row z of the column of y, z being a row of the
-    column of x, and whether every row of x but x is such a z.  The
-    covers of x are the rows of its column at length l(x) - 1.  The
-    stored columns ``col`` are read a chunk of xs of one length at a
-    time, the chunk's columns stacked and its covers' rows in pieces."""
+    y of x (a row of its column at length l(x) - 1) and every row z of
+    the column of y: the cover triples, as the stored columns ``col``
+    have their true rows (``ColumnTable.columns_hold``).  They are read
+    a chunk of xs of one length at a time, the chunk's columns stacked
+    and its covers' rows in pieces."""
     lengths = group.lengths
     for top, level in itertools.groupby(xs, operator.attrgetter("length")):
         for batch in chunks(level, lambda x: col[x.index].rows,
@@ -276,21 +276,14 @@ def _inverse_covers_hold(group, xs, col) -> bool:
             pair = np.flatnonzero(lengths[batch.ids] == top - 1)
             covers = [col[y] for y in batch.ids[pair].tolist()]
             m = [len(c.rows) for c in covers]
-            met = np.zeros(len(hx), bool)
-            met[batch.top] = True
             for a, b in pieces(m, hx.shape[1] + 8):
                 part = covers[a:b]
-                hi = batch.locate(np.repeat(batch.slot[pair[a:b]], m[a:b]),
-                                  np.concatenate([c.rows for c in part]))
-                if hi.min(initial=0) < 0:
-                    return False
-                met[hi] = True
-                h = hx.take(hi, 0)
+                h = hx.take(batch.locate(
+                    np.repeat(batch.slot[pair[a:b]], m[a:b]),
+                    np.concatenate([c.rows for c in part])), 0)
                 if (h[:, 0] < 0).any() or np.less(h[:, 1:], np.concatenate(
                         [c.coeffs for c in part])).any():
                     return False
-            if not met.all():
-                return False
     return True
 
 
@@ -399,8 +392,8 @@ def _scan_parabolic(table, flavor: str) -> tuple[int, ViolationRecord]:
             row(z, col[x])), [c.coeffs for c in col.values()])
     if flavor == SPHERICAL:
         return full()
-    return _decided(group, xs, rows,
-                    lambda: _inverse_covers_hold(group, xs, col), full)
+    return _decided(group, xs, rows, lambda: table.columns_hold()
+                    and _inverse_covers_hold(group, xs, col), full)
 
 
 def scan_monotonicity_antispherical(ptable: ParabolicKLTable):
@@ -698,14 +691,16 @@ def run_identity_suite(spec: str, subsets=((),), cap: int | None = None,
 
     def inversion(res, ptable, message):
         """One pair per row of each column of a table of any module, by
-        ``inversion_holds`` or else the Kronecker sums, those of a column
-        checked with its first pair."""
-        sums = (itertools.repeat(()) if ptable.inversion_holds()
+        ``inversion_holds``, which checks the stored rows, or else the
+        Kronecker sums, a column's checked with its first pair."""
+        holds = ptable.inversion_holds()
+        sums = (itertools.repeat(()) if holds
                 else ptable.inversion_failures(ptable.basis))
         for x in ptable.basis:
             res.pairs_checked += 1
             failures = next(sums)
-            res.pairs_checked += len(ptable.column_ids(x)) - 1
+            res.pairs_checked += len(ptable.inverse_column(x).rows if holds
+                                     else ptable.column_ids(x)) - 1
             for y in sorted(failures):
                 res.passed = False
                 res.failures.append(message(group.elements[y], x))

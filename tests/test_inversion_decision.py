@@ -1,15 +1,20 @@
-"""The inversion identity decided on one shadow pass per table.
+"""The inversion identity decided on one shadow pass per table, and the
+one rule by which a check trusts the stored columns.
 
 A clean suite runs no Kronecker sum and one shadow pass over the basis of
-each table it checks.  Under injected faults the suite reports what it
-reports with the Kronecker sums forced on every table, and the shadow
-decision never holds where the Kronecker sums fail.
+each table it checks, on the chunks' own ``Batch``es.  Under injected
+faults the suite reports what it reports with the Kronecker sums forced
+on every table, and the shadow decision never holds where the Kronecker
+sums fail.  ``ColumnTable.columns_hold`` holds on every clean table and
+fails on columns with rows or exponents off the rule, whose inverse and
+antispherical scans then give the triple kernel's outcome.
 """
 
 import collections
 import itertools
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +29,8 @@ from kllab.parabolic import (
 from kllab.verify import run_identity_suite
 from helpers import get_group
 from test_scans import (
-    FAULTS, _drop_row, _move_coefficient, _move_term, random_finite_rank3,
+    FAULTS, _drop_row, _move_coefficient, _move_term, _replace_column,
+    kernel_outcome, outcome, random_finite_rank3,
 )
 from test_suite_kernel import _break_b
 
@@ -194,3 +200,73 @@ def test_a_clean_shadow_pass_on_malformed_columns(monkeypatch, edit):
     assert not check.passed
     assert report_text(got) == report_text(
         kronecker_report("B3", [()], group=group))
+
+
+@pytest.mark.parametrize("spec,cap", [("A3", None), ("B3", None),
+                                      ("H3", None), ("Aff-A2", 8)])
+def test_columns_hold_on_every_clean_table(spec, cap):
+    for make in all_tables(get_group(spec, cap)):
+        table = make()
+        table.build_all()
+        assert table.columns_hold(), table.context
+
+
+def _row_off_column(table, rng, step) -> None:
+    """One row but the last of one inverse column, drawn by ``rng``,
+    replaced by a basis element of lower id that is not below x."""
+    leq = table.group.bruhat_leq
+    off = {x: [y.index for y in table.basis
+               if y.index < x.index and not leq(y, x)]
+           for x in table.basis if x.length >= 2}
+    x = rng.choice([x for x, ys in off.items() if ys])
+    col = table.inverse_column(x)
+    rows = col.rows.copy()
+    rows[rng.randrange(len(rows) - 1)] = rng.choice(off[x])
+    order = np.argsort(rows)
+    _replace_column(table, x, rows[order], col.coeffs[order])
+
+
+def _zero_exponent(table, rng, step) -> None:
+    """One inverse column, drawn by ``rng``, padded by an exponent of
+    zeros."""
+    x = rng.choice(table.basis)
+    col = table.inverse_column(x)
+    _replace_column(table, x, col.rows, np.pad(col.coeffs, ((0, 0), (0, 1))))
+
+
+@pytest.mark.parametrize("fault", [_drop_row, _row_off_column,
+                                   _zero_exponent])
+@pytest.mark.parametrize("spec", ["B3", "H3"])
+def test_columns_fail_the_rule_and_the_scans_run_the_kernel(spec, fault):
+    """A dropped row, a row off ``column_ids(x)`` or a padded exponent
+    fails the rule, and the inverse and antispherical scans give the
+    triple kernel's outcome."""
+    group = get_group(spec)
+    for seed in range(4):
+        anti = ParabolicContext(group, (0,), ANTISPHERICAL)
+        for table, scan in [
+                (KLTable(group), verify.scan_monotonicity_inverse),
+                (ParabolicKLTable(anti),
+                 verify.scan_monotonicity_antispherical)]:
+            table.build_all()
+            fault(table, random.Random(seed), 1)
+            assert not table.columns_hold(), seed
+            assert outcome(scan, table) == kernel_outcome(scan, table), seed
+
+
+@pytest.mark.parametrize("subset", [None, (0,)], ids=["regular", "I=1"])
+def test_the_shadow_pass_builds_no_batch_of_its_own(monkeypatch, subset):
+    """On a fresh H3 table every ``Batch`` that ``inversion_holds`` makes
+    comes from the chunker: the shadow pass reads its chunk's."""
+    makers = []
+
+    class Spy(kernel.Batch):
+        def __init__(self, *args):
+            makers.append(sys._getframe(1).f_code.co_name)
+            super().__init__(*args)
+    monkeypatch.setattr(kernel, "Batch", Spy)
+    group = get_group("H3")
+    table = KLTable(group) if subset is None else ParabolicKLTable(
+        ParabolicContext(group, subset, ANTISPHERICAL))
+    assert table.inversion_holds()
+    assert makers and set(makers) == {"chunks"}
