@@ -283,7 +283,8 @@ def _cmd_mu(args, out: _Output, table: KLTable) -> int:
 def _cmd_parabolic(args, out: _Output) -> int:
     group = build_group(args.group, args.cap)
     subset = _subset_parse(args.parabolic, group.matrix.rank)
-    table = ParabolicKLTable(ParabolicContext(group, subset, args.flavor))
+    table = ParabolicKLTable(ParabolicContext(group, subset, args.flavor),
+                             KLTable(group))
     subset_text = _subset_text(subset)
     return _emit_table(
         args, out, f"parabolic-{args.family}",
@@ -336,7 +337,8 @@ def _cmd_scan(args, out: _Output) -> int:
                 f"scan {args.name!r} does not take a parabolic subset")
         table = KLTable(group)
     else:
-        table = ParabolicKLTable(ParabolicContext(group, subset, flavor))
+        table = ParabolicKLTable(ParabolicContext(group, subset, flavor),
+                                 KLTable(group))
     res = CheckResult(f"scan-{args.name}", args.group,
                       sorted(t + 1 for t in subset), flavor, args.cap,
                       expected_violations=expect)

@@ -27,7 +27,8 @@ h^{y,x} with alternating signs:
 the whole group.  It computes b_x by the length recursion b_{x's} =
 b_{x'} b_s - sum mu(y,x') b_y over y with ys < y, on integer blocks; its
 oracle, which never touches mu, is ``parabolic.ParabolicKLTable`` with I
-empty, the bar-invariance pass over the blocks of bar(delta_z).
+empty, the bar-invariance pass over the blocks of bar(delta_z), which the
+suite solves only when the table's certificate (``certified``) fails.
 Inverse polynomials, by the recursion delta_x = delta_{x'} (b_s - v), and
 the inversion identity come from ``kernel.ColumnTable``, the table core of
 every module.  Everything is memoized and all tables are built one length
@@ -254,6 +255,17 @@ def bar_blocks(space, xs) -> list[Block]:
                                 lambda x: 2 * x.length + 1, run):
             memo[x.index] = block
     return [memo[x.index] for x in xs]
+
+
+def certified(table: ColumnTable) -> bool:
+    """Whether ``table.certificate_holds`` over the blocks of bar(m_x)
+    built in the table's module by ``bar_blocks``; they are dropped once
+    it is decided."""
+    try:
+        return table.certificate_holds(
+            lambda xs: bar_blocks(table.context, xs))
+    finally:
+        vars(table.context).pop("_hecke_bar_blocks", None)
 
 
 def _times_generator(group: GroupTable, batch: Batch, prev, offset: int,

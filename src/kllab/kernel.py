@@ -20,7 +20,8 @@ on it take a chunk of columns at a time (``batched``):
   Kronecker sums) or inverse columns over canonical blocks (the Rouquier
   shadow).  A table keeps one shadow pass, which decides both
   orientations; the Kronecker sums run only when it fails or raises, to
-  name the failing pairs.
+  name the failing pairs.  Its terms also feed, mirrored, the
+  certificate's sum of bar(inverse) times canonical blocks.
 
 One chunker, ``chunks``, reads the rows of each column once and hands
 every pass its chunk as a ``Batch`` of about ``CELL_BUDGET`` cells: the
@@ -37,7 +38,8 @@ flavor, the regular module being the quotient with I empty.
 ``ColumnTable``, the table core of every module, reads its basis and
 wall rule from one, builds the inverse column of x = x's from the column
 of x' by m_x = m_{x'} (b_s - v), checks the inversion identity
-(``inversion_holds``) and holds the trust rule (``columns_hold``).
+(``inversion_holds``), holds the trust rule (``columns_hold``) and
+certifies its canonical blocks on the shadow pass (``certificate_holds``).
 
 Arithmetic is int64 under a bound on coefficient size, one decision per
 chunk: the bound is the exact total over the chunk, never below the
@@ -246,7 +248,7 @@ def pieces(counts, cells: int):
 
 def add_blocks(acc: np.ndarray, locate, slot: np.ndarray, block: np.ndarray,
                shift: np.ndarray, coef: np.ndarray, blocks: list,
-               fault: Callable[[int], str]) -> None:
+               fault: Callable[[int], str], mirror=None) -> None:
     """acc[locate(slot[k], y), exp + shift[k]] += coef[k] * value for every
     entry k and every term (y, exp, value) of ``blocks[block[k]]`` (a
     ``Block``, or the nonzero entries of an ``InverseColumn``): the one
@@ -257,7 +259,10 @@ def add_blocks(acc: np.ndarray, locate, slot: np.ndarray, block: np.ndarray,
     term, a piece taking the terms of each of its entries end to end: one
     ``np.add.at`` each.  ``coef`` has the dtype of ``acc``.  The first
     entry k, in entry order, with a term off the rows of its column or off
-    the columns of ``acc`` raises InvariantError(fault(k)).
+    the columns of ``acc`` raises InvariantError(fault(k)).  Given
+    ``mirror`` = (array, shifts), each term also goes to column exp +
+    shifts[k] of the array, from the same gathered terms, where that
+    column is on the array.
     """
     flat, width = acc.reshape(-1), acc.shape[1]
     n = np.array([b.size for b in blocks], dtype=np.intp)[block]
@@ -273,8 +278,15 @@ def add_blocks(acc: np.ndarray, locate, slot: np.ndarray, block: np.ndarray,
                 or cols.max(initial=0) >= width:
             off = (pos < 0) | (cols < 0) | (cols >= width)
             bad = min(bad, int(np.arange(a, b).repeat(m)[off].min()))
-        else:
-            np.add.at(flat, pos * width + cols, values * coef[a:b].repeat(m))
+            continue
+        values = values * coef[a:b].repeat(m)
+        np.add.at(flat, pos * width + cols, values)
+        if mirror is not None:
+            wide = mirror[0].shape[1]
+            cols = exps + np.repeat(mirror[1][a:b], m)
+            on = (cols >= 0) & (cols < wide)
+            np.add.at(mirror[0].reshape(-1), (pos * wide + cols)[on],
+                      values[on])
     if bad < len(block):
         raise InvariantError(fault(bad))
 
@@ -327,7 +339,8 @@ def prefix_levels(group: GroupTable, xs, known) -> list[list[Element]]:
     seen: dict[int, None] = {}
     both = ChainMap(known, seen)
     for x in xs:
-        seen.update(dict.fromkeys(group.missing_prefixes(x, both)))
+        if x.index not in known:
+            seen.update(dict.fromkeys(group.missing_prefixes(x, both)))
     elements = group.elements
     return [[elements[i] for i in level] for _, level in groupby(
         sorted(seen), lambda i: elements[i].length)]
@@ -419,8 +432,8 @@ def bar_invariant_blocks(group: GroupTable, xs, rows, bars):
 
 
 def alternating_failures(group: GroupTable, batch: Batch, outer,
-                         inner_of: Callable[[list], list], stray: str
-                         ) -> list[frozenset[int]]:
+                         inner_of: Callable[[list], list], stray: str,
+                         bars=None):
     """For each x of a ``Batch``, the ids y among the rows of its column
     at which
 
@@ -435,6 +448,11 @@ def alternating_failures(group: GroupTable, batch: Batch, outer,
     the rows of x (``stray.format(z, x)``) or off the exponents [0, l(x)],
     whichever columns share the chunk.  A ``ColumnTable`` keeps its
     shadow pass, which decides both orientations (``inversion_holds``).
+
+    Given ``bars``, the blocks of bar(m_x), the terms also go, each
+    exponent e mirrored to -e, into a sum over [-T, T], T the longest
+    l(x); it gives the failing rows and whether each x meets (b) of
+    ``ColumnTable.certificate_holds`` by that sum.
     """
     elements, lengths, xs = group.elements, group.lengths, batch.xs
     slot, z, e, values = stack_terms(outer)
@@ -448,8 +466,8 @@ def alternating_failures(group: GroupTable, batch: Batch, outer,
     window = tops[slot] - lengths[z]
     outside = (e < 0) | (e > window)
     coef = values * (1 - 2 * (lengths[z] % 2))
-    dtype = object if exact_total(
-        np.abs(coef) * norm[which]) >= INT64_LIMIT else np.int64
+    dtype = object if exact_total(np.abs(coef) * norm[which]) + sum(
+        b.row_norm for b in bars or ()) >= INT64_LIMIT else np.int64
 
     def fault(k):
         x, zk = xs[slot[k]], elements[z[k]]
@@ -460,14 +478,33 @@ def alternating_failures(group: GroupTable, batch: Batch, outer,
         return stray.format(zk, x)
     width = int(tops.max()) + 1
     acc = np.zeros((len(batch.ids), width), dtype=dtype)
+    sign = (1 - 2 * (tops % 2)).astype(dtype)       # (-1)^{l(x)}
+    # a mirrored term falls off its array only when an entry's exponent
+    # lies off its window, which raises, or an inner block has one off
+    # [0, l(z)], which fails (c) of the certificate
+    mirror = None if bars is None else (
+        np.zeros((len(batch.ids), 2 * width - 1), dtype), width - 1 - e)
     # a term off its window or reaching past l(x) is sent off the array,
     # where add_blocks reports it in entry order after earlier stray rows
     add_blocks(acc, batch.locate, slot, which, np.where(
         outside | (e + reach[which] > tops[slot]), -width, e),
-        coef.astype(dtype), inner, fault)
-    acc[batch.top, 0] -= (1 - 2 * (tops % 2)).astype(dtype)  # (-1)^{l(x)}
-    return [frozenset(rows[a.any(axis=1)].tolist())
-            for rows, a in zip(batch.rows, batch.split(acc))]
+        coef.astype(dtype), inner, fault, mirror)
+    acc[batch.top, 0] -= sign
+    failing = [frozenset(rows[a.any(axis=1)].tolist())
+               for rows, a in zip(batch.rows, batch.split(acc))]
+    if bars is None:
+        return failing
+    held = np.ones(len(xs), bool)
+    for a, b in pieces([blk.size for blk in bars], 8):
+        slot, y, e, values = stack_terms(bars[a:b])
+        slot += a
+        pos = batch.locate(slot, y)
+        off = (pos < 0) | (np.abs(e) > tops[slot])
+        held[slot[off]] = False
+        np.add.at(mirror[0], (pos[~off], e[~off] + width - 1),
+                  -values[~off].astype(dtype) * sign[slot[~off]])
+    return failing, held & ~np.logical_or.reduceat(
+        mirror[0].any(axis=1), batch.start[:-1])
 
 
 SPHERICAL = "spherical"
@@ -490,19 +527,36 @@ class ParabolicContext:
         # scalar by which delta_t (t in I) acts on the rank-1 module
         self.scalar = (LaurentPoly.v(-1) if flavor == SPHERICAL
                        else LaurentPoly.v(1, -1))
+        self._cosets = None
 
     def is_rep(self, x: Element) -> bool:
         return bool(self.rep_mask[x.index])
 
+    def cosets(self) -> tuple[np.ndarray, ...]:
+        """Per id w = u * x, u in W_I: the id of x and l(u); per x, the id
+        of the longest element of W_I x in the table (w_I x if complete);
+        memoized.  w = t (tw) for a left descent t in I splits like tw, so
+        one vectorised walk down such descents takes every w to its x."""
+        if self._cosets is None:
+            group, isub = self.group, sorted(self.subset)
+            rep = np.arange(len(group))
+            walk = rep[:len(group) if isub else 0]
+            while len(walk):
+                down = group.left_descents[rep[walk]][:, isub]
+                has = down.any(axis=1)
+                walk = walk[has]
+                rep[walk] = group.left[rep[walk], np.array(isub)[
+                    down[has].argmax(axis=1)]]
+            top = np.zeros(len(group), np.intp)
+            np.maximum.at(top, rep, np.arange(len(group)))
+            self._cosets = rep, group.lengths - group.lengths[rep], top
+        return self._cosets
+
     def coset_decomposition(self, w: Element) -> tuple[Element, int]:
-        """The representative x and l(u) from the splitting w = u * x: for
-        a left descent t of w in I, w = t (tw) splits like tw with one more
-        letter in u."""
-        group, i, k = self.group, w.index, 0
-        while (t := next((t for t in self.subset
-                          if group.left_descents.item(i, t)), None)) is not None:
-            i, k = group.left.item(i, t), k + 1
-        return group.elements[i], k
+        """The representative x and l(u) from the splitting w = u * x
+        (``cosets``)."""
+        rep, up, _ = self.cosets()
+        return self.group.elements[rep[w.index]], int(up[w.index])
 
     def downset_ids(self, x: Element) -> np.ndarray:
         """The ids of the representatives y <= x, ascending: with I empty
@@ -543,6 +597,8 @@ class ColumnTable:
         self._mu_size = 0
         self._kronecker: dict[int, frozenset[int]] = {}
         self._shadow: dict[int, frozenset[int]] = {}
+        # the stored column of each x last found to keep the trust rule
+        self._held: dict[int, InverseColumn] = {}
 
     def column_ids(self, x: Element) -> np.ndarray:
         """The ids of the basis elements y <= x; x must be one."""
@@ -704,23 +760,43 @@ class ColumnTable:
         """For each x of ``xs`` in order, the rows y of its stored inverse
         column where sum_z (-1)^{l(z)} (inverse at (z, x)) (canonical
         column of z) differs from (-1)^{l(x)} [y = x]: the shadow pass, a
-        batched pass per chunk on its ``Batch``, or on the columns' own
-        rows where they differ, computed on first query and kept."""
-        def run(batch):
-            cols = self.inverse_columns(batch.xs)
-            rows = [c.rows for c in cols]
-            if not all(map(np.array_equal, rows, batch.rows)):
-                batch = Batch(batch.xs, rows)
-            return alternating_failures(
-                self.group, batch, cols, self.canonical_blocks,
-                "the block of {0!r} has a term outside the rows of {1!r}")
-        return self._passes(self._shadow, xs, run)
+        batched pass per chunk (``_shadow_pass``), computed on first query
+        and kept."""
+        return self._passes(self._shadow, xs, self._shadow_pass)
 
-    def _passes(self, memo, xs, run):
+    def _shadow_pass(self, batch: Batch, bars=None):
+        """The shadow pass of a chunk on its ``Batch``, or on the columns'
+        own rows where they differ.  Given ``bars``, it keeps the failing
+        rows and gives whether each x passes the certificate's checks
+        (``certificate_holds``), (b) on the same gathered terms."""
+        cols = self.inverse_columns(batch.xs)
+        rows = [c.rows for c in cols]
+        if not all(map(np.array_equal, rows, batch.rows)):
+            batch = Batch(batch.xs, rows)
+        blocks = None if bars is None else bars(batch.xs)
+        got = alternating_failures(
+            self.group, batch, cols, self.canonical_blocks,
+            "the block of {0!r} has a term outside the rows of {1!r}", blocks)
+        if bars is None:
+            return got
+        failing, sums = got
+        self._shadow.update((x.index, f) for x, f in zip(batch.xs, failing))
+        # (c): c_x is m_x plus terms c v^e m_y, 1 <= e <= l(x) - l(y)
+        slot, y, e, values = stack_terms(self.canonical_blocks(batch.xs))
+        top, lengths = batch.ids[batch.top][slot], self.group.lengths
+        good = np.where(y == top, (e == 0) & (values == 1), (batch.locate(
+            slot, y) >= 0) & (e >= 1) & (e <= lengths[top] - lengths[y]))
+        n = len(batch.xs)
+        return sums & [not f for f in failing] & (np.bincount(
+            slot[y == top], minlength=n) == 1) & (np.bincount(
+                slot[~good], minlength=n) == 0)
+
+    def _passes(self, memo, xs, run, width=lambda x: x.length + 1):
         """``memo[x.index]`` for each x of ``xs`` in order, the missing
-        ones by ``run`` over ``batched`` chunks, stored as they are read."""
+        ones by ``run`` over ``batched`` chunks, the column of x ``width(x)``
+        cells a row, stored as they are read."""
         todo = batched([x for x in dict.fromkeys(xs) if x.index not in memo],
-                       self.column_ids, lambda x: x.length + 1, run)
+                       self.column_ids, width, run)
         for x in xs:
             if x.index not in memo:
                 memo[x.index] = next(todo)[1]
@@ -729,11 +805,17 @@ class ColumnTable:
     def columns_hold(self) -> bool:
         """Whether every stored column, of a basis element x, has the rows
         ``column_ids(x)`` and at most l(x) + 1 exponents: the one rule by
-        which the checks that read the stored columns trust them."""
-        elements = self.group.elements
-        return all(c.coeffs.shape[1] <= elements[x].length + 1
-                   and np.array_equal(c.rows, self.column_ids(elements[x]))
-                   for x, c in self._inv_cols.items())
+        which the checks that read the stored columns trust them.  It is
+        decided once per stored column object, so a column stored anew is
+        checked anew."""
+        elements, held = self.group.elements, self._held
+        for x, c in self._inv_cols.items():
+            if held.get(x) is not c:
+                if not (c.coeffs.shape[1] <= elements[x].length + 1 and
+                        np.array_equal(c.rows, self.column_ids(elements[x]))):
+                    return False
+                held[x] = c
+        return True
 
     def inversion_holds(self) -> bool:
         """Whether the inversion identity holds on the whole basis, by one
@@ -748,6 +830,45 @@ class ColumnTable:
             return not any(self.shadow_failures(self.basis)) \
                 and self.columns_hold()
         except Exception:       # the Kronecker sums word the error
+            return False
+
+    def certificate_holds(self, bars) -> bool:
+        """Whether the canonical blocks are the ones the bar solve over the
+        blocks of bar(m_x), ``bars(xs)`` for xs, returns; decided per chunk
+        on the shadow pass, whose failing rows it keeps.  It holds when no
+        error is raised and, for every basis element x,
+
+        (a) the inversion identity holds (``inversion_holds``);
+        (b) sum_z (-1)^{l(z)} bar(h^{z,x}) c_z = (-1)^{l(x)} bar(m_x), with
+            no term of bar(m_x) off the rows of x or the exponents
+            [-l(x), l(x)];
+        (c) bar(m_x) is m_x on its diagonal, and c_x is m_x plus terms
+            c v^e m_z with 1 <= e <= l(x) - l(z).
+
+        Only the second half of (c) is checked: at row x only z = x adds
+        to (a) and (b), so (a) gives h^{x,x} = 1 and then (b) the diagonal.
+        Why that is enough: bar is semilinear and sends m_z to the block of
+        bar(m_z), so applied to (a) it gives sum_z (-1)^{l(z)} bar(h^{z,x})
+        bar(c_z) = (-1)^{l(x)} bar(m_x).  Subtracting (b), sum_z
+        (-1)^{l(z)} bar(h^{z,x}) (bar(c_z) - c_z) = 0 for every x: a
+        unitriangular system, so bar(c_z) = c_z for every z.  The solve
+        (``bar_invariant_blocks``) then returns these blocks exactly, by
+        induction from the top level: where its rows above y agree with
+        c_x, its sum at y is c_y - bar(c_y), c_y the coefficient of m_y in
+        c_x, since bar(c_x) = c_x and bar(m_y) is m_y on its diagonal, and
+        it reads off c_y, its part of positive degree, within its window by
+        (c).  When the blocks of bar(m_z) are right, the blocks are thus
+        the canonical basis, which is unique (Kazhdan-Lusztig, Invent.
+        Math. 53, 1979).
+        """
+        try:
+            self.canonical_blocks(self.basis)
+            self.inverse_columns(self.basis)
+            bars(self.basis)        # in batches, before the chunks read them
+            return all(self._passes({}, self.basis, lambda batch: (
+                self._shadow_pass(batch, bars)), lambda x: 3 * x.length + 2)
+            ) and self.inversion_holds()
+        except Exception:
             return False
 
     def check_inversion_identity(self, y: Element, x: Element) -> bool:

@@ -27,7 +27,7 @@ True
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 
 class LaurentPoly:

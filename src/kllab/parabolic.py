@@ -11,12 +11,16 @@ delta_w to scalar^{l(u)} delta_x.
 The bar involution descends to both modules, and each carries a canonical
 basis (c_x spherical, d_x antispherical) uniquely pinned by bar-invariance
 plus a unitriangular expansion with off-diagonal coefficients in vZ[v].
-Here the canonical bases are produced directly by the kernel's
-bar-invariance pass over the blocks of bar(m_x), which ``hecke.bar_blocks``
-builds in the module itself by the regular module's recursion, with the
-flavor's scalar across a wall; no mu-style recursion and no projection of
-b_x or of bar(delta_x) is used.  The four coefficient families mirror the
-non-parabolic ones:
+Given the group's ``KLTable``, the canonical bases are gathered from the
+blocks of b_x by Soergel's formulas (Represent. Theory 1, 1997, Prop.
+3.4), n_{y,x} = sum_{z in W_I} (-v)^{l(z)} h_{zy,x} and, when the table
+holds every w_I x, m_{y,x} = h_{w_I y, w_I x}.  Otherwise they come from
+the kernel's bar-invariance pass over the blocks of bar(m_x), which
+``hecke.bar_blocks`` builds in the module itself by the regular module's
+recursion, with the flavor's scalar across a wall.  The suite certifies
+a gathered table on its shadow pass (``hecke.certified``) and solves the
+ones that fail.  The four coefficient families mirror the non-parabolic
+ones:
 
     c_x = sum_y m_{y,x} delta_y    delta_x = sum_y (-1)^{l(x)-l(y)} m^{y,x} c_y
     d_x = sum_y n_{y,x} delta_y    delta_x = sum_y (-1)^{l(x)-l(y)} n^{y,x} d_y
@@ -25,8 +29,8 @@ For the antispherical flavor the inverse family coincides with the
 restriction of the inverse Kazhdan-Lusztig table, n^{z,x} = h^{z,x}; this
 package never assumes that identity, it recomputes both sides and compares
 (``check_soergel_identification``).  Both sides share the prefix
-recursion of ``kernel.ColumnTable`` over independent canonical bases; the
-inversion identity of each table is what checks the recursion itself.
+recursion of ``kernel.ColumnTable``; the inversion identity of each table
+is what checks the recursion itself.
 
 Elements of the induced module are ``hecke.HeckeElt`` vectors over the
 ``ParabolicContext``, with the regular module's arithmetic and bar
@@ -50,9 +54,11 @@ from .coxeter import Element, GroupTable
 from .hecke import (
     _VINV_MINUS_V, HeckeElt, KLTable, _accum, _bar_memo, bar_blocks,
 )
+from . import kernel
 from .kernel import (
-    ANTISPHERICAL, SPHERICAL, Block, ColumnTable, InvariantError,
-    ParabolicContext, bar_invariant_blocks, row_poly,
+    ANTISPHERICAL, SPHERICAL, Batch, Block, ColumnTable, InvariantError,
+    ParabolicContext, bar_invariant_blocks, batched, dense_blocks, row_poly,
+    stack_terms,
 )
 
 class FlavorMismatchError(ValueError):
@@ -118,7 +124,17 @@ class ParabolicKLTable(ColumnTable):
 
     Canonical elements are stored as blocks and inverse columns as dense
     blocks, both over ``column_ids(x)``, the representatives below x.
+    Given ``b``, the group's ``KLTable``, the blocks are gathered from its
+    blocks by Soergel's formulas, but for a spherical quotient of a table
+    that is not complete, where w_I x may lie beyond the cap; ``b`` is then
+    None and the blocks come from the bar-invariance solve.
     """
+
+    def __init__(self, context: ParabolicContext, b: KLTable | None = None):
+        super().__init__(context)
+        if b is not None and b.group is not self.group:
+            raise ValueError("tables live over different groups")
+        self.b = b if not self.spherical or self.group.is_complete() else None
 
     def canonical_basis_element(self, x: Element) -> HeckeElt:
         """c_x (spherical) or d_x (antispherical), decoded from
@@ -126,25 +142,63 @@ class ParabolicKLTable(ColumnTable):
         return HeckeElt.from_block(self.context, self.canonical_block(x))
 
     def canonical_blocks(self, xs) -> list[Block]:
-        """The blocks of c_x or d_x for ``xs`` by the bar-invariance pass,
-        the missing ones solved in batches and stored.
+        """The blocks of c_x or d_x for ``xs``, the missing ones gathered
+        (``_gathered``) or solved in batches, and stored.
 
-        The pass runs over the representatives below each x, from the
-        blocks of bar(m_z) alone; uniqueness of the basis makes the result
-        independent of every choice made there.  First one ``bar_blocks``
-        call builds the bar(m_z) of every representative z below the
-        missing xs into the context's memo, which the pass reads by id.
+        The solve is the bar-invariance pass over the representatives
+        below each x, from the blocks of bar(m_z) alone, which one
+        ``bar_blocks`` call first builds into the context's memo for every
+        representative z below the missing xs; uniqueness of the basis
+        makes the result independent of every choice made there.
         """
         todo = [x for x in dict.fromkeys(xs) if x.index not in self._canonical]
-        below = np.zeros(len(self.group), bool)
-        for x in todo:
-            below[self.group.downset_ids(x)] = True
-        bar_blocks(self.context, list(compress(self.group.elements,
-                                               below & self.mask)))
-        for x, block in bar_invariant_blocks(self.group, todo, self.column_ids,
-                                             _bar_memo(self.context)):
+        if self.b is not None:
+            got = batched(todo, self.column_ids, lambda x: x.length + 1,
+                          self._gathered)
+        else:
+            below = np.zeros(len(self.group), bool)
+            for x in todo:
+                below[self.group.downset_ids(x)] = True
+            bar_blocks(self.context, list(compress(self.group.elements,
+                                                   below & self.mask)))
+            got = bar_invariant_blocks(self.group, todo, self.column_ids,
+                                       _bar_memo(self.context))
+        for x, block in got:
             self._canonical[x.index] = block
         return [self._canonical[x.index] for x in xs]
+
+    def _gathered(self, batch: Batch) -> list[Block]:
+        """The blocks of the xs of a ``Batch`` from those of b by Soergel's
+        formulas (Represent. Theory 1, 1997, Prop. 3.4): the term c v^e of
+        b_x in row w = z y, z in W_I, goes to row y as (-1)^{l(z)} c
+        v^{e + l(z)}; the rows w_I y of b_{w_I x} go to the rows y.  One
+        dense sum, in exact ints when the total of |c| over the chunk
+        reaches INT64_LIMIT, cut by ``dense_blocks``; a term that lands
+        off the rows of x or the exponents [0, l(x)] raises."""
+        rep, up, top = self.context.cosets()
+        xs = batch.xs
+        blocks = self.b.canonical_blocks([
+            self.group.elements[top[x.index]] for x in xs]
+            if self.spherical else xs)
+        slot, w, e, values = stack_terms(blocks)
+        values = values.astype(object if sum(
+            b.row_norm * b.size for b in blocks) >= kernel.INT64_LIMIT
+            else np.int64)
+        if self.spherical:
+            keep = top[rep[w]] == w
+            slot, w, e, values = slot[keep], w[keep], e[keep], values[keep]
+        else:
+            values, e = np.where(up[w] % 2, -1, 1) * values, e + up[w]
+        pos = batch.locate(slot, rep[w])
+        tops = np.array([x.length for x in xs])
+        off = (pos < 0) | (e < 0) | (e > tops[slot])
+        if off.any():
+            raise InvariantError(f"Soergel's formula at "
+                                 f"{xs[slot[off.argmax()]]!r} sends a term "
+                                 "of b off its rows")
+        dense = np.zeros((len(batch.ids), tops.max() + 1), values.dtype)
+        np.add.at(dense, (pos, e), values)
+        return dense_blocks(batch.rows, dense)
 
 
 def check_soergel_identification(
@@ -152,10 +206,10 @@ def check_soergel_identification(
     """Mismatches between n^{z,x} and h^{z,x} over all representative pairs.
 
     Both sides share the prefix recursion of ``kernel.ColumnTable`` over
-    independent canonical bases (the bar-invariance pass for d_z, the mu
-    route for b_z); the inversion identity of each table is what checks
-    the recursion itself.  An empty list certifies the identification on
-    this quotient.
+    their canonical bases (d_z gathered from b_z and certified, or solved;
+    b_z by the mu route); the inversion identity of each table is what
+    checks the recursion itself.  An empty list certifies the
+    identification on this quotient.
     """
     ctx = parab.context
     if ctx.flavor != ANTISPHERICAL:

@@ -543,20 +543,31 @@ def test_output_is_the_same_across_the_exact_fallback(monkeypatch, capsys,
                                                       argv):
     """With the int64 limit at 8, chunks run in exact ints (and some int64
     chunks are redone in them); with the cell budget at 1, every chunk
-    holds one column.  Stdout and the exit code do not change."""
+    holds one column.  Stdout and the exit code do not change.  The
+    suite's certificate passes show it: their mirrored sums run in exact
+    ints, and one column at a time."""
     expected = run_cli(capsys, *argv)[:2]
     dtypes, sizes = [], set()
 
-    def spy(*args, _solve=kernel._bar_solve_chunk):
-        dtypes.append(args[-1])
-        sizes.add(len(args[1].xs))
-        return _solve(*args)
-    monkeypatch.setattr(kernel, "_bar_solve_chunk", spy)
+    def spy(*args, _sums=kernel.alternating_failures):
+        if args[5:] and args[5] is not None:   # the blocks of bar(m_x)
+            sizes.add(len(args[1].xs))
+        return _sums(*args)
+
+    def mirrored(*args, _add=kernel.add_blocks):
+        if args[8:] and args[8] is not None:   # the mirrored sum
+            dtypes.append(args[8][0].dtype)
+        return _add(*args)
+
+    def spies():
+        monkeypatch.setattr(kernel, "alternating_failures", spy)
+        monkeypatch.setattr(kernel, "add_blocks", mirrored)
+    spies()
     monkeypatch.setattr(kernel, "INT64_LIMIT", 8)
     assert run_cli(capsys, *argv)[:2] == expected
     assert argv[0] != "suite" or object in dtypes
     monkeypatch.undo()
-    monkeypatch.setattr(kernel, "_bar_solve_chunk", spy)
+    spies()
     monkeypatch.setattr(kernel, "CELL_BUDGET", 1)
     sizes.clear()
     assert run_cli(capsys, *argv)[:2] == expected

@@ -270,3 +270,43 @@ def test_the_shadow_pass_builds_no_batch_of_its_own(monkeypatch, subset):
         ParabolicContext(group, subset, ANTISPHERICAL))
     assert table.inversion_holds()
     assert makers and set(makers) == {"chunks"}
+
+
+def test_columns_hold_decides_each_stored_column_once(monkeypatch):
+    """The rule reads ``column_ids`` once per stored column: a second
+    call reads none, a column stored anew is read again, and one stored
+    anew off the rule fails it."""
+    calls = []
+
+    def spy(self, x, _ids=kernel.ColumnTable.column_ids):
+        calls.append(x.index)
+        return _ids(self, x)
+    group = get_group("B3")
+    table = KLTable(group)
+    table.build_all()
+    monkeypatch.setattr(kernel.ColumnTable, "column_ids", spy)
+    assert table.columns_hold()
+    assert sorted(calls) == [x.index for x in group]
+    calls.clear()
+    assert table.columns_hold() and calls == []
+    x = group.element((0, 1, 2, 1))
+    col = table.inverse_column(x)
+    _replace_column(table, x, col.rows, col.coeffs + 1)
+    assert table.columns_hold() and calls == [x.index]
+    _replace_column(table, x, col.rows[1:], col.coeffs[1:])
+    assert not table.columns_hold()
+
+
+def test_the_suite_checks_each_stored_column_once(monkeypatch):
+    """Over a clean H3 suite the rule reads ``column_ids`` once per
+    column of each table: the regular table and two per singleton."""
+    calls = []
+
+    def spy(self, x, _ids=kernel.ColumnTable.column_ids):
+        if sys._getframe(1).f_code.co_name == "columns_hold":
+            calls.append((self, x.index))
+        return _ids(self, x)
+    monkeypatch.setattr(kernel.ColumnTable, "column_ids", spy)
+    report = run_identity_suite("H3", [(), (0,), (1,), (2,)])
+    assert report.passed
+    assert len(calls) == len(set(calls)) == 120 + 6 * 60

@@ -406,19 +406,21 @@ def test_empty_subset_flavors_are_one_module(spec, cap):
 
 
 def test_suite_builds_one_empty_subset_table(monkeypatch):
-    """The suite builds one table for I empty, reported under both
-    flavors, and one per flavor for each other subset."""
+    """While the regular table's certificate holds, the suite builds no
+    table for I empty, which the regular table serves under both flavors,
+    and one per flavor for each other subset, gathered from b."""
     flavors = []
 
     class Counted(ParabolicKLTable):
-        def __init__(self, context):
-            flavors.append((tuple(sorted(context.subset)), context.flavor))
-            super().__init__(context)
+        def __init__(self, context, b=None):
+            flavors.append((tuple(sorted(context.subset)), context.flavor,
+                            b is not None))
+            super().__init__(context, b)
     monkeypatch.setattr(verify, "ParabolicKLTable", Counted)
     report = run_identity_suite("A3", [(), (0,)])
     assert report.passed
-    assert sorted(flavors) == [((), ANTISPHERICAL), ((0,), ANTISPHERICAL),
-                               ((0,), SPHERICAL)]
+    assert sorted(flavors) == [((0,), ANTISPHERICAL, True),
+                               ((0,), SPHERICAL, True)]
     labels = [(c.check, c.subset, c.flavor) for c in report.checks
               if c.subset == []]
     assert ("parabolic-inversion-identity", [], SPHERICAL) in labels
@@ -464,12 +466,14 @@ def test_suite_bar_invariance_sees_a_broken_b(monkeypatch):
     for subsets, broken in (([(), (0,)], False), ([(0,)], False),
                             ([(0,), ()], False), ([(0,), ()], True))])
 def test_suite_solves_the_empty_quotient_once(monkeypatch, subsets, broken):
-    """Each x of the I empty quotient is solved once, for the
-    bar-invariance check, whether and wherever subsets lists I empty.
-    When the check passes, the regular table serves I empty and the
-    oracle is released before any subset is solved.  With a broken b the
-    oracle stays alive while (0,) is solved, then serves I empty and
-    builds its own columns and sums."""
+    """While the regular table's certificate holds, nothing of the I
+    empty quotient is solved, whether and wherever subsets lists I empty,
+    and the regular table serves I empty.  With a broken b the
+    certificate fails: each x of the I empty quotient is solved once, for
+    the bar-invariance check, and the oracle serves I empty and builds its
+    own columns and sums.  No (0,) table is solved either way: the broken
+    term, in row e of b_{1,2,1}, is no row w_I y that the spherical gather
+    reads, so the certificates of the (0,) gathers hold."""
     group = get_group("A3")
     solved, alive, empty_tables = [], [], weakref.WeakSet()
     solving = []            # the context of the table whose blocks are solved
@@ -483,8 +487,8 @@ def test_suite_solves_the_empty_quotient_once(monkeypatch, subsets, broken):
         return _solve(*args)
 
     class Tracked(ParabolicKLTable):
-        def __init__(self, context):
-            super().__init__(context)
+        def __init__(self, context, b=None):
+            super().__init__(context, b)
             if not context.subset:
                 empty_tables.add(self)
 
@@ -497,8 +501,8 @@ def test_suite_solves_the_empty_quotient_once(monkeypatch, subsets, broken):
         _break_b(monkeypatch, group, group.element((0, 1, 0)))
     tables = _builders(monkeypatch)
     assert run_identity_suite("A3", subsets, group=group).passed != broken
-    assert sorted(solved) == list(range(len(group)))
-    assert set(alive) == {int(broken)}
+    assert sorted(solved) == list(range(len(group)) if broken else [])
+    assert alive == []
     assert {p for p, _ in _empty_subset_passes(tables)} == (
         {"steps", "sums"} if broken else set())
 
