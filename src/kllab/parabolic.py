@@ -172,9 +172,11 @@ class ParabolicKLTable(ColumnTable):
         formulas (Represent. Theory 1, 1997, Prop. 3.4): the term c v^e of
         b_x in row w = z y, z in W_I, goes to row y as (-1)^{l(z)} c
         v^{e + l(z)}; the rows w_I y of b_{w_I x} go to the rows y.  One
-        dense sum, in exact ints when the total of |c| over the chunk
-        reaches INT64_LIMIT, cut by ``dense_blocks``; a term that lands
-        off the rows of x or the exponents [0, l(x)] raises."""
+        dense sum, cut by ``dense_blocks``, in exact ints when the chunk's
+        bound, the sum over its blocks of b of the row norm times the
+        number of terms (at least the total of |c|), reaches INT64_LIMIT; a
+        term that lands off the rows of x or the exponents [0, l(x)]
+        raises."""
         rep, up, top = self.context.cosets()
         xs = batch.xs
         blocks = self.b.canonical_blocks([

@@ -13,6 +13,8 @@ import pytest
 import kllab
 from kllab import cli, kernel
 from kllab.cli import main, poly_csv
+from kllab.hecke import KLTable
+from kllab.parabolic import ParabolicKLTable
 from kllab.laurent import LaurentPoly
 from helpers import bruhat_leq_oracle, get_group, get_kl, poly
 
@@ -572,3 +574,42 @@ def test_output_is_the_same_across_the_exact_fallback(monkeypatch, capsys,
     sizes.clear()
     assert run_cli(capsys, *argv)[:2] == expected
     assert sizes <= {1} and (argv[0] != "suite" or sizes)
+
+
+@pytest.mark.parametrize("argv,gathers", [
+    (["parabolic", "--group", "B4", "--parabolic", "1", "--flavor",
+      "spherical"], True),
+    (["parabolic", "--group", "B4", "--parabolic", "2,3,4", "--flavor",
+      "antispherical", "--family", "invkl"], False),
+    (["parabolic", "--group", "H3", "--parabolic", "1,2", "--flavor",
+      "spherical", "--format", "csv"], False),
+    (["parabolic", "--group", "A3", "--flavor", "antispherical",
+      "--format", "json"], True),
+    (["scan", "--name", "spherical", "--group", "B3", "--parabolic", "1"],
+     True),
+    (["scan", "--name", "antispherical", "--group", "Aff-A2", "--cap", "8",
+      "--parabolic", "1"], True),
+    (["scan", "--name", "antispherical", "--group", "Aff-A2", "--cap", "8",
+      "--parabolic", "1,2"], False),
+])
+def test_table_queries_gather_only_on_large_quotients(monkeypatch, capsys,
+                                                      argv, gathers):
+    """``kllab parabolic`` and the parabolic scans build b and gather from
+    it when the quotient holds at least half of the group's table, and
+    else solve with no ``KLTable`` built; the other route prints the
+    same."""
+    built = []
+
+    class Counted(cli.KLTable):
+        def __init__(self, group):
+            built.append(group)
+            super().__init__(group)
+
+    def flipped(context, b=None):
+        return ParabolicKLTable(context, None if b is not None
+                                else KLTable(context.group))
+    monkeypatch.setattr(cli, "KLTable", Counted)
+    got = run_cli(capsys, *argv)
+    assert got[0] == 0 and len(built) == gathers
+    monkeypatch.setattr(cli, "ParabolicKLTable", flipped)
+    assert run_cli(capsys, *argv) == got
