@@ -284,9 +284,10 @@ def _parabolic_table(group, subset, flavor: str) -> ParabolicKLTable:
     """The table of a quotient, gathered from b when the quotient holds at
     least half of the group's table (|W_I| <= 2 in a finite group), else
     solved.  The gather builds b over about the whole table whatever I is,
-    while the solve grows fast with the quotient: on B5 the gather takes
-    1.7-2.1 s against 14.5-19.4 s for I = {1}, and 0.9-1.7 s against
-    0.8-1.3 s for I = {1,2} (2-vCPU x86-64, Python 3.11)."""
+    while the solve grows fast with the quotient: on B5 every block takes
+    1.7-2.1 s gathered against 14.5-19.4 s solved for I = {1}, and
+    0.9-1.7 s against 0.8-1.3 s for I = {1,2} (2-vCPU x86-64, Python
+    3.11)."""
     context = ParabolicContext(group, subset, flavor)
     return ParabolicKLTable(context, KLTable(group) if 2 * len(
         context.reps) >= len(group) else None)
