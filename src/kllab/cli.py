@@ -5,9 +5,11 @@ Subcommands: ``info`` (group order and longest length), ``kl`` / ``invkl``
 (polynomial tables), ``parabolic`` (the four parabolic families),
 ``rouquier`` (graded multiplicity table of one standard object), ``scan``
 (one named monotonicity scan) and ``suite`` (every identity check plus
-every scan).  ``kl``, ``invkl`` and ``parabolic`` print from one generator
-over ``kernel.block_terms`` of each column, and ``scan`` fills its check
-by ``verify.scan_into``, as the suite does.
+every scan).  ``kl`` (with ``--mu`` too), ``invkl`` and ``parabolic`` read
+their columns once as the flat arrays of ``kernel.stack_terms``
+(``_table_pairs``) and print them by one printer (``_cmd_table``), which
+streams text and csv a run of columns at a time and JSON in key order.
+``scan`` fills its check by ``verify.scan_into``, as the suite does.
 
 Output is deterministic byte-for-byte for a fixed configuration, at any
 ``--threads`` value, in all three formats (text, csv, json).  Exit codes:
@@ -26,6 +28,7 @@ import itertools
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .coxeter import (
     parse_word, render_word,
 )
 from .hecke import InvariantError, KLTable
-from .kernel import block_terms
+from .kernel import narrow, pieces, stack_terms
 from .laurent import LaurentPoly
 from .parabolic import (
     ANTISPHERICAL, SPHERICAL, FlavorMismatchError, ParabolicContext,
@@ -46,9 +49,7 @@ from .verify import CapRequiredError, CheckResult, build_group
 
 def poly_csv(p: LaurentPoly) -> str:
     """CSV cell rendering: 'c*v^k' terms joined by '+', ascending exponent."""
-    if p.is_zero():
-        return "0"
-    return "+".join(f"{c}*v^{e}" for e, c in p.items())
+    return "+".join(f"{c}*v^{e}" for e, c in p.items()) or "0"
 
 
 def _subset_parse(text: str, rank: int) -> frozenset[int]:
@@ -74,7 +75,7 @@ class OutputPathError(ValueError):
 
 
 class _Output:
-    """The chosen format and destination; JSON and CSV are streamed."""
+    """The chosen format and destination; every format is streamed."""
 
     def __init__(self, fmt: str, out_path: str | None):
         self.fmt = fmt
@@ -85,19 +86,17 @@ class _Output:
             if new:  # and leave no file behind a failed run
                 os.remove(out_path)
 
-    def emit(self, text: str) -> None:
-        if not text.endswith("\n"):
-            text += "\n"
-        self._write("w", lambda fh: fh.write(text))
+    def emit(self, lines) -> None:
+        self._stream(line + "\n" for line in lines)
 
     def emit_json(self, obj, sort_keys: bool = True) -> None:
-        chunks = json.JSONEncoder(indent=2,
-                                  sort_keys=sort_keys).iterencode(obj)
+        self._stream(itertools.chain(json.JSONEncoder(
+            indent=2, sort_keys=sort_keys).iterencode(obj), ["\n"]))
 
-        def write(fh):      # the encoder's chunks, a few thousand at a time
-            while piece := "".join(itertools.islice(chunks, 4096)):
-                fh.write(piece)
-            fh.write("\n")
+    def _stream(self, pieces) -> None:
+        def write(fh):      # the pieces, a few hundred at a time
+            while part := "".join(itertools.islice(pieces, 256)):
+                fh.write(part)
         self._write("w", write)
 
     def emit_csv(self, header: list[str], rows) -> None:
@@ -139,11 +138,8 @@ def _cmd_info(args, out: _Output) -> int:
                      [[args.group, "" if args.cap is None else args.cap,
                        order, longest, str(complete).lower()]])
     else:
-        if complete:
-            out.emit(f"order {order}, longest length {longest}")
-        else:
-            out.emit(f"order {order} (within length cap {args.cap}), "
-                     f"longest length {longest}")
+        within = "" if complete else f" (within length cap {args.cap})"
+        out.emit([f"order {order}{within}, longest length {longest}"])
     return 0
 
 
@@ -155,12 +151,12 @@ class _SortedEntries(dict):
     the order of word(y) + "|", then of word(x).  The dict's own storage
     stays empty."""
 
-    def __init__(self, group, ys: np.ndarray, xs: np.ndarray, values):
-        self.words = [render_word(el.word) for el in group]
+    def __init__(self, words: list[str], ys: np.ndarray, xs: np.ndarray,
+                 values):
         rank_y, rank_x = (np.argsort(np.argsort(np.array(keys))) for keys in (
-            [w + "|" for w in self.words], self.words))
+            [w + "|" for w in words], words))
         self.order = np.lexsort((rank_x[xs], rank_y[ys]))
-        self.ys, self.xs, self.values = ys, xs, values
+        self.words, self.ys, self.xs, self.values = words, ys, xs, values
 
     def __len__(self) -> int:
         return len(self.order)
@@ -174,109 +170,132 @@ class _SortedEntries(dict):
                 self.values(part))
 
 
-def _table_entries(group, triples, fmt: str, cell=poly_csv):
-    """Shared rendering for the text and csv tables: streamed csv rows, or
-    a list of (y, x, entry) text rows to align; each element's word is
-    rendered once."""
+class _Pairs(NamedTuple):
+    """Entries of a table, by column x, then by row y: entry k, at
+    (ys[k], xs[k]), holds the terms values[j] v^exps[j] for j from
+    ends[k - 1] (0 for k = 0) to ends[k], or, with ``ends`` None (the mu
+    table), the one integer values[k]."""
+
+    ys: np.ndarray
+    xs: np.ndarray
+    ends: np.ndarray | None
+    exps: np.ndarray | None
+    values: np.ndarray
+
+    @staticmethod
+    def join(runs: list["_Pairs"]) -> "_Pairs":
+        """The entries of ``runs`` end to end."""
+        base = np.cumsum([0] + [len(r.exps) for r in runs])
+        return _Pairs(*map(np.concatenate, zip(*[
+            r._replace(ends=r.ends + b) for r, b in zip(runs, base)])))
+
+    def mu(self) -> "_Pairs":
+        """The v^1 coefficient of each entry, 0 where it has none."""
+        one = self.exps == 1
+        mu = np.zeros(len(self.ys), self.values.dtype)
+        mu[np.searchsorted(self.ends, np.flatnonzero(one), "right")] = \
+            self.values[one]
+        return _Pairs(self.ys, self.xs, None, None, mu)
+
+    def cells(self) -> list[str]:
+        """Each entry as ``poly_csv`` renders it, or its integer."""
+        if self.ends is None:
+            return [str(m) for m in self.values.tolist()]
+        terms = [f"{c}*v^{e}" for e, c in zip(self.exps.tolist(),
+                                               self.values.tolist())]
+        ends = self.ends.tolist()
+        return ["+".join(terms[a:b]) for a, b in zip([0] + ends, ends)]
+
+    def json_values(self, part: np.ndarray) -> list:
+        """The entries at positions ``part`` as JSON values: the integer,
+        or the terms as {str(e): c} in sorted-key order."""
+        if self.ends is None:
+            return self.values[part].tolist()
+        hi = self.ends[part]
+        n = hi - np.where(part > 0, self.ends[part - 1], 0)
+        at = np.repeat(hi - np.cumsum(n), n) + np.arange(n.sum())
+        terms = zip(map(str, self.exps[at].tolist()),
+                    self.values[at].tolist())
+        return [dict(sorted(itertools.islice(terms, k))) for k in n.tolist()]
+
+
+def _table_pairs(table, family: str):
+    """The reader of every table: the canonical columns of the basis of
+    ``table`` (family "kl", or "mu" for their v^1 terms) or its inverse
+    columns ("invkl"), built whole first.  ``pairs(whole=False)`` gives
+    their nonzero rows as ``_Pairs`` of the stacked terms, which come by
+    row, then by exponent, a run of columns at a time or joined into one.
+    Every y <= x is a row of b_x, since P_{y,x}(0) = 1, so the mu table
+    lists every pair y <= x."""
+    columns = table.canonical_blocks(table.basis)
+    if family == "invkl":
+        columns = table.inverse_columns(table.basis)
+    ids = np.array([x.index for x in table.basis])
+
+    def runs():
+        # a run's rendered cells take about 100 bytes a term
+        for lo, hi in pieces([c.size for c in columns], 16):
+            slot, ys, exps, values = stack_terms(columns[lo:hi])
+            last = np.flatnonzero((np.diff(slot, append=-1) != 0)
+                                  | (np.diff(ys, append=-1) != 0))
+            yield _Pairs(*map(narrow, (ys[last], ids[lo + slot[last]],
+                                       last + 1, exps)), values)
+
+    def pairs(whole: bool = False):
+        got = [_Pairs.join(list(runs()))] if whole else runs()
+        return map(_Pairs.mu, got) if family == "mu" else got
+    return pairs
+
+
+def _cmd_table(args, out: _Output) -> int:
+    """The one printer of the polynomial and mu tables, over the entries
+    of ``_table_pairs``: JSON entries in key order from one ``_Pairs`` of
+    the whole table, or csv rows and text lines streamed a run of columns
+    at a time.  The text width is taken beforehand from the words of the
+    entries; the text lists the nonzero entries only.  A quotient's
+    ``meta`` joins the JSON object and the text header, its ``columns``
+    each csv row."""
+    group = build_group(args.group, args.cap)
+    if args.command == "parabolic":
+        subset = _subset_parse(args.parabolic, group.matrix.rank)
+        table = _parabolic_table(group, subset, args.flavor)
+        family, command = args.family, f"parabolic-{args.family}"
+        meta = {"flavor": args.flavor, "I": sorted(t + 1 for t in subset),
+                "family": family}
+        columns = {"flavor": args.flavor, "I": _subset_text(subset)}
+    else:
+        table, meta, columns = KLTable(group), {}, {}
+        family = command = ("mu" if getattr(args, "mu", False)
+                            else args.command)
+    pairs = _table_pairs(table, family)
     words = [render_word(el.word) for el in group]
-    if fmt == "csv":
-        return ([words[y.index], words[x.index], str(y.length),
-                 str(x.length), cell(p)] for y, x, p in triples)
-    return [(words[y.index], words[x.index], cell(p)) for y, x, p in triples]
-
-
-def _emit_table(args, out: _Output, command: str, entries,
-                extra_cols: list[str] | None = None,
-                extra_vals: list[str] | None = None,
-                meta: dict | None = None) -> int:
     if out.fmt == "json":
+        [whole] = pairs(whole=True)
         obj = {"command": command, "group": args.group, "cap": args.cap,
-               "entries": entries}
-        obj.update(meta or {})
+               "entries": _SortedEntries(words, whole.ys, whole.xs,
+                                         whole.json_values), **meta}
         # the entries stream in key order, and every other dict is sorted
         out.emit_json(dict(sorted(obj.items())), sort_keys=False)
-    elif out.fmt == "csv":
-        out.emit_csv(["y", "x", "len_y", "len_x", "poly"] + (extra_cols or []),
-                     (row + (extra_vals or []) for row in entries))
-    else:
-        lines = [f"{command}: group {args.group}, "
-                 f"cap {'full' if args.cap is None else args.cap}"]
-        if meta:
-            lines[0] += "".join(f", {k} {v}" for k, v in sorted(meta.items()))
-        width = max((len(r[0]) + len(r[1]) for r in entries), default=0) + 4
-        for row in entries:
-            pair = f"({row[0]}, {row[1]})"
-            lines.append(f"  {pair:<{width}} {row[2]}")
-        out.emit("\n".join(lines))
-    return 0
-
-
-def _column_entries(table, inverse: bool, fmt: str):
-    """The entries of the nonzero rows y of the canonical or the inverse
-    column of each basis element x of the table, in the form ``fmt``
-    prints, each table built whole before the output streams."""
-    group = table.group
-    table.canonical_blocks(table.basis)
-    if inverse:
-        table.inverse_columns(table.basis)
-    column = table.inverse_column if inverse else table.canonical_block
-    if fmt == "json":
-        rows = [r[np.diff(r, prepend=-1) != 0]    # terms() come by row
-                for r in (column(x).terms()[0] for x in table.basis)]
-        ys, xs = np.concatenate(rows), np.repeat(
-            [x.index for x in table.basis], [len(r) for r in rows])
-        poly, el = (table.inverse_kl_poly if inverse else table.kl_poly,
-                    group.elements)
-        return _SortedEntries(group, ys, xs, lambda part: [
-            dict(sorted(poly(el[y], el[x]).to_json_dict().items()))
-            for y, x in zip(ys[part].tolist(), xs[part].tolist())])
-    return _table_entries(group, ((y, x, p) for x in table.basis
-                                  for y, p in block_terms(
-                                      group, column(x)).items()), fmt)
-
-
-def _cmd_kl(args, out: _Output, inverse: bool) -> int:
-    group = build_group(args.group, args.cap)
-    table = KLTable(group)
-    if not inverse and args.mu:
-        return _cmd_mu(args, out, table)
-    return _emit_table(args, out, "invkl" if inverse else "kl",
-                       _column_entries(table, inverse, out.fmt))
-
-
-def _cmd_mu(args, out: _Output, table: KLTable) -> int:
-    group = table.group
-    table.canonical_blocks(group)
-
-    def mus():
-        for x in group:
-            # mu(y, x) is the v^1 term of row y of b_x, nonnegative once built
-            block = table.canonical_block(x)
-            one = block.exps == 1
-            mu = dict(zip(block.ids[one].tolist(),
-                          block.values[one].tolist()))
-            for y in group.downset(x):
-                m = mu.get(y.index, 0)
-                if m or out.fmt != "text":  # text lists the nonzero mu only
-                    yield y, x, m
-
-    if out.fmt == "json":       # every pair y <= x, in the order mus() gives
-        ids = [group.downset_ids(x) for x in group]
-        mu = np.fromiter((m for _, _, m in mus()), object)
-        out.emit_json({"cap": args.cap, "command": "mu", "entries": (
-            _SortedEntries(group, np.concatenate(ids), np.repeat(
-                np.arange(len(group)), [len(i) for i in ids]),
-                lambda part: mu[part].tolist())), "group": args.group},
-            sort_keys=False)
         return 0
-    entries = _table_entries(group, mus(), out.fmt, str)
+    rows = ((y, x, cell) for p in pairs() for y, x, cell in zip(
+        p.ys.tolist(), p.xs.tolist(), p.cells()))
     if out.fmt == "csv":
-        out.emit_csv(["y", "x", "len_y", "len_x", "mu"], entries)
-    else:
-        lines = [f"mu: group {args.group}, "
-                 f"cap {'full' if args.cap is None else args.cap}"]
-        lines.extend(f"  ({r[0]}, {r[1]})  {r[2]}" for r in entries)
-        out.emit("\n".join(lines))
+        length, tail = [el.length for el in group], list(columns.values())
+        out.emit_csv(["y", "x", "len_y", "len_x",
+                      "mu" if family == "mu" else "poly", *columns],
+                     ([words[y], words[x], length[y], length[x], cell, *tail]
+                      for y, x, cell in rows))
+        return 0
+    head = (f"{command}: group {args.group}, "
+            f"cap {'full' if args.cap is None else args.cap}"
+            + "".join(f", {k} {v}" for k, v in sorted(meta.items())))
+    size = np.array([len(w) for w in words])
+    # the mu table is unaligned, with two spaces after each pair
+    width, gap = (0, "  ") if family == "mu" else (max(
+        int((size[p.ys] + size[p.xs]).max()) for p in pairs()) + 4, " ")
+    out.emit(itertools.chain([head], (
+        f"  {f'({words[y]}, {words[x]})':<{width}}{gap}{cell}"
+        for y, x, cell in rows if cell != "0")))
     return 0
 
 
@@ -291,19 +310,6 @@ def _parabolic_table(group, subset, flavor: str) -> ParabolicKLTable:
     context = ParabolicContext(group, subset, flavor)
     return ParabolicKLTable(context, KLTable(group) if 2 * len(
         context.reps) >= len(group) else None)
-
-
-def _cmd_parabolic(args, out: _Output) -> int:
-    group = build_group(args.group, args.cap)
-    subset = _subset_parse(args.parabolic, group.matrix.rank)
-    table = _parabolic_table(group, subset, args.flavor)
-    subset_text = _subset_text(subset)
-    return _emit_table(
-        args, out, f"parabolic-{args.family}",
-        _column_entries(table, args.family == "invkl", out.fmt),
-        extra_cols=["flavor", "I"], extra_vals=[args.flavor, subset_text],
-        meta={"flavor": args.flavor, "I": sorted(t + 1 for t in subset),
-              "family": args.family})
 
 
 def _cmd_rouquier(args, out: _Output) -> int:
@@ -324,7 +330,7 @@ def _cmd_rouquier(args, out: _Output) -> int:
     else:
         lines = [f"rouquier: group {args.group}, x {render_word(x.word)}"]
         lines.extend(f"  y={r[0]} i={r[1]} mult={r[2]}" for r in rows)
-        out.emit("\n".join(lines))
+        out.emit(lines)
     return 0
 
 
@@ -340,9 +346,8 @@ def _cmd_scan(args, out: _Output) -> int:
     group = build_group(args.group, args.cap)
     scanner, flavor = _SCANS[args.name]
     subset = _subset_parse(args.parabolic, group.matrix.rank)
-    expect = args.expect_violations
-    if expect is None:
-        expect = args.name == "spherical"
+    expect = (args.name == "spherical" if args.expect_violations is None
+              else args.expect_violations)
     if flavor is None:
         if subset:
             raise CoxeterSpecError(
@@ -363,7 +368,7 @@ def _cmd_scan(args, out: _Output) -> int:
                        poly_csv(v.rhs), str(v.witness_exponent)]
                       for v in res.violations))
     else:
-        out.emit("\n".join(res.text_lines()))
+        out.emit(res.text_lines())
     return 0 if res.passed else 1
 
 
@@ -389,13 +394,18 @@ def _cmd_suite(args, out: _Output) -> int:
               c.flavor or "-", str(c.pairs_checked), str(len(c.violations)),
               "pass" if c.passed else "fail"] for c in report.checks])
     else:
-        out.emit("\n".join(report.text_lines()))
+        out.emit(report.text_lines())
     return 0 if report.passed else 1
 
 
 # ----------------------------------------------------------------------
 # argument parsing and dispatch
 # ----------------------------------------------------------------------
+
+_COMMANDS = {"info": _cmd_info, "kl": _cmd_table, "invkl": _cmd_table,
+             "parabolic": _cmd_table, "rouquier": _cmd_rouquier,
+             "scan": _cmd_scan, "suite": _cmd_suite}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -469,22 +479,7 @@ def main(argv=None) -> int:
         sys.stdout = open(stdout.fileno(), "w", encoding=stdout.encoding,
                           errors=stdout.errors, closefd=False)
     try:
-        out = _Output(args.format, args.out)
-        if args.command == "info":
-            return _cmd_info(args, out)
-        if args.command == "kl":
-            return _cmd_kl(args, out, inverse=False)
-        if args.command == "invkl":
-            return _cmd_kl(args, out, inverse=True)
-        if args.command == "parabolic":
-            return _cmd_parabolic(args, out)
-        if args.command == "rouquier":
-            return _cmd_rouquier(args, out)
-        if args.command == "scan":
-            return _cmd_scan(args, out)
-        if args.command == "suite":
-            return _cmd_suite(args, out)
-        raise AssertionError(f"unhandled command {args.command}")
+        return _COMMANDS[args.command](args, _Output(args.format, args.out))
     except (CoxeterSpecError, CapRequiredError, OutputPathError,
             SettingError) as exc:
         _emit_error(exc)

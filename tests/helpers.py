@@ -8,21 +8,28 @@ group tables replaced.  The sparse references at the end are the
 dict-of-``LaurentPoly`` solves, identity checks (the Rouquier shadow among
 them) and per-triple scans that the block kernel replaced, and the
 per-element block passes (one column and one block at a time) that the
-batched passes replaced.
+batched passes replaced.  ``reference_table`` is the table printer that
+decoded every entry, which the CLI's printer over stacked arrays replaced.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import itertools
+import json
 
 import numpy as np
 
-from kllab.coxeter import GroupTable, canonical_form, parse_coxeter_spec
+from kllab.coxeter import (
+    GroupTable, canonical_form, parse_coxeter_spec, render_word,
+)
 from kllab.hecke import (
     HeckeElt, KLTable, _bar_memo, bar_block, bar_blocks, mult_delta_gen,
 )
 from kllab import kernel
+from kllab.cli import poly_csv
 from kllab.kernel import (
     Block, InvariantError, block_terms, dense_blocks, exact_array, max_abs,
     narrow,
@@ -582,3 +589,59 @@ def reference_kronecker_failures(group, x, ids, block, column_of):
     total[lengths % 2 == 1] *= -1
     total[-1, 0] -= 1
     return frozenset(ids[total.any(axis=1)].tolist())
+
+
+# ----------------------------------------------------------------------
+# the decoding table printer
+# ----------------------------------------------------------------------
+
+def reference_table(table, family: str, fmt: str, spec: str,
+                    cap: int | None, command: str | None = None,
+                    meta: dict | None = None,
+                    columns: dict | None = None) -> str:
+    """The output of a table command by the printer the stacked-array one
+    replaced: each column decoded by ``block_terms`` into ``LaurentPoly``
+    rows, rendered by ``poly_csv`` or ``to_json_dict``, the text aligned
+    over the list of its rows.  ``family`` is "kl" or "invkl" over the
+    basis of ``table``, or "mu": the v^1 coefficient of b_x at every
+    y <= x of the group, from ``group.downset``."""
+    group = table.group
+    word = [render_word(el.word) for el in group]
+    rows = []
+    if family == "mu":
+        for x in group:
+            b = block_terms(group, table.canonical_block(x))
+            rows += [(y, x, b.get(y, LaurentPoly.zero()).coefficient(1))
+                     for y in group.downset(x)]
+    else:
+        column = (table.inverse_column if family == "invkl"
+                  else table.canonical_block)
+        rows = [(y, x, p) for x in table.basis
+                for y, p in block_terms(group, column(x)).items()]
+    command, meta, columns = command or family, meta or {}, columns or {}
+    if fmt == "json":
+        return json.dumps({
+            "command": command, "group": spec, "cap": cap, **meta,
+            "entries": {f"{word[y.index]}|{word[x.index]}": (
+                v if family == "mu" else v.to_json_dict())
+                for y, x, v in rows}}, indent=2, sort_keys=True) + "\n"
+    cell = str if family == "mu" else poly_csv
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["y", "x", "len_y", "len_x",
+                         "mu" if family == "mu" else "poly", *columns])
+        writer.writerows([word[y.index], word[x.index], y.length, x.length,
+                          cell(v), *columns.values()] for y, x, v in rows)
+        return buf.getvalue()
+    lines = [f"{command}: group {spec}, "
+             f"cap {'full' if cap is None else cap}"
+             + "".join(f", {k} {v}" for k, v in sorted(meta.items()))]
+    shown = [(f"({word[y.index]}, {word[x.index]})", cell(v))
+             for y, x, v in rows if v]
+    if family == "mu":
+        lines += [f"  {pair}  {c}" for pair, c in shown]
+    else:
+        width = max(len(pair) for pair, _ in shown)
+        lines += [f"  {pair:<{width}} {c}" for pair, c in shown]
+    return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -14,9 +15,13 @@ import kllab
 from kllab import cli, kernel
 from kllab.cli import main, poly_csv
 from kllab.hecke import KLTable
-from kllab.parabolic import ParabolicKLTable
+from kllab.parabolic import (
+    ANTISPHERICAL, SPHERICAL, ParabolicContext, ParabolicKLTable,
+)
 from kllab.laurent import LaurentPoly
-from helpers import bruhat_leq_oracle, get_group, get_kl, poly
+from helpers import (
+    bruhat_leq_oracle, get_group, get_kl, poly, reference_table,
+)
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +167,39 @@ class TestTables:
                                "--format", "json")
         assert code == 0
         assert json.loads(out)["entries"] == regular
+
+    @pytest.mark.parametrize("spec,cap,family,flavor,subset", [
+        pytest.param(spec, cap, family, flavor, subset, id="-".join(
+            [spec, str(cap), family, flavor or "", subset or "none"]))
+        for (spec, cap), (family, flavor, subset) in itertools.product(
+            [("A1", None), ("A3", None), ("B3", None), ("H3", None),
+             ("G2", None), ("Aff-A2", 8), ("I2(inf)", 12), ("I2(inf)", 0)],
+            [("kl", None, ""), ("mu", None, ""), ("invkl", None, ""),
+             *itertools.product(("kl", "invkl"), (SPHERICAL, ANTISPHERICAL),
+                                ("", "1", "1,2"))])
+        if spec != "A1" or subset != "1,2"])
+    def test_tables_match_the_decoded_reference(self, capsys, spec, cap,
+                                                family, flavor, subset):
+        """Every table command prints, in each format, what the decoding
+        printer ``reference_table`` prints for its table; a quotient's
+        table here is solved, whatever route the command takes."""
+        group = get_group(spec, cap)
+        argv = ["--group", spec] + ([] if cap is None else ["--cap", str(cap)])
+        if flavor is None:
+            table, kw = get_kl(spec, cap), {}
+            argv = ["kl", "--mu", *argv] if family == "mu" else [family, *argv]
+        else:
+            ids = sorted(int(t) for t in subset.split(",") if t)
+            table = ParabolicKLTable(ParabolicContext(
+                group, [t - 1 for t in ids], flavor))
+            kw = {"command": f"parabolic-{family}",
+                  "meta": {"flavor": flavor, "I": ids, "family": family},
+                  "columns": {"flavor": flavor, "I": subset or "-"}}
+            argv = ["parabolic", *argv, "--family", family, "--flavor",
+                    flavor, "--parabolic", subset]
+        for fmt in ("text", "csv", "json"):
+            assert run_cli(capsys, *argv, "--format", fmt) == (
+                0, reference_table(table, family, fmt, spec, cap, **kw), "")
 
     def test_rouquier_csv(self, capsys):
         code, out, _ = run_cli(capsys, "rouquier", "--group", "A2",
@@ -426,9 +464,10 @@ class TestErrorsAndIO:
         assert json.loads(err)["error"] == "BrokenPipeError"
 
     def test_closed_pipe_unbuffered_exits_1_with_json_error(self):
-        """With PYTHONUNBUFFERED=1 the text table goes out in one raw write,
-        which a reader that takes 10 bytes cuts short: still exit 1 and the
-        JSON error, not a truncated table passed off as success."""
+        """With PYTHONUNBUFFERED=1 the text table goes out a few hundred
+        lines a write, which a reader that takes 10 bytes cuts short: still
+        exit 1 and the JSON error, not a truncated table passed off as
+        success."""
         src = os.path.dirname(os.path.dirname(kllab.__file__))
         with subprocess.Popen(
                 [sys.executable, "-m", "kllab.cli", "kl", "--group", "B4"],
@@ -479,12 +518,13 @@ class TestErrorsAndIO:
         assert out == json.dumps(json.loads(out), indent=2,
                                  sort_keys=True) + "\n"
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_streamed_output_is_the_one_string(self, tmp_path, monkeypatch,
                                                 fmt):
-        """JSON and CSV leave in many writes, none of them the whole
-        output, and hold byte for byte what one string of
-        json.dumps(indent=2, sort_keys=True) or of a csv writer would."""
+        """Every format leaves in many writes, none of them the whole
+        output, and holds byte for byte what one string of
+        json.dumps(indent=2, sort_keys=True), of a csv writer or of the
+        decoding printer ``reference_table`` would."""
         writes = []
 
         class Recorder(io.StringIO):
@@ -498,11 +538,14 @@ class TestErrorsAndIO:
         if fmt == "json":
             expected = json.dumps(json.loads(out), indent=2,
                                   sort_keys=True) + "\n"
-        else:
+        elif fmt == "csv":
             buf = io.StringIO()
             csv.writer(buf, lineterminator="\n").writerows(
                 csv.reader(io.StringIO(out)))
             expected = buf.getvalue()
+        else:
+            expected = reference_table(get_kl("B3"), "invkl", "text", "B3",
+                                       None)
         assert out == expected
         assert len(writes) > 1 and max(writes) < len(out)
         target = tmp_path / f"table.{fmt}"
@@ -513,7 +556,8 @@ class TestErrorsAndIO:
 def test_commands_do_not_load_numpy_ma():
     """No command needs ``numpy.ma``, which a plain ``np.unique`` or
     ``np.union1d`` imports under numpy 2 at a cost to every process; a
-    fresh interpreter runs a suite and an affine scan without it.
+    fresh interpreter runs a suite, an affine scan and three tables
+    without it.
     Skipped where importing numpy alone loads it."""
     script = textwrap.dedent("""
         import contextlib, io, sys
@@ -525,6 +569,11 @@ def test_commands_do_not_load_numpy_ma():
             assert main(["suite", "--group", "H3"]) == 0
             assert main(["scan", "--name", "inverse", "--group", "Aff-A2",
                          "--cap", "13"]) == 0
+            assert main(["kl", "--mu", "--group", "H3", "--format",
+                         "json"]) == 0
+            assert main(["invkl", "--group", "H3", "--format", "json"]) == 0
+            assert main(["parabolic", "--group", "B3", "--parabolic", "1",
+                         "--flavor", "spherical", "--format", "csv"]) == 0
         sys.exit("numpy.ma" in sys.modules)
     """)
     src = os.path.dirname(os.path.dirname(kllab.__file__))

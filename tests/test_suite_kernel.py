@@ -300,9 +300,9 @@ def test_passing_suite_decodes_nothing(monkeypatch):
             monkeypatch.setattr(module, name, spy)
     assert {(f"kllab.{m}", "row_poly") for m in (
         "hecke", "kernel", "parabolic", "verify")} <= holders
-    assert ("kllab.cli", "row_poly") not in holders
     assert {(f"kllab.{m}", "block_terms") for m in (
-        "cli", "hecke", "kernel", "verify")} <= holders
+        "hecke", "kernel", "verify")} <= holders
+    assert not {name for module, name in holders if module == "kllab.cli"}
     report = run_identity_suite("H3", [(), (0,), (1,), (2,)])
     assert report.passed
     assert calls == []
